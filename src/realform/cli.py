@@ -4,8 +4,11 @@ Subcommands: classify, decide, coords, generate, verify.  JSON is the
 only wire format; complex numbers are always [re, im] pairs.  Output is
 deterministic: sorted keys, floats rounded to 17 significant digits.
 
-Exit codes: 0 yes/ok, 1 no, 2 parse or spec error, 3 spectral
-precondition failure, 4 genericity failure.
+Exit codes: 0 yes/ok, 1 no, 2 parse or spec error (including k
+outside [2, 8]), 3 spectral precondition failure, 4 genericity failure,
+5 numerical failure (singular input matrix, failed certificate, no
+conjugation, degenerate frame, triple ratio or cross ratio).  ``main``
+maps every library error to its code in one place.
 """
 
 import argparse
@@ -19,10 +22,14 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .coords import fg_cross_ratio, triple_ratio_set
 from .decide import FORCED_METHODS, decide, prepare, verify_certificate
 from .errors import (
+    DegenerateFrame,
+    DegenerateTriple,
     GenericityViolation,
     IncompatibleEigenvalues,
-    InfeasibleSpec,
+    IndeterminateCrossRatio,
+    NoConjugation,
     NonDiagonalizable,
+    NumericalDegeneracy,
     RealformError,
     RepeatedEigenvalues,
     SharedEigendirections,
@@ -30,7 +37,7 @@ from .errors import (
 )
 from .flags import flag_pair_from_eigensystem, quotient_cp1
 from .oracle import InstanceSpec, generate
-from .projlin import ProjPoint
+from .projlin import MAX_DIM, MIN_DIM, ProjPoint
 from .spectrum import KIND_HYPERBOLIC
 
 EXIT_YES = 0
@@ -38,10 +45,16 @@ EXIT_NO = 1
 EXIT_PARSE = 2
 EXIT_SPECTRAL = 3
 EXIT_GENERICITY = 4
+EXIT_NUMERICAL = 5
 
-_SPECTRAL_ERRORS = (RepeatedEigenvalues, NonDiagonalizable, IncompatibleEigenvalues,
-                    SpectralPreconditionError)
-_GENERICITY_ERRORS = (GenericityViolation, SharedEigendirections)
+# library error -> exit code, first match wins; any other RealformError is EXIT_PARSE
+_EXIT_CODES = (
+    ((RepeatedEigenvalues, NonDiagonalizable, IncompatibleEigenvalues, SpectralPreconditionError),
+     EXIT_SPECTRAL),
+    ((GenericityViolation, SharedEigendirections), EXIT_GENERICITY),
+    ((NumericalDegeneracy, NoConjugation, DegenerateFrame, DegenerateTriple,
+      IndeterminateCrossRatio), EXIT_NUMERICAL),
+)
 
 
 class CliError(Exception):
@@ -88,6 +101,8 @@ def _load_document(path):
     k = doc["k"]
     if not isinstance(k, int):
         raise CliError("'k' must be an integer", EXIT_PARSE)
+    if not MIN_DIM <= k <= MAX_DIM:
+        raise CliError(f"'k' must lie in [{MIN_DIM}, {MAX_DIM}]", EXIT_PARSE)
     mats = []
     for idx, m in enumerate(doc["matrices"]):
         if len(m) != k or any(len(row) != k for row in m):
@@ -129,21 +144,17 @@ def _add_tol_flags(p):
 def cmd_classify(args) -> int:
     k, mats, options = _load_document(args.input)
     cfg = _tolerances(options, args)
-    try:
-        reports = []
-        for idx, m in enumerate(mats):
-            try:
-                infos = prepare([m], cfg)
-            except IncompatibleEigenvalues:
-                from .projlin import eig
-                from .spectrum import type_transformation
-                sc = type_transformation(eig(m, cfg), cfg)
-                reports.append(_classification(idx, sc))
-                continue
-            reports.append(_classification(idx, infos[0].sclass))
-    except _SPECTRAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPECTRAL
+    reports = []
+    for idx, m in enumerate(mats):
+        try:
+            infos = prepare([m], cfg)
+        except IncompatibleEigenvalues:
+            from .projlin import eig
+            from .spectrum import type_transformation
+            sc = type_transformation(eig(m, cfg), cfg)
+            reports.append(_classification(idx, sc))
+            continue
+        reports.append(_classification(idx, infos[0].sclass))
     _emit({"k": k, "classifications": reports})
     return EXIT_YES
 
@@ -169,14 +180,7 @@ def _classification(idx, sc):
 def cmd_decide(args) -> int:
     k, mats, options = _load_document(args.input)
     cfg = _tolerances(options, args)
-    try:
-        verdict, cert = decide(mats, cfg, method=args.method)
-    except _SPECTRAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPECTRAL
-    except _GENERICITY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERICITY
+    verdict, cert = decide(mats, cfg, method=args.method)
     _emit(_decision_doc(verdict, cert))
     return EXIT_YES if verdict.answer == "yes" else EXIT_NO
 
@@ -204,16 +208,7 @@ def _decision_doc(verdict, cert):
 def cmd_coords(args) -> int:
     k, mats, options = _load_document(args.input)
     cfg = _tolerances(options, args)
-    try:
-        infos = prepare(mats, cfg)
-        doc = _coords_doc(infos, cfg)
-    except _SPECTRAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPECTRAL
-    except _GENERICITY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERICITY
-    _emit(doc)
+    _emit(_coords_doc(prepare(mats, cfg), cfg))
     return EXIT_YES
 
 
@@ -312,11 +307,7 @@ def cmd_generate(args) -> int:
         scramble="random_gamma" if not args.no_scramble else "none",
         perturbation=perturbation,
     )
-    try:
-        inst = generate(spec)
-    except InfeasibleSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    inst = generate(spec)
     doc = {
         "k": spec.k,
         "matrices": [_matrix_out(m) for m in inst.matrices],
@@ -354,10 +345,7 @@ def cmd_verify(args) -> int:
         raise CliError("gamma file must hold a k x k matrix of [re, im] pairs", EXIT_PARSE)
     if gamma.shape != (k, k):
         raise CliError(f"gamma must be {k}x{k}", EXIT_PARSE)
-    try:
-        residual = verify_certificate(mats, gamma, cfg)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    residual = verify_certificate(mats, gamma, cfg)
     _emit({"residual": _round17(residual), "cert_tol": _round17(cfg.cert_tol),
            "pass": bool(residual < cfg.cert_tol)})
     return EXIT_YES if residual < cfg.cert_tol else EXIT_NO
@@ -410,18 +398,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, RealformError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except _SPECTRAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPECTRAL
-    except _GENERICITY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERICITY
-    except RealformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, CliError):
+            return exc.code
+        return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -112,10 +112,6 @@ def conj_pair_defect(cr1: CrossRatio, cr2: CrossRatio) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def is_conj_pair(cr1: CrossRatio, cr2: CrossRatio, tol: float) -> bool:
-    return conj_pair_defect(cr1, cr2) <= tol
-
-
 def unit_product_defect(cr1: CrossRatio, cr2: CrossRatio) -> float:
     """Relative defect of cr1 * conj(cr2) == 1."""
     lhs = cr1.num * np.conj(cr2.num)

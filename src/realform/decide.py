@@ -11,15 +11,23 @@ Five routes are implemented and cross-checked:
 * ``DimKCrossOnly`` -- per-eigendirection cross-ratio conditions against
                        a base flag pair and one reference direction;
 * ``DirectConjugation`` -- solve for the conjugation respecting all
-                       eigendata; no genericity precondition, always a
-                       definite answer.
+                       eigendata; no genericity precondition, a
+                       definite answer unless certification fails.
 
-Every Yes is certified: an explicit realifier gamma is produced and the
-maximum imaginary residual of gamma^{-1} M gamma over the collection is
-checked against ``cert_tol``.
+The four coordinate routes share one runner (``_run_route``): each supplies
+the k it handles, an optional structural precheck on kinds and labels,
+and a function building its condition list.  The runner owns the rest:
+the genericity gate, the single-generator shortcut, certification, the
+fall back to ``direct`` when every condition passes but certification
+fails, and the ``direct`` confirmation of a ``cross`` No.
+
+Every Yes, from every route, is certified the same way: an explicit
+realifier gamma is produced and the maximum imaginary residual of
+gamma^{-1} M gamma over the collection must be below ``cert_tol``.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +53,7 @@ from .errors import (
     IncompatibleEigenvalues,
     NoConjugation,
     NumericalDegeneracy,
+    RealformError,
     RepeatedEigenvalues,
     SharedEigendirections,
     SpectralPreconditionError,
@@ -58,6 +67,8 @@ from .flags import (
     point_flag,
 )
 from .projlin import (
+    MAX_DIM,
+    MIN_DIM,
     ProjPoint,
     canonical_matrix,
     check_matrix,
@@ -137,13 +148,8 @@ class GenInfo:
     def labeling(self):
         return self.sclass.labelings[0]
 
-    def hyp_indices(self, labeling=None):
-        lab = labeling or self.labeling()
-        return [i for i, l in enumerate(lab.labels) if l == HYPERBOLIC]
-
-    def pairs(self, labeling=None):
-        lab = labeling or self.labeling()
-        return list(lab.pairing)
+    def hyp_indices(self):
+        return [i for i, l in enumerate(self.labeling().labels) if l == HYPERBOLIC]
 
     def direction(self, i) -> ProjPoint:
         return self.es.directions[i]
@@ -202,12 +208,12 @@ def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float
     return worst
 
 
-def _certify_yes(infos, cfg, method, conditions, diagnostics):
-    """Build gamma from the eigendata conjugation and verify it."""
-    data = []
-    for info in infos:
-        data.extend(_eigendata(info))
-    conj, unique = conjugation_witness(data, cfg)
+def _certify(infos, cfg, method, conditions, diagnostics, witness=None):
+    """Yes with a realifier built from ``witness`` (by default the
+    conjugation of the first labelings) whose residual is below cert_tol."""
+    if witness is None:
+        witness = conjugation_witness([d for info in infos for d in _eigendata(info)], cfg)
+    conj, unique = witness
     gamma = canonical_matrix(realifier(conj, cfg))
     residual = verify_certificate([info.matrix for info in infos], gamma, cfg)
     if residual >= cfg.cert_tol:
@@ -232,6 +238,44 @@ def _require_generic(infos):
         )
 
 
+def _run_route(ms, cfg, infos, method, ks, build, precheck=None):
+    """Run one coordinate route and certify or confirm its answer.
+
+    ``ks`` is the (lowest, highest) k the route handles.  ``precheck``
+    rejects a collection from its kinds and labels alone, before any
+    flag is built; ``build`` returns the route's (conditions,
+    diagnostics) and raises a RealformError when the geometry is not
+    generic.
+    """
+    infos = prepare(ms, cfg) if infos is None else infos
+    lo, hi = ks
+    if not lo <= infos[0].es.dim <= hi:
+        raise SpectralPreconditionError(
+            f"this method needs {lo}x{lo} input" if lo == hi else f"this method needs k >= {lo}")
+    _require_generic(infos)
+    if len(infos) == 1:
+        conditions, diagnostics = [], ["single compatible generator"]
+    else:
+        if precheck is not None:
+            precheck(infos)
+        conditions, diagnostics = build(infos, cfg)
+    if all(c.passed for c in conditions):
+        try:
+            return _certify(infos, cfg, method, conditions, diagnostics)
+        except (NoConjugation, NumericalDegeneracy) as exc:
+            verdict, cert = decide_direct(None, cfg, infos=infos)
+            cert.diagnostics.append(f"coordinate conditions passed but certification failed: {exc}")
+            return verdict, cert
+    if method == METHOD_CROSS:
+        # the cross-only conditions are sufficient, not always necessary
+        verdict, cert = decide_direct(None, cfg, infos=infos)
+        if verdict.answer == YES:
+            cert.diagnostics.append("cross-only conditions failed but the direct method found a form")
+            return verdict, cert
+        diagnostics.append("No confirmed by the direct method")
+    return _no_verdict(method, conditions, diagnostics)
+
+
 # ---------------------------------------------------------------------------
 # dimension 2
 
@@ -254,66 +298,45 @@ def _first_valid_pair(cands, cfg):
     return None
 
 
-def decide_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
-    """Cross-ratio decision on CP^1 fixed-point configurations."""
-    infos = prepare(ms, cfg) if infos is None else infos
-    if infos[0].es.dim != 2:
-        raise SpectralPreconditionError("this method needs 2x2 input")
-    _require_generic(infos)
-    if len(infos) == 1:
-        return _certify_yes(infos, cfg, METHOD_DIM2, [], ["single compatible generator"])
-
+def _dim2_conditions(infos, cfg):
+    """Cross ratios of the fixed points against a hyperbolic base pair,
+    else an elliptic base pair, else the lone hyperbolic-elliptic pair."""
     hyp = [i for i in infos if i.kind == KIND_HYPERBOLIC]
     ell = [i for i in infos if i.kind == KIND_ELLIPTIC]
-    conditions = []
     tol = cfg.cr_tol
+    conditions = []
 
-    def record(name, value, requirement, passed):
+    def add(name, value, requirement, passed):
         conditions.append(Condition(name=name, value=value, requirement=requirement, passed=passed))
-        return passed
 
-    def crval(cr):
-        return complex(np.inf) if cr.infinite else cr.value
-
-    hyp_base = _first_valid_pair(hyp, cfg) if len(hyp) >= 2 else None
-    ell_base = _first_valid_pair(ell, cfg) if len(ell) >= 2 else None
-
+    hyp_base = _first_valid_pair(hyp, cfg)
     if hyp_base is not None:
         h1, h2 = hyp_base
         h1m, h1p = _cp1_dirs(h1)
         ref = _pick_reference((h1m, h1p), h2, cfg)
-        h2m, h2p = _cp1_dirs(h2)
-        ok = True
-        cr = cross_ratio(h1m, h2m, h1p, h2p)
-        ok &= record(f"[H{h1.index},H{h2.index}]", crval(cr), "extended real",
-                     is_real_extended(cr, tol))
+        cr = cross_ratio(h1m, h2.direction(0), h1p, h2.direction(1))
+        add(f"[H{h1.index},H{h2.index}]", cr.value, "extended real", is_real_extended(cr, tol))
         for other in infos:
             if other is h1 or other is h2:
                 continue
-            om, op = _cp1_dirs(other)
+            crm, crp = (cross_ratio(h1m, dpt, h1p, ref) for dpt in _cp1_dirs(other))
             if other.kind == KIND_HYPERBOLIC:
-                for tag, dpt in (("-", om), ("+", op)):
-                    cr = cross_ratio(h1m, dpt, h1p, ref)
-                    ok &= record(f"[h{h1.index}-,h{other.index}{tag},h{h1.index}+,ref]",
-                                 crval(cr), "extended real", is_real_extended(cr, tol))
+                for tag, cr in (("-", crm), ("+", crp)):
+                    add(f"[h{h1.index}-,h{other.index}{tag},h{h1.index}+,ref]", cr.value,
+                        "extended real", is_real_extended(cr, tol))
             else:
-                crm = cross_ratio(h1m, om, h1p, ref)
-                crp = cross_ratio(h1m, op, h1p, ref)
                 defect = conj_pair_defect(crm, crp)
-                ok &= record(f"[h{h1.index}-,e{other.index}±,h{h1.index}+,ref] pair",
-                             complex(defect), "conjugate pair", defect <= tol)
-        if ok:
-            return _certify_yes(infos, cfg, METHOD_DIM2, conditions, [])
-        return _no_verdict(METHOD_DIM2, conditions, [])
+                add(f"[h{h1.index}-,e{other.index}±,h{h1.index}+,ref] pair", complex(defect),
+                    "conjugate pair", defect <= tol)
+        return conditions, []
 
+    ell_base = _first_valid_pair(ell, cfg)
     if ell_base is not None:
         e1, e2 = ell_base
         e1m, e1p = _cp1_dirs(e1)
         e2m, e2p = _cp1_dirs(e2)
-        ok = True
         cr = cross_ratio(e1m, e2m, e1p, e2p)
-        ok &= record(f"[E{e1.index},E{e2.index}]", crval(cr), "positive real",
-                     is_real_positive(cr, tol))
+        add(f"[E{e1.index},E{e2.index}]", cr.value, "positive real", is_real_positive(cr, tol))
         for other in infos:
             if other is e1 or other is e2:
                 continue
@@ -322,35 +345,32 @@ def decide_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
                 for base in (e1, e2):
                     bm, bp = _cp1_dirs(base)
                     cr = cross_ratio(bm, om, bp, op)
-                    ok &= record(f"[E{base.index},E{other.index}]", crval(cr), "positive real",
-                                 is_real_positive(cr, tol))
+                    add(f"[E{base.index},E{other.index}]", cr.value, "positive real",
+                        is_real_positive(cr, tol))
             else:
                 for tag, dpt in (("-", om), ("+", op)):
                     c1 = cross_ratio(e1m, dpt, e1p, e2m)
                     c2 = cross_ratio(e1m, dpt, e1p, e2p)
-                    passed = product_in_unit_circle(c1, c2, tol)
-                    if c1.infinite or c2.infinite:
-                        val = complex(np.inf)
-                    else:
-                        val = c1.value * c2.value
-                    ok &= record(f"[e{e1.index}-,h{other.index}{tag},e{e1.index}+,e{e2.index}∓] product",
-                                 val, "unit circle", passed)
-        if ok:
-            return _certify_yes(infos, cfg, METHOD_DIM2, conditions, [])
-        return _no_verdict(METHOD_DIM2, conditions, [])
+                    val = complex(np.inf) if c1.infinite or c2.infinite else c1.value * c2.value
+                    add(f"[e{e1.index}-,h{other.index}{tag},e{e1.index}+,e{e2.index}∓] product",
+                        val, "unit circle", product_in_unit_circle(c1, c2, tol))
+        return conditions, []
 
-    if len(hyp) == 1 and len(ell) == 1 and len(infos) == 2:
-        h, e = hyp[0], ell[0]
+    if len(hyp) == 1 and len(ell) == 1:
+        (h,), (e,) = hyp, ell
         hm, hp = _cp1_dirs(h)
         em, ep = _cp1_dirs(e)
         cr = cross_ratio(hm, em, hp, ep)
-        ok = record(f"[h{h.index}-,e{e.index}-,h{h.index}+,e{e.index}+]", crval(cr),
-                    "unit circle", in_unit_circle(cr, tol))
-        if ok:
-            return _certify_yes(infos, cfg, METHOD_DIM2, conditions, [])
-        return _no_verdict(METHOD_DIM2, conditions, [])
+        add(f"[h{h.index}-,e{e.index}-,h{h.index}+,e{e.index}+]", cr.value,
+            "unit circle", in_unit_circle(cr, tol))
+        return conditions, []
 
     raise SharedEigendirections("no base pair with distinct eigendirection sets")
+
+
+def decide_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
+    """Cross-ratio decision on CP^1 fixed-point configurations."""
+    return _run_route(ms, cfg, infos, METHOD_DIM2, (2, 2), _dim2_conditions)
 
 
 def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
@@ -405,97 +425,78 @@ def _base_orderings(k):
         yield list(rng.permutation(k)), list(rng.permutation(k))
 
 
+def _fg_precheck(infos):
+    """Two strictly hyperbolic generators for the base pair, and at most
+    one hyperbolic direction in every other generator's mirrored flag."""
+    if sum(info.kind == KIND_HYPERBOLIC for info in infos) < 2:
+        raise GenericityViolation("flag method needs two strictly hyperbolic generators")
+    for info in infos:
+        if info.kind != KIND_HYPERBOLIC and len(info.hyp_indices()) > 1:
+            raise GenericityViolation(
+                f"generator {info.index}: flag coordinates handle at most one hyperbolic direction"
+            )
+
+
 def _mirrored_flags(info: GenInfo, cfg):
     """Flag pair for a generator with at most one hyperbolic direction.
 
     Pairs sit symmetrically about the middle so the reversed flag lists
     the partners step by step.
     """
-    lab = info.labeling()
-    pairs = [(info.direction(i), info.direction(j)) for i, j in lab.pairing]
-    hyps = [info.direction(i) for i in info.hyp_indices()]
-    if len(hyps) > 1:
-        raise GenericityViolation(
-            f"generator {info.index}: flag coordinates handle at most one hyperbolic direction"
-        )
-    beta = mirrored_pair_flag(pairs, hyps, cfg)
+    pairs = [(info.direction(i), info.direction(j)) for i, j in info.labeling().pairing]
+    beta = mirrored_pair_flag(pairs, [info.direction(i) for i in info.hyp_indices()], cfg)
     return beta, beta.reversed()
 
 
-def _real_cr_conditions(a, c, d1, line, name, conditions, cfg):
-    tol = cfg.cr_tol
-    ok = True
+def _real_crs(a, c, d1, line, name, cfg):
     crs = cross_ratio_set(a, line, c, d1, cfg, check_genericity=False)
-    for i, cr in enumerate(crs):
-        passed = is_real_extended(cr, tol) and not cr.infinite
-        conditions.append(Condition(f"{name}[{i}]", complex(np.inf) if cr.infinite else cr.value,
-                                    "real", passed))
-        ok &= passed
-    return ok
+    return [Condition(f"{name}[{i}]", cr.value, "real",
+                      is_real_extended(cr, cfg.cr_tol) and not cr.infinite)
+            for i, cr in enumerate(crs)]
 
 
-def _real_triple_conditions(a, f, c, name, conditions, cfg):
-    tol = cfg.cr_tol
-    ok = True
-    for tr in triple_ratio_set(a, f, c, cfg):
-        passed = abs(tr.value.imag) <= tol * (1 + abs(tr.value.real))
-        conditions.append(Condition(f"{name}{tr.provenance}", tr.value, "real", passed))
-        ok &= passed
-    return ok
+def _real_triples(a, f, c, name, cfg):
+    return [Condition(f"{name}{tr.provenance}", tr.value, "real",
+                      abs(tr.value.imag) <= cfg.cr_tol * (1 + abs(tr.value.real)))
+            for tr in triple_ratio_set(a, f, c, cfg)]
 
 
-def _conj_cr_conditions(a, c, d1, line_b, line_p, name, conditions, cfg):
-    tol = cfg.cr_tol
-    ok = True
+def _conj_crs(a, c, d1, line_b, line_p, name, cfg):
     crs_b = cross_ratio_set(a, line_b, c, d1, cfg, check_genericity=False)
     crs_p = cross_ratio_set(a, line_p, c, d1, cfg, check_genericity=False)
-    for i, (c1, c2) in enumerate(zip(crs_b, crs_p)):
-        defect = conj_pair_defect(c1, c2)
-        passed = defect <= tol
-        conditions.append(Condition(f"{name}[{i}]", complex(defect), "conjugate pair", passed))
-        ok &= passed
-    return ok
+    defects = [conj_pair_defect(c1, c2) for c1, c2 in zip(crs_b, crs_p)]
+    return [Condition(f"{name}[{i}]", complex(d), "conjugate pair", d <= cfg.cr_tol)
+            for i, d in enumerate(defects)]
 
 
-def _conj_triple_conditions(a, beta, beta_rev, c, name, conditions, cfg):
-    tol = cfg.cr_tol
-    ok = True
-    trs_b = triple_ratio_set(a, beta, c, cfg)
-    trs_p = triple_ratio_set(a, beta_rev, c, cfg)
-    for t1, t2 in zip(trs_b, trs_p):
+def _conj_triples(a, beta, beta_rev, c, name, cfg):
+    out = []
+    for t1, t2 in zip(triple_ratio_set(a, beta, c, cfg), triple_ratio_set(a, beta_rev, c, cfg)):
         defect = abs(t1.value - np.conj(t2.value)) / max(abs(t1.value), abs(t2.value), 1e-300)
-        passed = defect <= tol
-        conditions.append(Condition(f"{name}{t1.provenance}", complex(defect), "conjugate pair", passed))
-        ok &= passed
-    return ok
+        out.append(Condition(f"{name}{t1.provenance}", complex(defect), "conjugate pair",
+                             defect <= cfg.cr_tol))
+    return out
 
 
-def _decide_fg_hyperbolic_base(infos, cfg, method):
-    hyp = [i for i in infos if i.kind == KIND_HYPERBOLIC]
-    if len(hyp) < 2:
-        raise GenericityViolation("flag method needs two strictly hyperbolic generators")
-    g, h = hyp[0], hyp[1]
-
-    base = None
+def _flag_conditions(infos, cfg):
+    """Flag coordinates against the base pair of the first two strictly
+    hyperbolic generators, under the first eigenbasis ordering that puts
+    the base flags in generic position."""
+    g, h = [info for info in infos if info.kind == KIND_HYPERBOLIC][:2]
     for og, oh in _base_orderings(g.es.dim):
         fg_ = flag_pair_from_eigensystem(g.es, og, cfg)
         fh = flag_pair_from_eigensystem(h.es, oh, cfg)
         if generic_position([fg_.flag, fh.flag, fg_.reverse, fh.reverse], cfg):
-            base = (fg_, fh)
             break
-    if base is None:
+    else:
         raise GenericityViolation("no eigenbasis ordering puts the base flags in generic position")
-    fg_, fh = base
     a, c = fg_.flag, fg_.reverse
     b, d = fh.flag, fh.reverse
-    b1 = ProjPoint(b.vectors[0])
     d1 = ProjPoint(d.vectors[0])
 
-    conditions = []
-    ok = _real_cr_conditions(a, c, d1, b1, "cr(A,B,C,D)", conditions, cfg)
-    ok &= _real_triple_conditions(a, b, c, "r3(A,B,C)", conditions, cfg)
-    ok &= _real_triple_conditions(a, c, d, "r3(A,C,D)", conditions, cfg)
-
+    conditions = (_real_crs(a, c, d1, ProjPoint(b.vectors[0]), "cr(A,B,C,D)", cfg)
+                  + _real_triples(a, b, c, "r3(A,B,C)", cfg)
+                  + _real_triples(a, c, d, "r3(A,C,D)", cfg))
     for info in infos:
         if info is g or info is h:
             continue
@@ -507,154 +508,103 @@ def _decide_fg_hyperbolic_base(infos, cfg, method):
         for f in (beta, beta_rev):
             if not generic_position([a, f, c, d], cfg):
                 raise GenericityViolation(f"generator {info.index}: flags not in generic position")
+        b1, b1p = ProjPoint(beta.vectors[0]), ProjPoint(beta_rev.vectors[0])
+        n = info.index
         if info.kind == KIND_HYPERBOLIC:
-            ok &= _real_cr_conditions(a, c, d1, ProjPoint(beta.vectors[0]),
-                                      f"cr(A,b{info.index},C,D)", conditions, cfg)
-            ok &= _real_cr_conditions(a, c, d1, ProjPoint(beta_rev.vectors[0]),
-                                      f"cr(A,b'{info.index},C,D)", conditions, cfg)
-            ok &= _real_triple_conditions(a, beta, c, f"r3(A,b{info.index},C)", conditions, cfg)
-            ok &= _real_triple_conditions(a, beta_rev, c, f"r3(A,b'{info.index},C)", conditions, cfg)
+            conditions += (_real_crs(a, c, d1, b1, f"cr(A,b{n},C,D)", cfg)
+                           + _real_crs(a, c, d1, b1p, f"cr(A,b'{n},C,D)", cfg)
+                           + _real_triples(a, beta, c, f"r3(A,b{n},C)", cfg)
+                           + _real_triples(a, beta_rev, c, f"r3(A,b'{n},C)", cfg))
         else:
-            ok &= _conj_cr_conditions(a, c, d1, ProjPoint(beta.vectors[0]),
-                                      ProjPoint(beta_rev.vectors[0]),
-                                      f"cr(A,b{info.index},C,D) vs b'", conditions, cfg)
-            ok &= _conj_triple_conditions(a, beta, beta_rev, c,
-                                          f"r3(A,b{info.index},C) vs b'", conditions, cfg)
-
-    if ok:
-        try:
-            return _certify_yes(infos, cfg, method, conditions, [])
-        except (NoConjugation, NumericalDegeneracy) as exc:
-            return _direct_with_note(infos, cfg,
-                                     [f"coordinate conditions passed but certification failed: {exc}"])
-    return _no_verdict(method, conditions, [])
+            conditions += (_conj_crs(a, c, d1, b1, b1p, f"cr(A,b{n},C,D) vs b'", cfg)
+                           + _conj_triples(a, beta, beta_rev, c, f"r3(A,b{n},C) vs b'", cfg))
+    return conditions, []
 
 
-def _decide_pgl3_synthetic(infos, cfg):
+def _synthetic_conditions(infos, cfg):
     """Synthetic hyperbolic base at k = 3 built from elliptic eigendata.
 
     One generator's elliptic pair and hyperbolic direction plus a
     direction of a second generator form a projective frame; mapping it
     to {[i,1,0], [-i,1,0], [0,0,1], [1,1,1]} pins the candidate real
     form, and the remaining checks read as if the base consisted of two
-    hyperbolic transformations with standard flags.
+    hyperbolic transformations with standard flags.  With fewer than two
+    strictly hyperbolic generators at k = 3 some generator is mixed, and
+    every other generator has a hyperbolic direction to offer.
     """
-    ells = [i for i in infos if i.kind == KIND_MIXED]
-    if not ells:
-        raise GenericityViolation("synthetic base needs an elliptic generator")
-    e1 = ells[0]
-    lab = e1.labeling()
-    pi, pj = lab.pairing[0]
-    p, pp, hdir = e1.direction(pi), e1.direction(pj), e1.direction(e1.hyp_indices()[0])
-
-    fourth = []
-    for info in infos:
-        if info is e1:
-            continue
-        if info.kind == KIND_MIXED:
-            fourth.append((info, info.hyp_indices()[0]))
-        else:
-            fourth.extend((info, i) for i in range(info.es.dim))
-    if not fourth:
-        raise GenericityViolation("synthetic base needs a second generator")
-
+    e1 = next(info for info in infos if info.kind == KIND_MIXED)
+    pi, pj = e1.labeling().pairing[0]
+    frame = [e1.direction(pi), e1.direction(pj), e1.direction(e1.hyp_indices()[0])]
     dst = frame_from_points(
         [ProjPoint([1j, 1, 0]), ProjPoint([-1j, 1, 0]), ProjPoint([0, 0, 1]),
          ProjPoint([1, 1, 1])], cfg)
-    gamma0 = provider = q_idx = None
-    for info, i in fourth:
+    fourth = [(info, i) for info in infos if info is not e1 for i in info.hyp_indices()]
+    for provider, q_idx in fourth:
         try:
-            src = frame_from_points([p, pp, hdir, info.direction(i)], cfg)
+            src = frame_from_points(frame + [provider.direction(q_idx)], cfg)
         except DegenerateFrame:
             continue
-        gamma0, provider, q_idx = homography(src, dst), info, i
+        gamma0 = homography(src, dst)
         break
-    if gamma0 is None:
+    else:
         raise GenericityViolation("no second-generator direction completes a projective frame")
 
-    eye = np.eye(3, dtype=complex)
-    a = make_flag([eye[0], eye[1], eye[2]], cfg)
+    a = make_flag(np.eye(3, dtype=complex), cfg)
     c = a.reversed()
     d1 = ProjPoint([1.0, 1.0, 1.0])
 
-    def moved(pt: ProjPoint) -> ProjPoint:
-        return ProjPoint(gamma0 @ pt.coords, cfg)
+    def moved(info, i) -> ProjPoint:
+        v = ProjPoint(gamma0 @ info.direction(i).coords, cfg)
+        if not generic_with_point(a, v, c, d1, cfg):
+            raise GenericityViolation(
+                f"generator {info.index}: eigendirection not generic with the synthetic base")
+        return v
 
     conditions = []
-    diagnostics = ["synthetic hyperbolic base from elliptic eigendata",
-                   f"frame generator {e1.index}, fourth point from {provider.index}"]
-    ok = True
     for info in infos:
         if info is e1:
             continue
-        lab = info.labeling()
         if info.kind == KIND_HYPERBOLIC:
             for i in range(info.es.dim):
-                if info is provider and i == q_idx:
-                    continue
-                v = moved(info.direction(i))
-                if not generic_with_point(a, v, c, d1, cfg):
-                    raise GenericityViolation(
-                        f"generator {info.index}: eigendirection not generic with the synthetic base")
-                ok &= _real_cr_conditions(a, c, d1, v, f"cr(A,h{info.index}.{i},C,D)",
-                                          conditions, cfg)
-        else:
-            qi, qj = lab.pairing[0]
-            pair_moved = (moved(info.direction(qi)), moved(info.direction(qj)))
-            mid = moved(info.direction(info.hyp_indices()[0]))
-            for v in pair_moved:
-                if not generic_with_point(a, v, c, d1, cfg):
-                    raise GenericityViolation(
-                        f"generator {info.index}: eigendirection not generic with the synthetic base")
-            ok &= _conj_cr_conditions(a, c, d1, pair_moved[0], pair_moved[1],
-                                      f"cr(A,b{info.index},C,D) vs b'", conditions, cfg)
-            try:
-                beta = mirrored_pair_flag([pair_moved], [mid], cfg)
-                beta_rev = beta.reversed()
-                ok &= _conj_triple_conditions(a, beta, beta_rev, c,
-                                              f"r3(A,b{info.index},C) vs b'", conditions, cfg)
-            except (GenericityViolation, DegenerateTriple) as exc:
-                raise GenericityViolation(
-                    f"generator {info.index}: triple ratios degenerate for the synthetic base: {exc}")
-
-    if ok:
+                if info is not provider or i != q_idx:
+                    conditions += _real_crs(a, c, d1, moved(info, i),
+                                            f"cr(A,h{info.index}.{i},C,D)", cfg)
+            continue
+        qi, qj = info.labeling().pairing[0]
+        pair_moved = (moved(info, qi), moved(info, qj))
+        mid = ProjPoint(gamma0 @ info.direction(info.hyp_indices()[0]).coords, cfg)
+        conditions += _conj_crs(a, c, d1, *pair_moved, f"cr(A,b{info.index},C,D) vs b'", cfg)
         try:
-            return _certify_yes(infos, cfg, METHOD_DIM3, conditions, diagnostics)
-        except (NoConjugation, NumericalDegeneracy) as exc:
-            return _direct_with_note(infos, cfg,
-                                     [f"synthetic-base conditions passed but certification failed: {exc}"])
-    return _no_verdict(METHOD_DIM3, conditions, diagnostics)
+            beta = mirrored_pair_flag([pair_moved], [mid], cfg)
+            conditions += _conj_triples(a, beta, beta.reversed(), c,
+                                        f"r3(A,b{info.index},C) vs b'", cfg)
+        except (GenericityViolation, DegenerateTriple) as exc:
+            raise GenericityViolation(
+                f"generator {info.index}: triple ratios degenerate for the synthetic base: {exc}")
+    return conditions, ["synthetic hyperbolic base from elliptic eigendata",
+                        f"frame generator {e1.index}, fourth point from {provider.index}"]
+
+
+def _dim3_conditions(infos, cfg):
+    if sum(info.kind == KIND_HYPERBOLIC for info in infos) >= 2:
+        return _flag_conditions(infos, cfg)
+    return _synthetic_conditions(infos, cfg)
 
 
 def decide_pgl3(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
     """Flag cross-ratio and triple-ratio decision at k = 3."""
-    infos = prepare(ms, cfg) if infos is None else infos
-    if infos[0].es.dim != 3:
-        raise SpectralPreconditionError("this method needs 3x3 input")
-    _require_generic(infos)
-    if len(infos) == 1:
-        return _certify_yes(infos, cfg, METHOD_DIM3, [], ["single compatible generator"])
-    hyp = [i for i in infos if i.kind == KIND_HYPERBOLIC]
-    if len(hyp) >= 2:
-        return _decide_fg_hyperbolic_base(infos, cfg, METHOD_DIM3)
-    return _decide_pgl3_synthetic(infos, cfg)
+    return _run_route(ms, cfg, infos, METHOD_DIM3, (3, 3), _dim3_conditions)
 
 
 def decide_pglk_fg(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
     """Flag cross-ratio and triple-ratio decision at general k >= 3."""
-    infos = prepare(ms, cfg) if infos is None else infos
-    if infos[0].es.dim < 3:
-        raise SpectralPreconditionError("flag coordinates need k >= 3")
-    _require_generic(infos)
-    if len(infos) == 1:
-        return _certify_yes(infos, cfg, METHOD_FG, [], ["single compatible generator"])
-    return _decide_fg_hyperbolic_base(infos, cfg, METHOD_FG)
+    return _run_route(ms, cfg, infos, METHOD_FG, (3, MAX_DIM), _flag_conditions, _fg_precheck)
 
 
 # ---------------------------------------------------------------------------
 # cross-ratio-only method
 
-def _cross_only_hyperbolic_conditions(crs, L, prefix, conditions, cfg):
+def _cross_hyp_conditions(crs, L, prefix, cfg):
     """Conditions on the cross ratios of one hyperbolic direction.
 
     The base flag lists L pair-derived directions first, then
@@ -664,88 +614,113 @@ def _cross_only_hyperbolic_conditions(crs, L, prefix, conditions, cfg):
     """
     tol = cfg.cr_tol
     k = len(crs) + 1
-    ok = True
+    out = []
     for j, cr in enumerate(crs):
         if j < L and j % 2 == 0:
-            passed = in_unit_circle(cr, tol)
-            conditions.append(Condition(f"{prefix}[{j}]", complex(np.inf) if cr.infinite else cr.value,
-                                        "unit circle", passed))
-            ok &= passed
+            out.append(Condition(f"{prefix}[{j}]", cr.value, "unit circle", in_unit_circle(cr, tol)))
         elif j >= L:
-            passed = is_real_extended(cr, tol) and not cr.infinite
-            conditions.append(Condition(f"{prefix}[{j}]", complex(np.inf) if cr.infinite else cr.value,
-                                        "real", passed))
-            ok &= passed
+            out.append(Condition(f"{prefix}[{j}]", cr.value, "real",
+                                 is_real_extended(cr, tol) and not cr.infinite))
     for j in range(0, max(L - 3, 0), 2):
-        passed = arg_sum_is_zero([crs[j], crs[j + 1], crs[j + 2]], (1, 2, 1), tol)
-        conditions.append(Condition(f"{prefix} argsum[{j},{j+1},{j+2}]", complex(0),
-                                    "0 mod 2pi", passed))
-        ok &= passed
+        out.append(Condition(f"{prefix} argsum[{j},{j+1},{j+2}]", complex(0), "0 mod 2pi",
+                             arg_sum_is_zero([crs[j], crs[j + 1], crs[j + 2]], (1, 2, 1), tol)))
     if 2 <= L <= k - 1:
         j = L - 2
-        passed = arg_sum_is_zero([crs[j], crs[j + 1]], (1, 2), tol)
-        conditions.append(Condition(f"{prefix} argsum[{j},{j+1}]", complex(0), "0 mod 2pi", passed))
-        ok &= passed
-    return ok
+        out.append(Condition(f"{prefix} argsum[{j},{j+1}]", complex(0), "0 mod 2pi",
+                             arg_sum_is_zero([crs[j], crs[j + 1]], (1, 2), tol)))
+    return out
 
 
-def _cross_only_pair_conditions(crs_b, crs_p, L, prefix, conditions, cfg):
+def _cross_pair_conditions(crs_b, crs_p, L, prefix, cfg):
     """Conditions tying the cross ratios of an elliptic pair together."""
-    tol = cfg.cr_tol
     k = len(crs_b) + 1
-    ok = True
+    out = []
+
+    def add(j, tag, defect, requirement):
+        out.append(Condition(f"{prefix}[{j}]{tag}", complex(defect), requirement,
+                             defect <= cfg.cr_tol))
+
     for j in range(k - 1):
         if j < L and j % 2 == 0:
-            defect = unit_product_defect(crs_b[j], crs_p[j])
-            passed = defect <= tol
-            conditions.append(Condition(f"{prefix}[{j}] product", complex(defect), "product == 1", passed))
-            ok &= passed
+            add(j, " product", unit_product_defect(crs_b[j], crs_p[j]), "product == 1")
         elif j < L - 2 and j % 2 == 1:
-            defect = conj_product_defect(crs_b[j], [crs_p[j - 1], crs_p[j], crs_p[j + 1]])
-            passed = defect <= tol
-            conditions.append(Condition(f"{prefix}[{j}] triple product", complex(defect),
-                                        "conjugate of product", passed))
-            ok &= passed
+            add(j, " triple product",
+                conj_product_defect(crs_b[j], [crs_p[j - 1], crs_p[j], crs_p[j + 1]]),
+                "conjugate of product")
         elif j >= L:
-            defect = conj_pair_defect(crs_b[j], crs_p[j])
-            passed = defect <= tol
-            conditions.append(Condition(f"{prefix}[{j}]", complex(defect), "conjugate pair", passed))
-            ok &= passed
+            add(j, "", conj_pair_defect(crs_b[j], crs_p[j]), "conjugate pair")
     if 2 <= L <= k - 1:
         j = L - 1
-        defect = conj_product_defect(crs_p[j], [crs_b[j - 1], crs_b[j]])
-        passed = defect <= tol
-        conditions.append(Condition(f"{prefix}[{j}] boundary", complex(defect),
-                                    "conjugate of product", passed))
-        ok &= passed
-    return ok
+        add(j, " boundary", conj_product_defect(crs_p[j], [crs_b[j - 1], crs_b[j]]),
+            "conjugate of product")
+    return out
 
 
-def _cross_only_base_candidates(infos, cfg):
-    """Base flag pairs ordered hyperbolic, then elliptic, then mixed."""
-    out = []
+def _cross_bases(infos, cfg):
+    """Base flags ordered hyperbolic, then elliptic, then mixed generators;
+    pair partners are listed consecutively ahead of hyperbolic directions.
+    Yields (generator, flag, number of pair-derived directions)."""
     for kind in (KIND_HYPERBOLIC, KIND_ELLIPTIC, KIND_MIXED):
         for info in infos:
             if info.kind != kind:
                 continue
-            lab = info.labeling()
-            pairs = [(info.direction(i), info.direction(j)) for i, j in lab.pairing]
-            hyps = [info.direction(i) for i in info.hyp_indices()]
+            paired = [info.direction(i) for pair in info.labeling().pairing for i in pair]
             try:
-                if kind == KIND_HYPERBOLIC:
-                    a = make_flag(list(info.es.directions), cfg)
-                    L = 0
-                else:
-                    a = make_flag([v for pq in pairs for v in pq] + hyps, cfg)
-                    L = 2 * len(pairs)
+                a = make_flag(paired + [info.direction(i) for i in info.hyp_indices()], cfg)
             except GenericityViolation:
                 continue
-            out.append((info, a, L))
-    return out
+            yield info, a, len(paired)
 
 
-def decide_pglk_cross_only(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None,
-                           confirm_with_direct: bool = True):
+def _cross_conditions(infos, cfg):
+    """Conditions against the first base flag pair and reference direction
+    (a hyperbolic eigendirection of another generator) generic with every
+    eigendirection."""
+    for base, a, L in _cross_bases(infos, cfg):
+        c = a.reversed()
+        for provider in infos:
+            if provider is base:
+                continue
+            for d_idx in provider.hyp_indices():
+                try:
+                    return _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg)
+                except GenericityViolation:
+                    continue
+    raise GenericityViolation(
+        "no base flag pair and reference direction are generic for all eigendirections")
+
+
+def _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg):
+    d = provider.direction(d_idx)
+    if not generic_position([a, c, point_flag(d, cfg)], cfg):
+        raise GenericityViolation("base flags and reference direction are not generic")
+
+    # (generator, eigendirection indices): pairs, then hyperbolic directions
+    checks = []
+    for info in infos:
+        if info is not base:
+            checks += [(info, pair) for pair in info.labeling().pairing]
+            checks += [(info, (i,)) for i in info.hyp_indices()
+                       if info is not provider or i != d_idx]
+    for info, idx in checks:
+        for i in idx:
+            if not generic_with_point(a, info.direction(i), c, d, cfg):
+                raise GenericityViolation(
+                    f"generator {info.index}: eigendirection {i} not generic with the base")
+
+    conditions = []
+    for info, idx in checks:
+        crs = [cross_ratio_set(a, info.direction(i), c, d, cfg, check_genericity=False)
+               for i in idx]
+        if len(idx) == 1:
+            conditions += _cross_hyp_conditions(crs[0], L, f"cr(A,h{info.index}.{idx[0]},C,d)", cfg)
+        else:
+            conditions += _cross_pair_conditions(
+                *crs, L, f"cr(A,e{info.index}.{idx[0]}/{idx[1]},C,d)", cfg)
+    return conditions, [f"base generator {base.index}, reference direction from {provider.index}"]
+
+
+def decide_pglk_cross_only(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
     """Per-eigendirection cross-ratio conditions against a base flag pair.
 
     The base pair comes from one generator's eigenbasis (pairs listed
@@ -754,79 +729,7 @@ def decide_pglk_cross_only(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None,
     all-hyperbolic base is a failed sufficient condition, so every No is
     confirmed by the direct method before being reported.
     """
-    infos = prepare(ms, cfg) if infos is None else infos
-    _require_generic(infos)
-    if len(infos) == 1:
-        return _certify_yes(infos, cfg, METHOD_CROSS, [], ["single compatible generator"])
-
-    for base_info, a, L in _cross_only_base_candidates(infos, cfg):
-        c = a.reversed()
-        for d_provider in infos:
-            if d_provider is base_info:
-                continue
-            for d_idx in d_provider.hyp_indices():
-                d = d_provider.direction(d_idx)
-                try:
-                    return _cross_only_with_base(infos, base_info, a, c, L, d_provider,
-                                                 d_idx, d, cfg, confirm_with_direct)
-                except GenericityViolation:
-                    continue
-    raise GenericityViolation(
-        "no base flag pair and reference direction are generic for all eigendirections")
-
-
-def _cross_only_with_base(infos, base_info, a, c, L, d_provider, d_idx, d, cfg,
-                          confirm_with_direct):
-    if not generic_position([a, c, point_flag(d, cfg)], cfg):
-        raise GenericityViolation("base flags and reference direction are not generic")
-
-    checks = []
-    for info in infos:
-        if info is base_info:
-            continue
-        lab = info.labeling()
-        for i, j in lab.pairing:
-            checks.append((info, "pair", (i, j)))
-        for i in info.hyp_indices():
-            if info is d_provider and i == d_idx:
-                continue
-            checks.append((info, "hyp", i))
-
-    for info, kind, idx in checks:
-        dirs = [idx] if kind == "hyp" else list(idx)
-        for i in dirs:
-            if not generic_with_point(a, info.direction(i), c, d, cfg):
-                raise GenericityViolation(
-                    f"generator {info.index}: eigendirection {i} not generic with the base")
-
-    conditions = []
-    ok = True
-    for info, kind, idx in checks:
-        if kind == "hyp":
-            crs = cross_ratio_set(a, info.direction(idx), c, d, cfg, check_genericity=False)
-            ok &= _cross_only_hyperbolic_conditions(crs, L, f"cr(A,h{info.index}.{idx},C,d)",
-                                                    conditions, cfg)
-        else:
-            i, j = idx
-            crs_b = cross_ratio_set(a, info.direction(i), c, d, cfg, check_genericity=False)
-            crs_p = cross_ratio_set(a, info.direction(j), c, d, cfg, check_genericity=False)
-            ok &= _cross_only_pair_conditions(crs_b, crs_p, L, f"cr(A,e{info.index}.{i}/{j},C,d)",
-                                              conditions, cfg)
-
-    diagnostics = [f"base generator {base_info.index}, reference direction from {d_provider.index}"]
-    if ok:
-        try:
-            return _certify_yes(infos, cfg, METHOD_CROSS, conditions, diagnostics)
-        except (NoConjugation, NumericalDegeneracy) as exc:
-            return _direct_with_note(infos, cfg,
-                                     [f"cross-only conditions passed but certification failed: {exc}"])
-    if confirm_with_direct:
-        verdict, cert = decide_direct(None, cfg, infos=infos)
-        if verdict.answer == YES:
-            cert.diagnostics.append("cross-only conditions failed but the direct method found a form")
-            return verdict, cert
-        diagnostics.append("No confirmed by the direct method")
-    return _no_verdict(METHOD_CROSS, conditions, diagnostics)
+    return _run_route(ms, cfg, infos, METHOD_CROSS, (MIN_DIM, MAX_DIM), _cross_conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -838,50 +741,30 @@ _MAX_LABELINGS = 128
 def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
     """Solve for a common conjugation from the eigendata directly.
 
-    No genericity precondition; always Yes or No.  Non-generic
-    generators contribute one labeling per admissible line and all
-    combinations are tried.
+    No genericity precondition; always Yes or No unless certification
+    fails.  Non-generic generators contribute one labeling per
+    admissible line and all combinations are tried.
     """
     infos = prepare(ms, cfg) if infos is None else infos
     options = [info.sclass.labelings for info in infos]
-    total = 1
-    for opt in options:
-        total *= len(opt)
+    total = math.prod(len(opt) for opt in options)
     if total > _MAX_LABELINGS:
         raise NumericalDegeneracy(f"{total} labeling combinations exceed the search cap")
 
     tol = max(1e-6, cfg.cert_tol)
-    last_records = []
+    records = []
     for combo in itertools.product(*options):
-        data = []
-        for info, lab in zip(infos, combo):
-            data.extend(_eigendata(info, lab))
+        data = [d for info, lab in zip(infos, combo) for d in _eigendata(info, lab)]
         try:
-            conj, unique = conjugation_witness(data, cfg)
+            witness = conjugation_witness(data, cfg)
         except NoConjugation:
             continue
-        records = []
-        all_ok = True
-        for info in infos:
-            good = preserves(info.matrix, conj, tol)
-            records.append(Condition(f"preserves(M{info.index})", complex(0 if good else 1),
-                                     "commutes with conjugation", good))
-            all_ok &= good
-        if not all_ok:
-            last_records = records
-            continue
-        gamma = canonical_matrix(realifier(conj, cfg))
-        residual = verify_certificate([i.matrix for i in infos], gamma, cfg)
-        cert = Certificate(gamma=gamma, residual=residual, conditions=records, diagnostics=[])
-        mult = Multiplicity.ONE if unique else Multiplicity.INFINITE
-        return Verdict(answer=YES, multiplicity=mult, method=METHOD_DIRECT), cert
-    return _no_verdict(METHOD_DIRECT, last_records, ["no labeling admits a common real form"])
-
-
-def _direct_with_note(infos, cfg, notes):
-    verdict, cert = decide_direct(None, cfg, infos=infos)
-    cert.diagnostics.extend(notes)
-    return verdict, cert
+        good = [preserves(info.matrix, witness[0], tol) for info in infos]
+        records = [Condition(f"preserves(M{info.index})", complex(0 if ok else 1),
+                             "commutes with conjugation", ok) for info, ok in zip(infos, good)]
+        if all(good):
+            return _certify(infos, cfg, METHOD_DIRECT, records, [], witness)
+    return _no_verdict(METHOD_DIRECT, records, ["no labeling admits a common real form"])
 
 
 # ---------------------------------------------------------------------------
@@ -889,49 +772,45 @@ def _direct_with_note(infos, cfg, notes):
 
 FORCED_METHODS = ("auto", "dim2", "dim3", "fg", "cross", "direct")
 
+# looked up in the module namespace at call time
+_ROUTES = {
+    "dim2": "decide_pgl2",
+    "dim3": "decide_pgl3",
+    "fg": "decide_pglk_fg",
+    "cross": "decide_pglk_cross_only",
+    "direct": "decide_direct",
+}
+
 
 def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
     """Decide simultaneous conjugacy into PGL(k,R) with a certificate.
 
     ``method`` forces one route ("dim2", "dim3", "fg", "cross",
     "direct"); "auto" cascades through the coordinate methods of the
-    right dimension and falls back to the direct one, recording each
-    fallback reason in the certificate diagnostics.
+    right dimension, falls back past any that raise, and ends in the
+    direct one, recording each fallback reason in the certificate
+    diagnostics.
     """
     if method not in FORCED_METHODS:
         raise ValueError(f"unknown method {method!r}")
     infos = prepare(ms, cfg)
-    k = infos[0].es.dim
-
     if method != "auto":
-        fn = {
-            "dim2": decide_pgl2,
-            "dim3": decide_pgl3,
-            "fg": decide_pglk_fg,
-            "cross": decide_pglk_cross_only,
-            "direct": decide_direct,
-        }[method]
-        return fn(None, cfg, infos=infos)
+        return globals()[_ROUTES[method]](None, cfg, infos=infos)
 
+    k = infos[0].es.dim
     notes = []
-    chain = []
     if all(info.generic for info in infos):
-        if k == 2:
-            chain = [("dim2", decide_pgl2)]
-        elif k == 3:
-            chain = [("dim3", decide_pgl3), ("cross", decide_pglk_cross_only)]
-        else:
-            chain = [("fg", decide_pglk_fg), ("cross", decide_pglk_cross_only)]
+        chain = ["dim2"] if k == 2 else ["dim3" if k == 3 else "fg", "cross"]
     else:
+        chain = []
         notes.append("non-generic eigenvalues present; using the direct method")
-
-    for name, fn in chain:
+    for name in chain:
         try:
-            verdict, cert = fn(None, cfg, infos=infos)
-            cert.diagnostics = notes + cert.diagnostics
-            return verdict, cert
-        except (GenericityViolation, SharedEigendirections, SpectralPreconditionError) as exc:
+            verdict, cert = globals()[_ROUTES[name]](None, cfg, infos=infos)
+            break
+        except RealformError as exc:
             notes.append(f"{name}: {exc}")
-    verdict, cert = decide_direct(None, cfg, infos=infos)
+    else:
+        verdict, cert = decide_direct(None, cfg, infos=infos)
     cert.diagnostics = notes + cert.diagnostics
     return verdict, cert

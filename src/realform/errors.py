@@ -41,6 +41,10 @@ class NumericalDegeneracy(RealformError):
     numerical rank/conditioning gates."""
 
 
+class SingularMatrix(NumericalDegeneracy, ValueError):
+    """An input matrix is singular within ``deg_tol``."""
+
+
 class GenericityViolation(RealformError):
     """A required direct-sum/genericity condition fails."""
 

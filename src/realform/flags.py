@@ -187,19 +187,6 @@ def quotient_cp2(a: Flag, b: Flag, c: Flag, i: int, j: int, l: int,
     return two_step(a, i, "A"), two_step(b, l, "B"), two_step(c, j, "C")
 
 
-def build_elliptic_flag(pairs, hyps, cfg: Tolerances = DEFAULT_TOLERANCES) -> Flag:
-    """Flag listing elliptic pairs consecutively, then hyperbolic directions.
-
-    ``pairs`` is a list of (p, partner); the spanning order is
-    (p1, p1', p2, p2', ..., h1, ..., hn).
-    """
-    vecs = []
-    for p, q in pairs:
-        vecs.extend([p, q])
-    vecs.extend(hyps)
-    return make_flag(vecs, cfg)
-
-
 def mirrored_pair_flag(pairs, hyps, cfg: Tolerances = DEFAULT_TOLERANCES) -> Flag:
     """Flag placing pair partners symmetrically about the middle.
 

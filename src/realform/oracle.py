@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import InfeasibleSpec
+from .errors import InfeasibleSpec, NonDiagonalizable, RepeatedEigenvalues
 from .projlin import eig, proj_dist
 from .spectrum import KIND_ELLIPTIC, KIND_HYPERBOLIC, type_transformation
 
@@ -29,6 +29,10 @@ TYPE_MIXED = "mixed"
 _RATIO_MARGIN = 0.1
 _ANGLE_MARGIN = 0.1
 _MAX_COND = 15.0
+
+
+class _Resample(Exception):
+    """The current draw misses a gate; draw again."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,8 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
 
     The construction is retried until every generator passes the
     eigenvalue separation and type gates, so the instance sits well
-    inside the generic regime.
+    inside the generic regime.  Only a missed gate, or an eigensystem
+    the gates cannot use, triggers a retry; any other error propagates.
     """
     counts = spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -227,11 +232,11 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
             for m, t in zip(ms, order):
                 sc = type_transformation(eig(m, cfg), cfg)
                 if not (sc.compatible and sc.generic):
-                    raise ValueError("resample")
+                    raise _Resample
                 if t == TYPE_HYPERBOLIC and sc.kind != KIND_HYPERBOLIC:
-                    raise ValueError("resample")
+                    raise _Resample
                 if t == TYPE_ELLIPTIC and spec.k != 3 and sc.kind != KIND_ELLIPTIC:
-                    raise ValueError("resample")
+                    raise _Resample
             gamma = None
             if spec.scramble == SCRAMBLE_GAMMA:
                 # a strong stretch pulls every direction toward the top
@@ -249,7 +254,7 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
                 seps = [proj_dist(dirs[i], dirs[j])
                         for i in range(len(dirs)) for j in range(i + 1, len(dirs))]
                 if min(seps) < margin:
-                    raise ValueError("resample")
+                    raise _Resample
             if spec.perturbation is not None:
                 g_idx, mag = spec.perturbation
                 frame = gamma if gamma is not None else np.eye(spec.k, dtype=complex)
@@ -257,11 +262,11 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
                 # clustered configurations give the circle family leverage
                 # to absorb the break; insist the violation is definite
                 if achieved is not None and achieved < 0.4 * mag:
-                    raise ValueError("resample")
+                    raise _Resample
                 answer = "no"
                 gamma = None
             break
-        except Exception:
+        except (_Resample, RepeatedEigenvalues, NonDiagonalizable):
             continue
     else:
         raise InfeasibleSpec("could not realize the requested mix after many attempts")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DegenerateFrame, NonDiagonalizable, RepeatedEigenvalues
+from .errors import DegenerateFrame, NonDiagonalizable, RepeatedEigenvalues, SingularMatrix
 
 MIN_DIM = 2
 MAX_DIM = 8
@@ -35,7 +35,7 @@ def check_matrix(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= cfg.deg_tol * s[0]:
-        raise ValueError("matrix is singular within deg_tol")
+        raise SingularMatrix("matrix is singular within deg_tol")
     return a
 
 

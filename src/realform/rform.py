@@ -118,17 +118,6 @@ def _check_solution(S: np.ndarray, data, cfg) -> bool:
     return True
 
 
-def _coords_data(data, basis: np.ndarray):
-    """Re-express eigendata in the columns of ``basis`` as coordinates."""
-    inv = np.linalg.inv(basis)
-    out = []
-    for d in data:
-        v = inv @ d.direction.coords
-        w = inv @ d.partner.coords if d.partner is not None else None
-        out.append((v, w))
-    return out
-
-
 def _solve_in_coords(coord_data, dim, cfg, depth=0):
     """Solve for S acting on coordinate vectors; returns (S, n_free_complex).
 

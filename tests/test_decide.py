@@ -14,9 +14,12 @@ from realform.decide import (
     decide_pglk_cross_only,
     verify_certificate,
 )
+from realform.config import DEFAULT_TOLERANCES
 from realform.errors import (
+    DegenerateTriple,
     GenericityViolation,
     IncompatibleEigenvalues,
+    NumericalDegeneracy,
     RepeatedEigenvalues,
     SharedEigendirections,
     SpectralPreconditionError,
@@ -352,3 +355,40 @@ class TestMiddleDirectionPerturbation:
         assert verdict.answer == "no"
         failing = [c for c in cert.conditions if not c.passed]
         assert failing and all(c.name.startswith("r3") for c in failing)
+
+
+def conjugated_k4_yes(seed):
+    """A k = 4 Yes instance moved by Gamma = U diag(logspace(0, 2, 4)) U^H,
+    cond(Gamma) = 100, with U unitary from a fixed complex normal draw."""
+    inst = generate(InstanceSpec(k=4, n_generators=3, type_mix={"hyperbolic": 3}, seed=seed))
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    g = u @ np.diag(np.logspace(0, 2, 4)) @ u.conj().T
+    gi = np.linalg.inv(g)
+    return [g @ m @ gi for m in inst.matrices]
+
+
+class TestDecisionContract:
+    def test_auto_falls_back_on_any_route_error(self):
+        ms = conjugated_k4_yes(seed=2)
+        with pytest.raises(DegenerateTriple):
+            decide(ms, method="fg")
+        verdict, cert = decide(ms)
+        assert verdict.answer == "yes"
+        assert cert.residual < DEFAULT_TOLERANCES.cert_tol
+        assert any(d.startswith("fg: ") for d in cert.diagnostics)
+
+    @pytest.mark.parametrize("method", ["auto", "dim2", "cross", "direct"])
+    def test_every_yes_passes_cert_tol_k2(self, method):
+        ms = [np.array([[3j - 1, 3j - 3], [-3j - 3, -3j - 1]]),
+              np.array([[1 + 1j, 0], [0, 1 - 1j]])]
+        with pytest.raises(NumericalDegeneracy):
+            decide(ms, DEFAULT_TOLERANCES.override(cert_tol=1e-18), method=method)
+
+    @pytest.mark.parametrize("method", ["auto", "fg", "cross", "direct"])
+    def test_every_yes_passes_cert_tol_k4(self, method):
+        ms = conjugated_k4_yes(seed=1)
+        verdict, cert = decide(ms, method=method)
+        assert verdict.answer == "yes" and cert.residual > 1e-16
+        with pytest.raises(NumericalDegeneracy):
+            decide(ms, DEFAULT_TOLERANCES.override(cert_tol=1e-16), method=method)

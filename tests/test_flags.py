@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from realform.coords import config_cross_ratio, triple_ratio_cp2, triple_ratio_set
 from realform.errors import GenericityViolation
 from realform.flags import (
-    build_elliptic_flag,
     flag_pair_from_eigensystem,
     generic_position,
     generic_with_point,
@@ -45,12 +44,6 @@ class TestFlagConstruction:
     def test_dependent_vectors_rejected(self):
         with pytest.raises(GenericityViolation):
             make_flag([EYE3[0], EYE3[1], EYE3[0] + EYE3[1]])
-
-    def test_build_elliptic_flag_order(self):
-        f = build_elliptic_flag([(pp(1j, 1), pp(-1j, 1))], [])
-        assert abs(f.vectors[0][0] - 1j * f.vectors[0][1]) < 1e-12
-        f = build_elliptic_flag([(pp(1j, 1, 0), pp(-1j, 1, 0))], [pp(0, 0, 1)])
-        assert f.height == 3
 
     def test_mirrored_flag_reverse_lists_partners(self):
         pairs = [(pp(1j, 1, 0, 0), pp(-1j, 1, 0, 0)), (pp(0, 0, 1j, 1), pp(0, 0, -1j, 1))]

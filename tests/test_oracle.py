@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from realform import oracle
 from realform.decide import decide, verify_certificate
 from realform.errors import InfeasibleSpec
 from realform.oracle import InstanceSpec, brute_rform_search, generate
@@ -60,6 +61,15 @@ class TestGenerate:
                                      seed=2, scramble="none"))
         for m in inst.matrices:
             assert np.max(np.abs(np.asarray(m, dtype=complex).imag)) < 1e-12
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        # only a missed gate is retried; a bug must not turn into InfeasibleSpec
+        def broken(rng, k, gtype):
+            raise TypeError("broken generator")
+
+        monkeypatch.setattr(oracle, "_generator", broken)
+        with pytest.raises(TypeError):
+            generate(InstanceSpec(k=3, n_generators=2, type_mix={"hyperbolic": 2}, seed=0))
 
 
 class TestBruteSearch:
