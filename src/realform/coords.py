@@ -21,7 +21,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateTriple, GenericityViolation, IndeterminateCrossRatio
-from .flags import Flag, LineConfig, generic_with_point, quotient_cp1, quotient_cp2
+from .flags import Flag, LineConfig, first_nongeneric_line, quotient_cp1_lines, quotient_cp2
+# not used here, but kept importable: perfbench/spans.py wraps them by module global
+from .flags import generic_with_point, quotient_cp1  # noqa: F401
 from .projlin import ProjPoint
 
 
@@ -155,24 +157,31 @@ def arg_sum_is_zero(crs, weights, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 # coordinate sets over quotients
 
+def cross_ratio_sets(a: Flag, lines, c: Flag, d1,
+                     cfg: Tolerances = DEFAULT_TOLERANCES,
+                     check_genericity: bool = True):
+    """The k-1 cross ratios of the quotient configurations, for each line.
+
+    Entry [n][i] comes from the quotient of C^k by A_i + C_{k-2-i} with
+    line n in the B slot; in the standard normalization it is the ratio
+    of consecutive components of that line.  The complement bases and
+    the images of the A step, the C step and d1 are computed once and
+    shared by every line.  With ``check_genericity`` every line must be
+    generic with the flags and d1.
+    """
+    lines = [v if isinstance(v, ProjPoint) else ProjPoint(v) for v in lines]
+    d1 = d1 if isinstance(d1, ProjPoint) else ProjPoint(d1)
+    if check_genericity and first_nongeneric_line(a, lines, c, d1, cfg) is not None:
+        raise GenericityViolation("flags and lines are not in generic position")
+    return [[config_cross_ratio(config) for config in row]
+            for row in quotient_cp1_lines(a, lines, c, d1, cfg)]
+
+
 def cross_ratio_set(a: Flag, b1, c: Flag, d1,
                     cfg: Tolerances = DEFAULT_TOLERANCES,
                     check_genericity: bool = True):
-    """The k-1 cross ratios of the quotient configurations.
-
-    Entry i comes from the quotient by A_i + C_{k-2-i}; in the standard
-    normalization it is the ratio of consecutive components of b1.
-    """
-    k = a.dim
-    b1 = b1 if isinstance(b1, ProjPoint) else ProjPoint(b1)
-    d1 = d1 if isinstance(d1, ProjPoint) else ProjPoint(d1)
-    if check_genericity and not generic_with_point(a, b1, c, d1, cfg):
-        raise GenericityViolation("flags and lines are not in generic position")
-    out = []
-    for i in range(k - 1):
-        config = quotient_cp1(a, b1, c, d1, i, k - 2 - i, cfg)
-        out.append(config_cross_ratio(config))
-    return out
+    """The k-1 cross ratios of one line: ``cross_ratio_sets`` of [b1]."""
+    return cross_ratio_sets(a, [b1], c, d1, cfg, check_genericity)[0]
 
 
 def triple_ratio(va, fa, vb, fb, vc, fc, provenance=None) -> TripleRatio:

@@ -38,7 +38,7 @@ from .coords import (
     conj_pair_defect,
     conj_product_defect,
     cross_ratio,
-    cross_ratio_set,
+    cross_ratio_sets,
     in_unit_circle,
     is_real_extended,
     is_real_positive,
@@ -59,13 +59,16 @@ from .errors import (
     SpectralPreconditionError,
 )
 from .flags import (
+    first_nongeneric_line,
     flag_pair_from_eigensystem,
     generic_position,
     generic_with_point,
     make_flag,
     mirrored_pair_flag,
-    point_flag,
 )
+# not used here, but kept importable: perfbench/spans.py wraps them by module global
+from .coords import cross_ratio_set  # noqa: F401
+from .flags import point_flag  # noqa: F401
 from .projlin import (
     MAX_DIM,
     MIN_DIM,
@@ -238,6 +241,17 @@ def _require_generic(infos):
         )
 
 
+def _direct_fallback(cfg, infos):
+    """``decide_direct`` on behalf of a coordinate route.  A failure is
+    marked so that ``auto`` stops there: every later route would end in
+    the same solve and the same failure."""
+    try:
+        return decide_direct(None, cfg, infos=infos)
+    except RealformError as exc:
+        exc.direct_failed = True
+        raise
+
+
 def _run_route(ms, cfg, infos, method, ks, build, precheck=None):
     """Run one coordinate route and certify or confirm its answer.
 
@@ -263,12 +277,12 @@ def _run_route(ms, cfg, infos, method, ks, build, precheck=None):
         try:
             return _certify(infos, cfg, method, conditions, diagnostics)
         except (NoConjugation, NumericalDegeneracy) as exc:
-            verdict, cert = decide_direct(None, cfg, infos=infos)
+            verdict, cert = _direct_fallback(cfg, infos)
             cert.diagnostics.append(f"coordinate conditions passed but certification failed: {exc}")
             return verdict, cert
     if method == METHOD_CROSS:
         # the cross-only conditions are sufficient, not always necessary
-        verdict, cert = decide_direct(None, cfg, infos=infos)
+        verdict, cert = _direct_fallback(cfg, infos)
         if verdict.answer == YES:
             cert.diagnostics.append("cross-only conditions failed but the direct method found a form")
             return verdict, cert
@@ -448,10 +462,12 @@ def _mirrored_flags(info: GenInfo, cfg):
     return beta, beta.reversed()
 
 
-def _real_crs(a, c, d1, line, name, cfg):
-    crs = cross_ratio_set(a, line, c, d1, cfg, check_genericity=False)
+def _real_crs(a, c, d1, lines, names, cfg):
+    """Each line's cross ratios must be real; one condition list per name."""
     return [Condition(f"{name}[{i}]", cr.value, "real",
                       is_real_extended(cr, cfg.cr_tol) and not cr.infinite)
+            for crs, name in zip(cross_ratio_sets(a, lines, c, d1, cfg, check_genericity=False),
+                                 names)
             for i, cr in enumerate(crs)]
 
 
@@ -462,8 +478,7 @@ def _real_triples(a, f, c, name, cfg):
 
 
 def _conj_crs(a, c, d1, line_b, line_p, name, cfg):
-    crs_b = cross_ratio_set(a, line_b, c, d1, cfg, check_genericity=False)
-    crs_p = cross_ratio_set(a, line_p, c, d1, cfg, check_genericity=False)
+    crs_b, crs_p = cross_ratio_sets(a, [line_b, line_p], c, d1, cfg, check_genericity=False)
     defects = [conj_pair_defect(c1, c2) for c1, c2 in zip(crs_b, crs_p)]
     return [Condition(f"{name}[{i}]", complex(d), "conjugate pair", d <= cfg.cr_tol)
             for i, d in enumerate(defects)]
@@ -494,7 +509,7 @@ def _flag_conditions(infos, cfg):
     b, d = fh.flag, fh.reverse
     d1 = ProjPoint(d.vectors[0])
 
-    conditions = (_real_crs(a, c, d1, ProjPoint(b.vectors[0]), "cr(A,B,C,D)", cfg)
+    conditions = (_real_crs(a, c, d1, [ProjPoint(b.vectors[0])], ["cr(A,B,C,D)"], cfg)
                   + _real_triples(a, b, c, "r3(A,B,C)", cfg)
                   + _real_triples(a, c, d, "r3(A,C,D)", cfg))
     for info in infos:
@@ -511,8 +526,8 @@ def _flag_conditions(infos, cfg):
         b1, b1p = ProjPoint(beta.vectors[0]), ProjPoint(beta_rev.vectors[0])
         n = info.index
         if info.kind == KIND_HYPERBOLIC:
-            conditions += (_real_crs(a, c, d1, b1, f"cr(A,b{n},C,D)", cfg)
-                           + _real_crs(a, c, d1, b1p, f"cr(A,b'{n},C,D)", cfg)
+            conditions += (_real_crs(a, c, d1, [b1, b1p], [f"cr(A,b{n},C,D)", f"cr(A,b'{n},C,D)"],
+                                     cfg)
                            + _real_triples(a, beta, c, f"r3(A,b{n},C)", cfg)
                            + _real_triples(a, beta_rev, c, f"r3(A,b'{n},C)", cfg))
         else:
@@ -567,8 +582,8 @@ def _synthetic_conditions(infos, cfg):
         if info.kind == KIND_HYPERBOLIC:
             for i in range(info.es.dim):
                 if info is not provider or i != q_idx:
-                    conditions += _real_crs(a, c, d1, moved(info, i),
-                                            f"cr(A,h{info.index}.{i},C,D)", cfg)
+                    conditions += _real_crs(a, c, d1, [moved(info, i)],
+                                            [f"cr(A,h{info.index}.{i},C,D)"], cfg)
             continue
         qi, qj = info.labeling().pairing[0]
         pair_moved = (moved(info, qi), moved(info, qj))
@@ -692,9 +707,6 @@ def _cross_conditions(infos, cfg):
 
 def _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg):
     d = provider.direction(d_idx)
-    if not generic_position([a, c, point_flag(d, cfg)], cfg):
-        raise GenericityViolation("base flags and reference direction are not generic")
-
     # (generator, eigendirection indices): pairs, then hyperbolic directions
     checks = []
     for info in infos:
@@ -702,21 +714,22 @@ def _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg):
             checks += [(info, pair) for pair in info.labeling().pairing]
             checks += [(info, (i,)) for i in info.hyp_indices()
                        if info is not provider or i != d_idx]
-    for info, idx in checks:
-        for i in idx:
-            if not generic_with_point(a, info.direction(i), c, d, cfg):
-                raise GenericityViolation(
-                    f"generator {info.index}: eigendirection {i} not generic with the base")
+    owners = [(info, i) for info, idx in checks for i in idx]
+    lines = [info.direction(i) for info, i in owners]
+    bad = first_nongeneric_line(a, lines, c, d, cfg)
+    if bad is not None:
+        info, i = owners[bad]
+        raise GenericityViolation(f"generator {info.index}: eigendirection {i} not generic with the base")
 
+    crs = iter(cross_ratio_sets(a, lines, c, d, cfg, check_genericity=False))
     conditions = []
     for info, idx in checks:
-        crs = [cross_ratio_set(a, info.direction(i), c, d, cfg, check_genericity=False)
-               for i in idx]
+        sets = [next(crs) for _ in idx]
         if len(idx) == 1:
-            conditions += _cross_hyp_conditions(crs[0], L, f"cr(A,h{info.index}.{idx[0]},C,d)", cfg)
+            conditions += _cross_hyp_conditions(sets[0], L, f"cr(A,h{info.index}.{idx[0]},C,d)", cfg)
         else:
             conditions += _cross_pair_conditions(
-                *crs, L, f"cr(A,e{info.index}.{idx[0]}/{idx[1]},C,d)", cfg)
+                *sets, L, f"cr(A,e{info.index}.{idx[0]}/{idx[1]},C,d)", cfg)
     return conditions, [f"base generator {base.index}, reference direction from {provider.index}"]
 
 
@@ -809,6 +822,8 @@ def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
             verdict, cert = globals()[_ROUTES[name]](None, cfg, infos=infos)
             break
         except RealformError as exc:
+            if getattr(exc, "direct_failed", False):
+                raise
             notes.append(f"{name}: {exc}")
     else:
         verdict, cert = decide_direct(None, cfg, infos=infos)

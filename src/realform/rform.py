@@ -85,7 +85,9 @@ def _nullspace(rows: np.ndarray, dim: int, rank_tol: float):
         return [np.eye(dim, dtype=complex)] if dim == 1 else [
             m for m in np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
         ]
-    _, s, vh = np.linalg.svd(rows)
+    # Vh must be square; with at least dim^2 rows the thin factorization
+    # already gives that and skips the unused full U
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < dim * dim)
     rank = int(np.sum(s > rank_tol * s[0]))
     return [vh[i].conj().reshape(dim, dim) for i in range(rank, dim * dim)]
 

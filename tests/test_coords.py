@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from realform.coords import (
     conj_pair_defect,
     cross_ratio,
+    config_cross_ratio,
     cross_ratio_set,
+    cross_ratio_sets,
     fg_cross_ratio,
     in_unit_circle,
     is_real,
@@ -17,7 +19,7 @@ from realform.coords import (
     triple_ratio_set,
 )
 from realform.errors import GenericityViolation, IndeterminateCrossRatio
-from realform.flags import make_flag
+from realform.flags import make_flag, quotient_cp1
 from realform.projlin import ProjPoint
 
 from conftest import pp, random_invertible
@@ -186,6 +188,30 @@ class TestCrossRatioSet:
             b1 = ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k))
             crs = cross_ratio_set(a, b1, c, ProjPoint(np.ones(k)), check_genericity=False)
             assert len(crs) == k - 1
+
+
+class TestCrossRatioSets:
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_shared_bases_match_per_line_quotients(self, rng, k):
+        a = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        c = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        d1 = ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k))
+        lines = [ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k)) for _ in range(4)]
+        got = cross_ratio_sets(a, lines, c, d1)
+        assert len(got) == len(lines)
+        for line, crs in zip(lines, got):
+            expect = [config_cross_ratio(quotient_cp1(a, line, c, d1, i, k - 2 - i))
+                      for i in range(k - 1)]
+            assert [(cr.num, cr.den, cr.provenance) for cr in crs] == \
+                [(cr.num, cr.den, cr.provenance) for cr in expect]
+            single = cross_ratio_set(a, line, c, d1)
+            assert [(cr.num, cr.den) for cr in single] == [(cr.num, cr.den) for cr in crs]
+
+    def test_one_nongeneric_line_fails_the_set(self):
+        a = make_flag(list(np.eye(3, dtype=complex)))
+        c = a.reversed()
+        with pytest.raises(GenericityViolation):
+            cross_ratio_sets(a, [pp(1, 2, 1), pp(1, 0, 1)], c, pp(1, 1, 1))
 
 
 def normalized_triple_flags(b, bp):

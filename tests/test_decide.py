@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -392,3 +394,29 @@ class TestDecisionContract:
         assert verdict.answer == "yes" and cert.residual > 1e-16
         with pytest.raises(NumericalDegeneracy):
             decide(ms, DEFAULT_TOLERANCES.override(cert_tol=1e-16), method=method)
+
+    def test_auto_runs_direct_once_when_certification_fails(self, monkeypatch):
+        # the package exports a function named decide, so fetch the module
+        dec = importlib.import_module("realform.decide")
+        calls = {"decide_direct": 0, "conjugation_witness": 0}
+
+        def counted(name):
+            original = getattr(dec, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        ms = conjugated_k4_yes(seed=1)
+        cfg = DEFAULT_TOLERANCES.override(cert_tol=1e-16)
+        with pytest.raises(NumericalDegeneracy) as direct_exc:
+            decide(ms, cfg, method="direct")
+        for name in calls:
+            monkeypatch.setattr(dec, name, counted(name))
+        with pytest.raises(NumericalDegeneracy) as auto_exc:
+            decide(ms, cfg)
+        assert str(auto_exc.value) == str(direct_exc.value)
+        # fg's own certification, then its direct fallback, which raises
+        assert calls == {"decide_direct": 1, "conjugation_witness": 2}

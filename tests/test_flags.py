@@ -1,11 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realform.config import DEFAULT_TOLERANCES
 from realform.coords import config_cross_ratio, triple_ratio_cp2, triple_ratio_set
 from realform.errors import GenericityViolation
 from realform.flags import (
+    Flag,
+    _compositions,
+    first_nongeneric_line,
     flag_pair_from_eigensystem,
     generic_position,
     generic_with_point,
@@ -26,6 +32,23 @@ EYE4 = np.eye(4, dtype=complex)
 def standard_pair(k):
     a = make_flag(list(np.eye(k, dtype=complex)))
     return a, a.reversed()
+
+
+def naive_generic_position(flags, rank_tol=DEFAULT_TOLERANCES.rank_tol):
+    """Reference: every composition of k from all index tuples, one SVD each."""
+    k = flags[0].dim
+    for combo in itertools.product(*(range(f.height + 1) for f in flags)):
+        if sum(combo) != k:
+            continue
+        rows = np.vstack([f.vectors[:n] for f, n in zip(flags, combo) if n > 0])
+        s = np.linalg.svd(rows, compute_uv=False)
+        if not s[-1] > rank_tol * s[0]:
+            return False
+    return True
+
+
+def random_flag(rng, k, height):
+    return make_flag(rng.normal(size=(height, k)) + 1j * rng.normal(size=(height, k)))
 
 
 class TestFlagConstruction:
@@ -89,6 +112,59 @@ class TestGenericPosition:
         g = random_invertible(rng, 3)
         moved = [make_flag([g @ v for v in f.vectors]) for f in (a, beta, c)]
         assert generic_position(moved)
+
+
+class TestBatchedGenericPosition:
+    @pytest.mark.parametrize("heights,k", [((3, 3), 3), ((4, 1, 4, 1), 4), ((2, 3, 1), 5),
+                                           ((1, 1), 3), ((8, 8, 8, 8), 8)])
+    def test_compositions_match_filtered_product(self, heights, k):
+        expect = [combo for combo in itertools.product(*(range(h + 1) for h in heights))
+                  if sum(combo) == k]
+        assert _compositions(heights, k) == expect
+
+    @pytest.mark.parametrize("k,heights", [(3, (3, 3, 3)), (4, (4, 1, 4, 1)), (5, (5, 2, 5)),
+                                           (6, (6, 6, 6, 6)), (4, (1, 1))])
+    def test_random_flags_match_reference(self, rng, k, heights):
+        flags = [random_flag(rng, k, h) for h in heights]
+        assert generic_position(flags) == naive_generic_position(flags)
+
+    @pytest.mark.parametrize("k,heights", [(3, (3, 3, 3)), (4, (4, 1, 4, 1)), (5, (3, 2, 5))])
+    def test_each_composition_made_deficient(self, rng, k, heights):
+        # rebuild the last vector a composition uses from its other rows,
+        # so that exactly this composition (at least) loses rank
+        for combo in _compositions(heights, k):
+            flags = [random_flag(rng, k, h) for h in heights]
+            last = max(j for j, n in enumerate(combo) if n)
+            others = np.vstack([f.vectors[:n] for j, (f, n) in enumerate(zip(flags, combo))
+                                if n and j != last] + [flags[last].vectors[:combo[last] - 1]])
+            vectors = flags[last].vectors.copy()
+            vectors[combo[last] - 1] = rng.normal(size=k - 1) @ others
+            flags[last] = Flag(vectors=vectors)
+            assert naive_generic_position(flags) is False
+            assert generic_position(flags) is False
+
+
+class TestFirstNongenericLine:
+    def test_returns_first_failing_index(self, rng):
+        a, c = standard_pair(4)
+        d = pp(1, 1, 1, 1)
+        good = [ProjPoint(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(5)]
+        bad = [pp(1, 0, 1, 1), pp(1, 1, -1, -1)]
+        lines = good[:2] + [bad[0]] + good[2:4] + [bad[1]] + good[4:]
+        flags_of = [[a, point_flag(v), c, point_flag(d)] for v in lines]
+        expect = next(n for n, fl in enumerate(flags_of) if not naive_generic_position(fl))
+        assert expect == 2
+        assert first_nongeneric_line(a, lines, c, d) == 2
+        assert first_nongeneric_line(a, lines[3:], c, d) == 2
+        assert first_nongeneric_line(a, good, c, d) is None
+        assert first_nongeneric_line(a, [], c, d) is None
+
+    def test_nongeneric_base_fails_every_line(self, rng):
+        a, c = standard_pair(4)
+        d = pp(1, 0, 0, 0)  # lies in A_1
+        lines = [ProjPoint(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(3)]
+        assert not generic_position([a, c, point_flag(d)])
+        assert first_nongeneric_line(a, lines, c, d) == 0
 
 
 class TestGenericWithPoint:

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from realform.errors import NoConjugation, UnderdeterminedConjugation
 from realform.projlin import ProjPoint, proj_dist
+from realform.config import DEFAULT_TOLERANCES
 from realform.rform import (
     Conjugation,
+    _constraint_rows,
+    _nullspace,
     Multiplicity,
     conjugation_from_eigendata,
     conjugation_witness,
@@ -19,6 +22,36 @@ from realform.rform import (
 )
 
 from conftest import pp, random_invertible
+
+
+def null_projector(vectors):
+    """Orthogonal projector onto the span of the given vectors."""
+    b = np.array([np.ravel(v) for v in vectors])
+    return b.T @ b.conj()
+
+
+class TestNullspace:
+    @pytest.mark.parametrize("k,n_rows,rank", [(3, 6, 5), (3, 12, 8), (4, 20, 11), (4, 40, 15)])
+    def test_matches_full_svd(self, rng, k, n_rows, rank):
+        # rank-deficient rows, fewer and more than k^2 of them
+        rows = ((rng.normal(size=(n_rows, rank)) + 1j * rng.normal(size=(n_rows, rank)))
+                @ (rng.normal(size=(rank, k * k)) + 1j * rng.normal(size=(rank, k * k))))
+        _, s, vh = np.linalg.svd(rows)
+        full_rank = int(np.sum(s > DEFAULT_TOLERANCES.rank_tol * s[0]))
+        expect = [vh[i].conj() for i in range(full_rank, k * k)]
+        got = _nullspace(rows, k, DEFAULT_TOLERANCES.rank_tol)
+        assert len(got) == len(expect) == k * k - rank
+        assert np.max(np.abs(null_projector(got) - null_projector(expect))) < 1e-12
+
+    @pytest.mark.parametrize("n_points", [2, 4])
+    def test_constraint_rows_of_real_frame(self, rng, n_points):
+        # fixed real directions: 3 rows each, below and above k^2 = 9
+        rows = np.vstack([_constraint_rows(v, v) for v in rng.normal(size=(n_points, 3)) + 0j])
+        got = _nullspace(rows, 3, DEFAULT_TOLERANCES.rank_tol)
+        _, s, vh = np.linalg.svd(rows)
+        rank = int(np.sum(s > DEFAULT_TOLERANCES.rank_tol * s[0]))
+        assert len(got) == 9 - rank
+        assert np.max(np.abs(null_projector(got) - null_projector(vh[rank:].conj()))) < 1e-12
 
 
 def random_conjugation(rng, k):
