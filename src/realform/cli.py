@@ -35,7 +35,7 @@ from .errors import (
     SharedEigendirections,
     SpectralPreconditionError,
 )
-from .flags import flag_pair_from_eigensystem, quotient_cp1
+from .flags import flag_pair_from_eigensystem, quotient_cp1_lines
 from .oracle import InstanceSpec, generate
 from .projlin import MAX_DIM, MIN_DIM, ProjPoint
 from .spectrum import KIND_HYPERBOLIC
@@ -229,23 +229,7 @@ def _coords_doc(infos, cfg):
         raise GenericityViolation("base flags are not in generic position")
     d1 = ProjPoint(d.vectors[0])
 
-    cross_out = []
-
-    def cr_rows(flag, owner, tag):
-        line = ProjPoint(flag.vectors[0])
-        for i in range(a.dim - 1):
-            config = quotient_cp1(a, line, c, d1, i, a.dim - 2 - i, cfg)
-            primary = config_cross_ratio(config).value
-            fg_val = fg_cross_ratio(config.a, config.b, config.c, config.d).value
-            cross_out.append({
-                "generator": owner,
-                "flag": tag,
-                "i": i,
-                "j": a.dim - 2 - i,
-                "value": _c2pair(primary),
-                "fg_value": _c2pair(fg_val),
-            })
-
+    cross_flags = []   # (flag, generator, tag) in output order
     triple_out = []
 
     def tr_rows(x, y, z, owner, tag):
@@ -260,7 +244,7 @@ def _coords_doc(infos, cfg):
                 "value": _c2pair(tr.value),
             })
 
-    cr_rows(b, h.index, "B")
+    cross_flags.append((b, h.index, "B"))
     tr_rows(a, b, c, h.index, "B")
     tr_rows(a, c, d, h.index, "D")
     for info in infos:
@@ -270,8 +254,18 @@ def _coords_doc(infos, cfg):
         for tag, f in (("beta", fp.flag), ("beta_prime", fp.reverse)):
             if not generic_position([a, f, c, d], cfg):
                 raise GenericityViolation(f"generator {info.index}: flags not in generic position")
-            cr_rows(f, info.index, tag)
+            cross_flags.append((f, info.index, tag))
             tr_rows(a, f, c, info.index, tag)
+
+    # every line shares the k - 1 complement bases of A_i + C_j
+    lines = [ProjPoint(f.vectors[0]) for f, _, _ in cross_flags]
+    cross_out = [
+        {"generator": owner, "flag": tag, "i": config.provenance[0], "j": config.provenance[1],
+         "value": _c2pair(config_cross_ratio(config).value),
+         "fg_value": _c2pair(fg_cross_ratio(*config.points).value)}
+        for (_, owner, tag), configs in zip(cross_flags, quotient_cp1_lines(a, lines, c, d1, cfg))
+        for config in configs
+    ]
     return {"k": a.dim, "cross_ratios": cross_out, "triple_ratios": triple_out}
 
 

@@ -8,6 +8,7 @@ a construction fixes them (frame bases, flag spans), are carried as raw
 arrays, never as projective classes.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ def check_matrix(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     k = a.shape[0]
     if not (MIN_DIM <= k <= MAX_DIM):
         raise ValueError(f"dimension {k} outside supported range [{MIN_DIM}, {MAX_DIM}]")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= cfg.deg_tol * s[0]:
@@ -53,10 +54,10 @@ class ProjPoint:
         v = np.asarray(coords, dtype=complex).ravel()
         if v.size < MIN_DIM:
             raise ValueError("projective points need at least 2 coordinates")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.isfinite(v).all():
             raise ValueError("non-finite coordinates")
         mags = np.abs(v)
-        idx = int(np.argmax(mags))
+        idx = int(mags.argmax())
         if mags[idx] <= cfg.deg_tol:
             raise ValueError("zero vector does not define a projective point")
         self.coords = v / v[idx]
@@ -86,6 +87,31 @@ def proj_dist(p: ProjPoint, q: ProjPoint) -> float:
     w = q.coords / np.linalg.norm(q.coords)
     r = w - u * np.vdot(u, w)
     return float(np.linalg.norm(r))
+
+
+def modulus(z) -> np.ndarray:
+    """Elementwise |z|, bit for bit Python's abs (np.abs may round differently)."""
+    return np.hypot(z.real, z.imag)
+
+
+@functools.lru_cache(maxsize=None)
+def upper_pairs(k: int) -> tuple:
+    """Index arrays (i, j) of the pairs i < j < k in row-major order; shared, so read-only."""
+    pairs = np.triu_indices(k, 1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
+
+
+def require_separated(lam: np.ndarray, sep_tol: float, message: str) -> None:
+    """Raise RepeatedEigenvalues(message.format(lam_i, lam_j)) for the first pair
+    i < j (row-major) with |lam_i - lam_j| / max(|lam_i|, |lam_j|) <= sep_tol."""
+    i, j = upper_pairs(lam.size)
+    mag = modulus(lam)
+    close = (modulus(lam[i] - lam[j]) / np.maximum(mag[i], mag[j]) <= sep_tol).tolist()
+    if True in close:
+        n = close.index(True)
+        raise RepeatedEigenvalues(message.format(lam[i[n]], lam[j[n]]))
 
 
 @dataclass(frozen=True)
@@ -121,25 +147,16 @@ def eig(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
     lam = lam[order]
     vecs = vecs[:, order]
 
-    k = a.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            gap = abs(lam[i] - lam[j]) / max(abs(lam[i]), abs(lam[j]))
-            if gap <= cfg.sep_tol:
-                raise RepeatedEigenvalues(
-                    f"eigenvalues {lam[i]:.6g} and {lam[j]:.6g} are projectively equal"
-                )
-
+    require_separated(lam, cfg.sep_tol, "eigenvalues {:.6g} and {:.6g} are projectively equal")
+    # the residual is scale-free, so LAPACK's columns stand in for the points
     scale = max(1.0, float(np.abs(a).max()))
-    dirs = []
-    for j in range(k):
-        p = ProjPoint(vecs[:, j], cfg)
-        v = p.coords
-        res = np.linalg.norm(a @ v - lam[j] * v) / (np.linalg.norm(v) * scale)
-        if res >= cfg.eig_tol:
-            raise NonDiagonalizable(f"eigenvector residual {res:.3g} for eigenvalue {lam[j]:.6g}")
-        dirs.append(p)
-    return EigenSystem(eigenvalues=lam, directions=tuple(dirs), matrix=a)
+    res = (np.linalg.norm(a @ vecs - vecs * lam, axis=0)
+           / (np.linalg.norm(vecs, axis=0) * scale)).tolist()
+    for j, r in enumerate(res):
+        if r >= cfg.eig_tol:
+            raise NonDiagonalizable(f"eigenvector residual {r:.3g} for eigenvalue {lam[j]:.6g}")
+    dirs = tuple(ProjPoint(v, cfg) for v in vecs.T)
+    return EigenSystem(eigenvalues=lam, directions=dirs, matrix=a)
 
 
 @dataclass(frozen=True)

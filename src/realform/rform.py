@@ -73,11 +73,16 @@ def elliptic_pair(p, q) -> tuple[EigenDatum, EigenDatum]:
     return EigenDatum(direction=pp, partner=qq), EigenDatum(direction=qq, partner=pp)
 
 
-def _constraint_rows(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """Rows expressing S @ conj(src) parallel to tgt, linear in vec(S)."""
-    t = tgt / np.linalg.norm(tgt)
-    proj = np.eye(t.size, dtype=complex) - np.outer(t, np.conj(t))
-    return np.kron(proj, np.conj(src)[None, :])
+def _constraint_rows(src, tgt) -> np.ndarray:
+    """Rows expressing S @ conj(src) parallel to tgt, linear in vec(S), for one
+    pair of directions or stacks of them: P kron conj(src), P the projector
+    off tgt, formed directly as the products P[i, j] * conj(src[l])."""
+    src, tgt = np.atleast_2d(src, tgt)
+    # one norm per vector: a batched norm sums in another order and moves the rows
+    t = np.array([w / np.linalg.norm(w) for w in tgt])
+    k = t.shape[1]
+    proj = np.eye(k, dtype=complex) - t[:, :, None] * np.conj(t)[:, None, :]
+    return (proj[:, :, :, None] * np.conj(src)[:, None, None, :]).reshape(-1, k * k)
 
 
 def _nullspace(rows: np.ndarray, dim: int, rank_tol: float):
@@ -127,13 +132,8 @@ def _solve_in_coords(coord_data, dim, cfg, depth=0):
     the direction is fixed.  Recurses through support blocks when the
     solution space has extra dimensions.
     """
-    rows = []
-    for v, w in coord_data:
-        tgt = v if w is None else w
-        rows.append(_constraint_rows(v, tgt))
-        if w is not None:
-            rows.append(_constraint_rows(w, v))
-    stacked = np.vstack(rows) if rows else np.zeros((0, dim * dim), dtype=complex)
+    pairs = [p for v, w in coord_data for p in ([(v, v)] if w is None else [(v, w), (w, v)])]
+    stacked = _constraint_rows(*zip(*pairs)) if pairs else np.zeros((0, dim * dim), dtype=complex)
     basis_mats = _nullspace(stacked, dim, cfg.rank_tol)
     d = len(basis_mats)
     if d == 0:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import RepeatedEigenvalues
-from .projlin import EigenSystem
+from .projlin import EigenSystem, modulus, require_separated, upper_pairs
 
 HYPERBOLIC = "hyperbolic"
 ELLIPTIC = "elliptic"
@@ -25,19 +24,6 @@ KIND_HYPERBOLIC = "strictly_hyperbolic"
 KIND_ELLIPTIC = "strictly_elliptic"
 KIND_MIXED = "mixed"
 KIND_INCOMPATIBLE = "incompatible"
-
-
-def _mod_pi(x: float) -> float:
-    y = math.fmod(x, math.pi)
-    if y < 0:
-        y += math.pi
-    return y
-
-
-def _circ_dist_pi(a: float, b: float) -> float:
-    """Distance between angles taken modulo pi."""
-    d = abs(_mod_pi(a) - _mod_pi(b))
-    return min(d, math.pi - d)
 
 
 @dataclass(frozen=True)
@@ -66,25 +52,22 @@ class SpectralClass:
         return self.labelings[0].pairing if self.labelings else ()
 
 
-def _validate_theta(lams, theta, cfg):
-    """Labeling for a candidate angle, or None if it does not work."""
-    k = len(lams)
-    on_line = [_circ_dist_pi(np.angle(lams[i]), theta) < cfg.angle_tol for i in range(k)]
-    labels = [HYPERBOLIC if on_line[i] else None for i in range(k)]
+def _greedy_labeling(theta, on_line, err, tol):
+    """Labeling for one candidate angle, or None if it does not work: each
+    off-line eigenvalue in index order takes the closest free partner by
+    reflection error ``err[i][j]`` (order-dependent, hence a plain loop)."""
+    k = len(on_line)
+    labels = [HYPERBOLIC if on else None for on in on_line]
+    taken = list(on_line)
     pairing = []
-    reflect = np.exp(2j * theta) * np.conj(lams)
-    taken = [False] * k
     for i in range(k):
-        if on_line[i] or taken[i]:
+        if taken[i]:
             continue
-        best_j, best_err = None, np.inf
-        for j in range(k):
-            if j == i or taken[j] or on_line[j]:
-                continue
-            err = abs(lams[j] - reflect[i]) / max(abs(lams[i]), abs(lams[j]))
-            if err < best_err:
-                best_j, best_err = j, err
-        if best_j is None or best_err >= cfg.angle_tol:
+        best_j, best_err = None, math.inf
+        for j, e in enumerate(err[i]):
+            if j != i and not taken[j] and e < best_err:
+                best_j, best_err = j, e
+        if best_j is None or best_err >= tol:
             return None
         taken[i] = taken[best_j] = True
         labels[i] = labels[best_j] = ELLIPTIC
@@ -99,45 +82,51 @@ def classify_eigenvalues(lams, cfg: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     k = lams.size
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(lams[i] - lams[j]) / max(abs(lams[i]), abs(lams[j])) <= cfg.sep_tol:
-                raise RepeatedEigenvalues(f"eigenvalues {lams[i]:.6g}, {lams[j]:.6g} coincide")
+    require_separated(lams, cfg.sep_tol, "eigenvalues {:.6g}, {:.6g} coincide")
 
-    args = np.angle(lams)
-    candidates = [_mod_pi(a) for a in args]
-    for i in range(k):
-        for j in range(i + 1, k):
-            candidates.append(_mod_pi((args[i] + args[j]) / 2.0))
-    candidates.sort()
+    # candidates: the arguments and the pairwise half-sums of arguments, mod pi
+    pi_, pj = upper_pairs(k)
+    args = np.arctan2(lams.imag, lams.real)
+    raw = args.tolist() + ((args[pi_] + args[pj]) / 2.0).tolist()
+    mod = [y + math.pi if y < 0 else y for y in (math.fmod(x, math.pi) for x in raw)]
+    thetas = sorted(mod)
+    at = [math.fmod(t, math.pi) for t in thetas]   # a candidate rounded up to pi sits at 0
+    n = len(thetas)
+    grid = np.array(mod[:k] + at + thetas)
+    # on_line[c, i]: lam_i lies on the line at candidate angle c
+    d = np.abs(grid[:k] - grid[k:k + n, None])
+    on_line = np.minimum(d, np.pi - d) < cfg.angle_tol
+    # err[c, i, j]: relative distance of lam_j from lam_i reflected about candidate c
+    mag = modulus(lams)
+    top = np.maximum(mag[:, None], mag)
+    reflect = np.exp(2j * grid[k + n:])[:, None] * np.conj(lams)
+    err = modulus(lams - reflect[:, :, None]) / top
+    # a labeling pairs each off-line lam_i with some lam_j, in one order or the
+    # other; a candidate where some lam_i has no such partner cannot work
+    near = err < cfg.angle_tol
+    near |= near.transpose(0, 2, 1)
+    viable = np.logical_and.reduce(on_line | np.logical_or.reduce(near, axis=2), axis=1).tolist()
 
     labelings = []
-    for theta in candidates:
-        if any(_circ_dist_pi(theta, seen.theta) < cfg.angle_tol for seen in labelings):
+    seen = []
+    for c, ok in enumerate(viable):
+        t = at[c]
+        if not ok or any(min(abs(t - s), math.pi - abs(t - s)) < cfg.angle_tol for s in seen):
             continue
-        lab = _validate_theta(lams, theta, cfg)
+        lab = _greedy_labeling(thetas[c], on_line[c].tolist(), err[c].tolist(), cfg.angle_tol)
         if lab is not None:
             labelings.append(lab)
-    labelings.sort(key=lambda lab: lab.theta)
+            seen.append(t)
 
     compatible = bool(labelings)
     # A pair on a common line with equal magnitudes (i.e. lam_j = -lam_i)
     # is both hyperbolic for one line and elliptic for another: not generic.
-    forbidden_pair = any(
-        abs(lams[i] + lams[j]) <= cfg.sep_tol * max(abs(lams[i]), abs(lams[j]))
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
+    forbidden_pair = True in (modulus(lams[:, None] + lams) <= cfg.sep_tol * top)[pi_, pj].tolist()
     generic = bool(compatible and len(labelings) == 1 and not forbidden_pair)
 
-    if not compatible:
-        kind = KIND_INCOMPATIBLE
-    elif any(all(l == HYPERBOLIC for l in lab.labels) for lab in labelings):
-        kind = KIND_HYPERBOLIC
-    elif any(all(l == ELLIPTIC for l in lab.labels) for lab in labelings):
-        kind = KIND_ELLIPTIC
-    else:
-        kind = KIND_MIXED
+    kinds = [set(lab.labels) for lab in labelings]
+    kind = (KIND_INCOMPATIBLE if not compatible else KIND_HYPERBOLIC if {HYPERBOLIC} in kinds
+            else KIND_ELLIPTIC if {ELLIPTIC} in kinds else KIND_MIXED)
 
     return SpectralClass(
         compatible=compatible,

@@ -188,6 +188,48 @@ class TestCoords:
             assert abs(product + 1) <= 1e-9
 
 
+    def test_cross_ratios_share_complement_bases(self, tmp_path, monkeypatch, capsys):
+        from realform import cli, flags
+        from realform.coords import config_cross_ratio, fg_cross_ratio
+        from realform.decide import prepare
+        from realform.oracle import InstanceSpec, generate
+        from realform.projlin import ProjPoint
+
+        k = 8
+        inst = generate(InstanceSpec(k=k, n_generators=3, type_mix={"hyperbolic": 3}, seed=8))
+        path = write_doc(tmp_path / "g.json", k, inst.matrices)
+        cp1_bases = []
+        complement_basis = flags._complement_basis
+
+        def counted(rows, dim, cfg):
+            if rows.shape[0] == dim - 2:   # the span of A_i + C_j with i + j = k - 2
+                cp1_bases.append(rows.shape)
+            return complement_basis(rows, dim, cfg)
+
+        monkeypatch.setattr(flags, "_complement_basis", counted)
+        assert cli.main(["coords", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert len(cp1_bases) <= k - 1
+
+        # reference: one quotient_cp1 per (flag, i), each building its own basis
+        g, h, other = prepare(inst.matrices)
+        fg_, fh, fo = (flags.flag_pair_from_eigensystem(x.es) for x in (g, h, other))
+        a, c, d1 = fg_.flag, fg_.reverse, ProjPoint(fh.reverse.vectors[0])
+        expected = []
+        for f, owner, tag in ((fh.flag, h.index, "B"), (fo.flag, other.index, "beta"),
+                              (fo.reverse, other.index, "beta_prime")):
+            for i in range(k - 1):
+                config = flags.quotient_cp1(a, ProjPoint(f.vectors[0]), c, d1, i, k - 2 - i)
+                expected.append({
+                    "generator": owner, "flag": tag, "i": i, "j": k - 2 - i,
+                    "value": cli._c2pair(config_cross_ratio(config).value),
+                    "fg_value": cli._c2pair(fg_cross_ratio(*config.points).value),
+                })
+        assert len(doc["cross_ratios"]) == 3 * (k - 1)
+        assert doc["cross_ratios"] == json.loads(json.dumps(expected))
+
+
 class TestGenerateVerify:
     def test_seed_byte_determinism(self, tmp_path):
         a = run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",

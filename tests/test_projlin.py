@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realform.errors import DegenerateFrame, RepeatedEigenvalues
+from realform.config import DEFAULT_TOLERANCES
+from realform.errors import DegenerateFrame, NonDiagonalizable, RepeatedEigenvalues
 from realform.projlin import (
+    EigenSystem,
     ProjPoint,
     canonical_matrix,
     check_matrix,
@@ -16,7 +18,7 @@ from realform.projlin import (
     proj_eq,
 )
 
-from conftest import pp, random_invertible
+from conftest import pp, random_diagonalizable, random_invertible
 
 
 class TestProjPoint:
@@ -100,6 +102,87 @@ class TestEig:
             j = int(np.argmin(np.abs(es2.eigenvalues - lam)))
             moved = ProjPoint(g @ d1.coords)
             assert proj_dist(moved, es2.directions[j]) < 1e-7
+
+
+def reference_eig(m, cfg=DEFAULT_TOLERANCES):
+    """The pair-by-pair and column-by-column loop that eig replaced."""
+    a = check_matrix(m, cfg)
+    lam, vecs = np.linalg.eig(a)
+    order = np.lexsort((np.abs(lam), np.angle(lam)))
+    lam = lam[order]
+    vecs = vecs[:, order]
+    k = a.shape[0]
+    for i in range(k):
+        for j in range(i + 1, k):
+            gap = abs(lam[i] - lam[j]) / max(abs(lam[i]), abs(lam[j]))
+            if gap <= cfg.sep_tol:
+                raise RepeatedEigenvalues(
+                    f"eigenvalues {lam[i]:.6g} and {lam[j]:.6g} are projectively equal")
+    scale = max(1.0, float(np.abs(a).max()))
+    dirs = []
+    for j in range(k):
+        p = ProjPoint(vecs[:, j], cfg)
+        v = p.coords
+        res = np.linalg.norm(a @ v - lam[j] * v) / (np.linalg.norm(v) * scale)
+        if res >= cfg.eig_tol:
+            raise NonDiagonalizable(f"eigenvector residual {res:.3g} for eigenvalue {lam[j]:.6g}")
+        dirs.append(p)
+    return EigenSystem(eigenvalues=lam, directions=tuple(dirs), matrix=a)
+
+
+def _eig_outcome(fn, m):
+    try:
+        es = fn(m)
+    except Exception as exc:  # the exception type and message are part of the outcome
+        return type(exc), str(exc)
+    return es.eigenvalues.tobytes(), [d.coords.tobytes() for d in es.directions]
+
+
+class TestEigMatchesReference:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_same_eigendata(self, rng, k):
+        kinds = ["hyperbolic", "elliptic"] if k == 2 else ["hyperbolic", "mixed"] + (
+            ["elliptic"] if k % 2 == 0 or k == 3 else [])
+        for kind in kinds:
+            for _ in range(5):
+                g = random_invertible(rng, k)
+                m = g @ random_diagonalizable(rng, k, kind) @ np.linalg.inv(g)
+                assert _eig_outcome(eig, m) == _eig_outcome(reference_eig, m)
+        for _ in range(10):
+            m = random_invertible(rng, k)
+            assert _eig_outcome(eig, m) == _eig_outcome(reference_eig, m)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_repeated_names_the_same_pair(self, rng, k):
+        for _ in range(10):
+            lams = rng.uniform(0.5, 3, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+            i, j = rng.choice(k, size=2, replace=False)
+            lams[j] = lams[i] * (1 + rng.uniform(-5e-7, 5e-7))
+            if k > 3 and rng.random() < 0.5:
+                p, q = [x for x in range(k) if x not in (i, j)][:2]
+                lams[q] = lams[p] * (1 + 1e-7j)
+            v = random_invertible(rng, k)
+            m = v @ np.diag(lams) @ np.linalg.inv(v)
+            got = _eig_outcome(eig, m)
+            assert got[0] is RepeatedEigenvalues
+            assert got == _eig_outcome(reference_eig, m)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_nondiagonalizable_at_the_same_column(self, rng, monkeypatch, k):
+        # a decomposition with spoiled eigenvectors: both versions must stop
+        # at the first spoiled column of the sorted order, with the same message
+        true_eig = np.linalg.eig
+        for _ in range(5):
+            m = random_invertible(rng, k)
+            lam, vecs = true_eig(m)
+            bad = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+            spoiled = vecs.copy()
+            spoiled[:, bad] += 0.3 * (rng.normal(size=(k, bad.size)) + 1j * rng.normal(size=(k, bad.size)))
+            monkeypatch.setattr(np.linalg, "eig", lambda a: (lam, spoiled))
+            got = _eig_outcome(eig, m)
+            assert got[0] is NonDiagonalizable
+            assert got == _eig_outcome(reference_eig, m)
+            monkeypatch.undo()
 
 
 class TestFrames:

@@ -54,6 +54,23 @@ class TestNullspace:
         assert np.max(np.abs(null_projector(got) - null_projector(vh[rank:].conj()))) < 1e-12
 
 
+def kron_rows(src, tgt):
+    """The rows as first written: np.kron of the projector off tgt with conj(src)."""
+    t = tgt / np.linalg.norm(tgt)
+    proj = np.eye(t.size, dtype=complex) - np.outer(t, np.conj(t))
+    return np.kron(proj, np.conj(src)[None, :])
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_constraint_rows_equal_kron_formula(rng, k):
+    for n in (1, 2, k, 2 * k):
+        src = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        tgt = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        assert np.array_equal(_constraint_rows(src, tgt),
+                              np.vstack([kron_rows(s, t) for s, t in zip(src, tgt)]))
+        assert np.array_equal(_constraint_rows(src[0], tgt[0]), kron_rows(src[0], tgt[0]))
+
+
 def random_conjugation(rng, k):
     """Conjugation fixing the columns of a random basis."""
     b = random_invertible(rng, k)

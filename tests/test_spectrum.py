@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realform.config import DEFAULT_TOLERANCES
 from realform.errors import RepeatedEigenvalues
 from realform.projlin import eig
 from realform.spectrum import (
@@ -12,6 +15,8 @@ from realform.spectrum import (
     KIND_HYPERBOLIC,
     KIND_INCOMPATIBLE,
     KIND_MIXED,
+    Labeling,
+    SpectralClass,
     classify_eigenvalues,
     type_transformation,
 )
@@ -102,3 +107,140 @@ def test_permutation_invariance(perm):
     assert np.allclose(shuffled.line_angles, base.line_angles)
     inv = {pos: i for i, pos in enumerate(perm)}
     assert tuple(shuffled.labels[inv[i]] for i in range(4)) == base.labels
+
+
+# ---------------------------------------------------------------------------
+# reference: the candidate-by-candidate loop classify_eigenvalues replaced
+
+def _ref_mod_pi(x):
+    y = math.fmod(x, math.pi)
+    return y + math.pi if y < 0 else y
+
+
+def _ref_circ_dist_pi(a, b):
+    d = abs(_ref_mod_pi(a) - _ref_mod_pi(b))
+    return min(d, math.pi - d)
+
+
+def _ref_validate_theta(lams, theta, cfg):
+    k = len(lams)
+    on_line = [_ref_circ_dist_pi(np.angle(lams[i]), theta) < cfg.angle_tol for i in range(k)]
+    labels = [HYPERBOLIC if on_line[i] else None for i in range(k)]
+    pairing = []
+    reflect = np.exp(2j * theta) * np.conj(lams)
+    taken = [False] * k
+    for i in range(k):
+        if on_line[i] or taken[i]:
+            continue
+        best_j, best_err = None, np.inf
+        for j in range(k):
+            if j == i or taken[j] or on_line[j]:
+                continue
+            err = abs(lams[j] - reflect[i]) / max(abs(lams[i]), abs(lams[j]))
+            if err < best_err:
+                best_j, best_err = j, err
+        if best_j is None or best_err >= cfg.angle_tol:
+            return None
+        taken[i] = taken[best_j] = True
+        labels[i] = labels[best_j] = ELLIPTIC
+        pairing.append((min(i, best_j), max(i, best_j)))
+    return Labeling(theta=theta, labels=tuple(labels), pairing=tuple(sorted(pairing)))
+
+
+def reference_classify(lams, cfg=DEFAULT_TOLERANCES):
+    lams = np.asarray(lams, dtype=complex).ravel()
+    k = lams.size
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(lams[i] - lams[j]) / max(abs(lams[i]), abs(lams[j])) <= cfg.sep_tol:
+                raise RepeatedEigenvalues(f"eigenvalues {lams[i]:.6g}, {lams[j]:.6g} coincide")
+    args = np.angle(lams)
+    candidates = [_ref_mod_pi(a) for a in args]
+    for i in range(k):
+        for j in range(i + 1, k):
+            candidates.append(_ref_mod_pi((args[i] + args[j]) / 2.0))
+    candidates.sort()
+    labelings = []
+    for theta in candidates:
+        if any(_ref_circ_dist_pi(theta, seen.theta) < cfg.angle_tol for seen in labelings):
+            continue
+        lab = _ref_validate_theta(lams, theta, cfg)
+        if lab is not None:
+            labelings.append(lab)
+    compatible = bool(labelings)
+    forbidden_pair = any(
+        abs(lams[i] + lams[j]) <= cfg.sep_tol * max(abs(lams[i]), abs(lams[j]))
+        for i in range(k) for j in range(i + 1, k))
+    generic = bool(compatible and len(labelings) == 1 and not forbidden_pair)
+    if not compatible:
+        kind = KIND_INCOMPATIBLE
+    elif any(all(l == HYPERBOLIC for l in lab.labels) for lab in labelings):
+        kind = KIND_HYPERBOLIC
+    elif any(all(l == ELLIPTIC for l in lab.labels) for lab in labelings):
+        kind = KIND_ELLIPTIC
+    else:
+        kind = KIND_MIXED
+    return SpectralClass(compatible=compatible, line_angles=tuple(lab.theta for lab in labelings),
+                         labelings=tuple(labelings), generic=generic, kind=kind)
+
+
+def _outcome(fn, lams):
+    """Everything a classification reports, floats by their bits."""
+    try:
+        sc = fn(lams)
+    except Exception as exc:  # the exception type and message are part of the outcome
+        return type(exc), str(exc)
+    return (sc.compatible, sc.generic, sc.kind, [t.hex() for t in sc.line_angles],
+            [(lab.theta.hex(), lab.labels, lab.pairing) for lab in sc.labelings])
+
+
+TOL = DEFAULT_TOLERANCES.angle_tol
+
+
+@st.composite
+def spectra(draw):
+    """Spectra organized by a line at angle theta (pairs reflected about it),
+    optionally spoiled: a partner off its reflection by angle_tol * (1 +- 1e-3),
+    a -lam partner (a second line), a repeated value, or a random entry."""
+    k = draw(st.integers(2, 8))
+    theta = draw(st.one_of(st.floats(0, math.pi), st.sampled_from([0.0, math.pi]),
+                           st.floats(-1e-9, 1e-9), st.floats(math.pi - 1e-9, math.pi + 1e-9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    line = np.exp(1j * theta)
+    n_pairs = draw(st.integers(0, k // 2))
+    lams = []
+    for _ in range(n_pairs):
+        lam = rng.uniform(0.3, 3) * np.exp(1j * (theta + rng.uniform(0.05, math.pi - 0.05)))
+        lams += [lam, line ** 2 * np.conj(lam)]
+    lams += list(rng.uniform(0.3, 3, k - 2 * n_pairs) * rng.choice([-1, 1], k - 2 * n_pairs) * line)
+    spoil = draw(st.sampled_from(["none", "tol_below", "tol_above", "negate", "repeat", "random"]))
+    if spoil in ("tol_below", "tol_above") and n_pairs:
+        # radial, so no other line reflects the pair more closely
+        factor = 1 - 1e-3 if spoil == "tol_below" else 1 + 1e-3
+        lams[1] *= 1 + factor * TOL
+    elif spoil == "negate" and k - 2 * n_pairs >= 2:
+        lams[-1] = -lams[-2]
+    elif spoil == "repeat":
+        lams[-1] = lams[0] * (1 + 1e-9)
+    elif spoil == "random":
+        lams[int(rng.integers(k))] = rng.normal() + 1j * rng.normal()
+    return np.array(lams)[rng.permutation(k)]
+
+
+@given(spectra())
+@settings(max_examples=400, deadline=None)
+def test_matches_reference_loop(lams):
+    assert _outcome(classify_eigenvalues, lams) == _outcome(reference_classify, lams)
+
+
+@pytest.mark.parametrize("lams", [
+    [1j, -1j, 2, -2],                       # two admissible lines
+    [1, -2],                                # argument 0 and pi
+    [1 - 1e-17j, 2 + 1e-17j],               # arguments just below 0 wrap to pi
+    [np.exp(-1e-17j), np.exp(1j * (math.pi - 1e-17))],
+    [1 + 1j, 5.0, 1 - 1j],
+    [1.0, 1.0 + 1e-9],                      # repeated
+    [2j, 1],                                # incompatible
+])
+def test_matches_reference_on_edge_spectra(lams):
+    assert _outcome(classify_eigenvalues, lams) == _outcome(reference_classify, lams)
