@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Record every decision of a fixed op set, and compare two records.
+
+An op is one ``decide`` call: every forced method and ``auto`` on every
+instance of the seed-1 and seed-2 sets of the three benchmark workloads
+(3,600 ops without ``--limit``).  For each op the record keeps the
+answer, method and multiplicity, the conditions (name, requirement, pass
+flag and value) and diagnostics, the type and message of a raise, and
+whether the certificate residual is below ``cert_tol``.  Gamma itself is
+not kept: two correct versions may return different realifiers.
+
+    python3 scripts/identity_check.py dump before.json
+    python3 scripts/identity_check.py dump after.json
+    python3 scripts/identity_check.py compare before.json after.json
+
+``compare`` prints each op that differs and exits 1 if there is any.
+The instance sets come from ``perfbench.workloads``, read-only.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+import numpy as np  # noqa: E402
+
+from perfbench import workloads  # noqa: E402
+from realform.config import DEFAULT_TOLERANCES  # noqa: E402
+from realform.decide import FORCED_METHODS, decide  # noqa: E402
+from realform.errors import RealformError  # noqa: E402
+from realform.oracle import generate  # noqa: E402
+
+SEEDS = (1, 2)
+
+
+def _value(z):
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def record_op(ms, method, cfg=DEFAULT_TOLERANCES):
+    """The comparable outcome of one decide call."""
+    try:
+        verdict, cert = decide(ms, cfg, method=method)
+    except (RealformError, ValueError, np.linalg.LinAlgError) as exc:
+        return {"raised": type(exc).__name__, "message": str(exc)}
+    return {
+        "answer": verdict.answer,
+        "method": verdict.method,
+        "multiplicity": None if verdict.multiplicity is None else verdict.multiplicity.value,
+        "conditions": [[c.name, c.requirement, bool(c.passed), _value(c.value)]
+                       for c in cert.conditions],
+        "diagnostics": list(cert.diagnostics),
+        "residual_ok": None if cert.residual is None else bool(cert.residual < cfg.cert_tol),
+    }
+
+
+def dump(limit=None):
+    """Every op of the identity set, keyed workload/seed/instance/method."""
+    ops = {}
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            for i, spec in enumerate(workloads.specs(workload, seed, limit)):
+                ms = [np.asarray(m, dtype=complex) for m in generate(spec).matrices]
+                for method in FORCED_METHODS:
+                    ops[f"{name}/{seed}/{i}/{method}"] = record_op(ms, method)
+    return ops
+
+
+def compare(a, b):
+    """Lines naming each op that is missing on one side or differs."""
+    lines = []
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            lines.append(f"{key}: only in {'the second' if key not in a else 'the first'} record")
+        elif a[key] != b[key]:
+            fields = sorted(f for f in set(a[key]) | set(b[key]) if a[key].get(f) != b[key].get(f))
+            for f in fields:
+                lines.append(f"{key}: {f}: {a[key].get(f)!r} != {b[key].get(f)!r}")
+    return lines
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump", help="record every op into OUT")
+    d.add_argument("out")
+    d.add_argument("--limit", type=int, default=None,
+                   help="use only this many instances of each set, evenly spaced over the design")
+    c = sub.add_parser("compare", help="print the ops that differ between two records")
+    c.add_argument("a")
+    c.add_argument("b")
+    args = p.parse_args(argv)
+
+    if args.command == "dump":
+        ops = dump(args.limit)
+        with open(args.out, "w") as fh:
+            json.dump(ops, fh, indent=0, sort_keys=True)
+        print(f"{len(ops)} ops written to {args.out}")
+        return 0
+    with open(args.a) as fa, open(args.b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    lines = compare(a, b)
+    for line in lines:
+        print(line)
+    print(f"{len(set(a) | set(b))} ops compared, {len({l.split(':')[0] for l in lines})} differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -192,6 +192,18 @@ def _eigendata(info: GenInfo, labeling=None):
     return data
 
 
+def _base_order(infos):
+    """Generator indices, the best-conditioned eigenvector matrix first: the
+    conjugation solve takes the first full set of directions as its base.
+    One batched SVD over all the generators."""
+    order = list(range(len(infos)))
+    if len(infos) > 1:
+        vs = np.array([[p.coords for p in info.es.directions] for info in infos])
+        s = np.linalg.svd(vs / np.linalg.norm(vs, axis=2, keepdims=True), compute_uv=False)
+        order.insert(0, order.pop(int(np.argmin(s[:, 0] / s[:, -1]))))
+    return order
+
+
 def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Max imaginary residual of gamma^{-1} M gamma after optimal rephasing.
 
@@ -215,7 +227,8 @@ def _certify(infos, cfg, method, conditions, diagnostics, witness=None):
     """Yes with a realifier built from ``witness`` (by default the
     conjugation of the first labelings) whose residual is below cert_tol."""
     if witness is None:
-        witness = conjugation_witness([d for info in infos for d in _eigendata(info)], cfg)
+        data = [d for j in _base_order(infos) for d in _eigendata(infos[j])]
+        witness = conjugation_witness(data, cfg)
     conj, unique = witness
     gamma = canonical_matrix(realifier(conj, cfg))
     residual = verify_certificate([info.matrix for info in infos], gamma, cfg)
@@ -766,8 +779,9 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
 
     tol = max(1e-6, cfg.cert_tol)
     records = []
+    order = _base_order(infos)
     for combo in itertools.product(*options):
-        data = [d for info, lab in zip(infos, combo) for d in _eigendata(info, lab)]
+        data = [d for j in order for d in _eigendata(infos[j], combo[j])]
         try:
             witness = conjugation_witness(data, cfg)
         except NoConjugation:

@@ -83,10 +83,15 @@ def proj_dist(p: ProjPoint, q: ProjPoint) -> float:
     Computed as the norm of the projection residual, which is stable
     both near coincidence and when coordinate magnitudes tie.
     """
-    u = p.coords / np.linalg.norm(p.coords)
-    w = q.coords / np.linalg.norm(q.coords)
-    r = w - u * np.vdot(u, w)
-    return float(np.linalg.norm(r))
+    return float(proj_dists(p.coords[None], q.coords[None])[0])
+
+
+def proj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """proj_dist between the lines of the rows of a and b, row by row:
+    the residual of b off a, over |b|, in one pass without normalizing."""
+    ac = a.conj()
+    r = b - a * (np.einsum("ij,ij->i", ac, b) / np.einsum("ij,ij->i", ac, a).real)[:, None]
+    return np.sqrt(np.einsum("ij,ij->i", r.conj(), r).real / np.einsum("ij,ij->i", b.conj(), b).real)
 
 
 def modulus(z) -> np.ndarray:

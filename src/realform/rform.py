@@ -2,11 +2,22 @@
 
 A conjugation is the map v -> S @ conj(v) with S @ conj(S) = I; its
 fixed vectors form a real form whose projectivization is a copy of
-RP^{k-1} inside CP^{k-1}.  Given eigendata (hyperbolic directions to be
-fixed, elliptic pairs to be swapped) the matrix S is the solution of a
-linear system; solving it, counting how many projective real forms the
-data allows, and producing the explicit change of basis that realifies
-a compatible collection all live here.
+RP^{k-1} inside CP^{k-1}.  Eigendata ask S to fix hyperbolic directions
+and to swap elliptic pairs, which leaves S only k unknowns: take as base
+the leading data whose directions, closed under partners, are
+independent, as unit columns of V with pairing permutation P; then
+S = V diag(phi) P conj(V)^{-1}.  Each other datum v -> w asks that
+diag(P conj(x)) phi be parallel to y, with x = V^{-1} v and y = V^{-1} w:
+k linear rows in phi.  One thin SVD of width k gives the solutions, and
+S is an involution exactly when phi_i conj(phi_P(i)) is one positive
+real for all i.  A solution space of more dimensions splits over blocks
+of eigen-coordinates that no datum links; each block is normalized on
+its own to give a witness.  When the data span fewer than k dimensions,
+fixed directions complete the base and S stays free on them.
+
+This module solves that system, counts how many projective real forms
+the data allow, and builds the change of basis that realifies a
+compatible collection.
 """
 
 from dataclasses import dataclass
@@ -16,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NoConjugation, NumericalDegeneracy, UnderdeterminedConjugation
-from .projlin import ProjPoint, matrices_proportional, proj_dist
+from .projlin import ProjPoint, matrices_proportional, proj_dists
 
 
 @dataclass(frozen=True)
@@ -73,182 +84,110 @@ def elliptic_pair(p, q) -> tuple[EigenDatum, EigenDatum]:
     return EigenDatum(direction=pp, partner=qq), EigenDatum(direction=qq, partner=pp)
 
 
-def _constraint_rows(src, tgt) -> np.ndarray:
-    """Rows expressing S @ conj(src) parallel to tgt, linear in vec(S), for one
-    pair of directions or stacks of them: P kron conj(src), P the projector
-    off tgt, formed directly as the products P[i, j] * conj(src[l])."""
-    src, tgt = np.atleast_2d(src, tgt)
-    # one norm per vector: a batched norm sums in another order and moves the rows
-    t = np.array([w / np.linalg.norm(w) for w in tgt])
-    k = t.shape[1]
-    proj = np.eye(k, dtype=complex) - t[:, :, None] * np.conj(t)[:, None, :]
-    return (proj[:, :, :, None] * np.conj(src)[:, None, None, :]).reshape(-1, k * k)
+def _base(data, fixed, src, tgt, rank_tol):
+    """Greedy base of the solve: each datum whose direction (with its
+    partner, for a pair) is independent of the base so far joins it.
 
-
-def _nullspace(rows: np.ndarray, dim: int, rank_tol: float):
-    if rows.shape[0] == 0:
-        return [np.eye(dim, dtype=complex)] if dim == 1 else [
-            m for m in np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-        ]
-    # Vh must be square; with at least dim^2 rows the thin factorization
-    # already gives that and skips the unused full U
-    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < dim * dim)
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return [vh[i].conj().reshape(dim, dim) for i in range(rank, dim * dim)]
-
-
-def _normalize_involution(S: np.ndarray, rank_tol: float) -> np.ndarray | None:
-    """Rescale S so S @ conj(S) = I, or None if that is impossible.
-
-    Within the solution line C*S this works exactly when S @ conj(S) is
-    a positive multiple of I; a negative multiple is the quaternionic
-    case with no fixed real form.
+    ``fixed`` flags the hyperbolic data; ``src`` and ``tgt`` hold each
+    datum's unit direction and target as rows.  Returns (used, base, q,
+    perm): the indices of the data the base accounts for (each datum
+    taken and the mirror datum of a pair taken), the base columns, an
+    orthonormal basis of their span and the permutation pairing them.
+    The data are tested in runs that fit the dimensions still missing,
+    one QR per run, so a leading full set of eigendirections costs one
+    QR.
     """
-    t = S @ np.conj(S)
-    c = np.trace(t) / t.shape[0]
-    if np.linalg.norm(t - c * np.eye(t.shape[0])) > 1e-7 * max(np.linalg.norm(t), 1e-300):
-        return None
-    if abs(c.imag) > 1e-7 * max(abs(c), 1e-300) or c.real <= 0:
-        return None
-    return S / np.sqrt(c.real)
+    k = src.shape[1]
+    first, mirror_of = {}, {}
+    for n, d in enumerate(data):
+        if not fixed[n]:
+            m = first.get((id(d.partner), id(d.direction)))
+            if m is None:
+                first[id(d.direction), id(d.partner)] = n
+            else:
+                mirror_of[n] = m
+    units = [n for n in range(len(data)) if n not in mirror_of]
 
+    def columns(n):
+        return [src[n]] if fixed[n] else [src[n], tgt[n]]
 
-def _check_solution(S: np.ndarray, data, cfg) -> bool:
-    for d in data:
-        try:
-            img = ProjPoint(S @ np.conj(d.direction.coords), cfg)
-        except ValueError:
-            return False
-        tgt = d.direction if d.hyperbolic else d.partner
-        if proj_dist(img, tgt) > 1e-6:
-            return False
-    return True
-
-
-def _solve_in_coords(coord_data, dim, cfg, depth=0):
-    """Solve for S acting on coordinate vectors; returns (S, n_free_complex).
-
-    ``coord_data`` is a list of (src, tgt_or_None) with tgt None meaning
-    the direction is fixed.  Recurses through support blocks when the
-    solution space has extra dimensions.
-    """
-    pairs = [p for v, w in coord_data for p in ([(v, v)] if w is None else [(v, w), (w, v)])]
-    stacked = _constraint_rows(*zip(*pairs)) if pairs else np.zeros((0, dim * dim), dtype=complex)
-    basis_mats = _nullspace(stacked, dim, cfg.rank_tol)
-    d = len(basis_mats)
-    if d == 0:
-        raise NoConjugation("antilinear system is inconsistent")
-    if d == 1:
-        S = _normalize_involution(basis_mats[0], cfg.rank_tol)
-        if S is None:
-            raise NoConjugation("solution line carries no involution (S conj(S) not a positive scalar)")
-        return S, 1
-
-    # Extra freedom: split into support blocks and solve each.
-    if depth > dim:
-        raise NumericalDegeneracy("block recursion failed to terminate")
-    S = _solve_blockwise(coord_data, dim, cfg, depth)
-    return S, d
-
-
-def _greedy_basis(vectors, dim, rank_tol):
-    cols = []
-    for v in vectors:
-        if not cols:
-            cols.append(v / np.linalg.norm(v))
+    taken, cols, q = [], [], np.zeros((k, 0), dtype=complex)
+    start = 0
+    while start < len(units) and len(cols) < k:
+        run, width = [], 0
+        for n in units[start:]:
+            width += len(columns(n))
+            if width > k - len(cols):
+                break
+            run.append(n)
+        if not run:  # a pair with one dimension left cannot be independent
+            start += 1
             continue
-        m = np.column_stack(cols + [v / np.linalg.norm(v)])
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] > rank_tol * s[0]:
-            cols.append(v / np.linalg.norm(v))
-        if len(cols) == dim:
-            break
-    for j in range(dim):
-        if len(cols) == dim:
-            break
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1.0
-        m = np.column_stack(cols + [e])
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] > rank_tol * s[0]:
-            cols.append(e)
-    return np.column_stack(cols)
+        c = np.array([v for n in run for v in columns(n)]).T
+        qr, r = np.linalg.qr(c - q @ (q.conj().T @ c))
+        fresh = (np.abs(np.diag(r)) > rank_tol).tolist()
+        good, width = 0, 0
+        for n in run:
+            w = len(columns(n))
+            if not all(fresh[width:width + w]):
+                break
+            good, width = good + 1, width + w
+        taken += run[:good]
+        cols += list(c.T[:width])
+        q = np.hstack([q, qr[:, :width]])
+        start += good + (good < len(run))
+    taken_set = set(taken)
+    used = taken_set | {n for n, m in mirror_of.items() if m in taken_set}
+    perm = []
+    for n in taken:
+        m = len(perm)
+        perm += [m] if fixed[n] else [m + 1, m]
+    return used, np.array(cols).T, q, perm
 
 
-def _solve_blockwise(coord_data, dim, cfg, depth):
-    """Assemble a conjugation from independent support blocks.
+def _blocks(touch, perm):
+    """Eigen-coordinates linked by the data: the lowest coordinate of each
+    one's block, where a datum links the coordinates it touches and their
+    partners link the mirrored set."""
+    k = touch.shape[1]
+    touch = touch | touch[:, perm]
+    link = (touch.T.astype(float) @ touch + np.eye(k)) > 0
+    for _ in range(k.bit_length()):
+        link = (link.astype(float) @ link) > 0
+    return link.argmax(axis=1)
 
-    Directions are re-expressed in a greedy basis built from them; the
-    union of coordinate supports (with elliptic partners co-located)
-    splits the index set, and each block is solved on its own.
-    """
-    vectors = []
-    for v, w in coord_data:
-        vectors.append(v)
-        if w is not None:
-            vectors.append(w)
-    U = _greedy_basis(vectors, dim, cfg.rank_tol)
-    inv = np.linalg.inv(U)
 
-    def support(x):
-        m = np.abs(x)
-        return frozenset(int(i) for i in np.nonzero(m > 1e-7 * m.max())[0])
-
-    parent = list(range(dim))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    entries = []
-    for v, w in coord_data:
-        x = inv @ v
-        y = inv @ w if w is not None else None
-        sup = support(x) | (support(y) if y is not None else frozenset())
-        entries.append((x, y, sup))
-        sup = sorted(sup)
-        for i in sup[1:]:
-            union(sup[0], i)
-
-    blocks = {}
-    for i in range(dim):
-        blocks.setdefault(find(i), []).append(i)
-    blocks = [sorted(b) for _, b in sorted(blocks.items())]
-    if len(blocks) == 1:
-        return _solve_irreducible(entries, dim, cfg, depth)
-
-    S_U = np.zeros((dim, dim), dtype=complex)
-    for idx in blocks:
-        members = [(x[idx], y[idx] if y is not None else None) for x, y, sup in entries if sup <= set(idx)]
-        if not members:
-            S_U[np.ix_(idx, idx)] = np.eye(len(idx))
+def _involution(phi, block, perm):
+    """Rescale phi block by block so that phi_i conj(phi_P(i)) = 1, or
+    raise NoConjugation.  Within a block the products must be one value:
+    a positive real when P keeps the block, any nonzero number when P
+    swaps it with another (that block absorbs it)."""
+    psi = phi * np.conj(phi[perm])
+    scale = np.ones(phi.size, dtype=complex)
+    for b in np.unique(block):
+        members = block == b
+        other = block[perm[int(members.argmax())]]
+        if other < b:
             continue
-        Sb, _ = _solve_in_coords(members, len(idx), cfg, depth + 1)
-        S_U[np.ix_(idx, idx)] = Sb
-    return U @ S_U @ np.conj(inv)
+        c = psi[members].mean()
+        if np.linalg.norm(psi[members] - c) > 1e-7 * max(np.linalg.norm(psi[members]), 1e-300):
+            raise NoConjugation("solution carries no involution (phi_i conj(phi_P(i)) not one value)")
+        if other != b:
+            scale[block == other] = 1 / np.conj(c)
+        elif abs(c.imag) > 1e-7 * max(abs(c), 1e-300) or c.real <= 0:
+            raise NoConjugation("solution carries no involution (phi_i conj(phi_P(i)) not a positive scalar)")
+        else:
+            scale[members] = 1 / np.sqrt(c.real)
+    return phi * scale
 
 
-def _solve_irreducible(entries, dim, cfg, depth):
-    """Base cases for a block the support graph cannot split further."""
-    if dim == 1:
-        # A single fixed direction: S = x / conj(x) is an involution.
-        x = entries[0][0]
-        return np.array([[x[0] / np.conj(x[0])]]) / abs(x[0] / np.conj(x[0]))
-    if dim == 2 and len(entries) == 2 and entries[0][1] is not None:
-        # One elliptic pair spanning the block: swap its two coordinates.
-        x, y, _ = entries[0]
-        B = np.column_stack([x, y])
-        inv = np.linalg.inv(B)
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        return B @ swap @ np.conj(inv)
-    raise NumericalDegeneracy("cannot isolate an involution in an irreducible block")
+def _check_solution(S: np.ndarray, src, tgt, cfg) -> bool:
+    """Does v -> S conj(v) send every direction (rows of src) to its
+    target (rows of tgt), within 1e-6 in proj_dist?"""
+    img = np.conj(src) @ S.T
+    if not np.isfinite(img).all() or np.abs(img).max(axis=1).min() <= cfg.deg_tol:
+        return False
+    return bool((proj_dists(img, tgt) <= 1e-6).all())
 
 
 def conjugation_from_eigendata(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Conjugation:
@@ -258,29 +197,69 @@ def conjugation_from_eigendata(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Co
     swapped.  Raises NoConjugation when the system is inconsistent (or
     only quaternionic) and UnderdeterminedConjugation, carrying one
     witness, when infinitely many projective real forms qualify.
+    Raises NumericalDegeneracy when no partner-closed set of the
+    directions, taken greedily in order, spans all of them.
     """
     data = list(data)
-    k = data[0].direction.dim
-    for d in data:
-        if d.partner is not None and proj_dist(d.direction, d.partner) < cfg.sep_tol:
-            raise NoConjugation("elliptic pair members are projectively equal; nothing can swap them")
-    coord_data = [
-        (d.direction.coords, d.partner.coords if d.partner is not None else None) for d in data
-    ]
-    S, d_free = _solve_in_coords(coord_data, k, cfg)
-    S = _normalize_involution(S, cfg.rank_tol)
-    if S is None:
-        raise NoConjugation("assembled solution is not an involution")
-    conj = Conjugation(S=S)
-    if not _check_solution(S, data, cfg):
+    fixed = [d.hyperbolic for d in data]
+    src = np.array([d.direction.coords for d in data])
+    tgt = np.array([(d.direction if f else d.partner).coords for d, f in zip(data, fixed)])
+    k = src.shape[1]
+    swapped = ~np.array(fixed)
+    if (proj_dists(src[swapped], tgt[swapped]) < cfg.sep_tol).any():
+        raise NoConjugation("elliptic pair members are projectively equal; nothing can swap them")
+    unit_src = src / np.linalg.norm(src, axis=1, keepdims=True)
+    unit_tgt = tgt / np.linalg.norm(tgt, axis=1, keepdims=True)
+    used, base, q, perm = _base(data, fixed, unit_src, unit_tgt, cfg.rank_tol)
+    m = base.shape[1]
+    if m < k:
+        # complete the base by fixed directions; S is free on them
+        base = np.hstack([base, np.linalg.qr(q, mode="complete")[0][:, m:]])
+        perm += range(m, k)
+    perm = np.array(perm)
+    inv = np.linalg.inv(base)
+
+    rest = [n for n in range(len(data)) if n not in used]
+    if rest:
+        xy = inv @ np.vstack([unit_src[rest], unit_tgt[rest]]).T
+        xy /= np.linalg.norm(xy, axis=0)
+        x, y = np.conj(xy[:, :len(rest)].T[:, perm]), xy[:, len(rest):].T
+        rows = (np.eye(k) - y[:, :, None] * np.conj(y)[:, None, :]) * x[:, None, :]
+        _, s, vh = np.linalg.svd(rows.reshape(-1, k), full_matrices=False)
+        # the rows are built from unit vectors: rows of rounding noise alone
+        # (data on the base directions) must not count as constraints
+        null = vh[int(np.sum(s > cfg.rank_tol * max(s[0], 1.0))):].conj().T
+        touch = (np.abs(x) > 1e-7) | (np.abs(y) > 1e-7)
+        if touch[:, m:].any():
+            raise NumericalDegeneracy("the eigendata have no partner-closed base of their span")
+    else:
+        null = np.eye(k, dtype=complex)
+        touch = np.zeros((0, k), dtype=bool)
+    n = null.shape[1]
+    if n == 0:
+        raise NoConjugation("antilinear system is inconsistent")
+    if n == 1:
+        block, phi = np.zeros(k, dtype=int), null[:, 0]
+    else:
+        # one solution per block of linked eigen-coordinates: pick for
+        # each block the null vector that carries most of it
+        block = _blocks(touch, perm)
+        weight = (block[:, None] == np.arange(k)).T.astype(float) @ np.abs(null) ** 2
+        if (weight.sum(axis=1)[np.unique(block)] <= 0.5).any():
+            raise NoConjugation("every solution vanishes on a block of eigen-coordinates")
+        phi = null[np.arange(k), weight.argmax(axis=1)[block]]
+    phi = _involution(phi, block, perm)
+    S = (base * phi)[:, perm] @ np.conj(inv)
+    if not _check_solution(S, src, tgt, cfg):
         raise NoConjugation("solution fails to reproduce the eigendata")
+    d_free = n + (k - m) * (k - 1)
     if d_free > 1:
         raise UnderdeterminedConjugation(
             f"solution space has {2 * d_free - 2} real dimensions beyond gauge",
-            witness=conj,
+            witness=Conjugation(S=S),
             free_real_dims=2 * d_free - 2,
         )
-    return conj
+    return Conjugation(S=S)
 
 
 def conjugation_witness(data, cfg: Tolerances = DEFAULT_TOLERANCES):

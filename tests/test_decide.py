@@ -420,3 +420,24 @@ class TestDecisionContract:
         assert str(auto_exc.value) == str(direct_exc.value)
         # fg's own certification, then its direct fallback, which raises
         assert calls == {"decide_direct": 1, "conjugation_witness": 2}
+
+
+def conditioned_yes(k, seed):
+    """An oracle Yes instance (two hyperbolic and one elliptic generator)
+    moved by Gamma = U diag(logspace(0, 3, k)) U^H, cond(Gamma) = 1e3."""
+    inst = generate(InstanceSpec(k, 3, {"hyperbolic": 2, "elliptic": 1, "mixed": 0}, seed=seed))
+    rng = np.random.default_rng(1000 + seed)
+    u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    g = u @ np.diag(np.logspace(0, 3, k)) @ u.conj().T
+    gi = np.linalg.inv(g)
+    return [g @ m @ gi for m in inst.matrices]
+
+
+@pytest.mark.parametrize("k,seed", [(4, 0), (4, 7), (8, 0), (8, 1), (8, 4)])
+@pytest.mark.parametrize("method", ["direct", "auto"])
+def test_yes_at_condition_1e3(k, seed, method):
+    # the involution test on S conj(S) over all k^2 entries measured
+    # defects above 1e-7 here and answered No
+    verdict, cert = decide(conditioned_yes(k, seed), method=method)
+    assert verdict.answer == "yes"
+    assert cert.residual < DEFAULT_TOLERANCES.cert_tol

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realform.errors import NoConjugation, UnderdeterminedConjugation
+from realform.decide import _base_order, _eigendata, prepare
+from realform.errors import NoConjugation, NumericalDegeneracy, UnderdeterminedConjugation
+from realform.oracle import InstanceSpec, generate
 from realform.projlin import ProjPoint, proj_dist
 from realform.config import DEFAULT_TOLERANCES
 from realform.rform import (
     Conjugation,
-    _constraint_rows,
-    _nullspace,
     Multiplicity,
     conjugation_from_eigendata,
     conjugation_witness,
@@ -22,6 +22,51 @@ from realform.rform import (
 )
 
 from conftest import pp, random_invertible
+
+
+def _constraint_rows(src, tgt) -> np.ndarray:
+    """Rows expressing S @ conj(src) parallel to tgt, linear in vec(S), for one
+    pair of directions or stacks of them: P kron conj(src), P the projector
+    off tgt, formed directly as the products P[i, j] * conj(src[l])."""
+    src, tgt = np.atleast_2d(src, tgt)
+    t = np.array([w / np.linalg.norm(w) for w in tgt])
+    k = t.shape[1]
+    proj = np.eye(k, dtype=complex) - t[:, :, None] * np.conj(t)[:, None, :]
+    return (proj[:, :, :, None] * np.conj(src)[:, None, None, :]).reshape(-1, k * k)
+
+
+def _nullspace(rows: np.ndarray, dim: int, rank_tol: float):
+    if rows.shape[0] == 0:
+        return list(np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim))
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < dim * dim)
+    rank = int(np.sum(s > rank_tol * s[0]))
+    return [vh[i].conj().reshape(dim, dim) for i in range(rank, dim * dim)]
+
+
+def reference_conjugation(data, cfg=DEFAULT_TOLERANCES):
+    """The solve over all k^2 entries of S, kept as the reference.
+
+    Returns ("one", S) with S @ conj(S) = I, ("infinite", free_real_dims)
+    when the solutions form a space of dimension d > 1, or ("none", None)
+    when there is no solution or the solution line holds no involution
+    (the test on S @ conj(S) being a positive multiple of I, at 1e-7).
+    """
+    k = data[0].direction.dim
+    if any(d.partner is not None and proj_dist(d.direction, d.partner) < cfg.sep_tol
+           for d in data):
+        return "none", None
+    src = [d.direction.coords for d in data]
+    tgt = [(d.direction if d.hyperbolic else d.partner).coords for d in data]
+    null = _nullspace(_constraint_rows(src, tgt), k, cfg.rank_tol)
+    if len(null) != 1:
+        return ("infinite", 2 * len(null) - 2) if null else ("none", None)
+    t = null[0] @ np.conj(null[0])
+    c = np.trace(t) / k
+    if np.linalg.norm(t - c * np.eye(k)) > 1e-7 * np.linalg.norm(t):
+        return "none", None
+    if abs(c.imag) > 1e-7 * abs(c) or c.real <= 0:
+        return "none", None
+    return "one", null[0] / np.sqrt(c.real)
 
 
 def null_projector(vectors):
@@ -237,3 +282,103 @@ def test_conjugation_round_trip_up_to_phase(rng):
     z = np.vdot(c.S, s_back) / np.vdot(c.S, c.S)
     assert abs(abs(z) - 1) < 1e-8
     assert np.linalg.norm(s_back - z * c.S) < 1e-8 * np.linalg.norm(s_back)
+
+
+def oracle_data(rng, k):
+    """The eigendata decide_direct solves for an oracle instance, Yes or No."""
+    kinds = (("hyperbolic", "elliptic") if k == 2 else ("hyperbolic", "mixed") if k % 2 and k > 3
+             else ("hyperbolic", "elliptic", "mixed"))
+    n = int(rng.integers(2, 5))
+    mix = dict.fromkeys(kinds, 0)
+    for kind in rng.choice(kinds, size=n):
+        mix[str(kind)] += 1
+    pert = (0, 0.05) if rng.random() < 0.5 else None
+    spec = InstanceSpec(k=k, n_generators=n, type_mix=mix, seed=int(rng.integers(2**31)),
+                        perturbation=pert)
+    infos = prepare(generate(spec).matrices)
+    return [d for j in _base_order(infos) for d in _eigendata(infos[j])]
+
+
+def partial_data(rng, k):
+    """Fixed directions and swapped pairs of a random real form: a
+    partner-closed independent set of m <= k directions, then more data
+    in its span."""
+    b = random_invertible(rng, k)
+    m = int(rng.integers(1, k + 1))
+    n_pairs = int(rng.integers(0, m // 2 + 1))
+    z = rng.normal(size=(n_pairs, k)) + 1j * rng.normal(size=(n_pairs, k))
+    r = rng.normal(size=(m - 2 * n_pairs, k))
+    data = [d for v in z for d in elliptic_pair(b @ v, b @ np.conj(v))]
+    data += [hyperbolic_datum(b @ v) for v in r]
+    real_span = np.vstack([r, z.real, z.imag]).T
+    for _ in range(int(rng.integers(0, 4))):
+        a = rng.normal(size=m)
+        if rng.random() < 0.5:
+            data.append(hyperbolic_datum(b @ real_span @ a))
+        else:
+            a = a + 1j * rng.normal(size=m)
+            data += elliptic_pair(b @ real_span @ a, b @ real_span @ np.conj(a))
+    return data
+
+
+def quaternionic_data(rng, k):
+    """Pairs (v, J conj(v)) of a quaternionic structure, J conj(J) = -I:
+    k/2 + 2 pairs pin J down, and no conjugation swaps them."""
+    b = random_invertible(rng, k)
+    omega = np.kron(np.eye(k // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    j = b @ omega @ np.linalg.inv(np.conj(b))
+    vs = rng.normal(size=(k // 2 + 2, k)) + 1j * rng.normal(size=(k // 2 + 2, k))
+    return [d for v in vs for d in elliptic_pair(v, j @ np.conj(v))]
+
+
+def solve_outcome(data):
+    try:
+        return "one", conjugation_from_eigendata(data)
+    except UnderdeterminedConjugation as exc:
+        return "infinite", exc
+    except NoConjugation:
+        return "none", None
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8),
+       st.sampled_from(["oracle", "partial", "quaternionic"]))
+@settings(max_examples=120, deadline=None)
+def test_eigenbasis_solve_matches_reference(seed, k, case):
+    rng = np.random.default_rng(seed)
+    if case == "quaternionic":
+        k += k % 2
+    data = {"oracle": oracle_data, "partial": partial_data, "quaternionic": quaternionic_data}[case](rng, k)
+    # compare only where the reference's rank cut is clear: with k^2
+    # unknowns a badly conditioned draw can leave a singular value near it
+    src = [d.direction.coords for d in data]
+    tgt = [(d.direction if d.hyperbolic else d.partner).coords for d in data]
+    s = np.linalg.svd(_constraint_rows(src, tgt), compute_uv=False)
+    assume(not np.any((s > 1e-10 * s[0]) & (s < 1e-6 * s[0])))
+    kind, ref = reference_conjugation(data)
+    got, out = solve_outcome(data)
+    assert got == kind
+    if case == "quaternionic":
+        assert kind == "none"
+    if got == "none":
+        return
+    if got == "infinite":
+        assert out.free_real_dims == ref
+        out = out.witness
+    else:
+        z = np.vdot(ref, out.S) / np.vdot(ref, ref)
+        assert abs(abs(z) - 1) < 1e-6
+        assert np.linalg.norm(out.S - z * ref) < 1e-6 * np.linalg.norm(out.S)
+    for d in data:
+        tgt = d.direction if d.hyperbolic else d.partner
+        assert proj_dist(ProjPoint(out.apply(d.direction.coords)), tgt) < 1e-8
+
+
+def test_pairs_without_partner_closed_base_raise():
+    # two pairs swapped by plain complex conjugation span C^3, but no
+    # partner-closed independent subset of their directions does; the
+    # solve over all k^2 entries finds S = I
+    data = [*elliptic_pair([1, 1j, 0], [1, -1j, 0]), *elliptic_pair([0, 1, 1j], [0, 1, -1j])]
+    kind, s = reference_conjugation(data)
+    assert kind == "one" and np.allclose(s / s[0, 0], np.eye(3))
+    with pytest.raises(NumericalDegeneracy):
+        conjugation_from_eigendata(data)
