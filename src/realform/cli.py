@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .coords import fg_cross_ratio, triple_ratio_set
+from .coords import CrossRatio, cp1_cross_ratios, triple_ratio_set
 from .decide import FORCED_METHODS, decide, prepare, verify_certificate
 from .errors import (
     DegenerateFrame,
@@ -35,7 +35,7 @@ from .errors import (
     SharedEigendirections,
     SpectralPreconditionError,
 )
-from .flags import flag_pair_from_eigensystem, quotient_cp1_lines
+from .flags import flag_pair_from_eigensystem
 from .oracle import InstanceSpec, generate
 from .projlin import MAX_DIM, MIN_DIM, ProjPoint
 from .spectrum import KIND_HYPERBOLIC
@@ -213,7 +213,6 @@ def cmd_coords(args) -> int:
 
 
 def _coords_doc(infos, cfg):
-    from .coords import config_cross_ratio
     from .flags import generic_position
 
     hyp = [i for i in infos if i.kind == KIND_HYPERBOLIC]
@@ -257,16 +256,16 @@ def _coords_doc(infos, cfg):
             cross_flags.append((f, info.index, tag))
             tr_rows(a, f, c, info.index, tag)
 
-    # every line shares the k - 1 complement bases of A_i + C_j
-    lines = [ProjPoint(f.vectors[0]) for f, _, _ in cross_flags]
+    k = a.dim
+    num, den, fg_den = cp1_cross_ratios(a, [ProjPoint(f.vectors[0]) for f, _, _ in cross_flags],
+                                        c, d1, cfg)
     cross_out = [
-        {"generator": owner, "flag": tag, "i": config.provenance[0], "j": config.provenance[1],
-         "value": _c2pair(config_cross_ratio(config).value),
-         "fg_value": _c2pair(fg_cross_ratio(*config.points).value)}
-        for (_, owner, tag), configs in zip(cross_flags, quotient_cp1_lines(a, lines, c, d1, cfg))
-        for config in configs
+        {"generator": owner, "flag": tag, "i": i, "j": k - 2 - i,
+         "value": _c2pair(CrossRatio(n, d).value), "fg_value": _c2pair(CrossRatio(d, e).value)}
+        for (_, owner, tag), nums, dens, fg_dens in zip(cross_flags, num, den, fg_den)
+        for i, (n, d, e) in enumerate(zip(nums, dens, fg_dens))
     ]
-    return {"k": a.dim, "cross_ratios": cross_out, "triple_ratios": triple_out}
+    return {"k": k, "cross_ratios": cross_out, "triple_ratios": triple_out}
 
 
 def cmd_generate(args) -> int:

@@ -13,6 +13,10 @@ with [inf, x, 0, 1] = x; the Fock-Goncharov normalization is
 with [[inf, -1, 0, x]] = x.  Membership predicates (real, positive
 real, unit circle, conjugate pair, ...) are evaluated on the numerator
 and denominator directly, which keeps them meaningful at infinity.
+
+The coordinate sets are evaluated as arrays over every line and
+quotient; complex products there use explicit real arithmetic, so each
+value is bit for bit what the scalar functions give on one quotient.
 """
 
 from dataclasses import dataclass
@@ -21,16 +25,26 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateTriple, GenericityViolation, IndeterminateCrossRatio
-from .flags import Flag, LineConfig, first_nongeneric_line, quotient_cp1_lines, quotient_cp2
+from .flags import (Flag, LineConfig, first_nongeneric_line, quotient_cp1_images,
+                    quotient_cp2_planes)
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
-from .flags import generic_with_point, quotient_cp1  # noqa: F401
-from .projlin import ProjPoint
+from .flags import generic_with_point, quotient_cp1, quotient_cp2  # noqa: F401
+from .projlin import ProjPoint, modulus
 
 
 def _det2(p: ProjPoint, q: ProjPoint) -> complex:
     a, b = p.coords
     c, d = q.coords
     return a * d - b * c
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for arrays of one shape, rounded as the scalar complex product
+    is (numpy's array product may differ)."""
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,25 @@ def arg_sum_is_zero(crs, weights, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 # coordinate sets over quotients
 
+def cp1_cross_ratios(a: Flag, lines, c: Flag, d1: ProjPoint,
+                     cfg: Tolerances = DEFAULT_TOLERANCES):
+    """Arrays (num, den, fg_den) of shape (len(lines), k - 1): [n, i] holds
+    [A, B, C, D] = num / den and [[A, B, C, D]] = den / fg_den of line n
+    in quotient_cp1(..., i, k - 2 - i).  A 0/0 ratio raises."""
+    img = quotient_cp1_images(a, lines, c, d1, cfg)   # A, C, D, then the lines
+    n = len(lines)
+    b = [*range(3, 3 + n)]
+    # _det2 by rows: det(A, D), det(C, D), then per line det(C, B), det(A, B), det(B, C)
+    prods = _mul(img[[0, 1] + [1] * n + [0] * n + b], img[[2, 2] + b + b + [1] * n][..., ::-1])
+    dets = prods[..., 0] - prods[..., 1]
+    ad, cd = [0] * n, [1] * n
+    cb, ab, bc = ([*range(2 + m * n, 2 + (m + 1) * n)] for m in range(3))
+    num, den, fg_den = _mul(dets[ad + ab + ad], dets[cb + cd + bc]).reshape(3, n, img.shape[1])
+    if ((modulus(num) <= 1e-13) & (modulus(den) <= 1e-13)).any():
+        raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
+    return num, den, fg_den
+
+
 def cross_ratio_sets(a: Flag, lines, c: Flag, d1,
                      cfg: Tolerances = DEFAULT_TOLERANCES,
                      check_genericity: bool = True):
@@ -164,17 +197,18 @@ def cross_ratio_sets(a: Flag, lines, c: Flag, d1,
 
     Entry [n][i] comes from the quotient of C^k by A_i + C_{k-2-i} with
     line n in the B slot; in the standard normalization it is the ratio
-    of consecutive components of that line.  The complement bases and
-    the images of the A step, the C step and d1 are computed once and
-    shared by every line.  With ``check_genericity`` every line must be
-    generic with the flags and d1.
+    of consecutive components of that line.  With ``check_genericity``
+    every line must be generic with the flags and d1.
     """
     lines = [v if isinstance(v, ProjPoint) else ProjPoint(v) for v in lines]
     d1 = d1 if isinstance(d1, ProjPoint) else ProjPoint(d1)
     if check_genericity and first_nongeneric_line(a, lines, c, d1, cfg) is not None:
         raise GenericityViolation("flags and lines are not in generic position")
-    return [[config_cross_ratio(config) for config in row]
-            for row in quotient_cp1_lines(a, lines, c, d1, cfg)]
+    num, den, _ = cp1_cross_ratios(a, lines, c, d1, cfg)
+    k = a.dim
+    provenance = [(i, k - 2 - i) for i in range(k - 1)]
+    return [[CrossRatio(num=n, den=d, provenance=p) for n, d, p in zip(nums, dens, provenance)]
+            for nums, dens in zip(num, den)]
 
 
 def cross_ratio_set(a: Flag, b1, c: Flag, d1,
@@ -230,11 +264,19 @@ def triple_ratio_set(a: Flag, b: Flag, c: Flag,
     r3(a, b, c)[p, q, r] * r3(a, c, b)[p, r, q] = 1 and cyclic
     permutations reuse the same quotients.
     """
-    k = a.dim
+    quotients, planes, errors = quotient_cp2_planes(a, b, c, cfg)
+    v, w = planes[:, :, 0], planes[:, :, 1]   # each flag's line, and a second vector of its plane
+    f = _mul(v[..., [1, 2, 0, 2, 0, 1]], w[..., [2, 0, 1, 1, 2, 0]])
+    f = f[..., :3] - f[..., 3:]   # the plane forms, _cross3(v, w)
+    # f_A.v_B, f_B.v_C, f_C.v_A over f_A.v_C, f_B.v_A, f_C.v_B, as stacked dot products
+    dots = (f[:, [0, 1, 2, 0, 1, 2], None, :] @ v[:, [1, 2, 0, 2, 0, 1], :, None]).reshape(-1, 2, 3)
+    num, den = _mul(_mul(dots[..., 0], dots[..., 1]), dots[..., 2]).T
+    vanishes = (modulus(den) <= 1e-14 * np.maximum(modulus(num), 1.0)).tolist()
     out = []
-    for p in range(k - 2):
-        for q in range(k - 2 - p):
-            r = k - 3 - p - q
-            qa, qb, qc = quotient_cp2(a, b, c, p, r, q, cfg)
-            out.append(triple_ratio_cp2(qa, qb, qc, provenance=(p, q, r)))
+    for provenance, error, n, d, degenerate in zip(quotients, errors, num, den, vanishes):
+        if error is not None:
+            raise error
+        if degenerate:
+            raise DegenerateTriple("triple ratio denominator vanishes")
+        out.append(TripleRatio(value=n / d, provenance=provenance))
     return out

@@ -475,12 +475,11 @@ def _mirrored_flags(info: GenInfo, cfg):
     return beta, beta.reversed()
 
 
-def _real_crs(a, c, d1, lines, names, cfg):
-    """Each line's cross ratios must be real; one condition list per name."""
+def _real_crs(crs_sets, names, cfg):
+    """Each set's cross ratios must be real; one condition list per name."""
     return [Condition(f"{name}[{i}]", cr.value, "real",
                       is_real_extended(cr, cfg.cr_tol) and not cr.infinite)
-            for crs, name in zip(cross_ratio_sets(a, lines, c, d1, cfg, check_genericity=False),
-                                 names)
+            for crs, name in zip(crs_sets, names)
             for i, cr in enumerate(crs)]
 
 
@@ -490,8 +489,7 @@ def _real_triples(a, f, c, name, cfg):
             for tr in triple_ratio_set(a, f, c, cfg)]
 
 
-def _conj_crs(a, c, d1, line_b, line_p, name, cfg):
-    crs_b, crs_p = cross_ratio_sets(a, [line_b, line_p], c, d1, cfg, check_genericity=False)
+def _conj_crs(crs_b, crs_p, name, cfg):
     defects = [conj_pair_defect(c1, c2) for c1, c2 in zip(crs_b, crs_p)]
     return [Condition(f"{name}[{i}]", complex(d), "conjugate pair", d <= cfg.cr_tol)
             for i, d in enumerate(defects)]
@@ -522,30 +520,52 @@ def _flag_conditions(infos, cfg):
     b, d = fh.flag, fh.reverse
     d1 = ProjPoint(d.vectors[0])
 
-    conditions = (_real_crs(a, c, d1, [ProjPoint(b.vectors[0])], ["cr(A,B,C,D)"], cfg)
+    # flag pairs of the other generators, up to the first one failing a check
+    others, halt = [], None
+    try:
+        for info in infos:
+            if info is g or info is h:
+                continue
+            if info.kind == KIND_HYPERBOLIC:
+                fp = flag_pair_from_eigensystem(info.es, cfg=cfg)
+                beta, beta_rev = fp.flag, fp.reverse
+            else:
+                beta, beta_rev = _mirrored_flags(info, cfg)
+            for f in (beta, beta_rev):
+                if not generic_position([a, f, c, d], cfg):
+                    raise GenericityViolation(f"generator {info.index}: flags not in generic position")
+            others.append((info, beta, beta_rev))
+    except GenericityViolation as exc:
+        halt = exc
+
+    # one cross-ratio evaluation for every line; should it raise, the lines go
+    # generator by generator so that the first failure in condition order raises
+    lines = [ProjPoint(f.vectors[0]) for f in [b] + [f for _, *pair in others for f in pair]]
+    try:
+        crs = cross_ratio_sets(a, lines, c, d1, cfg, check_genericity=False)
+    except RealformError:
+        crs = None
+
+    def sets(start, stop):
+        if crs is not None:
+            return crs[start:stop]
+        return cross_ratio_sets(a, lines[start:stop], c, d1, cfg, check_genericity=False)
+
+    conditions = (_real_crs(sets(0, 1), ["cr(A,B,C,D)"], cfg)
                   + _real_triples(a, b, c, "r3(A,B,C)", cfg)
                   + _real_triples(a, c, d, "r3(A,C,D)", cfg))
-    for info in infos:
-        if info is g or info is h:
-            continue
-        if info.kind == KIND_HYPERBOLIC:
-            fp = flag_pair_from_eigensystem(info.es, cfg=cfg)
-            beta, beta_rev = fp.flag, fp.reverse
-        else:
-            beta, beta_rev = _mirrored_flags(info, cfg)
-        for f in (beta, beta_rev):
-            if not generic_position([a, f, c, d], cfg):
-                raise GenericityViolation(f"generator {info.index}: flags not in generic position")
-        b1, b1p = ProjPoint(beta.vectors[0]), ProjPoint(beta_rev.vectors[0])
+    for m, (info, beta, beta_rev) in enumerate(others):
+        crs_b, crs_p = sets(2 * m + 1, 2 * m + 3)
         n = info.index
         if info.kind == KIND_HYPERBOLIC:
-            conditions += (_real_crs(a, c, d1, [b1, b1p], [f"cr(A,b{n},C,D)", f"cr(A,b'{n},C,D)"],
-                                     cfg)
+            conditions += (_real_crs([crs_b, crs_p], [f"cr(A,b{n},C,D)", f"cr(A,b'{n},C,D)"], cfg)
                            + _real_triples(a, beta, c, f"r3(A,b{n},C)", cfg)
                            + _real_triples(a, beta_rev, c, f"r3(A,b'{n},C)", cfg))
         else:
-            conditions += (_conj_crs(a, c, d1, b1, b1p, f"cr(A,b{n},C,D) vs b'", cfg)
+            conditions += (_conj_crs(crs_b, crs_p, f"cr(A,b{n},C,D) vs b'", cfg)
                            + _conj_triples(a, beta, beta_rev, c, f"r3(A,b{n},C) vs b'", cfg))
+    if halt is not None:
+        raise halt
     return conditions, []
 
 
@@ -595,13 +615,16 @@ def _synthetic_conditions(infos, cfg):
         if info.kind == KIND_HYPERBOLIC:
             for i in range(info.es.dim):
                 if info is not provider or i != q_idx:
-                    conditions += _real_crs(a, c, d1, [moved(info, i)],
-                                            [f"cr(A,h{info.index}.{i},C,D)"], cfg)
+                    conditions += _real_crs(
+                        cross_ratio_sets(a, [moved(info, i)], c, d1, cfg, check_genericity=False),
+                        [f"cr(A,h{info.index}.{i},C,D)"], cfg)
             continue
         qi, qj = info.labeling().pairing[0]
         pair_moved = (moved(info, qi), moved(info, qj))
         mid = ProjPoint(gamma0 @ info.direction(info.hyp_indices()[0]).coords, cfg)
-        conditions += _conj_crs(a, c, d1, *pair_moved, f"cr(A,b{info.index},C,D) vs b'", cfg)
+        conditions += _conj_crs(
+            *cross_ratio_sets(a, pair_moved, c, d1, cfg, check_genericity=False),
+            f"cr(A,b{info.index},C,D) vs b'", cfg)
         try:
             beta = mirrored_pair_flag([pair_moved], [mid], cfg)
             conditions += _conj_triples(a, beta, beta.reversed(), c,

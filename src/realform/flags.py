@@ -4,6 +4,11 @@ A flag is an ordered spanning list; the j-th subspace is the span of
 the first j vectors.  Flag pairs use the reversed ordering.  Quotients
 by direct sums of flag parts produce the CP^1 and CP^2 configurations
 whose cross ratios and triple ratios are the coordinates of interest.
+
+``quotient_cp1`` and ``quotient_cp2`` build one quotient;
+``quotient_cp1_images`` and ``quotient_cp2_planes`` build all of them
+at once, bit for bit: one batched SVD for the complement bases and
+stacked products for the projections.
 """
 
 import functools
@@ -179,15 +184,6 @@ class LineConfig:
         return (self.a, self.b, self.c, self.d)
 
 
-def _cp1_step(a: Flag, c: Flag, i: int, j: int, cfg):
-    """Complement basis of A_i + C_j and the images of the next A and C steps."""
-    k = a.dim
-    rows = np.vstack([a.vectors[:i], c.vectors[:j]]) if i + j else np.zeros((0, k), dtype=complex)
-    basis = _complement_basis(rows, k, cfg)
-    return (basis, _project(basis, a.vectors[i], cfg, "next A step"),
-            _project(basis, c.vectors[j], cfg, "next C step"))
-
-
 def quotient_cp1(a: Flag, b1, c: Flag, d1, i: int, j: int,
                  cfg: Tolerances = DEFAULT_TOLERANCES) -> LineConfig:
     """Project to C^k / (A_i + C_j), a projective line.
@@ -202,7 +198,10 @@ def quotient_cp1(a: Flag, b1, c: Flag, d1, i: int, j: int,
         raise ValueError("flag heights too small for the requested quotient")
     b1 = b1 if isinstance(b1, ProjPoint) else ProjPoint(b1)
     d1 = d1 if isinstance(d1, ProjPoint) else ProjPoint(d1)
-    basis, pa, pc = _cp1_step(a, c, i, j, cfg)
+    rows = np.vstack([a.vectors[:i], c.vectors[:j]]) if i + j else np.zeros((0, k), dtype=complex)
+    basis = _complement_basis(rows, k, cfg)
+    pa = _project(basis, a.vectors[i], cfg, "next A step")
+    pc = _project(basis, c.vectors[j], cfg, "next C step")
     pb = _project(basis, b1.coords, cfg, "B line")
     pd = _project(basis, d1.coords, cfg, "D line")
     return LineConfig(
@@ -211,26 +210,82 @@ def quotient_cp1(a: Flag, b1, c: Flag, d1, i: int, j: int,
     )
 
 
-def quotient_cp1_lines(a: Flag, lines, c: Flag, d1: ProjPoint,
-                       cfg: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """quotient_cp1 at every (i, k - 2 - i), for each of the ``lines``.
+@functools.lru_cache(maxsize=None)
+def _quotient_index(k: int, row_order: tuple) -> tuple:
+    """Quotients of C^k by leading steps of m = len(row_order) flags (the
+    compositions of k - m) and, into the flags' stacked first k - 1
+    vectors, the indices of each sum's rows and of the m - 1 next steps."""
+    m = len(row_order)
+    quotients = tuple(_compositions((k - m,) * m, k - m))
+    rows = np.array([[f * (k - 1) + r for f in row_order for r in range(q[f])] for q in quotients],
+                    dtype=np.intp).reshape(len(quotients), k - m)
+    steps = np.array([[f * (k - 1) + q[f] + s for f in range(m) for s in range(m - 1)]
+                      for q in quotients], dtype=np.intp)
+    rows.flags.writeable = steps.flags.writeable = False
+    return quotients, rows, steps
 
-    Returns one list of k - 1 LineConfigs per line.  The complement
-    bases and the images of the A step, the C step and d1 depend only on
-    i, so they are computed once and every line is projected onto them.
-    """
+
+def _project_all(flags, row_order, cfg):
+    """The quotients of ``_quotient_index`` and, per quotient, the complement
+    basis as rows, whether the sum is rank deficient, the next steps and
+    their images."""
+    k = flags[0].dim
+    quotients, rows, steps = _quotient_index(k, row_order)
+    vecs = np.concatenate([f.vectors[:k - 1] for f in flags])
+    blocks, step_vecs = vecs[rows], vecs[steps]
+    if blocks.shape[1]:
+        _, s, vh = np.linalg.svd(np.conj(blocks))
+        proj, degenerate = vh[:, blocks.shape[1]:], s[:, -1] <= cfg.rank_tol * s[:, 0]
+    else:   # nothing is quotiented
+        proj, degenerate = np.eye(k, dtype=complex)[None], np.zeros(1, bool)
+    # stacked matrix-vector products: each image rounds as proj[q] @ v does
+    return quotients, proj, degenerate, step_vecs, (proj[:, None] @ step_vecs[..., None])[..., 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=-1))
+
+
+def _raise_first(fails: np.ndarray, checks) -> None:
+    """Raise checks[j] = (type, message) for the first True of ``fails``, whose
+    last axis runs over the checks in order and whose other axes are row-major."""
+    if fails.any():
+        error, message = checks[int(fails.argmax()) % len(checks)]
+        raise error(message)
+
+
+_PROPER = ((ValueError, "non-finite coordinates"),
+           (ValueError, "zero vector does not define a projective point"))
+_CP1_CHECKS = ((GenericityViolation, "quotient subspace is degenerate"),
+               *((GenericityViolation, f"{w} lies in the quotiented subspace")
+                 for w in ("next A step", "next C step", "D line")), *_PROPER * 3)
+
+
+def quotient_cp1_images(a: Flag, lines, c: Flag, d1: ProjPoint,
+                        cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """quotient_cp1 at every (i, k - 2 - i) for all ``lines``: canonical
+    images of the next A step, the next C step, d1 and each line, shape
+    (3 + len(lines), k - 1, 2).  Checks on the steps and d1 come first."""
     k = a.dim
     if min(a.height, c.height) < k - 1:
         raise ValueError("flag heights too small for the requested quotient")
-    steps = []
-    for i in range(k - 1):
-        basis, pa, pc = _cp1_step(a, c, i, k - 2 - i, cfg)
-        pd = _project(basis, d1.coords, cfg, "D line")
-        steps.append((basis, ProjPoint(pa, cfg), ProjPoint(pc, cfg), ProjPoint(pd, cfg)))
-    return [[LineConfig(a=pa, b=ProjPoint(_project(basis, b1.coords, cfg, "B line"), cfg),
-                        c=pc, d=pd, provenance=(i, k - 2 - i))
-             for i, (basis, pa, pc, pd) in enumerate(steps)]
-            for b1 in lines]
+    _, proj, degenerate, step_vecs, step_img = _project_all((a, c), (0, 1), cfg)
+    points = np.array([d1.coords, *(v.coords for v in lines)])
+    img = np.concatenate([step_img.swapaxes(0, 1), (proj @ points[:, None, :, None])[..., 0]])
+    mags = np.abs(img)
+    pivot = mags[..., 1] > mags[..., 0]
+    # what _project rejects, |image| <= rank_tol |vector|, and what ProjPoint
+    # rejects, a non-finite or a zero image
+    inside = np.hypot(mags[..., 0], mags[..., 1]) <= cfg.rank_tol * np.concatenate(
+        [_norms(step_vecs).T, np.repeat(_norms(points)[:, None], k - 1, axis=1)])
+    improper = np.stack([~np.isfinite(mags).all(axis=-1),
+                         np.where(pivot, mags[..., 1], mags[..., 0]) <= cfg.deg_tol], axis=-1)
+    if degenerate.any() or inside.any() or improper.any():
+        _raise_first(np.column_stack([degenerate, inside[:3].T,
+                                      improper[:3].swapaxes(0, 1).reshape(-1, 6)]), _CP1_CHECKS)
+        _raise_first(np.concatenate([inside[3:, :, None], improper[3:]], axis=-1),
+                     ((GenericityViolation, "B line lies in the quotiented subspace"), *_PROPER))
+    return img / np.where(pivot, img[..., 1], img[..., 0])[..., None]
 
 
 def quotient_cp2(a: Flag, b: Flag, c: Flag, i: int, j: int, l: int,
@@ -260,6 +315,33 @@ def quotient_cp2(a: Flag, b: Flag, c: Flag, i: int, j: int, l: int,
         return m
 
     return two_step(a, i, "A"), two_step(b, l, "B"), two_step(c, j, "C")
+
+
+_CP2_CHECKS = ("quotient subspace is degenerate",
+               *(f"{name} {what}" for name in "ABC"
+                 for what in ("line lies in the quotiented subspace", "plane collapses in the quotient")))
+
+
+def quotient_cp2_planes(a: Flag, b: Flag, c: Flag, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """quotient_cp2 at every (i, j, l): the quotients as (i, l, j) in
+    lexicographic order, their (line, plane) pairs for A, B and C, shape
+    (quotients, 3, 2, 3), and the error quotient_cp2 raises at each, or None."""
+    k = a.dim
+    if k < 3:
+        return (), np.zeros((0, 3, 2, 3), dtype=complex), []
+    if min(a.height, b.height, c.height) < k - 1:
+        raise ValueError("flag height too small for the requested quotient")
+    quotients, _, degenerate, step_vecs, img = _project_all((a, b, c), (0, 2, 1), cfg)
+    planes = img.reshape(-1, 3, 2, 3)
+    s = np.linalg.svd(planes.reshape(-1, 2, 3), compute_uv=False)
+    fails = np.empty((len(planes), 7), dtype=bool)
+    fails[:, 0] = degenerate
+    fails[:, 1::2] = _norms(planes[:, :, 0]) <= cfg.rank_tol * _norms(step_vecs[:, ::2])
+    fails[:, 2::2] = (s[:, 1] <= cfg.rank_tol * s[:, 0]).reshape(-1, 3)
+    if not fails.any():
+        return quotients, planes, [None] * len(planes)
+    first = np.where(fails.any(axis=1), fails.argmax(axis=1), -1).tolist()
+    return quotients, planes, [None if j < 0 else GenericityViolation(_CP2_CHECKS[j]) for j in first]
 
 
 def mirrored_pair_flag(pairs, hyps, cfg: Tolerances = DEFAULT_TOLERANCES) -> Flag:

@@ -198,19 +198,20 @@ class TestCoords:
         k = 8
         inst = generate(InstanceSpec(k=k, n_generators=3, type_mix={"hyperbolic": 3}, seed=8))
         path = write_doc(tmp_path / "g.json", k, inst.matrices)
-        cp1_bases = []
-        complement_basis = flags._complement_basis
+        cp1_svds = []
+        svd = np.linalg.svd
 
-        def counted(rows, dim, cfg):
-            if rows.shape[0] == dim - 2:   # the span of A_i + C_j with i + j = k - 2
-                cp1_bases.append(rows.shape)
-            return complement_basis(rows, dim, cfg)
+        def counted(a, *args, **kwargs):
+            if a.shape[-2:] == (k - 2, k):   # rows of A_i + C_j with i + j = k - 2
+                cp1_svds.append(a.shape)
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(flags, "_complement_basis", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         assert cli.main(["coords", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         monkeypatch.undo()
-        assert len(cp1_bases) <= k - 1
+        # one SVD for all k - 1 complement bases, shared by the three lines
+        assert cp1_svds == [(k - 1, k - 2, k)]
 
         # reference: one quotient_cp1 per (flag, i), each building its own basis
         g, h, other = prepare(inst.matrices)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from realform.coords import (
     conj_pair_defect,
+    cp1_cross_ratios,
     cross_ratio,
     config_cross_ratio,
     cross_ratio_set,
@@ -18,8 +19,14 @@ from realform.coords import (
     triple_ratio_cp2,
     triple_ratio_set,
 )
-from realform.errors import GenericityViolation, IndeterminateCrossRatio
-from realform.flags import make_flag, quotient_cp1
+from realform.errors import (
+    DegenerateTriple,
+    GenericityViolation,
+    IndeterminateCrossRatio,
+    RealformError,
+)
+from realform.flags import Flag, make_flag, quotient_cp1, quotient_cp2
+from realform.config import DEFAULT_TOLERANCES
 from realform.projlin import ProjPoint
 
 from conftest import pp, random_invertible
@@ -212,6 +219,206 @@ class TestCrossRatioSets:
         c = a.reversed()
         with pytest.raises(GenericityViolation):
             cross_ratio_sets(a, [pp(1, 2, 1), pp(1, 0, 1)], c, pp(1, 1, 1))
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def first_raise(fn):
+    """(type, message) of what fn raises, or None."""
+    try:
+        fn()
+    except (RealformError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def per_line_cross_ratios(a, lines, c, d1, cfg=DEFAULT_TOLERANCES):
+    """One quotient_cp1 per (line, i): [(num, den, fg num, fg den, provenance)] per line."""
+    k = a.dim
+    out = []
+    for line in lines:
+        row = []
+        for i in range(k - 1):
+            config = quotient_cp1(a, line, c, d1, i, k - 2 - i, cfg)
+            cr, fg = config_cross_ratio(config), fg_cross_ratio(*config.points)
+            row.append((cr.num, cr.den, fg.num, fg.den, cr.provenance))
+        out.append(row)
+    return out
+
+
+def batched_cross_ratios(a, lines, c, d1, cfg=DEFAULT_TOLERANCES):
+    """cross_ratio_sets and cp1_cross_ratios in the layout of per_line_cross_ratios."""
+    sets = cross_ratio_sets(a, lines, c, d1, cfg, check_genericity=False)
+    num, den, fg_den = cp1_cross_ratios(a, lines, c, d1, cfg)
+    assert np.array_equal(num, [[cr.num for cr in crs] for crs in sets])
+    return [[(cr.num, cr.den, d, f, cr.provenance) for cr, d, f in zip(crs, dens, fgs)]
+            for crs, dens, fgs in zip(sets, den, fg_den)]
+
+
+def per_quotient_triple_ratios(a, b, c):
+    """One quotient_cp2 per (p, q, r), in triple_ratio_set's order."""
+    k = a.dim
+    return [triple_ratio_cp2(*quotient_cp2(a, b, c, p, k - 3 - p - q, q),
+                             provenance=(p, q, k - 3 - p - q))
+            for p in range(k - 2) for q in range(k - 2 - p)]
+
+
+def random_setup(seed, k, n_lines, gaussian_integers=False):
+    """Flags A, B, C, a reference point and lines; Gaussian-integer entries
+    make ties in magnitude, exact zeros and coincidences common."""
+    rng = np.random.default_rng(seed)
+    draw = ((lambda *shape: rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape))
+            if gaussian_integers else lambda *shape: complex_normal(rng, *shape))
+    vecs = draw(3 * k + 1 + n_lines, k)
+    if not np.abs(vecs).max(axis=1).all():   # a zero vector
+        return None
+    try:
+        a, b, c = (make_flag(vecs[n * k:(n + 1) * k]) for n in range(3))
+    except GenericityViolation:
+        return None
+    return rng, a, b, c, ProjPoint(vecs[3 * k]), [ProjPoint(v) for v in vecs[3 * k + 1:]]
+
+
+class TestBatchedKernels:
+    """The array kernels against the single-quotient API, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_cross_ratios_match_per_line_quotients(self, seed, k, n_lines, integers):
+        setup = random_setup(seed, k, n_lines, integers)
+        if setup is None:
+            return
+        _, a, _, c, d1, lines = setup
+        expected = first_raise(lambda: per_line_cross_ratios(a, lines, c, d1))
+        if expected is None:
+            assert batched_cross_ratios(a, lines, c, d1) == per_line_cross_ratios(a, lines, c, d1)
+        else:   # which check fails first may differ by order; the kind may not
+            assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1))[0] is expected[0]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_triple_ratios_match_per_quotient(self, seed, k, integers):
+        setup = random_setup(seed, k, 0, integers)
+        if setup is None:
+            return
+        _, a, b, c, _, _ = setup
+        got = first_raise(lambda: triple_ratio_set(a, b, c))
+        assert got == first_raise(lambda: per_quotient_triple_ratios(a, b, c))
+        if got is None:
+            assert [(t.value, t.provenance) for t in triple_ratio_set(a, b, c)] == \
+                [(t.value, t.provenance) for t in per_quotient_triple_ratios(a, b, c)]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_line_in_quotiented_subspace(self, seed, k):
+        rng, a, _, c, d1, lines = random_setup(seed, k, 3)
+        i = int(rng.integers(k - 1))
+        rows = np.vstack([a.vectors[:i], c.vectors[:k - 2 - i]])
+        lines[int(rng.integers(3))] = ProjPoint(complex_normal(rng, k - 2) @ rows)
+        expected = (GenericityViolation, "B line lies in the quotiented subspace")
+        assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
+        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1)) == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.sampled_from("ACD"))
+    @settings(max_examples=30, deadline=None)
+    def test_step_or_reference_in_quotiented_subspace(self, seed, k, which):
+        rng, a, _, c, d1, lines = random_setup(seed, k, 2)
+        if which == "A":   # the last step of A, in the last quotient
+            rows = a.vectors.copy()
+            rows[k - 2] = complex_normal(rng, k - 2) @ rows[:k - 2]
+            a, message = Flag(vectors=rows), "next A step"
+        elif which == "C":   # the last step of C, in the first quotient
+            rows = c.vectors.copy()
+            rows[k - 2] = complex_normal(rng, k - 2) @ rows[:k - 2]
+            c, message = Flag(vectors=rows), "next C step"
+        else:
+            i = int(rng.integers(k - 1))
+            d1 = ProjPoint(complex_normal(rng, k - 2) @ np.vstack([a.vectors[:i], c.vectors[:k - 2 - i]]))
+            message = "D line"
+        expected = (GenericityViolation, f"{message} lies in the quotiented subspace")
+        assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
+        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1)) == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_improper_images(self, seed, k, nonfinite):
+        rng, a, _, c, d1, lines = random_setup(seed, k, 2)
+        cfg = DEFAULT_TOLERANCES
+        if nonfinite:   # A's last step, never among the quotiented rows
+            rows = a.vectors.copy()
+            rows[k - 2, 0] = np.nan
+            a, expected = Flag(vectors=rows), (ValueError, "non-finite coordinates")
+        else:   # every image is below deg_tol in magnitude
+            cfg = cfg.override(deg_tol=10.0)
+            expected = (ValueError, "zero vector does not define a projective point")
+        assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1, cfg)) == expected
+        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1, cfg)) == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_degenerate_quotient(self, seed, k):
+        rng, a, _, c, d1, lines = random_setup(seed, k, 2)
+        t, u = sorted(rng.choice(k - 2, size=2, replace=False))
+        rows = c.vectors.copy()
+        rows[u] = (1 + 2j) * rows[t]
+        c = Flag(vectors=rows)
+        expected = (GenericityViolation, "quotient subspace is degenerate")
+        assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
+        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1)) == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_indeterminate_cross_ratio(self, seed, k):
+        rng, a, _, c, _, lines = random_setup(seed, k, 2)
+        i = int(rng.integers(k - 1))
+        rows = np.vstack([a.vectors[:i], c.vectors[:k - 2 - i], np.zeros((1, k))])
+        # B and d1 both project to the next A step in quotient i
+        lines[1] = ProjPoint(a.vectors[i] + complex_normal(rng, k - 1) @ rows)
+        d1 = ProjPoint(a.vectors[i] + complex_normal(rng, k - 1) @ rows)
+        expected = (IndeterminateCrossRatio, "0/0 cross ratio: too many coincident points")
+        assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
+        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1)) == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_degenerate_triple(self, seed, k):
+        rng, a, b, _, _, _ = random_setup(seed, k, 0)
+        # C's line lies in A's plane in the quotient by A_{k-3}
+        c = make_flag([complex_normal(rng, k - 1) @ a.vectors[:k - 1], *complex_normal(rng, k - 1, k)])
+        expected = (DegenerateTriple, "triple ratio denominator vanishes")
+        assert first_raise(lambda: per_quotient_triple_ratios(a, b, c)) == expected
+        assert first_raise(lambda: triple_ratio_set(a, b, c)) == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_collapsed_plane(self, seed, k):
+        rng, a, b, c, _, _ = random_setup(seed, k, 0)
+        # B's plane collapses in the first quotient, by C_{k-3}
+        rows = b.vectors.copy()
+        rows[1] = rows[0] + complex_normal(rng, k - 3) @ c.vectors[:k - 3]
+        b = Flag(vectors=rows)
+        expected = (GenericityViolation, "B plane collapses in the quotient")
+        assert first_raise(lambda: per_quotient_triple_ratios(a, b, c)) == expected
+        assert first_raise(lambda: triple_ratio_set(a, b, c)) == expected
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_svd_counts(self, monkeypatch, k):
+        _, a, b, c, d1, lines = random_setup(k, k, 3)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(m, *args, **kwargs):
+            calls.append(m.shape)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cross_ratio_sets(a, lines, c, d1, check_genericity=False)
+        assert calls == [(k - 1, k - 2, k)]   # every complement basis at once
+        calls.clear()
+        triple_ratio_set(a, b, c)
+        assert len(calls) <= 2
 
 
 def normalized_triple_flags(b, bp):

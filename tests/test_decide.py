@@ -199,6 +199,51 @@ class TestDim3AndFG:
         sub_triples = [c for c in cert.conditions if c.name.startswith("r3(A,b2") or c.name.startswith("r3(A,b'2")]
         assert len(sub_triples) == 6
 
+    def test_fg_evaluates_cross_ratios_once(self, monkeypatch):
+        dec = importlib.import_module("realform.decide")
+        inst = generate(InstanceSpec(k=4, n_generators=4,
+                                     type_mix={"hyperbolic": 3, "elliptic": 1}, seed=5))
+        _, expected = decide(inst.matrices, method="fg")
+        original = dec.cross_ratio_sets
+        calls = []
+
+        def counted(a, lines, *args, **kwargs):
+            calls.append(len(lines))
+            return original(a, lines, *args, **kwargs)
+
+        monkeypatch.setattr(dec, "cross_ratio_sets", counted)
+        _, cert = decide(inst.matrices, method="fg")
+        assert calls == [5]   # the base line and both lines of the two other generators
+        assert cert.conditions == expected.conditions
+
+        def refuse_batch(a, lines, *args, **kwargs):
+            if len(lines) > 2:
+                raise GenericityViolation("batch refused")
+            return original(a, lines, *args, **kwargs)
+
+        # when the batch raises, the lines go generator by generator
+        monkeypatch.setattr(dec, "cross_ratio_sets", refuse_batch)
+        _, cert = decide(inst.matrices, method="fg")
+        assert cert.conditions == expected.conditions
+
+    def test_fg_raises_first_failure_in_condition_order(self, monkeypatch):
+        dec = importlib.import_module("realform.decide")
+        inst = generate(InstanceSpec(k=4, n_generators=3, type_mix={"hyperbolic": 3}, seed=11))
+        checks = []
+
+        def base_only(flags, cfg):   # the base pair passes, the third generator's flags fail
+            checks.append(len(flags))
+            return len(checks) == 1
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateTriple("base triple ratio")
+
+        monkeypatch.setattr(dec, "generic_position", base_only)
+        monkeypatch.setattr(dec, "triple_ratio_set", degenerate)
+        # the base pair's triple ratios come before the third generator's flags
+        with pytest.raises(DegenerateTriple, match="base triple ratio"):
+            decide(inst.matrices, method="fg")
+
     def test_fg_mixed_generator_conjugate_pairs(self):
         inst = generate(InstanceSpec(k=4, n_generators=3,
                                      type_mix={"hyperbolic": 2, "elliptic": 1}, seed=3))
