@@ -7,6 +7,7 @@ tabulates agreement rates plus residual statistics.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -28,20 +29,22 @@ def random_mix(rng, k, n):
     return {"hyperbolic": n - nm, "mixed": nm}
 
 
-METHODS = {2: ("dim2", "direct"), 3: ("dim3", "cross", "direct"),
-            4: ("fg", "cross", "direct"), 5: ("fg", "cross", "direct")}
+def methods(k):
+    """The forced routes that apply at dimension k."""
+    first = {2: ("dim2",), 3: ("dim3", "cross")}.get(k, ("fg", "cross"))
+    return (*first, "direct")
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--per-dim", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 5])
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
     for k in args.dims:
-        counts = {m: 0 for m in METHODS[k]}
+        counts = {m: 0 for m in methods(k)}
         disagreements = 0
         wrong = 0
         residuals = []
@@ -52,7 +55,7 @@ def main():
             inst = generate(InstanceSpec(k=k, n_generators=n, type_mix=random_mix(rng, k, n),
                                          seed=int(rng.integers(2**63)), perturbation=pert))
             answers = {}
-            for method in METHODS[k]:
+            for method in methods(k):
                 try:
                     v, cert = rf.decide(inst.matrices, method=method)
                 except RealformError:  # the forced route does not apply
@@ -72,7 +75,8 @@ def main():
         print(f"  disagreements: {disagreements}, wrong vs ground truth: {wrong}")
         if residuals:
             print(f"  residuals: median {np.median(residuals):.2e}, max {max(residuals):.2e}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -21,11 +21,9 @@ from .rform import (
     Conjugation,
     EigenDatum,
     Multiplicity,
-    RForm,
     conjugation_from_eigendata,
     preserves,
     realifier,
-    rform_from_conjugation,
     rform_multiplicity,
 )
 from .spectrum import SpectralClass, classify_eigenvalues, type_transformation
@@ -41,7 +39,6 @@ __all__ = [
     "Multiplicity",
     "ProjFrame",
     "ProjPoint",
-    "RForm",
     "SpectralClass",
     "Tolerances",
     "Verdict",
@@ -62,7 +59,6 @@ __all__ = [
     "preserves",
     "proj_eq",
     "realifier",
-    "rform_from_conjugation",
     "rform_multiplicity",
     "type_transformation",
     "verify_certificate",

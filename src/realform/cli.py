@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,10 +36,10 @@ from .errors import (
     SharedEigendirections,
     SpectralPreconditionError,
 )
-from .flags import flag_pair_from_eigensystem
+from .flags import flag_pair_from_eigensystem, generic_position
 from .oracle import InstanceSpec, generate
-from .projlin import MAX_DIM, MIN_DIM, ProjPoint
-from .spectrum import KIND_HYPERBOLIC
+from .projlin import MAX_DIM, MIN_DIM, ProjPoint, eig
+from .spectrum import KIND_HYPERBOLIC, type_transformation
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -121,11 +122,8 @@ def _tolerances(options, args) -> Tolerances:
             cfg = cfg.override(**{k: float(v) for k, v in file_tols.items()})
         except (ValueError, TypeError) as exc:
             raise CliError(f"bad tolerance override in document: {exc}", EXIT_PARSE)
-    flag_tols = {}
-    for name in ("deg_tol", "eig_tol", "sep_tol", "angle_tol", "rank_tol", "cr_tol", "cert_tol"):
-        val = getattr(args, name, None)
-        if val is not None:
-            flag_tols[name] = val
+    flag_tols = {f.name: getattr(args, f.name) for f in fields(Tolerances)
+                 if getattr(args, f.name, None) is not None}
     if flag_tols:
         cfg = cfg.override(**flag_tols)
     return cfg
@@ -137,8 +135,8 @@ def _emit(doc) -> None:
 
 
 def _add_tol_flags(p):
-    for name in ("deg-tol", "eig-tol", "sep-tol", "angle-tol", "rank-tol", "cr-tol", "cert-tol"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, default=None)
+    for f in fields(Tolerances):
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=float, default=None)
 
 
 def cmd_classify(args) -> int:
@@ -149,8 +147,6 @@ def cmd_classify(args) -> int:
         try:
             infos = prepare([m], cfg)
         except IncompatibleEigenvalues:
-            from .projlin import eig
-            from .spectrum import type_transformation
             sc = type_transformation(eig(m, cfg), cfg)
             reports.append(_classification(idx, sc))
             continue
@@ -213,8 +209,6 @@ def cmd_coords(args) -> int:
 
 
 def _coords_doc(infos, cfg):
-    from .flags import generic_position
-
     hyp = [i for i in infos if i.kind == KIND_HYPERBOLIC]
     if len(hyp) < 2:
         raise GenericityViolation("coordinate dump needs two strictly hyperbolic generators")

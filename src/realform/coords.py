@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DegenerateTriple, GenericityViolation, IndeterminateCrossRatio
-from .flags import (Flag, LineConfig, first_nongeneric_line, quotient_cp1_images,
-                    quotient_cp2_planes)
+from .errors import DegenerateTriple, IndeterminateCrossRatio
+from .flags import Flag, LineConfig, quotient_cp1_images, quotient_cp2_planes
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
 from .flags import generic_with_point, quotient_cp1, quotient_cp2  # noqa: F401
 from .projlin import ProjPoint, modulus
@@ -191,19 +190,17 @@ def cp1_cross_ratios(a: Flag, lines, c: Flag, d1: ProjPoint,
 
 
 def cross_ratio_sets(a: Flag, lines, c: Flag, d1,
-                     cfg: Tolerances = DEFAULT_TOLERANCES,
-                     check_genericity: bool = True):
+                     cfg: Tolerances = DEFAULT_TOLERANCES):
     """The k-1 cross ratios of the quotient configurations, for each line.
 
     Entry [n][i] comes from the quotient of C^k by A_i + C_{k-2-i} with
     line n in the B slot; in the standard normalization it is the ratio
-    of consecutive components of that line.  With ``check_genericity``
-    every line must be generic with the flags and d1.
+    of consecutive components of that line.  Genericity of the lines
+    with the flags and d1 is the caller's to check
+    (``flags.first_nongeneric_line``).
     """
     lines = [v if isinstance(v, ProjPoint) else ProjPoint(v) for v in lines]
     d1 = d1 if isinstance(d1, ProjPoint) else ProjPoint(d1)
-    if check_genericity and first_nongeneric_line(a, lines, c, d1, cfg) is not None:
-        raise GenericityViolation("flags and lines are not in generic position")
     num, den, _ = cp1_cross_ratios(a, lines, c, d1, cfg)
     k = a.dim
     provenance = [(i, k - 2 - i) for i in range(k - 1)]
@@ -211,11 +208,9 @@ def cross_ratio_sets(a: Flag, lines, c: Flag, d1,
             for nums, dens in zip(num, den)]
 
 
-def cross_ratio_set(a: Flag, b1, c: Flag, d1,
-                    cfg: Tolerances = DEFAULT_TOLERANCES,
-                    check_genericity: bool = True):
+def cross_ratio_set(a: Flag, b1, c: Flag, d1, cfg: Tolerances = DEFAULT_TOLERANCES):
     """The k-1 cross ratios of one line: ``cross_ratio_sets`` of [b1]."""
-    return cross_ratio_sets(a, [b1], c, d1, cfg, check_genericity)[0]
+    return cross_ratio_sets(a, [b1], c, d1, cfg)[0]
 
 
 def triple_ratio(va, fa, vb, fb, vc, fc, provenance=None) -> TripleRatio:

@@ -542,14 +542,14 @@ def _flag_conditions(infos, cfg):
     # generator by generator so that the first failure in condition order raises
     lines = [ProjPoint(f.vectors[0]) for f in [b] + [f for _, *pair in others for f in pair]]
     try:
-        crs = cross_ratio_sets(a, lines, c, d1, cfg, check_genericity=False)
+        crs = cross_ratio_sets(a, lines, c, d1, cfg)
     except RealformError:
         crs = None
 
     def sets(start, stop):
         if crs is not None:
             return crs[start:stop]
-        return cross_ratio_sets(a, lines[start:stop], c, d1, cfg, check_genericity=False)
+        return cross_ratio_sets(a, lines[start:stop], c, d1, cfg)
 
     conditions = (_real_crs(sets(0, 1), ["cr(A,B,C,D)"], cfg)
                   + _real_triples(a, b, c, "r3(A,B,C)", cfg)
@@ -616,14 +616,14 @@ def _synthetic_conditions(infos, cfg):
             for i in range(info.es.dim):
                 if info is not provider or i != q_idx:
                     conditions += _real_crs(
-                        cross_ratio_sets(a, [moved(info, i)], c, d1, cfg, check_genericity=False),
+                        cross_ratio_sets(a, [moved(info, i)], c, d1, cfg),
                         [f"cr(A,h{info.index}.{i},C,D)"], cfg)
             continue
         qi, qj = info.labeling().pairing[0]
         pair_moved = (moved(info, qi), moved(info, qj))
         mid = ProjPoint(gamma0 @ info.direction(info.hyp_indices()[0]).coords, cfg)
         conditions += _conj_crs(
-            *cross_ratio_sets(a, pair_moved, c, d1, cfg, check_genericity=False),
+            *cross_ratio_sets(a, pair_moved, c, d1, cfg),
             f"cr(A,b{info.index},C,D) vs b'", cfg)
         try:
             beta = mirrored_pair_flag([pair_moved], [mid], cfg)
@@ -757,7 +757,7 @@ def _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg):
         info, i = owners[bad]
         raise GenericityViolation(f"generator {info.index}: eigendirection {i} not generic with the base")
 
-    crs = iter(cross_ratio_sets(a, lines, c, d, cfg, check_genericity=False))
+    crs = iter(cross_ratio_sets(a, lines, c, d, cfg))
     conditions = []
     for info, idx in checks:
         sets = [next(crs) for _ in idx]

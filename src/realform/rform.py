@@ -39,18 +39,6 @@ class Conjugation:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.S @ np.conj(v)
 
-    @property
-    def dim(self) -> int:
-        return self.S.shape[0]
-
-
-@dataclass(frozen=True)
-class RForm:
-    """A real form: C-basis (columns) each fixed by the conjugation."""
-
-    basis: np.ndarray
-    conj: Conjugation
-
 
 @dataclass(frozen=True)
 class EigenDatum:
@@ -283,35 +271,6 @@ def rform_multiplicity(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Multiplici
     return Multiplicity.ONE if unique else Multiplicity.INFINITE
 
 
-def rform_from_conjugation(c: Conjugation, cfg: Tolerances = DEFAULT_TOLERANCES) -> RForm:
-    """A basis of fixed vectors of the conjugation.
-
-    Candidates w + S conj(w) and i(w - S conj(w)) over the standard
-    basis are all fixed; a greedy independent subset of size k always
-    exists for a valid involution.
-    """
-    k = c.dim
-    candidates = []
-    for j in range(k):
-        e = np.zeros(k, dtype=complex)
-        e[j] = 1.0
-        for u in (e + c.apply(e), 1j * (e - c.apply(e))):
-            n = np.linalg.norm(u)
-            if n > cfg.deg_tol:
-                candidates.append(u / n)
-    cols = []
-    for u in candidates:
-        trial = np.column_stack(cols + [u]) if cols else u[:, None]
-        s = np.linalg.svd(trial, compute_uv=False)
-        if s[-1] > 1e-6 * s[0]:
-            cols.append(u)
-        if len(cols) == k:
-            break
-    if len(cols) < k:
-        raise NumericalDegeneracy("could not assemble an independent fixed basis")
-    return RForm(basis=np.column_stack(cols), conj=c)
-
-
 def preserves(m: np.ndarray, c: Conjugation, tol: float = 1e-7) -> bool:
     """Does the transformation commute with the conjugation projectively?
 
@@ -327,6 +286,16 @@ def realifier(c: Conjugation, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarra
     """Change of basis whose columns span the real form of ``c``.
 
     For every M preserving the conjugation, gamma^{-1} @ M @ gamma has a
-    projectively real representative.
+    projectively real representative.  The 2k columns of
+    [I + S, i(I - S)] are fixed by v -> S conj(v) and span its real form
+    over R; the leading k left singular vectors of their real embedding
+    give gamma, a real-orthonormal basis of that form (Re(gamma^H gamma)
+    = I).
     """
-    return rform_from_conjugation(c, cfg).basis
+    k = c.S.shape[0]
+    eye = np.eye(k)
+    m = np.hstack([eye + c.S, 1j * (eye - c.S)])
+    u, s, _ = np.linalg.svd(np.vstack([m.real, m.imag]))
+    if not s[k - 1] > 1e-6 * s[0]:
+        raise NumericalDegeneracy("could not assemble an independent fixed basis")
+    return u[:k, :k] + 1j * u[k:, :k]

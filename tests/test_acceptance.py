@@ -129,8 +129,8 @@ class TestCriterion1Goldens:
             d = ProjPoint([1.0, 1.0, 1.0, 1.0])
 
             def conditions(z, w):
-                crs_b = cross_ratio_set(a, ProjPoint(z), c, d, check_genericity=False)
-                crs_p = cross_ratio_set(a, ProjPoint(w), c, d, check_genericity=False)
+                crs_b = cross_ratio_set(a, ProjPoint(z), c, d)
+                crs_p = cross_ratio_set(a, ProjPoint(w), c, d)
                 cond1 = max(unit_product_defect(crs_b[j], crs_p[j]) for j in (0, 2))
                 cond2 = conj_product_defect(crs_b[1], [crs_p[0], crs_p[1], crs_p[2]])
                 return cond1, cond2
@@ -336,7 +336,7 @@ def matched_flag_coordinates(ms, cfg=rf.DEFAULT_TOLERANCES, reference=None):
     a, c = fg_.flag, fg_.reverse
     b, d = fh.flag, fh.reverse
     crs = [x.value for x in cross_ratio_set(a, ProjPoint(b.vectors[0]), c,
-                                            ProjPoint(d.vectors[0]), cfg, check_genericity=False)]
+                                            ProjPoint(d.vectors[0]), cfg)]
     trs = [t.value for t in triple_ratio_set(a, b, c, cfg)]
     trs += [t.value for t in triple_ratio_set(a, c, d, cfg)]
     return (g.es.eigenvalues[og], h.es.eigenvalues[oh]), np.array(crs + trs)
@@ -379,7 +379,7 @@ class TestCriterion7Counts:
                 a = make_flag(list(np.eye(k, dtype=complex)))
                 c = a.reversed()
                 b1 = ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k))
-                crs = cross_ratio_set(a, b1, c, ProjPoint(np.ones(k)), check_genericity=False)
+                crs = cross_ratio_set(a, b1, c, ProjPoint(np.ones(k)))
                 assert len(crs) == k - 1
                 b = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
                 assert len(triple_ratio_set(a, b, c)) == (k - 1) * (k - 2) // 2

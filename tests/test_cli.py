@@ -1,9 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+
+from realform import cli
+from realform.config import DEFAULT_TOLERANCES, Tolerances
 
 CLI = [sys.executable, "-m", "realform.cli"]
 
@@ -110,6 +114,17 @@ class TestDecide:
         res = run_cli("decide", str(no_file), "--sep-tol", "0.99")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(Tolerances)])
+    def test_each_tolerance_flag_overrides_its_field(self, name):
+        flag = "--" + name.replace("_", "-")
+        expected = DEFAULT_TOLERANCES.override(**{name: 0.125})
+        for argv in (["classify", "in.json"], ["decide", "in.json"], ["coords", "in.json"],
+                     ["verify", "in.json", "--gamma", "g.json"]):
+            args = cli.build_parser().parse_args([*argv, flag, "0.125"])
+            assert cli._tolerances({}, args) == expected
+            # a flag wins over the same name in the document's options
+            assert cli._tolerances({"tolerances": {name: 0.5}}, args) == expected
+
     def test_k_out_of_range_exit2(self, tmp_path):
         f = write_doc(tmp_path / "k9.json", 9, [np.diag(np.arange(1.0, 10.0))])
         res = run_cli("decide", str(f))
@@ -189,7 +204,7 @@ class TestCoords:
 
 
     def test_cross_ratios_share_complement_bases(self, tmp_path, monkeypatch, capsys):
-        from realform import cli, flags
+        from realform import flags
         from realform.coords import config_cross_ratio, fg_cross_ratio
         from realform.decide import prepare
         from realform.oracle import InstanceSpec, generate

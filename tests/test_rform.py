@@ -17,7 +17,6 @@ from realform.rform import (
     hyperbolic_datum,
     preserves,
     realifier,
-    rform_from_conjugation,
     rform_multiplicity,
 )
 
@@ -191,19 +190,19 @@ class TestMultiplicity:
 
 class TestRFormBasis:
     def test_identity_conjugation(self):
-        form = rform_from_conjugation(Conjugation(S=np.eye(2, dtype=complex)))
-        assert abs(np.linalg.det(form.basis)) > 0.5
-        assert np.allclose(form.basis.imag, 0)
+        g = realifier(Conjugation(S=np.eye(2, dtype=complex)))
+        assert abs(np.linalg.det(g)) > 0.5
+        assert np.allclose(g.imag, 0)
 
     def test_swap_conjugation_fixed_basis(self):
         c = Conjugation(S=np.array([[0, 1], [1, 0]], dtype=complex))
-        form = rform_from_conjugation(c)
+        g = realifier(c)
         for j in range(2):
-            u = form.basis[:, j]
+            u = g[:, j]
             assert np.allclose(c.apply(u), u, atol=1e-10)
         # the classic fixed pair spans the same real form
         expected = np.column_stack([[1, 1], [1j, -1j]])
-        coeffs = np.linalg.solve(form.basis, expected)
+        coeffs = np.linalg.solve(g, expected)
         assert np.allclose(coeffs.imag, 0, atol=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
@@ -211,11 +210,10 @@ class TestRFormBasis:
     def test_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         c, _ = random_conjugation(rng, 3)
-        form = rform_from_conjugation(c)
+        g = realifier(c)
         for j in range(3):
-            u = form.basis[:, j]
+            u = g[:, j]
             assert np.allclose(c.apply(u), u, atol=1e-8)
-
 
 class TestPreserves:
     def test_real_matrix_standard_conjugation(self, rng):
@@ -276,12 +274,60 @@ def test_conjugation_round_trip_up_to_phase(rng):
     # conjugation -> fixed basis -> conjugation fixing that basis is the
     # original involution up to the phase gauge
     c, _ = random_conjugation(rng, 3)
-    form = rform_from_conjugation(c)
-    b = form.basis
+    b = realifier(c)
     s_back = b @ np.conj(np.linalg.inv(b))
     z = np.vdot(c.S, s_back) / np.vdot(c.S, c.S)
     assert abs(abs(z) - 1) < 1e-8
     assert np.linalg.norm(s_back - z * c.S) < 1e-8 * np.linalg.norm(s_back)
+
+
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_realifier_of_random_involution(k, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    assume(np.linalg.cond(g) < 1e4)
+    c = Conjugation(S=g @ np.linalg.inv(np.conj(g)))
+    gamma = realifier(c)
+    # every column is fixed by v -> S conj(v)
+    fixed = np.linalg.norm(c.apply(gamma) - gamma, axis=0)
+    assert (fixed <= 1e-8 * np.linalg.norm(gamma, axis=0)).all()
+    # a real-orthonormal basis of the real form
+    assert np.allclose((gamma.conj().T @ gamma).real, np.eye(k), atol=1e-10)
+    # a real matrix moved by g comes back projectively real
+    moved = g @ rng.normal(size=(k, k)) @ np.linalg.inv(g)
+    n = np.linalg.solve(gamma, moved @ gamma)
+    w = np.sum(n * n)
+    n = n * np.exp(-0.5j * np.angle(w))
+    assert np.max(np.abs(n.imag)) < 1e-8 * np.max(np.abs(n))
+
+
+def test_realifier_makes_one_svd(monkeypatch, rng):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for k in (2, 5, 8):
+        calls.clear()
+        c, _ = random_conjugation(rng, k)
+        realifier(c)
+        assert calls == [(2 * k, 2 * k)]
+
+
+def test_realifier_gates_an_ill_conditioned_form(rng):
+    # S = -I fixes i R^3: the columns of I - S alone span it
+    gamma = realifier(Conjugation(S=-np.eye(3, dtype=complex)))
+    assert np.allclose(gamma.real, 0)
+    # a real form with cond 1e8 leaves the k-th singular value of the
+    # spanning set below 1e-6 of the first
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    g = u @ np.diag([1, 1e4, 1e8]) @ u.conj().T
+    with pytest.raises(NumericalDegeneracy, match="independent fixed basis"):
+        realifier(Conjugation(S=g @ np.linalg.inv(np.conj(g))))
 
 
 def oracle_data(rng, k):
