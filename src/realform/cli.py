@@ -91,6 +91,14 @@ def _pair2c(v):
     return z
 
 
+def _matrix_in(m, k, what) -> np.ndarray:
+    """A k x k complex matrix from nested lists of [re, im] pairs."""
+    if not isinstance(m, list) or len(m) != k or any(
+            not isinstance(row, list) or len(row) != k for row in m):
+        raise CliError(f"{what} is not a {k}x{k} matrix of [re, im] pairs", EXIT_PARSE)
+    return np.array([[_pair2c(v) for v in row] for row in m])
+
+
 def _load_document(path):
     try:
         with open(path) as fh:
@@ -104,19 +112,18 @@ def _load_document(path):
         raise CliError("'k' must be an integer", EXIT_PARSE)
     if not MIN_DIM <= k <= MAX_DIM:
         raise CliError(f"'k' must lie in [{MIN_DIM}, {MAX_DIM}]", EXIT_PARSE)
-    mats = []
-    for idx, m in enumerate(doc["matrices"]):
-        if len(m) != k or any(len(row) != k for row in m):
-            raise CliError(f"matrix {idx} is not {k}x{k}", EXIT_PARSE)
-        mats.append(np.array([[_pair2c(v) for v in row] for row in m]))
-    if not mats:
-        raise CliError("no matrices in input", EXIT_PARSE)
-    return k, mats, doc.get("options", {})
+    if not isinstance(doc["matrices"], list) or not doc["matrices"]:
+        raise CliError("'matrices' must be a non-empty list", EXIT_PARSE)
+    mats = [_matrix_in(m, k, f"matrix {idx}") for idx, m in enumerate(doc["matrices"])]
+    options = doc.get("options", {})
+    if not isinstance(options, dict) or not isinstance(options.get("tolerances", {}), dict):
+        raise CliError("'options' and its 'tolerances' must be objects", EXIT_PARSE)
+    return k, mats, options
 
 
 def _tolerances(options, args) -> Tolerances:
     cfg = DEFAULT_TOLERANCES
-    file_tols = options.get("tolerances", {}) if isinstance(options, dict) else {}
+    file_tols = options.get("tolerances", {})
     if file_tols:
         try:
             cfg = cfg.override(**{k: float(v) for k, v in file_tols.items()})
@@ -145,12 +152,10 @@ def cmd_classify(args) -> int:
     reports = []
     for idx, m in enumerate(mats):
         try:
-            infos = prepare([m], cfg)
-        except IncompatibleEigenvalues:
-            sc = type_transformation(eig(m, cfg), cfg)
-            reports.append(_classification(idx, sc))
-            continue
-        reports.append(_classification(idx, infos[0].sclass))
+            es = eig(m, cfg)
+        except RealformError as exc:
+            raise type(exc)(f"matrix {idx}: {exc}") from exc
+        reports.append(_classification(idx, type_transformation(es, cfg)))
     _emit({"k": k, "classifications": reports})
     return EXIT_YES
 
@@ -325,13 +330,7 @@ def cmd_verify(args) -> int:
             gdoc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read gamma file: {exc}", EXIT_PARSE)
-    raw = gdoc.get("gamma", gdoc) if isinstance(gdoc, dict) else gdoc
-    try:
-        gamma = np.array([[_pair2c(v) for v in row] for row in raw])
-    except (TypeError, CliError):
-        raise CliError("gamma file must hold a k x k matrix of [re, im] pairs", EXIT_PARSE)
-    if gamma.shape != (k, k):
-        raise CliError(f"gamma must be {k}x{k}", EXIT_PARSE)
+    gamma = _matrix_in(gdoc.get("gamma", gdoc) if isinstance(gdoc, dict) else gdoc, k, "gamma")
     residual = verify_certificate(mats, gamma, cfg)
     _emit({"residual": _round17(residual), "cert_tol": _round17(cfg.cert_tol),
            "pass": bool(residual < cfg.cert_tol)})

@@ -62,13 +62,12 @@ from .flags import (
     first_nongeneric_line,
     flag_pair_from_eigensystem,
     generic_position,
-    generic_with_point,
     make_flag,
     mirrored_pair_flag,
 )
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
 from .coords import cross_ratio_set  # noqa: F401
-from .flags import point_flag  # noqa: F401
+from .flags import generic_with_point, point_flag  # noqa: F401
 from .projlin import (
     MAX_DIM,
     MIN_DIM,
@@ -442,16 +441,6 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
 # ---------------------------------------------------------------------------
 # flag coordinate methods (k >= 3)
 
-_ORDER_TRIES = 12
-
-
-def _base_orderings(k):
-    yield list(range(k)), list(range(k))
-    rng = np.random.default_rng(20240501)
-    for _ in range(_ORDER_TRIES):
-        yield list(rng.permutation(k)), list(rng.permutation(k))
-
-
 def _fg_precheck(infos):
     """Two strictly hyperbolic generators for the base pair, and at most
     one hyperbolic direction in every other generator's mirrored flag."""
@@ -505,57 +494,38 @@ def _conj_triples(a, beta, beta_rev, c, name, cfg):
 
 
 def _flag_conditions(infos, cfg):
-    """Flag coordinates against the base pair of the first two strictly
-    hyperbolic generators, under the first eigenbasis ordering that puts
-    the base flags in generic position."""
+    """Flag coordinates against the eigenbasis flag pairs of the first two
+    strictly hyperbolic generators.  Every flag's genericity is checked
+    before one cross-ratio evaluation covers every line; the triple ratios
+    follow in condition order."""
     g, h = [info for info in infos if info.kind == KIND_HYPERBOLIC][:2]
-    for og, oh in _base_orderings(g.es.dim):
-        fg_ = flag_pair_from_eigensystem(g.es, og, cfg)
-        fh = flag_pair_from_eigensystem(h.es, oh, cfg)
-        if generic_position([fg_.flag, fh.flag, fg_.reverse, fh.reverse], cfg):
-            break
-    else:
-        raise GenericityViolation("no eigenbasis ordering puts the base flags in generic position")
+    fg_ = flag_pair_from_eigensystem(g.es, cfg=cfg)
+    fh = flag_pair_from_eigensystem(h.es, cfg=cfg)
     a, c = fg_.flag, fg_.reverse
     b, d = fh.flag, fh.reverse
-    d1 = ProjPoint(d.vectors[0])
+    if not generic_position([a, b, c, d], cfg):
+        raise GenericityViolation("base flags are not in generic position")
+    others = []
+    for info in infos:
+        if info is g or info is h:
+            continue
+        if info.kind == KIND_HYPERBOLIC:
+            fp = flag_pair_from_eigensystem(info.es, cfg=cfg)
+            beta, beta_rev = fp.flag, fp.reverse
+        else:
+            beta, beta_rev = _mirrored_flags(info, cfg)
+        for f in (beta, beta_rev):
+            if not generic_position([a, f, c, d], cfg):
+                raise GenericityViolation(f"generator {info.index}: flags not in generic position")
+        others.append((info, beta, beta_rev))
 
-    # flag pairs of the other generators, up to the first one failing a check
-    others, halt = [], None
-    try:
-        for info in infos:
-            if info is g or info is h:
-                continue
-            if info.kind == KIND_HYPERBOLIC:
-                fp = flag_pair_from_eigensystem(info.es, cfg=cfg)
-                beta, beta_rev = fp.flag, fp.reverse
-            else:
-                beta, beta_rev = _mirrored_flags(info, cfg)
-            for f in (beta, beta_rev):
-                if not generic_position([a, f, c, d], cfg):
-                    raise GenericityViolation(f"generator {info.index}: flags not in generic position")
-            others.append((info, beta, beta_rev))
-    except GenericityViolation as exc:
-        halt = exc
-
-    # one cross-ratio evaluation for every line; should it raise, the lines go
-    # generator by generator so that the first failure in condition order raises
     lines = [ProjPoint(f.vectors[0]) for f in [b] + [f for _, *pair in others for f in pair]]
-    try:
-        crs = cross_ratio_sets(a, lines, c, d1, cfg)
-    except RealformError:
-        crs = None
-
-    def sets(start, stop):
-        if crs is not None:
-            return crs[start:stop]
-        return cross_ratio_sets(a, lines[start:stop], c, d1, cfg)
-
-    conditions = (_real_crs(sets(0, 1), ["cr(A,B,C,D)"], cfg)
+    crs = cross_ratio_sets(a, lines, c, ProjPoint(d.vectors[0]), cfg)
+    conditions = (_real_crs(crs[:1], ["cr(A,B,C,D)"], cfg)
                   + _real_triples(a, b, c, "r3(A,B,C)", cfg)
                   + _real_triples(a, c, d, "r3(A,C,D)", cfg))
     for m, (info, beta, beta_rev) in enumerate(others):
-        crs_b, crs_p = sets(2 * m + 1, 2 * m + 3)
+        crs_b, crs_p = crs[2 * m + 1:2 * m + 3]
         n = info.index
         if info.kind == KIND_HYPERBOLIC:
             conditions += (_real_crs([crs_b, crs_p], [f"cr(A,b{n},C,D)", f"cr(A,b'{n},C,D)"], cfg)
@@ -564,9 +534,24 @@ def _flag_conditions(infos, cfg):
         else:
             conditions += (_conj_crs(crs_b, crs_p, f"cr(A,b{n},C,D) vs b'", cfg)
                            + _conj_triples(a, beta, beta_rev, c, f"r3(A,b{n},C) vs b'", cfg))
-    if halt is not None:
-        raise halt
     return conditions, []
+
+
+def _line_sets(checks, a, c, d, message, cfg, move=None):
+    """Cross-ratio sets against (A, C, d) of the eigendirections named by
+    ``checks``, (generator, eigendirection indices) in condition order,
+    grouped like ``checks``; ``move`` maps every direction first.  One
+    genericity check covers every line first; the first failing line
+    raises ``message`` formatted with its generator ``n`` and index ``i``."""
+    owners = [(info, i) for info, idx in checks for i in idx]
+    lines = [info.direction(i) if move is None else ProjPoint(move @ info.direction(i).coords, cfg)
+             for info, i in owners]
+    bad = first_nongeneric_line(a, lines, c, d, cfg)
+    if bad is not None:
+        info, i = owners[bad]
+        raise GenericityViolation(message.format(n=info.index, i=i))
+    crs = iter(cross_ratio_sets(a, lines, c, d, cfg))
+    return [[next(crs) for _ in idx] for _, idx in checks]
 
 
 def _synthetic_conditions(infos, cfg):
@@ -599,34 +584,28 @@ def _synthetic_conditions(infos, cfg):
 
     a = make_flag(np.eye(3, dtype=complex), cfg)
     c = a.reversed()
-    d1 = ProjPoint([1.0, 1.0, 1.0])
 
-    def moved(info, i) -> ProjPoint:
-        v = ProjPoint(gamma0 @ info.direction(i).coords, cfg)
-        if not generic_with_point(a, v, c, d1, cfg):
-            raise GenericityViolation(
-                f"generator {info.index}: eigendirection not generic with the synthetic base")
-        return v
-
-    conditions = []
+    # (generator, eigendirection indices): hyperbolic directions, or the pair
+    checks = []
     for info in infos:
-        if info is e1:
-            continue
         if info.kind == KIND_HYPERBOLIC:
-            for i in range(info.es.dim):
-                if info is not provider or i != q_idx:
-                    conditions += _real_crs(
-                        cross_ratio_sets(a, [moved(info, i)], c, d1, cfg),
-                        [f"cr(A,h{info.index}.{i},C,D)"], cfg)
+            checks += [(info, (i,)) for i in range(info.es.dim)
+                       if info is not provider or i != q_idx]
+        elif info is not e1:
+            checks.append((info, info.labeling().pairing[0]))
+    sets = _line_sets(checks, a, c, ProjPoint([1.0, 1.0, 1.0]),
+                      "generator {n}: eigendirection not generic with the synthetic base",
+                      cfg, gamma0)
+    conditions = []
+    for (info, idx), crs in zip(checks, sets):
+        if len(idx) == 1:
+            conditions += _real_crs(crs, [f"cr(A,h{info.index}.{idx[0]},C,D)"], cfg)
             continue
-        qi, qj = info.labeling().pairing[0]
-        pair_moved = (moved(info, qi), moved(info, qj))
-        mid = ProjPoint(gamma0 @ info.direction(info.hyp_indices()[0]).coords, cfg)
-        conditions += _conj_crs(
-            *cross_ratio_sets(a, pair_moved, c, d1, cfg),
-            f"cr(A,b{info.index},C,D) vs b'", cfg)
+        conditions += _conj_crs(*crs, f"cr(A,b{info.index},C,D) vs b'", cfg)
+        p, q, mid = (ProjPoint(gamma0 @ info.direction(i).coords, cfg)
+                     for i in (*idx, info.hyp_indices()[0]))
         try:
-            beta = mirrored_pair_flag([pair_moved], [mid], cfg)
+            beta = mirrored_pair_flag([(p, q)], [mid], cfg)
             conditions += _conj_triples(a, beta, beta.reversed(), c,
                                         f"r3(A,b{info.index},C) vs b'", cfg)
         except (GenericityViolation, DegenerateTriple) as exc:
@@ -742,7 +721,6 @@ def _cross_conditions(infos, cfg):
 
 
 def _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg):
-    d = provider.direction(d_idx)
     # (generator, eigendirection indices): pairs, then hyperbolic directions
     checks = []
     for info in infos:
@@ -750,22 +728,15 @@ def _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg):
             checks += [(info, pair) for pair in info.labeling().pairing]
             checks += [(info, (i,)) for i in info.hyp_indices()
                        if info is not provider or i != d_idx]
-    owners = [(info, i) for info, idx in checks for i in idx]
-    lines = [info.direction(i) for info, i in owners]
-    bad = first_nongeneric_line(a, lines, c, d, cfg)
-    if bad is not None:
-        info, i = owners[bad]
-        raise GenericityViolation(f"generator {info.index}: eigendirection {i} not generic with the base")
-
-    crs = iter(cross_ratio_sets(a, lines, c, d, cfg))
+    sets = _line_sets(checks, a, c, provider.direction(d_idx),
+                      "generator {n}: eigendirection {i} not generic with the base", cfg)
     conditions = []
-    for info, idx in checks:
-        sets = [next(crs) for _ in idx]
+    for (info, idx), crs in zip(checks, sets):
         if len(idx) == 1:
-            conditions += _cross_hyp_conditions(sets[0], L, f"cr(A,h{info.index}.{idx[0]},C,d)", cfg)
+            conditions += _cross_hyp_conditions(crs[0], L, f"cr(A,h{info.index}.{idx[0]},C,d)", cfg)
         else:
             conditions += _cross_pair_conditions(
-                *sets, L, f"cr(A,e{info.index}.{idx[0]}/{idx[1]},C,d)", cfg)
+                *crs, L, f"cr(A,e{info.index}.{idx[0]}/{idx[1]},C,d)", cfg)
     return conditions, [f"base generator {base.index}, reference direction from {provider.index}"]
 
 

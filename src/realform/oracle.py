@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasibleSpec, NonDiagonalizable, RepeatedEigenvalues
-from .projlin import eig, proj_dist
+from .projlin import MAX_DIM, MIN_DIM, eig, proj_dist
 from .spectrum import KIND_ELLIPTIC, KIND_HYPERBOLIC, type_transformation
 
 SCRAMBLE_NONE = "none"
@@ -45,6 +45,10 @@ class InstanceSpec:
     perturbation: tuple | None = None  # (generator index, magnitude)
 
     def validate(self):
+        if not MIN_DIM <= self.k <= MAX_DIM:
+            raise InfeasibleSpec(f"k must lie in [{MIN_DIM}, {MAX_DIM}]")
+        if self.n_generators < 1:
+            raise InfeasibleSpec("need at least one generator")
         counts = {TYPE_HYPERBOLIC: 0, TYPE_ELLIPTIC: 0, TYPE_MIXED: 0}
         counts.update(self.type_mix)
         if sum(counts.values()) != self.n_generators:
@@ -58,8 +62,9 @@ class InstanceSpec:
             raise InfeasibleSpec("mixed spectra need k >= 3")
         if self.perturbation is not None:
             g, mag = self.perturbation
-            if not (0 <= g < self.n_generators) or mag <= 0:
-                raise InfeasibleSpec("perturbation index out of range or magnitude nonpositive")
+            if not (0 <= g < self.n_generators) or not 0 < mag < np.inf:
+                raise InfeasibleSpec(
+                    "perturbation index out of range or magnitude not positive and finite")
         return counts
 
 

@@ -78,6 +78,12 @@ class TestClassify:
         assert res.returncode == 3
         assert "matrix 0" in res.stderr
 
+    def test_repeated_names_its_matrix(self, tmp_path):
+        f = write_doc(tmp_path / "m.json", 2, [np.diag([2.0, 1.0]), np.eye(2)])
+        res = run_cli("classify", str(f))
+        assert res.returncode == 3
+        assert "error: matrix 1: eigenvalues" in res.stderr and "matrix 0" not in res.stderr
+
 
 class TestDecide:
     def test_yes_exit0(self, golden_file):
@@ -161,6 +167,29 @@ class TestDecide:
         g = tmp_path / "badshape.json"
         g.write_text(json.dumps({"k": 2, "matrices": [[[[1, 0]]]]}))
         assert run_cli("decide", str(g)).returncode == 2
+
+
+@pytest.mark.parametrize("argv, doc, gamma", [
+    (["decide"], {"k": 2, "matrices": 5}, None),
+    (["decide"], {"k": 2, "matrices": [5]}, None),
+    (["classify"], {"k": 2, "matrices": 5}, None),
+    (["classify"], {"k": 2, "matrices": [5]}, None),
+    (["decide"], {"k": 2, "matrices": [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]],
+                  "options": {"tolerances": [1]}}, None),
+    (["decide"], {"k": 2, "matrices": [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]], "options": 5}, None),
+    (["verify"], {"k": 2, "matrices": [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+     [[[1, 0]], [[1, 0], [0, 0]]]),
+])
+def test_malformed_document_exit2(tmp_path, argv, doc, gamma):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    if gamma is not None:
+        g = tmp_path / "gamma.json"
+        g.write_text(json.dumps({"gamma": gamma}))
+        argv = [*argv, "--gamma", str(g)]
+    res = run_cli(*argv, str(f))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
 class TestCoords:
@@ -293,6 +322,15 @@ class TestGenerateVerify:
     def test_infeasible_mix_exit2(self):
         res = run_cli("generate", "--k", "5", "--generators", "1", "--elliptic", "1")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("k, n, extra", [(9, 2, []), (1, 2, []), (3, 0, []),
+                                             (3, 2, ["--perturb", "1:nan"])])
+    def test_bad_spec_exit2(self, tmp_path, k, n, extra):
+        out = tmp_path / "g.json"
+        res = run_cli("generate", "--k", str(k), "--generators", str(n), *extra, "-o", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert not out.exists()
 
     def test_perturbed_sidecar(self, tmp_path):
         run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",

@@ -221,28 +221,73 @@ class TestDim3AndFG:
                 raise GenericityViolation("batch refused")
             return original(a, lines, *args, **kwargs)
 
-        # when the batch raises, the lines go generator by generator
+        # a refused batch is not retried generator by generator: its own error propagates
         monkeypatch.setattr(dec, "cross_ratio_sets", refuse_batch)
-        _, cert = decide(inst.matrices, method="fg")
-        assert cert.conditions == expected.conditions
+        with pytest.raises(GenericityViolation, match="batch refused"):
+            decide(inst.matrices, method="fg")
 
     def test_fg_raises_first_failure_in_condition_order(self, monkeypatch):
         dec = importlib.import_module("realform.decide")
         inst = generate(InstanceSpec(k=4, n_generators=3, type_mix={"hyperbolic": 3}, seed=11))
-        checks = []
+        checks, triples = [], []
 
         def base_only(flags, cfg):   # the base pair passes, the third generator's flags fail
             checks.append(len(flags))
             return len(checks) == 1
 
-        def degenerate(*args, **kwargs):
-            raise DegenerateTriple("base triple ratio")
+        def counted(*args, **kwargs):
+            triples.append(args)
+            return []
 
         monkeypatch.setattr(dec, "generic_position", base_only)
-        monkeypatch.setattr(dec, "triple_ratio_set", degenerate)
-        # the base pair's triple ratios come before the third generator's flags
-        with pytest.raises(DegenerateTriple, match="base triple ratio"):
+        monkeypatch.setattr(dec, "triple_ratio_set", counted)
+        # every flag is checked before the first coordinate is computed
+        with pytest.raises(GenericityViolation, match="generator 2: flags not in generic position"):
             decide(inst.matrices, method="fg")
+        assert checks == [4, 4] and triples == []
+
+    def test_fg_nongeneric_base_raises_after_one_check(self, monkeypatch):
+        dec = importlib.import_module("realform.decide")
+        original = dec.generic_position
+        calls = []
+
+        def counted(flags, cfg):
+            calls.append(len(flags))
+            return original(flags, cfg)
+
+        monkeypatch.setattr(dec, "generic_position", counted)
+        # commuting diagonal matrices: the base flags share their coordinate lines
+        with pytest.raises(GenericityViolation, match="base flags are not in generic position"):
+            decide([np.diag([2.0, 1.0, 3.0]), np.diag([5.0, 7.0, 1.0])], method="fg")
+        assert calls == [4]
+
+    @pytest.mark.parametrize("n, mix, lines, names", [
+        (2, {"elliptic": 2}, 2,
+         ["cr(A,b1,C,D) vs b'[0]", "cr(A,b1,C,D) vs b'[1]", "r3(A,b1,C) vs b'(0, 0, 0)"]),
+        (3, {"elliptic": 2, "hyperbolic": 1}, 4,
+         ["cr(A,h0.1,C,D)[0]", "cr(A,h0.1,C,D)[1]", "cr(A,h0.2,C,D)[0]", "cr(A,h0.2,C,D)[1]",
+          "cr(A,b2,C,D) vs b'[0]", "cr(A,b2,C,D) vs b'[1]", "r3(A,b2,C) vs b'(0, 0, 0)"]),
+    ])
+    def test_synthetic_base_checks_and_evaluates_once(self, monkeypatch, n, mix, lines, names):
+        dec = importlib.import_module("realform.decide")
+        inst = generate(InstanceSpec(k=3, n_generators=n, type_mix=mix, seed=5))
+        calls = []
+
+        def counted(name):
+            original = getattr(dec, name)
+
+            def wrapper(a, pts, *args, **kwargs):
+                calls.append((name, len(pts)))
+                return original(a, pts, *args, **kwargs)
+            return wrapper
+
+        for name in ("first_nongeneric_line", "cross_ratio_sets"):
+            monkeypatch.setattr(dec, name, counted(name))
+        verdict, cert = decide(inst.matrices, method="dim3")
+        assert calls == [("first_nongeneric_line", lines), ("cross_ratio_sets", lines)]
+        assert verdict.answer == "yes" and verdict.method == METHOD_DIM3
+        assert [c.name for c in cert.conditions] == names
+        assert any("synthetic" in d for d in cert.diagnostics)
 
     def test_fg_mixed_generator_conjugate_pairs(self):
         inst = generate(InstanceSpec(k=4, n_generators=3,

@@ -26,10 +26,21 @@ class TestInstanceSpec:
         with pytest.raises(InfeasibleSpec):
             generate(InstanceSpec(k=2, n_generators=1, type_mix={"mixed": 1}))
 
+    @pytest.mark.parametrize("k, n", [(1, 1), (9, 1), (3, 0)])
+    def test_k_and_generator_count_in_range(self, k, n):
+        with pytest.raises(InfeasibleSpec):
+            InstanceSpec(k=k, n_generators=n, type_mix={"hyperbolic": n}).validate()
+
     def test_bad_perturbation_index(self):
         with pytest.raises(InfeasibleSpec):
             generate(InstanceSpec(k=2, n_generators=2, type_mix={"hyperbolic": 2},
                                   perturbation=(5, 0.05)))
+
+    @pytest.mark.parametrize("mag", [0.0, float("nan"), float("inf")])
+    def test_perturbation_magnitude_positive_and_finite(self, mag):
+        with pytest.raises(InfeasibleSpec):
+            InstanceSpec(k=2, n_generators=2, type_mix={"hyperbolic": 2},
+                         perturbation=(1, mag)).validate()
 
 
 class TestGenerate:
