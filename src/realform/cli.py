@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .coords import CrossRatio, cp1_cross_ratios, triple_ratio_set
-from .decide import FORCED_METHODS, decide, prepare, verify_certificate
+from .decide import FORCED_METHODS, base_flags, decide, prepare, verify_certificate
 from .errors import (
     DegenerateFrame,
     DegenerateTriple,
@@ -123,17 +123,15 @@ def _load_document(path):
 
 def _tolerances(options, args) -> Tolerances:
     cfg = DEFAULT_TOLERANCES
-    file_tols = options.get("tolerances", {})
-    if file_tols:
-        try:
-            cfg = cfg.override(**{k: float(v) for k, v in file_tols.items()})
-        except (ValueError, TypeError) as exc:
-            raise CliError(f"bad tolerance override in document: {exc}", EXIT_PARSE)
-    flag_tols = {f.name: getattr(args, f.name) for f in fields(Tolerances)
-                 if getattr(args, f.name, None) is not None}
-    if flag_tols:
-        cfg = cfg.override(**flag_tols)
-    return cfg
+    try:
+        cfg = cfg.override(**{k: float(v) for k, v in options.get("tolerances", {}).items()})
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"bad tolerance override in document: {exc}", EXIT_PARSE)
+    try:
+        return cfg.override(**{f.name: getattr(args, f.name) for f in fields(Tolerances)
+                               if getattr(args, f.name, None) is not None})
+    except ValueError as exc:
+        raise CliError(f"bad tolerance flag: {exc}", EXIT_PARSE)
 
 
 def _emit(doc) -> None:
@@ -218,13 +216,7 @@ def _coords_doc(infos, cfg):
     if len(hyp) < 2:
         raise GenericityViolation("coordinate dump needs two strictly hyperbolic generators")
     g, h = hyp[0], hyp[1]
-
-    fg_ = flag_pair_from_eigensystem(g.es, cfg=cfg)
-    fh = flag_pair_from_eigensystem(h.es, cfg=cfg)
-    a, c = fg_.flag, fg_.reverse
-    b, d = fh.flag, fh.reverse
-    if not generic_position([a, b, c, d], cfg):
-        raise GenericityViolation("base flags are not in generic position")
+    a, b, c, d = base_flags(g, h, cfg)
     d1 = ProjPoint(d.vectors[0])
 
     cross_flags = []   # (flag, generator, tag) in output order

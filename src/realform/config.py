@@ -3,9 +3,12 @@
 All geometric predicates in the package are exact statements about
 projective configurations; float64 needs thresholds.  One frozen
 dataclass carries them so every operation can be driven from a single
-override point (library call sites, CLI flags, JSON options).
+override point (library call sites, CLI flags, JSON options).  Every
+threshold must be positive and finite: a NaN or negative one turns every
+test it gates into a silent failure.
 """
 
+import math
 from dataclasses import dataclass, replace, fields
 
 
@@ -18,6 +21,12 @@ class Tolerances:
     rank_tol: float = 1e-8    # relative singular-value cutoff for rank
     cr_tol: float = 1e-7      # membership tests on cross/triple ratios
     cert_tol: float = 1e-7    # realness residual accepted for a certificate
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
     def override(self, **kwargs):
         """Return a copy with the given fields replaced."""

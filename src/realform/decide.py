@@ -15,8 +15,8 @@ Five routes are implemented and cross-checked:
                        definite answer unless certification fails.
 
 The four coordinate routes share one runner (``_run_route``): each supplies
-the k it handles, an optional structural precheck on kinds and labels,
-and a function building its condition list.  The runner owns the rest:
+the k it handles and a function building its condition list against one
+base chosen by a structural rule.  The runner owns the rest:
 the genericity gate, the single-generator shortcut, certification, the
 fall back to ``direct`` when every condition passes but certification
 fails, and the ``direct`` confirmation of a ``cross`` No.
@@ -264,14 +264,12 @@ def _direct_fallback(cfg, infos):
         raise
 
 
-def _run_route(ms, cfg, infos, method, ks, build, precheck=None):
+def _run_route(ms, cfg, infos, method, ks, build):
     """Run one coordinate route and certify or confirm its answer.
 
-    ``ks`` is the (lowest, highest) k the route handles.  ``precheck``
-    rejects a collection from its kinds and labels alone, before any
-    flag is built; ``build`` returns the route's (conditions,
-    diagnostics) and raises a RealformError when the geometry is not
-    generic.
+    ``ks`` is the (lowest, highest) k the route handles; ``build``
+    returns the route's (conditions, diagnostics) and raises a
+    RealformError when the geometry is not generic.
     """
     infos = prepare(ms, cfg) if infos is None else infos
     lo, hi = ks
@@ -279,12 +277,8 @@ def _run_route(ms, cfg, infos, method, ks, build, precheck=None):
         raise SpectralPreconditionError(
             f"this method needs {lo}x{lo} input" if lo == hi else f"this method needs k >= {lo}")
     _require_generic(infos)
-    if len(infos) == 1:
-        conditions, diagnostics = [], ["single compatible generator"]
-    else:
-        if precheck is not None:
-            precheck(infos)
-        conditions, diagnostics = build(infos, cfg)
+    conditions, diagnostics = (build(infos, cfg) if len(infos) > 1
+                               else ([], ["single compatible generator"]))
     if all(c.passed for c in conditions):
         try:
             return _certify(infos, cfg, method, conditions, diagnostics)
@@ -441,16 +435,15 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
 # ---------------------------------------------------------------------------
 # flag coordinate methods (k >= 3)
 
-def _fg_precheck(infos):
-    """Two strictly hyperbolic generators for the base pair, and at most
-    one hyperbolic direction in every other generator's mirrored flag."""
-    if sum(info.kind == KIND_HYPERBOLIC for info in infos) < 2:
-        raise GenericityViolation("flag method needs two strictly hyperbolic generators")
-    for info in infos:
-        if info.kind != KIND_HYPERBOLIC and len(info.hyp_indices()) > 1:
-            raise GenericityViolation(
-                f"generator {info.index}: flag coordinates handle at most one hyperbolic direction"
-            )
+def base_flags(g: GenInfo, h: GenInfo, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """(A, B, C, D) from the eigenbasis flag pairs of the strictly
+    hyperbolic generators g and h, checked to be in generic position."""
+    fg_ = flag_pair_from_eigensystem(g.es, cfg=cfg)
+    fh = flag_pair_from_eigensystem(h.es, cfg=cfg)
+    a, b, c, d = fg_.flag, fh.flag, fg_.reverse, fh.reverse
+    if not generic_position([a, b, c, d], cfg):
+        raise GenericityViolation("base flags are not in generic position")
+    return a, b, c, d
 
 
 def _mirrored_flags(info: GenInfo, cfg):
@@ -495,16 +488,19 @@ def _conj_triples(a, beta, beta_rev, c, name, cfg):
 
 def _flag_conditions(infos, cfg):
     """Flag coordinates against the eigenbasis flag pairs of the first two
-    strictly hyperbolic generators.  Every flag's genericity is checked
-    before one cross-ratio evaluation covers every line; the triple ratios
-    follow in condition order."""
-    g, h = [info for info in infos if info.kind == KIND_HYPERBOLIC][:2]
-    fg_ = flag_pair_from_eigensystem(g.es, cfg=cfg)
-    fh = flag_pair_from_eigensystem(h.es, cfg=cfg)
-    a, c = fg_.flag, fg_.reverse
-    b, d = fh.flag, fh.reverse
-    if not generic_position([a, b, c, d], cfg):
-        raise GenericityViolation("base flags are not in generic position")
+    strictly hyperbolic generators; every other generator's mirrored flag
+    holds at most one hyperbolic direction.  Every flag's genericity is
+    checked before one cross-ratio evaluation covers every line; the
+    triple ratios follow in condition order."""
+    hyp = [info for info in infos if info.kind == KIND_HYPERBOLIC]
+    if len(hyp) < 2:
+        raise GenericityViolation("flag method needs two strictly hyperbolic generators")
+    for info in infos:
+        if info.kind != KIND_HYPERBOLIC and len(info.hyp_indices()) > 1:
+            raise GenericityViolation(
+                f"generator {info.index}: flag coordinates handle at most one hyperbolic direction")
+    g, h = hyp[:2]
+    a, b, c, d = base_flags(g, h, cfg)
     others = []
     for info in infos:
         if info is g or info is h:
@@ -557,13 +553,14 @@ def _line_sets(checks, a, c, d, message, cfg, move=None):
 def _synthetic_conditions(infos, cfg):
     """Synthetic hyperbolic base at k = 3 built from elliptic eigendata.
 
-    One generator's elliptic pair and hyperbolic direction plus a
-    direction of a second generator form a projective frame; mapping it
-    to {[i,1,0], [-i,1,0], [0,0,1], [1,1,1]} pins the candidate real
-    form, and the remaining checks read as if the base consisted of two
-    hyperbolic transformations with standard flags.  With fewer than two
-    strictly hyperbolic generators at k = 3 some generator is mixed, and
-    every other generator has a hyperbolic direction to offer.
+    One generator's elliptic pair and hyperbolic direction plus the first
+    hyperbolic direction of the first other generator form a projective
+    frame; mapping it to {[i,1,0], [-i,1,0], [0,0,1], [1,1,1]} pins the
+    candidate real form, and the remaining checks read as if the base
+    consisted of two hyperbolic transformations with standard flags.
+    With fewer than two strictly hyperbolic generators at k = 3 some
+    generator is mixed, and every other generator has a hyperbolic
+    direction to offer.
     """
     e1 = next(info for info in infos if info.kind == KIND_MIXED)
     pi, pj = e1.labeling().pairing[0]
@@ -571,16 +568,13 @@ def _synthetic_conditions(infos, cfg):
     dst = frame_from_points(
         [ProjPoint([1j, 1, 0]), ProjPoint([-1j, 1, 0]), ProjPoint([0, 0, 1]),
          ProjPoint([1, 1, 1])], cfg)
-    fourth = [(info, i) for info in infos if info is not e1 for i in info.hyp_indices()]
-    for provider, q_idx in fourth:
-        try:
-            src = frame_from_points(frame + [provider.direction(q_idx)], cfg)
-        except DegenerateFrame:
-            continue
-        gamma0 = homography(src, dst)
-        break
-    else:
-        raise GenericityViolation("no second-generator direction completes a projective frame")
+    provider = next(info for info in infos if info is not e1)
+    q_idx = provider.hyp_indices()[0]
+    try:
+        gamma0 = homography(frame_from_points(frame + [provider.direction(q_idx)], cfg), dst)
+    except DegenerateFrame as exc:
+        raise GenericityViolation(
+            "no second-generator direction completes a projective frame") from exc
 
     a = make_flag(np.eye(3, dtype=complex), cfg)
     c = a.reversed()
@@ -628,7 +622,7 @@ def decide_pgl3(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
 
 def decide_pglk_fg(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
     """Flag cross-ratio and triple-ratio decision at general k >= 3."""
-    return _run_route(ms, cfg, infos, METHOD_FG, (3, MAX_DIM), _flag_conditions, _fg_precheck)
+    return _run_route(ms, cfg, infos, METHOD_FG, (3, MAX_DIM), _flag_conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -686,41 +680,25 @@ def _cross_pair_conditions(crs_b, crs_p, L, prefix, cfg):
     return out
 
 
-def _cross_bases(infos, cfg):
-    """Base flags ordered hyperbolic, then elliptic, then mixed generators;
-    pair partners are listed consecutively ahead of hyperbolic directions.
-    Yields (generator, flag, number of pair-derived directions)."""
-    for kind in (KIND_HYPERBOLIC, KIND_ELLIPTIC, KIND_MIXED):
-        for info in infos:
-            if info.kind != kind:
-                continue
-            paired = [info.direction(i) for pair in info.labeling().pairing for i in pair]
-            try:
-                a = make_flag(paired + [info.direction(i) for i in info.hyp_indices()], cfg)
-            except GenericityViolation:
-                continue
-            yield info, a, len(paired)
-
-
 def _cross_conditions(infos, cfg):
-    """Conditions against the first base flag pair and reference direction
-    (a hyperbolic eigendirection of another generator) generic with every
-    eigendirection."""
-    for base, a, L in _cross_bases(infos, cfg):
-        c = a.reversed()
-        for provider in infos:
-            if provider is base:
-                continue
-            for d_idx in provider.hyp_indices():
-                try:
-                    return _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg)
-                except GenericityViolation:
-                    continue
-    raise GenericityViolation(
-        "no base flag pair and reference direction are generic for all eigendirections")
+    """Conditions against one base flag pair and one reference direction.
 
-
-def _cross_with_base(infos, base, a, c, L, provider, d_idx, cfg):
+    The base is the first generator, hyperbolic before elliptic before
+    mixed, for which another generator has a hyperbolic direction; the
+    reference is the first such generator's first hyperbolic direction.
+    The base flag lists pair partners consecutively ahead of hyperbolic
+    directions.
+    """
+    base, provider = next(((b, p) for kind in (KIND_HYPERBOLIC, KIND_ELLIPTIC, KIND_MIXED)
+                           for b in infos if b.kind == kind
+                           for p in infos if p is not b and p.hyp_indices()), (None, None))
+    if base is None:
+        raise GenericityViolation(
+            "no second generator has a hyperbolic direction to serve as reference")
+    d_idx = provider.hyp_indices()[0]
+    paired = [base.direction(i) for pair in base.labeling().pairing for i in pair]
+    a = make_flag(paired + [base.direction(i) for i in base.hyp_indices()], cfg)
+    c, L = a.reversed(), len(paired)
     # (generator, eigendirection indices): pairs, then hyperbolic directions
     checks = []
     for info in infos:

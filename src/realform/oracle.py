@@ -49,6 +49,8 @@ class InstanceSpec:
             raise InfeasibleSpec(f"k must lie in [{MIN_DIM}, {MAX_DIM}]")
         if self.n_generators < 1:
             raise InfeasibleSpec("need at least one generator")
+        if self.seed < 0:
+            raise InfeasibleSpec("seed must be a non-negative integer")
         counts = {TYPE_HYPERBOLIC: 0, TYPE_ELLIPTIC: 0, TYPE_MIXED: 0}
         counts.update(self.type_mix)
         if sum(counts.values()) != self.n_generators:

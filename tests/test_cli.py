@@ -9,7 +9,13 @@ import pytest
 from realform import cli
 from realform.config import DEFAULT_TOLERANCES, Tolerances
 
+from conftest import unit_circle_collection
+
 CLI = [sys.executable, "-m", "realform.cli"]
+
+# the example of the README's Library section
+README_COLLECTION = [np.array([[3j - 1, 3j - 3], [-3j - 3, -3j - 1]]),
+                     np.array([[1 + 1j, 0], [0, 1 - 1j]])]
 
 
 def run_cli(*args, env=None):
@@ -130,6 +136,22 @@ class TestDecide:
             assert cli._tolerances({}, args) == expected
             # a flag wins over the same name in the document's options
             assert cli._tolerances({"tolerances": {name: 0.5}}, args) == expected
+
+    @pytest.mark.parametrize("ms", [README_COLLECTION, unit_circle_collection()],
+                             ids=["readme", "unit_circle"])
+    @pytest.mark.parametrize("flags, tolerances", [
+        (["--cr-tol", "nan"], {}),
+        (["--cr-tol", "-1"], {}),
+        (["--rank-tol", "nan"], {}),
+        ([], {"cr_tol": "nan"}),
+        ([], {"cert_tol": 0}),
+    ], ids=["flag-cr-nan", "flag-cr-negative", "flag-rank-nan", "doc-cr-nan", "doc-cert-zero"])
+    def test_bad_tolerance_exit2(self, tmp_path, ms, flags, tolerances):
+        # both collections are Yes; a NaN or negative cr_tol made them a definite No
+        f = write_doc(tmp_path / "in.json", 2, ms, {"tolerances": tolerances})
+        res = run_cli("decide", str(f), *flags)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
     def test_k_out_of_range_exit2(self, tmp_path):
         f = write_doc(tmp_path / "k9.json", 9, [np.diag(np.arange(1.0, 10.0))])
@@ -324,13 +346,19 @@ class TestGenerateVerify:
         assert res.returncode == 2
 
     @pytest.mark.parametrize("k, n, extra", [(9, 2, []), (1, 2, []), (3, 0, []),
-                                             (3, 2, ["--perturb", "1:nan"])])
+                                             (3, 2, ["--perturb", "1:nan"]),
+                                             (3, 2, ["--seed", "-1"])])
     def test_bad_spec_exit2(self, tmp_path, k, n, extra):
         out = tmp_path / "g.json"
         res = run_cli("generate", "--k", str(k), "--generators", str(n), *extra, "-o", str(out))
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
         assert not out.exists()
+
+    def test_negative_env_seed_exit2(self):
+        res = run_cli("generate", "--k", "3", "--generators", "2", env={"REALFORM_SEED": "-5"})
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
     def test_perturbed_sidecar(self, tmp_path):
         run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",

@@ -289,6 +289,39 @@ class TestDim3AndFG:
         assert [c.name for c in cert.conditions] == names
         assert any("synthetic" in d for d in cert.diagnostics)
 
+    def test_synthetic_base_takes_one_fourth_point(self):
+        # E: rotation-scaling in the xy-plane plus 2 on z, hyperbolic direction (0, 0, 1);
+        # H's first eigendirection is that same point, so the frame it completes is degenerate
+        c, s = np.cos(0.7), np.sin(0.7)
+        e = np.array([[1.5 * c, -1.5 * s, 0.0], [1.5 * s, 1.5 * c, 0.0], [0.0, 0.0, 2.0]])
+        v = np.array([[0.0, 1.0, 0.3], [0.0, 0.4, 1.0], [1.0, 0.7, -0.5]])
+        h = v @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(v)
+        with pytest.raises(GenericityViolation,
+                           match="no second-generator direction completes a projective frame"):
+            decide([e, h], method="dim3")
+        verdict, _ = decide([e, h])
+        assert verdict.answer == "yes" and verdict.method == METHOD_DIRECT
+
+    @pytest.mark.parametrize("mix, message", [
+        ({"hyperbolic": 1, "elliptic": 1}, "flag method needs two strictly hyperbolic generators"),
+        ({"hyperbolic": 2, "mixed": 1},
+         "generator 2: flag coordinates handle at most one hyperbolic direction"),
+        # both checks fail: the first one's message wins
+        ({"hyperbolic": 1, "mixed": 1}, "flag method needs two strictly hyperbolic generators"),
+    ])
+    def test_fg_structure_checked_before_any_flag(self, monkeypatch, mix, message):
+        dec = importlib.import_module("realform.decide")
+        inst = generate(InstanceSpec(k=4, n_generators=sum(mix.values()), type_mix=mix, seed=2))
+        assert all(len(info.hyp_indices()) == 2 for info in dec.prepare(inst.matrices)
+                   if info.kind == "mixed")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("flag_pair_from_eigensystem called")
+
+        monkeypatch.setattr(dec, "flag_pair_from_eigensystem", refuse)
+        with pytest.raises(GenericityViolation, match=message):
+            decide(inst.matrices, method="fg")
+
     def test_fg_mixed_generator_conjugate_pairs(self):
         inst = generate(InstanceSpec(k=4, n_generators=3,
                                      type_mix={"hyperbolic": 2, "elliptic": 1}, seed=3))
@@ -337,8 +370,28 @@ class TestCrossOnly:
     def test_all_elliptic_no_reference(self):
         inst = generate(InstanceSpec(k=4, n_generators=2,
                                      type_mix={"elliptic": 2}, seed=9))
-        with pytest.raises(GenericityViolation):
+        with pytest.raises(GenericityViolation, match="no second generator has a hyperbolic "
+                                                      "direction to serve as reference"):
             decide(inst.matrices, method="cross")
+
+    def test_one_base_and_reference(self, monkeypatch):
+        dec = importlib.import_module("realform.decide")
+        original = dec.first_nongeneric_line
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dec, "first_nongeneric_line", counted)
+        # commuting diagonal matrices: the one base and reference fail, and no other is tried
+        ms = [np.diag([2.0, 1.0, 3.0]), np.diag([5.0, 7.0, 1.0])]
+        with pytest.raises(GenericityViolation,
+                           match="generator 1: eigendirection 1 not generic with the base"):
+            decide(ms, method="cross")
+        assert len(calls) == 1
+        verdict, _ = decide(ms)
+        assert verdict.answer == "yes" and verdict.multiplicity is Multiplicity.INFINITE
 
 
 class TestDirect:

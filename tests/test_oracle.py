@@ -31,6 +31,10 @@ class TestInstanceSpec:
         with pytest.raises(InfeasibleSpec):
             InstanceSpec(k=k, n_generators=n, type_mix={"hyperbolic": n}).validate()
 
+    def test_negative_seed(self):
+        with pytest.raises(InfeasibleSpec, match="seed"):
+            generate(InstanceSpec(k=3, n_generators=2, type_mix={"hyperbolic": 2}, seed=-1))
+
     def test_bad_perturbation_index(self):
         with pytest.raises(InfeasibleSpec):
             generate(InstanceSpec(k=2, n_generators=2, type_mix={"hyperbolic": 2},
