@@ -12,9 +12,16 @@ not kept: two correct versions may return different realifiers.
     python3 scripts/identity_check.py dump before.json
     python3 scripts/identity_check.py dump after.json
     python3 scripts/identity_check.py compare before.json after.json
+    python3 scripts/identity_check.py values before.json after.json
 
 ``compare`` prints each op that differs and exits 1 if there is any.
-The instance sets come from ``perfbench.workloads``, read-only.
+``values`` does the same but lets condition values move: it exits 1
+on any other difference (answer, method, multiplicity, condition name,
+requirement or pass flag, diagnostics, raise type or message,
+``residual_ok``) and prints the largest change of condition values,
+relative for values above ``cr_tol`` and absolute for the defects at or
+below it.  The instance sets come from ``perfbench.workloads``,
+read-only.
 """
 
 import argparse
@@ -85,6 +92,35 @@ def compare(a, b):
     return lines
 
 
+def _without_values(op):
+    if "conditions" not in op:
+        return op
+    return {**op, "conditions": [c[:3] for c in op["conditions"]]}
+
+
+def value_changes(a, b, cr_tol=DEFAULT_TOLERANCES.cr_tol):
+    """The largest change of a condition value between ops that agree on all
+    else, as (change, op key, condition name) or None: relative among the
+    values above cr_tol, absolute among the defects at or below it."""
+    above = below = None
+    for key in sorted(set(a) & set(b)):
+        if _without_values(a[key]) != _without_values(b[key]):
+            continue
+        for ca, cb in zip(a[key].get("conditions", ()), b[key].get("conditions", ())):
+            va, vb = complex(*ca[3]), complex(*cb[3])
+            size = max(abs(va), abs(vb))
+            change = 0.0 if va == vb else abs(va - vb)
+            if change != change:   # an infinite value changed
+                change = float("inf")
+            if size > cr_tol:
+                change /= size
+                if above is None or change > above[0]:
+                    above = (change, key, ca[0])
+            elif below is None or change > below[0]:
+                below = (change, key, ca[0])
+    return above, below
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -92,9 +128,11 @@ def main(argv=None):
     d.add_argument("out")
     d.add_argument("--limit", type=int, default=None,
                    help="use only this many instances of each set, evenly spaced over the design")
-    c = sub.add_parser("compare", help="print the ops that differ between two records")
-    c.add_argument("a")
-    c.add_argument("b")
+    for name, text in (("compare", "print the ops that differ between two records"),
+                       ("values", "as compare, but report condition values as changes, not differences")):
+        c = sub.add_parser(name, help=text)
+        c.add_argument("a")
+        c.add_argument("b")
     args = p.parse_args(argv)
 
     if args.command == "dump":
@@ -105,7 +143,16 @@ def main(argv=None):
         return 0
     with open(args.a) as fa, open(args.b) as fb:
         a, b = json.load(fa), json.load(fb)
-    lines = compare(a, b)
+    if args.command == "values":
+        lines = compare({k: _without_values(op) for k, op in a.items()},
+                        {k: _without_values(op) for k, op in b.items()})
+        for what, largest in zip(("relative change of values above cr_tol",
+                                  "absolute change of defects at or below cr_tol"),
+                                 value_changes(a, b)):
+            print(f"largest {what}: " + ("none" if largest is None else
+                                          "{:.3g} ({}, {})".format(*largest)))
+    else:
+        lines = compare(a, b)
     for line in lines:
         print(line)
     print(f"{len(set(a) | set(b))} ops compared, {len({l.split(':')[0] for l in lines})} differ")

@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .coords import CrossRatio, cp1_cross_ratios, triple_ratio_set
+from .coords import CrossRatio, frame_cross_ratio_sets, triple_ratio_set
 from .decide import FORCED_METHODS, base_flags, decide, prepare, verify_certificate
 from .errors import (
     DegenerateFrame,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .flags import flag_pair_from_eigensystem, generic_position
 from .oracle import InstanceSpec, generate
-from .projlin import MAX_DIM, MIN_DIM, ProjPoint, eig
+from .projlin import MAX_DIM, MIN_DIM, eig
 from .spectrum import KIND_HYPERBOLIC, type_transformation
 
 EXIT_YES = 0
@@ -217,7 +217,6 @@ def _coords_doc(infos, cfg):
         raise GenericityViolation("coordinate dump needs two strictly hyperbolic generators")
     g, h = hyp[0], hyp[1]
     a, b, c, d = base_flags(g, h, cfg)
-    d1 = ProjPoint(d.vectors[0])
 
     cross_flags = []   # (flag, generator, tag) in output order
     triple_out = []
@@ -248,13 +247,14 @@ def _coords_doc(infos, cfg):
             tr_rows(a, f, c, info.index, tag)
 
     k = a.dim
-    num, den, fg_den = cp1_cross_ratios(a, [ProjPoint(f.vectors[0]) for f, _, _ in cross_flags],
-                                        c, d1, cfg)
+    # [[A, B, C, D]] = -1 / [A, B, C, D]
+    sets = frame_cross_ratio_sets(np.array([f.vectors[0] for f, _, _ in cross_flags]) @ g.frame,
+                                  d.vectors[0] @ g.frame)
     cross_out = [
         {"generator": owner, "flag": tag, "i": i, "j": k - 2 - i,
-         "value": _c2pair(CrossRatio(n, d).value), "fg_value": _c2pair(CrossRatio(d, e).value)}
-        for (_, owner, tag), nums, dens, fg_dens in zip(cross_flags, num, den, fg_den)
-        for i, (n, d, e) in enumerate(zip(nums, dens, fg_dens))
+         "value": _c2pair(cr.value), "fg_value": _c2pair(CrossRatio(-cr.den, cr.num).value)}
+        for (_, owner, tag), crs in zip(cross_flags, sets)
+        for i, cr in enumerate(crs)
     ]
     return {"k": k, "cross_ratios": cross_out, "triple_ratios": triple_out}
 

@@ -14,18 +14,23 @@ with [[inf, -1, 0, x]] = x.  Membership predicates (real, positive
 real, unit circle, conjugate pair, ...) are evaluated on the numerator
 and denominator directly, which keeps them meaningful at infinity.
 
-The coordinate sets are evaluated as arrays over every line and
-quotient; complex products there use explicit real arithmetic, so each
-value is bit for bit what the scalar functions give on one quotient.
+The coordinate sets are closed forms, as in Fock and Goncharov's
+"Moduli spaces of local systems and higher Teichmueller theory".  Against
+a flag pair (A, C = A reversed), a line with coordinates x in the basis
+of A's vectors has cross ratio i equal to x_i d_{i+1} / (x_{i+1} d_i),
+d being the reference's coordinates; the decision routes take x from a
+generator's eigen-coordinate frame.  Triple ratios are ratios of k x k
+minors of the three flags' leading vectors.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DegenerateTriple, IndeterminateCrossRatio
-from .flags import Flag, LineConfig, quotient_cp1_images, quotient_cp2_planes
+from .errors import DegenerateTriple, GenericityViolation, IndeterminateCrossRatio
+from .flags import Flag, LineConfig, _composition_rows, _compositions
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
 from .flags import generic_with_point, quotient_cp1, quotient_cp2  # noqa: F401
 from .projlin import ProjPoint, modulus
@@ -35,15 +40,6 @@ def _det2(p: ProjPoint, q: ProjPoint) -> complex:
     a, b = p.coords
     c, d = q.coords
     return a * d - b * c
-
-
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y for arrays of one shape, rounded as the scalar complex product
-    is (numpy's array product may differ)."""
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 @dataclass(frozen=True)
@@ -71,26 +67,26 @@ class TripleRatio:
     provenance: tuple | None = None
 
 
-def cross_ratio(a, b, c, d, provenance=None, tiny: float = 1e-13) -> CrossRatio:
-    """[A, B, C, D] for four points of CP^1."""
-    pts = [p if isinstance(p, ProjPoint) else ProjPoint(p) for p in (a, b, c, d)]
-    a, b, c, d = pts
-    num = _det2(a, d) * _det2(c, b)
-    den = _det2(a, b) * _det2(c, d)
+def _points(points):
+    return [p if isinstance(p, ProjPoint) else ProjPoint(p) for p in points]
+
+
+def _homogeneous(num, den, provenance, tiny) -> CrossRatio:
     if abs(num) <= tiny and abs(den) <= tiny:
         raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
     return CrossRatio(num=num, den=den, provenance=provenance)
+
+
+def cross_ratio(a, b, c, d, provenance=None, tiny: float = 1e-13) -> CrossRatio:
+    """[A, B, C, D] for four points of CP^1."""
+    a, b, c, d = _points((a, b, c, d))
+    return _homogeneous(_det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d), provenance, tiny)
 
 
 def fg_cross_ratio(a, b, c, d, provenance=None, tiny: float = 1e-13) -> CrossRatio:
     """[[A, B, C, D]], the Fock-Goncharov normalization."""
-    pts = [p if isinstance(p, ProjPoint) else ProjPoint(p) for p in (a, b, c, d)]
-    a, b, c, d = pts
-    num = _det2(a, b) * _det2(c, d)
-    den = _det2(a, d) * _det2(b, c)
-    if abs(num) <= tiny and abs(den) <= tiny:
-        raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
-    return CrossRatio(num=num, den=den, provenance=provenance)
+    a, b, c, d = _points((a, b, c, d))
+    return _homogeneous(_det2(a, b) * _det2(c, d), _det2(a, d) * _det2(b, c), provenance, tiny)
 
 
 def config_cross_ratio(cfgn: LineConfig) -> CrossRatio:
@@ -115,39 +111,38 @@ def is_real_positive(cr: CrossRatio, tol: float) -> bool:
     return is_real(cr, tol) and w.real > 0
 
 
-def in_unit_circle(cr: CrossRatio, tol: float) -> bool:
-    n, d = abs(cr.num), abs(cr.den)
+def _equal_moduli(n: float, d: float, tol: float) -> bool:
     return abs(n - d) <= tol * max(n, d, 1e-300)
+
+
+def _relative_defect(lhs: complex, rhs: complex) -> float:
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
+def in_unit_circle(cr: CrossRatio, tol: float) -> bool:
+    return _equal_moduli(abs(cr.num), abs(cr.den), tol)
 
 
 def conj_pair_defect(cr1: CrossRatio, cr2: CrossRatio) -> float:
     """Relative defect of cr1 == conj(cr2)."""
-    lhs = cr1.num * np.conj(cr2.den)
-    rhs = cr1.den * np.conj(cr2.num)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return _relative_defect(cr1.num * np.conj(cr2.den), cr1.den * np.conj(cr2.num))
 
 
 def unit_product_defect(cr1: CrossRatio, cr2: CrossRatio) -> float:
     """Relative defect of cr1 * conj(cr2) == 1."""
-    lhs = cr1.num * np.conj(cr2.num)
-    rhs = cr1.den * np.conj(cr2.den)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return _relative_defect(cr1.num * np.conj(cr2.num), cr1.den * np.conj(cr2.den))
 
 
 def product_in_unit_circle(cr1: CrossRatio, cr2: CrossRatio, tol: float) -> bool:
     """|cr1 * cr2| == 1 within tol."""
-    n = abs(cr1.num) * abs(cr2.num)
-    d = abs(cr1.den) * abs(cr2.den)
-    return abs(n - d) <= tol * max(n, d, 1e-300)
+    return _equal_moduli(abs(cr1.num) * abs(cr2.num), abs(cr1.den) * abs(cr2.den), tol)
 
 
 def conj_product_defect(cr: CrossRatio, factors) -> float:
     """Relative defect of cr == conj(prod(factors))."""
     num = np.prod([f.num for f in factors])
     den = np.prod([f.den for f in factors])
-    lhs = cr.num * np.conj(den)
-    rhs = cr.den * np.conj(num)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return _relative_defect(cr.num * np.conj(den), cr.den * np.conj(num))
 
 
 def arg_sum_is_zero(crs, weights, tol: float) -> bool:
@@ -170,47 +165,46 @@ def arg_sum_is_zero(crs, weights, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 # coordinate sets over quotients
 
-def cp1_cross_ratios(a: Flag, lines, c: Flag, d1: ProjPoint,
-                     cfg: Tolerances = DEFAULT_TOLERANCES):
-    """Arrays (num, den, fg_den) of shape (len(lines), k - 1): [n, i] holds
-    [A, B, C, D] = num / den and [[A, B, C, D]] = den / fg_den of line n
-    in quotient_cp1(..., i, k - 2 - i).  A 0/0 ratio raises."""
-    img = quotient_cp1_images(a, lines, c, d1, cfg)   # A, C, D, then the lines
-    n = len(lines)
-    b = [*range(3, 3 + n)]
-    # _det2 by rows: det(A, D), det(C, D), then per line det(C, B), det(A, B), det(B, C)
-    prods = _mul(img[[0, 1] + [1] * n + [0] * n + b], img[[2, 2] + b + b + [1] * n][..., ::-1])
-    dets = prods[..., 0] - prods[..., 1]
-    ad, cd = [0] * n, [1] * n
-    cb, ab, bc = ([*range(2 + m * n, 2 + (m + 1) * n)] for m in range(3))
-    num, den, fg_den = _mul(dets[ad + ab + ad], dets[cb + cd + bc]).reshape(3, n, img.shape[1])
+def _canonical_pairs(x: np.ndarray):
+    """The pairs (x_i, x_{i+1}) along the last axis, each scaled as ProjPoint
+    scales a point of CP^1: its larger-magnitude entry, the first on ties,
+    becomes 1.  A zero pair stays zero."""
+    first, second = x[..., :-1], x[..., 1:]
+    pivot = np.where(modulus(second) > modulus(first), second, first)
+    pivot[pivot == 0] = 1
+    return first / pivot, second / pivot
+
+
+def frame_cross_ratio_sets(x: np.ndarray, d: np.ndarray):
+    """The k-1 cross ratios [A, B, C, D] of each line B, in the quotients of
+    C^k by A_i + C_{k-2-i}, from coordinates in the basis of A's vectors.
+
+    C is A reversed, so quotient i keeps the coordinates (i, i+1): A and
+    C map to [1, 0] and [0, 1], the line x[n] to (x_i, x_{i+1}) and the
+    reference to (d_i, d_{i+1}).  The ratio is x_i d_{i+1} / (x_{i+1} d_i),
+    with both pairs scaled canonically.  A 0/0 ratio raises.
+    """
+    (x0, x1), (d0, d1) = _canonical_pairs(x), _canonical_pairs(d)
+    num, den = x0 * d1, x1 * d0
     if ((modulus(num) <= 1e-13) & (modulus(den) <= 1e-13)).any():
         raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
-    return num, den, fg_den
+    return [[CrossRatio(num=n, den=e, provenance=(i, len(nums) - 1 - i))
+             for i, (n, e) in enumerate(zip(nums, dens))]
+            for nums, dens in zip(num.tolist(), den.tolist())]
 
 
-def cross_ratio_sets(a: Flag, lines, c: Flag, d1,
-                     cfg: Tolerances = DEFAULT_TOLERANCES):
-    """The k-1 cross ratios of the quotient configurations, for each line.
+def cross_ratio_set(a: Flag, b1, c: Flag, d1):
+    """The k-1 cross ratios of the line b1: entry i comes from the quotient
+    of C^k by A_i + C_{k-2-i}, in ``frame_cross_ratio_sets``'s closed form.
 
-    Entry [n][i] comes from the quotient of C^k by A_i + C_{k-2-i} with
-    line n in the B slot; in the standard normalization it is the ratio
-    of consecutive components of that line.  Genericity of the lines
-    with the flags and d1 is the caller's to check
-    (``flags.first_nongeneric_line``).
+    C must be A reversed (a ValueError otherwise).  Genericity of b1 with
+    the flags and d1 is the caller's to check
+    (``flags.first_nongeneric_coords``).
     """
-    lines = [v if isinstance(v, ProjPoint) else ProjPoint(v) for v in lines]
-    d1 = d1 if isinstance(d1, ProjPoint) else ProjPoint(d1)
-    num, den, _ = cp1_cross_ratios(a, lines, c, d1, cfg)
-    k = a.dim
-    provenance = [(i, k - 2 - i) for i in range(k - 1)]
-    return [[CrossRatio(num=n, den=d, provenance=p) for n, d, p in zip(nums, dens, provenance)]
-            for nums, dens in zip(num, den)]
-
-
-def cross_ratio_set(a: Flag, b1, c: Flag, d1, cfg: Tolerances = DEFAULT_TOLERANCES):
-    """The k-1 cross ratios of one line: ``cross_ratio_sets`` of [b1]."""
-    return cross_ratio_sets(a, [b1], c, d1, cfg)[0]
+    if not np.array_equal(c.vectors, a.vectors[::-1]):
+        raise ValueError("cross ratio sets need C = A reversed")
+    x = np.array([p.coords for p in _points([b1, d1])]) @ np.linalg.inv(a.vectors)
+    return frame_cross_ratio_sets(x[:1], x[1])[0]
 
 
 def triple_ratio(va, fa, vb, fb, vc, fc, provenance=None) -> TripleRatio:
@@ -242,36 +236,61 @@ def triple_ratio_cp2(fa: np.ndarray, fb: np.ndarray, fc: np.ndarray,
     The plane form of each flag is the cross product of its two rows,
     which vanishes exactly on the plane they span.
     """
-    return triple_ratio(
-        fa[0], _cross3(fa[0], fa[1]),
-        fb[0], _cross3(fb[0], fb[1]),
-        fc[0], _cross3(fc[0], fc[1]),
-        provenance=provenance,
-    )
+    return triple_ratio(fa[0], _cross3(fa[0], fa[1]), fb[0], _cross3(fb[0], fb[1]),
+                        fc[0], _cross3(fc[0], fc[1]), provenance=provenance)
+
+
+@functools.lru_cache(maxsize=None)
+def _triple_minors(k: int):
+    """The quotients (p, q, r) of ``triple_ratio_set`` in order and, per
+    quotient, the positions of its numerator and denominator minors
+    Delta(i, j, l) among the compositions of k into three parts below k."""
+    quotients = tuple((p, q, k - 3 - p - q) for p in range(k - 2) for q in range(k - 2 - p))
+    minors = _compositions((k - 1,) * 3, k)
+    where = np.array([[minors.index(m) for m in
+                       ((p + 2, q + 1, r), (p, q + 2, r + 1), (p + 1, q, r + 2),
+                        (p + 2, q, r + 1), (p + 1, q + 2, r), (p, q + 1, r + 2))]
+                      for p, q, r in quotients], dtype=np.intp)
+    where.flags.writeable = False
+    return quotients, where
 
 
 def triple_ratio_set(a: Flag, b: Flag, c: Flag,
                      cfg: Tolerances = DEFAULT_TOLERANCES):
     """One triple ratio per quotient, (k-1)(k-2)/2 in total.
 
-    Index (p, q, r) quotients by the sum of the first p, r, q steps of
+    Index (p, q, r) quotients by the sum of the first p, q, r steps of
     a, b, c respectively; the rule is symmetric in the three flags, so
     r3(a, b, c)[p, q, r] * r3(a, c, b)[p, r, q] = 1 and cyclic
-    permutations reuse the same quotients.
+    permutations reuse the same quotients.  With Delta(i, j, l) the
+    determinant of the first i, j, l vectors of a, b, c stacked,
+
+        r3[p, q, r] = Delta(p+2, q+1, r) Delta(p, q+2, r+1) Delta(p+1, q, r+2)
+                    / (Delta(p+2, q, r+1) Delta(p+1, q+2, r) Delta(p, q+1, r+2)).
+
+    In the basis of a's vectors with c = a reversed, Delta(i, j, l) is
+    det(a) times the minor of b's coordinate rows on rows [0, j) and
+    columns [i, k - l), up to sign.  Each Delta is read as
+    |det| / (product of its rows' norms) and must exceed rank_tol, or
+    the flags are not in generic position.  The products are scaled as
+    in the quotient's orthonormal coordinates, where a denominator below
+    1e-14 * max(|numerator|, 1) vanishes.
     """
-    quotients, planes, errors = quotient_cp2_planes(a, b, c, cfg)
-    v, w = planes[:, :, 0], planes[:, :, 1]   # each flag's line, and a second vector of its plane
-    f = _mul(v[..., [1, 2, 0, 2, 0, 1]], w[..., [2, 0, 1, 1, 2, 0]])
-    f = f[..., :3] - f[..., 3:]   # the plane forms, _cross3(v, w)
-    # f_A.v_B, f_B.v_C, f_C.v_A over f_A.v_C, f_B.v_A, f_C.v_B, as stacked dot products
-    dots = (f[:, [0, 1, 2, 0, 1, 2], None, :] @ v[:, [1, 2, 0, 2, 0, 1], :, None]).reshape(-1, 2, 3)
-    num, den = _mul(_mul(dots[..., 0], dots[..., 1]), dots[..., 2]).T
-    vanishes = (modulus(den) <= 1e-14 * np.maximum(modulus(num), 1.0)).tolist()
-    out = []
-    for provenance, error, n, d, degenerate in zip(quotients, errors, num, den, vanishes):
-        if error is not None:
-            raise error
-        if degenerate:
-            raise DegenerateTriple("triple ratio denominator vanishes")
-        out.append(TripleRatio(value=n / d, provenance=provenance))
-    return out
+    k = a.dim
+    if k < 3:
+        return []
+    if min(a.height, b.height, c.height) < k - 1:
+        raise ValueError("flag height too small for the requested quotient")
+    quotients, where = _triple_minors(k)
+    rows = np.vstack([a.vectors[:k - 1], b.vectors[:k - 1], c.vectors[:k - 1]])
+    stacked = rows[_composition_rows((k - 1,) * 3, k)]
+    delta, norms = np.linalg.det(stacked)[where], np.prod(np.linalg.norm(stacked, axis=2), axis=1)
+    if not (modulus(delta) > cfg.rank_tol * norms[where]).all():
+        raise GenericityViolation("flags are not in generic position for a triple ratio")
+    # scaled as in the quotient's orthonormal coordinates: over the volume of the quotiented sum
+    prefix = rows[_composition_rows((k - 1,) * 3, k - 3)]
+    volume = np.sqrt(np.linalg.det(prefix @ prefix.conj().transpose(0, 2, 1)).real)
+    num, den = np.prod(delta.reshape(-1, 2, 3), axis=2).T / volume ** 3
+    if (modulus(den) <= 1e-14 * np.maximum(modulus(num), 1.0)).any():
+        raise DegenerateTriple("triple ratio denominator vanishes")
+    return [TripleRatio(value=v, provenance=p) for v, p in zip((num / den).tolist(), quotients)]

@@ -26,6 +26,7 @@ realifier gamma is produced and the maximum imaginary residual of
 gamma^{-1} M gamma over the collection must be below ``cert_tol``.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from .coords import (
     conj_pair_defect,
     conj_product_defect,
     cross_ratio,
-    cross_ratio_sets,
+    frame_cross_ratio_sets,
     in_unit_circle,
     is_real_extended,
     is_real_positive,
@@ -59,7 +60,7 @@ from .errors import (
     SpectralPreconditionError,
 )
 from .flags import (
-    first_nongeneric_line,
+    first_nongeneric_coords,
     flag_pair_from_eigensystem,
     generic_position,
     make_flag,
@@ -155,6 +156,26 @@ class GenInfo:
 
     def direction(self, i) -> ProjPoint:
         return self.es.directions[i]
+
+    @functools.cached_property
+    def _eigenbasis_svd(self):
+        """SVD of the matrix whose rows are the eigendirections as
+        ``make_flag`` scales them."""
+        return np.linalg.svd(np.array([p.coords for p in self.es.directions]))
+
+    @functools.cached_property
+    def frame(self) -> np.ndarray:
+        """Inverse of the eigendirection matrix: v @ frame are v's
+        eigen-coordinates."""
+        u, s, vh = self._eigenbasis_svd
+        return (vh.conj().T / s) @ u.conj().T
+
+    @property
+    def frame_rcond(self) -> float:
+        """s_min / s_max of the eigendirection matrix, the measure
+        ``make_flag`` tests for independence."""
+        s = self._eigenbasis_svd[1]
+        return s[-1] / s[0]
 
 
 def prepare(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
@@ -515,8 +536,8 @@ def _flag_conditions(infos, cfg):
                 raise GenericityViolation(f"generator {info.index}: flags not in generic position")
         others.append((info, beta, beta_rev))
 
-    lines = [ProjPoint(f.vectors[0]) for f in [b] + [f for _, *pair in others for f in pair]]
-    crs = cross_ratio_sets(a, lines, c, ProjPoint(d.vectors[0]), cfg)
+    lines = np.array([f.vectors[0] for f in [b] + [f for _, *pair in others for f in pair]])
+    crs = frame_cross_ratio_sets(lines @ g.frame, d.vectors[0] @ g.frame)
     conditions = (_real_crs(crs[:1], ["cr(A,B,C,D)"], cfg)
                   + _real_triples(a, b, c, "r3(A,B,C)", cfg)
                   + _real_triples(a, c, d, "r3(A,C,D)", cfg))
@@ -533,20 +554,21 @@ def _flag_conditions(infos, cfg):
     return conditions, []
 
 
-def _line_sets(checks, a, c, d, message, cfg, move=None):
-    """Cross-ratio sets against (A, C, d) of the eigendirections named by
-    ``checks``, (generator, eigendirection indices) in condition order,
-    grouped like ``checks``; ``move`` maps every direction first.  One
-    genericity check covers every line first; the first failing line
-    raises ``message`` formatted with its generator ``n`` and index ``i``."""
+def _line_sets(checks, frame, d, message, cfg):
+    """Cross-ratio sets of the eigendirections named by ``checks``,
+    (generator, eigendirection indices) in condition order, grouped like
+    ``checks``, against a flag pair (A, C = A reversed) and a reference
+    with A-coordinates ``d``; a direction's A-coordinates are it times
+    ``frame``.  One closed-form genericity check covers every line first;
+    the first failing line raises ``message`` formatted with its
+    generator ``n`` and index ``i``."""
     owners = [(info, i) for info, idx in checks for i in idx]
-    lines = [info.direction(i) if move is None else ProjPoint(move @ info.direction(i).coords, cfg)
-             for info, i in owners]
-    bad = first_nongeneric_line(a, lines, c, d, cfg)
+    x = np.array([info.direction(i).coords for info, i in owners]).reshape(-1, len(d)) @ frame
+    bad = first_nongeneric_coords(x, d, cfg)
     if bad is not None:
         info, i = owners[bad]
         raise GenericityViolation(message.format(n=info.index, i=i))
-    crs = iter(cross_ratio_sets(a, lines, c, d, cfg))
+    crs = iter(frame_cross_ratio_sets(x, d))
     return [[next(crs) for _ in idx] for _, idx in checks]
 
 
@@ -587,9 +609,9 @@ def _synthetic_conditions(infos, cfg):
                        if info is not provider or i != q_idx]
         elif info is not e1:
             checks.append((info, info.labeling().pairing[0]))
-    sets = _line_sets(checks, a, c, ProjPoint([1.0, 1.0, 1.0]),
-                      "generator {n}: eigendirection not generic with the synthetic base",
-                      cfg, gamma0)
+    # the identity flag's coordinates of a direction moved by gamma0
+    sets = _line_sets(checks, gamma0.T, np.ones(3, dtype=complex),
+                      "generator {n}: eigendirection not generic with the synthetic base", cfg)
     conditions = []
     for (info, idx), crs in zip(checks, sets):
         if len(idx) == 1:
@@ -696,9 +718,11 @@ def _cross_conditions(infos, cfg):
         raise GenericityViolation(
             "no second generator has a hyperbolic direction to serve as reference")
     d_idx = provider.hyp_indices()[0]
-    paired = [base.direction(i) for pair in base.labeling().pairing for i in pair]
-    a = make_flag(paired + [base.direction(i) for i in base.hyp_indices()], cfg)
-    c, L = a.reversed(), len(paired)
+    paired = [i for pair in base.labeling().pairing for i in pair]
+    order = paired + base.hyp_indices()
+    if not base.frame_rcond > cfg.rank_tol:
+        raise GenericityViolation("flag spanning vectors are linearly dependent")
+    frame, L = base.frame[:, order], len(paired)
     # (generator, eigendirection indices): pairs, then hyperbolic directions
     checks = []
     for info in infos:
@@ -706,8 +730,11 @@ def _cross_conditions(infos, cfg):
             checks += [(info, pair) for pair in info.labeling().pairing]
             checks += [(info, (i,)) for i in info.hyp_indices()
                        if info is not provider or i != d_idx]
-    sets = _line_sets(checks, a, c, provider.direction(d_idx),
-                      "generator {n}: eigendirection {i} not generic with the base", cfg)
+    # a minor in the frame bounds the input-space s_min / s_max only up to
+    # the frame's conditioning, so the line cut is scaled by it
+    sets = _line_sets(checks, frame, provider.direction(d_idx).coords @ frame,
+                      "generator {n}: eigendirection {i} not generic with the base",
+                      cfg.override(rank_tol=cfg.rank_tol / base.frame_rcond))
     conditions = []
     for (info, idx), crs in zip(checks, sets):
         if len(idx) == 1:

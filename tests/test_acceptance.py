@@ -335,8 +335,7 @@ def matched_flag_coordinates(ms, cfg=rf.DEFAULT_TOLERANCES, reference=None):
     fh = flag_pair_from_eigensystem(h.es, oh, cfg)
     a, c = fg_.flag, fg_.reverse
     b, d = fh.flag, fh.reverse
-    crs = [x.value for x in cross_ratio_set(a, ProjPoint(b.vectors[0]), c,
-                                            ProjPoint(d.vectors[0]), cfg)]
+    crs = [x.value for x in cross_ratio_set(a, ProjPoint(b.vectors[0]), c, ProjPoint(d.vectors[0]))]
     trs = [t.value for t in triple_ratio_set(a, b, c, cfg)]
     trs += [t.value for t in triple_ratio_set(a, c, d, cfg)]
     return (g.es.eigenvalues[og], h.es.eigenvalues[oh]), np.array(crs + trs)

@@ -254,7 +254,7 @@ class TestCoords:
             assert abs(product + 1) <= 1e-9
 
 
-    def test_cross_ratios_share_complement_bases(self, tmp_path, monkeypatch, capsys):
+    def test_cross_ratios_need_no_complement_bases(self, tmp_path, monkeypatch, capsys):
         from realform import flags
         from realform.coords import config_cross_ratio, fg_cross_ratio
         from realform.decide import prepare
@@ -276,8 +276,8 @@ class TestCoords:
         assert cli.main(["coords", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         monkeypatch.undo()
-        # one SVD for all k - 1 complement bases, shared by the three lines
-        assert cp1_svds == [(k - 1, k - 2, k)]
+        # the lines' eigen-coordinates carry every quotient: no complement basis is built
+        assert cp1_svds == []
 
         # reference: one quotient_cp1 per (flag, i), each building its own basis
         g, h, other = prepare(inst.matrices)
@@ -290,11 +290,15 @@ class TestCoords:
                 config = flags.quotient_cp1(a, ProjPoint(f.vectors[0]), c, d1, i, k - 2 - i)
                 expected.append({
                     "generator": owner, "flag": tag, "i": i, "j": k - 2 - i,
-                    "value": cli._c2pair(config_cross_ratio(config).value),
-                    "fg_value": cli._c2pair(fg_cross_ratio(*config.points).value),
+                    "value": config_cross_ratio(config).value,
+                    "fg_value": fg_cross_ratio(*config.points).value,
                 })
         assert len(doc["cross_ratios"]) == 3 * (k - 1)
-        assert doc["cross_ratios"] == json.loads(json.dumps(expected))
+        for row, ref in zip(doc["cross_ratios"], expected):
+            assert {key: row[key] for key in ("generator", "flag", "i", "j")} == \
+                {key: ref[key] for key in ("generator", "flag", "i", "j")}
+            for key in ("value", "fg_value"):
+                assert abs(complex(*row[key]) - ref[key]) <= 1e-9 * abs(ref[key])
 
 
 class TestGenerateVerify:

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realform.coords import (
+    CrossRatio,
     conj_pair_defect,
-    cp1_cross_ratios,
     cross_ratio,
     config_cross_ratio,
     cross_ratio_set,
-    cross_ratio_sets,
     fg_cross_ratio,
+    frame_cross_ratio_sets,
     in_unit_circle,
     is_real,
     is_real_extended,
@@ -25,7 +25,15 @@ from realform.errors import (
     IndeterminateCrossRatio,
     RealformError,
 )
-from realform.flags import Flag, first_nongeneric_line, make_flag, quotient_cp1, quotient_cp2
+from realform.flags import (
+    Flag,
+    first_nongeneric_coords,
+    generic_position,
+    generic_with_point,
+    make_flag,
+    quotient_cp1,
+    quotient_cp2,
+)
 from realform.config import DEFAULT_TOLERANCES
 from realform.projlin import ProjPoint
 
@@ -186,7 +194,8 @@ class TestCrossRatioSet:
         # cross_ratio_set leaves genericity to its callers, which gate on this
         a = make_flag(list(np.eye(3, dtype=complex)))
         c = a.reversed()
-        assert first_nongeneric_line(a, [pp(1, 0, 1)], c, pp(1, 1, 1)) == 0
+        assert first_nongeneric_coords(np.array([[1, 0, 1]]), np.ones(3)) == 0
+        assert not generic_with_point(a, pp(1, 0, 1), c, pp(1, 1, 1))
 
     def test_count(self, rng):
         for k in range(3, 9):
@@ -201,23 +210,38 @@ class TestCrossRatioSets:
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_shared_bases_match_per_line_quotients(self, rng, k):
         a = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-        c = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        c = a.reversed()
         d1 = ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k))
         lines = [ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k)) for _ in range(4)]
-        got = cross_ratio_sets(a, lines, c, d1)
+        got = frame_coords_cross_ratios(a, lines, d1)
         assert len(got) == len(lines)
         for line, crs in zip(lines, got):
             expect = [config_cross_ratio(quotient_cp1(a, line, c, d1, i, k - 2 - i))
                       for i in range(k - 1)]
-            assert [(cr.num, cr.den, cr.provenance) for cr in crs] == \
-                [(cr.num, cr.den, cr.provenance) for cr in expect]
+            assert [cr.provenance for cr in crs] == [cr.provenance for cr in expect]
+            assert close([cr.value for cr in crs], [cr.value for cr in expect])
             single = cross_ratio_set(a, line, c, d1)
-            assert [(cr.num, cr.den) for cr in single] == [(cr.num, cr.den) for cr in crs]
+            assert close([cr.value for cr in single], [cr.value for cr in crs])
 
     def test_one_nongeneric_line_fails_the_set(self):
         a = make_flag(list(np.eye(3, dtype=complex)))
         c = a.reversed()
-        assert first_nongeneric_line(a, [pp(1, 2, 1), pp(1, 0, 1)], c, pp(1, 1, 1)) == 1
+        assert first_nongeneric_coords(np.array([[1, 2, 1], [1, 0, 1]]), np.ones(3)) == 1
+        assert [generic_with_point(a, v, c, pp(1, 1, 1)) for v in (pp(1, 2, 1), pp(1, 0, 1))] == \
+            [True, False]
+
+    def test_needs_the_reversed_flag(self, rng):
+        a = make_flag(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        c = make_flag(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        with pytest.raises(ValueError, match="C = A reversed"):
+            cross_ratio_set(a, pp(1, 2, 3), c, pp(1, 1, 1))
+
+
+def close(got, expected, rtol=1e-9):
+    """Complex values equal to rtol relative, or both infinite."""
+    got, expected = np.asarray(got, complex), np.asarray(expected, complex)
+    both_inf = np.isinf(got) & np.isinf(expected)
+    return bool(np.all(both_inf | (np.abs(got - expected) <= rtol * np.abs(expected))))
 
 
 def complex_normal(rng, *shape):
@@ -234,7 +258,7 @@ def first_raise(fn):
 
 
 def per_line_cross_ratios(a, lines, c, d1, cfg=DEFAULT_TOLERANCES):
-    """One quotient_cp1 per (line, i): [(num, den, fg num, fg den, provenance)] per line."""
+    """One quotient_cp1 per (line, i): [([A,B,C,D], [[A,B,C,D]], provenance)] per line."""
     k = a.dim
     out = []
     for line in lines:
@@ -242,18 +266,32 @@ def per_line_cross_ratios(a, lines, c, d1, cfg=DEFAULT_TOLERANCES):
         for i in range(k - 1):
             config = quotient_cp1(a, line, c, d1, i, k - 2 - i, cfg)
             cr, fg = config_cross_ratio(config), fg_cross_ratio(*config.points)
-            row.append((cr.num, cr.den, fg.num, fg.den, cr.provenance))
+            row.append((cr.value, fg.value, cr.provenance))
         out.append(row)
     return out
 
 
-def batched_cross_ratios(a, lines, c, d1, cfg=DEFAULT_TOLERANCES):
-    """cross_ratio_sets and cp1_cross_ratios in the layout of per_line_cross_ratios."""
-    sets = cross_ratio_sets(a, lines, c, d1, cfg)
-    num, den, fg_den = cp1_cross_ratios(a, lines, c, d1, cfg)
-    assert np.array_equal(num, [[cr.num for cr in crs] for crs in sets])
-    return [[(cr.num, cr.den, d, f, cr.provenance) for cr, d, f in zip(crs, dens, fgs)]
-            for crs, dens, fgs in zip(sets, den, fg_den)]
+def frame_coords_cross_ratios(a, lines, d1):
+    """frame_cross_ratio_sets on the lines' and d1's coordinates in A's basis."""
+    frame = np.linalg.inv(a.vectors)
+    return frame_cross_ratio_sets(np.array([v.coords for v in lines]) @ frame, d1.coords @ frame)
+
+
+def closed_form_cross_ratios(a, lines, d1):
+    """frame_cross_ratio_sets and cross_ratio_set in the layout of per_line_cross_ratios;
+    [[A,B,C,D]] = -1 / [A,B,C,D]."""
+    sets = frame_coords_cross_ratios(a, lines, d1)
+    again = [cross_ratio_set(a, line, a.reversed(), d1) for line in lines]
+    assert all(close([cr.value for cr in crs], [cr.value for cr in other])
+               for crs, other in zip(sets, again))
+    return [[(cr.value, CrossRatio(-cr.den, cr.num).value, cr.provenance) for cr in crs]
+            for crs in sets]
+
+
+def nongeneric_line(a, lines, d1):
+    """first_nongeneric_coords on the lines' and d1's coordinates in A's basis."""
+    frame = np.linalg.inv(a.vectors)
+    return first_nongeneric_coords(np.array([v.coords for v in lines]) @ frame, d1.coords @ frame)
 
 
 def per_quotient_triple_ratios(a, b, c):
@@ -281,7 +319,9 @@ def random_setup(seed, k, n_lines, gaussian_integers=False):
 
 
 class TestBatchedKernels:
-    """The array kernels against the single-quotient API, bit for bit."""
+    """The closed forms, which replaced the batched quotient kernels, against
+    the single-quotient API: values to 1e-9 relative, and every raise of the
+    quotients is a raise or a failed genericity test of the closed forms."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 4), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -289,12 +329,17 @@ class TestBatchedKernels:
         setup = random_setup(seed, k, n_lines, integers)
         if setup is None:
             return
-        _, a, _, c, d1, lines = setup
-        expected = first_raise(lambda: per_line_cross_ratios(a, lines, c, d1))
-        if expected is None:
-            assert batched_cross_ratios(a, lines, c, d1) == per_line_cross_ratios(a, lines, c, d1)
-        else:   # which check fails first may differ by order; the kind may not
-            assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1))[0] is expected[0]
+        _, a, _, _, d1, lines = setup
+        c = a.reversed()
+        bad = nongeneric_line(a, lines, d1)
+        generic = [generic_with_point(a, v, c, d1) for v in lines]
+        assert bad == (generic.index(False) if False in generic else None)
+        if bad is None:
+            got, expected = closed_form_cross_ratios(a, lines, d1), per_line_cross_ratios(a, lines, c, d1)
+            for row, ref in zip(got, expected):
+                assert [p for *_, p in row] == [p for *_, p in ref]
+                assert close([v for v, _, _ in row], [v for v, _, _ in ref])
+                assert close([f for _, f, _ in row], [f for _, f, _ in ref])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -304,73 +349,80 @@ class TestBatchedKernels:
             return
         _, a, b, c, _, _ = setup
         got = first_raise(lambda: triple_ratio_set(a, b, c))
-        assert got == first_raise(lambda: per_quotient_triple_ratios(a, b, c))
+        expected = first_raise(lambda: per_quotient_triple_ratios(a, b, c))
         if got is None:
-            assert [(t.value, t.provenance) for t in triple_ratio_set(a, b, c)] == \
-                [(t.value, t.provenance) for t in per_quotient_triple_ratios(a, b, c)]
+            assert expected is None
+            closed, ref = triple_ratio_set(a, b, c), per_quotient_triple_ratios(a, b, c)
+            assert [t.provenance for t in closed] == [t.provenance for t in ref]
+            assert close([t.value for t in closed], [t.value for t in ref])
+        else:   # a vanishing minor is a composition generic_position rejects too
+            assert got[0] is GenericityViolation and not generic_position([a, b, c])
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8))
     @settings(max_examples=30, deadline=None)
     def test_line_in_quotiented_subspace(self, seed, k):
-        rng, a, _, c, d1, lines = random_setup(seed, k, 3)
-        i = int(rng.integers(k - 1))
+        rng, a, _, _, d1, lines = random_setup(seed, k, 3)
+        c = a.reversed()
+        i, n = int(rng.integers(k - 1)), int(rng.integers(3))
         rows = np.vstack([a.vectors[:i], c.vectors[:k - 2 - i]])
-        lines[int(rng.integers(3))] = ProjPoint(complex_normal(rng, k - 2) @ rows)
+        lines[n] = ProjPoint(complex_normal(rng, k - 2) @ rows)
         expected = (GenericityViolation, "B line lies in the quotiented subspace")
         assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
-        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1)) == expected
+        assert nongeneric_line(a, lines, d1) == n
+        assert not generic_with_point(a, lines[n], c, d1)
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.sampled_from("ACD"))
     @settings(max_examples=30, deadline=None)
     def test_step_or_reference_in_quotiented_subspace(self, seed, k, which):
-        rng, a, _, c, d1, lines = random_setup(seed, k, 2)
-        if which == "A":   # the last step of A, in the last quotient
+        rng, a, _, _, d1, lines = random_setup(seed, k, 2)
+        if which in "AC":   # a step of A in the span of others: A is no basis, so no frame
             rows = a.vectors.copy()
             rows[k - 2] = complex_normal(rng, k - 2) @ rows[:k - 2]
-            a, message = Flag(vectors=rows), "next A step"
-        elif which == "C":   # the last step of C, in the first quotient
-            rows = c.vectors.copy()
-            rows[k - 2] = complex_normal(rng, k - 2) @ rows[:k - 2]
-            c, message = Flag(vectors=rows), "next C step"
+            a = Flag(vectors=rows if which == "A" else rows[::-1].copy())
+            message = "next A step" if which == "A" else "next C step"
+            with pytest.raises(GenericityViolation, match="linearly dependent"):
+                make_flag(a.vectors)
         else:
             i = int(rng.integers(k - 1))
-            d1 = ProjPoint(complex_normal(rng, k - 2) @ np.vstack([a.vectors[:i], c.vectors[:k - 2 - i]]))
+            rows = np.vstack([a.vectors[:i], a.vectors[i + 2:]])
+            d1 = ProjPoint(complex_normal(rng, k - 2) @ rows)
             message = "D line"
+            assert nongeneric_line(a, lines, d1) == 0
         expected = (GenericityViolation, f"{message} lies in the quotiented subspace")
-        assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
-        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1)) == expected
+        got = first_raise(lambda: per_line_cross_ratios(a, lines, a.reversed(), d1))
+        assert got == expected or (which == "C" and got[0] is GenericityViolation)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=30, deadline=None)
-    def test_improper_images(self, seed, k, nonfinite):
-        rng, a, _, c, d1, lines = random_setup(seed, k, 2)
-        cfg = DEFAULT_TOLERANCES
-        if nonfinite:   # A's last step, never among the quotiented rows
-            rows = a.vectors.copy()
-            rows[k - 2, 0] = np.nan
-            a, expected = Flag(vectors=rows), (ValueError, "non-finite coordinates")
-        else:   # every image is below deg_tol in magnitude
-            cfg = cfg.override(deg_tol=10.0)
-            expected = (ValueError, "zero vector does not define a projective point")
-        assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1, cfg)) == expected
-        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1, cfg)) == expected
+    def test_improper_images(self, seed, k):
+        rng, a, _, _, d1, lines = random_setup(seed, k, 2)
+        rows = a.vectors.copy()
+        rows[k - 2, 0] = np.nan
+        a = Flag(vectors=rows)
+        # a quotient's SVD or its image of A's step is non-finite; so is the frame
+        assert issubclass(first_raise(lambda: per_line_cross_ratios(a, lines, a.reversed(), d1))[0],
+                          ValueError)
+        assert nongeneric_line(a, lines, d1) == 0
 
     @given(st.integers(0, 2**32 - 1), st.integers(4, 8))
     @settings(max_examples=30, deadline=None)
     def test_degenerate_quotient(self, seed, k):
-        rng, a, _, c, d1, lines = random_setup(seed, k, 2)
+        rng, a, _, _, d1, lines = random_setup(seed, k, 2)
         t, u = sorted(rng.choice(k - 2, size=2, replace=False))
-        rows = c.vectors.copy()
+        rows = a.vectors[::-1].copy()
         rows[u] = (1 + 2j) * rows[t]
         c = Flag(vectors=rows)
+        a = c.reversed()
         expected = (GenericityViolation, "quotient subspace is degenerate")
         assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
-        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1)) == expected
+        with pytest.raises(GenericityViolation, match="linearly dependent"):
+            make_flag(a.vectors)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=30, deadline=None)
     def test_indeterminate_cross_ratio(self, seed, k):
-        rng, a, _, c, _, lines = random_setup(seed, k, 2)
+        rng, a, _, _, _, lines = random_setup(seed, k, 2)
+        c = a.reversed()
         i = int(rng.integers(k - 1))
         rows = np.vstack([a.vectors[:i], c.vectors[:k - 2 - i], np.zeros((1, k))])
         # B and d1 both project to the next A step in quotient i
@@ -378,17 +430,28 @@ class TestBatchedKernels:
         d1 = ProjPoint(a.vectors[i] + complex_normal(rng, k - 1) @ rows)
         expected = (IndeterminateCrossRatio, "0/0 cross ratio: too many coincident points")
         assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
-        assert first_raise(lambda: batched_cross_ratios(a, lines, c, d1)) == expected
+        assert first_raise(lambda: closed_form_cross_ratios(a, lines, d1)) == expected
+        assert nongeneric_line(a, lines, d1) == 0
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8))
     @settings(max_examples=30, deadline=None)
     def test_degenerate_triple(self, seed, k):
         rng, a, b, _, _, _ = random_setup(seed, k, 0)
-        # C's line lies in A's plane in the quotient by A_{k-3}
+        # C's line lies in A's plane in the quotient by A_{k-3}: Delta(k-1, 0, 1) = 0
         c = make_flag([complex_normal(rng, k - 1) @ a.vectors[:k - 1], *complex_normal(rng, k - 1, k)])
         expected = (DegenerateTriple, "triple ratio denominator vanishes")
         assert first_raise(lambda: per_quotient_triple_ratios(a, b, c)) == expected
-        assert first_raise(lambda: triple_ratio_set(a, b, c)) == expected
+        # the vanishing minor fails the genericity test before the denominator is formed
+        assert first_raise(lambda: triple_ratio_set(a, b, c))[0] is GenericityViolation
+        assert not generic_position([a, b, c])
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_degenerate_triple_below_rank_tol(self, k):
+        rng, a, b, _, _, _ = random_setup(k, k, 0)
+        c = make_flag([complex_normal(rng, k - 1) @ a.vectors[:k - 1], *complex_normal(rng, k - 1, k)])
+        cfg = DEFAULT_TOLERANCES.override(rank_tol=1e-40)
+        with pytest.raises(DegenerateTriple, match="triple ratio denominator vanishes"):
+            triple_ratio_set(a, b, c, cfg)
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8))
     @settings(max_examples=30, deadline=None)
@@ -400,7 +463,7 @@ class TestBatchedKernels:
         b = Flag(vectors=rows)
         expected = (GenericityViolation, "B plane collapses in the quotient")
         assert first_raise(lambda: per_quotient_triple_ratios(a, b, c)) == expected
-        assert first_raise(lambda: triple_ratio_set(a, b, c)) == expected
+        assert first_raise(lambda: triple_ratio_set(a, b, c))[0] is GenericityViolation
 
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_svd_counts(self, monkeypatch, k):
@@ -413,11 +476,10 @@ class TestBatchedKernels:
             return svd(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        cross_ratio_sets(a, lines, c, d1)
-        assert calls == [(k - 1, k - 2, k)]   # every complement basis at once
-        calls.clear()
+        frame_coords_cross_ratios(a, lines, d1)
+        cross_ratio_set(a, lines[0], a.reversed(), d1)
         triple_ratio_set(a, b, c)
-        assert len(calls) <= 2
+        assert calls == []   # no complement basis is built
 
 
 def normalized_triple_flags(b, bp):

@@ -14,6 +14,7 @@ from realform.decide import (
     decide_direct,
     decide_pgl2,
     decide_pglk_cross_only,
+    prepare,
     verify_certificate,
 )
 from realform.config import DEFAULT_TOLERANCES
@@ -26,6 +27,7 @@ from realform.errors import (
     SharedEigendirections,
     SpectralPreconditionError,
 )
+from realform.flags import flag_pair_from_eigensystem, make_flag
 from realform.oracle import InstanceSpec, generate
 from realform.projlin import ProjPoint, proj_dist
 from realform.rform import Multiplicity
@@ -204,25 +206,25 @@ class TestDim3AndFG:
         inst = generate(InstanceSpec(k=4, n_generators=4,
                                      type_mix={"hyperbolic": 3, "elliptic": 1}, seed=5))
         _, expected = decide(inst.matrices, method="fg")
-        original = dec.cross_ratio_sets
+        original = dec.frame_cross_ratio_sets
         calls = []
 
-        def counted(a, lines, *args, **kwargs):
-            calls.append(len(lines))
-            return original(a, lines, *args, **kwargs)
+        def counted(x, *args, **kwargs):
+            calls.append(len(x))
+            return original(x, *args, **kwargs)
 
-        monkeypatch.setattr(dec, "cross_ratio_sets", counted)
+        monkeypatch.setattr(dec, "frame_cross_ratio_sets", counted)
         _, cert = decide(inst.matrices, method="fg")
         assert calls == [5]   # the base line and both lines of the two other generators
         assert cert.conditions == expected.conditions
 
-        def refuse_batch(a, lines, *args, **kwargs):
-            if len(lines) > 2:
+        def refuse_batch(x, *args, **kwargs):
+            if len(x) > 2:
                 raise GenericityViolation("batch refused")
-            return original(a, lines, *args, **kwargs)
+            return original(x, *args, **kwargs)
 
         # a refused batch is not retried generator by generator: its own error propagates
-        monkeypatch.setattr(dec, "cross_ratio_sets", refuse_batch)
+        monkeypatch.setattr(dec, "frame_cross_ratio_sets", refuse_batch)
         with pytest.raises(GenericityViolation, match="batch refused"):
             decide(inst.matrices, method="fg")
 
@@ -276,15 +278,15 @@ class TestDim3AndFG:
         def counted(name):
             original = getattr(dec, name)
 
-            def wrapper(a, pts, *args, **kwargs):
-                calls.append((name, len(pts)))
-                return original(a, pts, *args, **kwargs)
+            def wrapper(x, *args, **kwargs):
+                calls.append((name, len(x)))
+                return original(x, *args, **kwargs)
             return wrapper
 
-        for name in ("first_nongeneric_line", "cross_ratio_sets"):
+        for name in ("first_nongeneric_coords", "frame_cross_ratio_sets"):
             monkeypatch.setattr(dec, name, counted(name))
         verdict, cert = decide(inst.matrices, method="dim3")
-        assert calls == [("first_nongeneric_line", lines), ("cross_ratio_sets", lines)]
+        assert calls == [("first_nongeneric_coords", lines), ("frame_cross_ratio_sets", lines)]
         assert verdict.answer == "yes" and verdict.method == METHOD_DIM3
         assert [c.name for c in cert.conditions] == names
         assert any("synthetic" in d for d in cert.diagnostics)
@@ -376,14 +378,14 @@ class TestCrossOnly:
 
     def test_one_base_and_reference(self, monkeypatch):
         dec = importlib.import_module("realform.decide")
-        original = dec.first_nongeneric_line
+        original = dec.first_nongeneric_coords
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(dec, "first_nongeneric_line", counted)
+        monkeypatch.setattr(dec, "first_nongeneric_coords", counted)
         # commuting diagonal matrices: the one base and reference fail, and no other is tried
         ms = [np.diag([2.0, 1.0, 3.0]), np.diag([5.0, 7.0, 1.0])]
         with pytest.raises(GenericityViolation,
@@ -392,6 +394,76 @@ class TestCrossOnly:
         assert len(calls) == 1
         verdict, _ = decide(ms)
         assert verdict.answer == "yes" and verdict.multiplicity is Multiplicity.INFINITE
+
+
+class TestEigenCoordinateFrame:
+    """The coordinate routes read lines in a generator's eigen-coordinate
+    frame: no SVD builds a quotient or tests a line."""
+
+    @staticmethod
+    def svd_calls_inside(monkeypatch, owner, name, call):
+        """numpy.linalg.svd calls made while owner.name runs during call()."""
+        inside, calls = [], []
+        original, svd = getattr(owner, name), np.linalg.svd
+
+        def wrapped(*args, **kwargs):
+            inside.append(True)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted(*args, **kwargs):
+            if inside:
+                calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        call()
+        monkeypatch.undo()
+        return calls
+
+    def test_line_sets_make_no_svd(self, monkeypatch):
+        dec = importlib.import_module("realform.decide")
+        inst = generate(InstanceSpec(k=8, n_generators=3, type_mix={"hyperbolic": 3}, seed=8))
+        verdicts = []
+        calls = self.svd_calls_inside(
+            monkeypatch, dec, "_line_sets",
+            lambda: verdicts.append(decide(inst.matrices, method="cross")[0]))
+        assert verdicts[0].answer == inst.answer and verdicts[0].method == METHOD_CROSS
+        assert calls == []
+
+    def test_triple_ratio_set_makes_no_svd(self, monkeypatch):
+        coords = importlib.import_module("realform.coords")
+        rng = np.random.default_rng(8)
+        a, b, c = (make_flag(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+                   for _ in range(3))
+        out = []
+        calls = self.svd_calls_inside(monkeypatch, coords, "triple_ratio_set",
+                                      lambda: out.append(coords.triple_ratio_set(a, b, c)))
+        assert len(out[0]) == 21 and calls == []
+
+    def test_frame_is_the_inverse_eigenflag(self):
+        inst = generate(InstanceSpec(k=5, n_generators=2, type_mix={"hyperbolic": 2}, seed=3))
+        info = prepare(inst.matrices)[0]
+        flag = flag_pair_from_eigensystem(info.es).flag
+        assert info.frame is info.frame   # computed once
+        assert np.allclose(flag.vectors @ info.frame, np.eye(5), atol=1e-12)
+        s = np.linalg.svd(flag.vectors, compute_uv=False)
+        assert info.frame_rcond == pytest.approx(s[-1] / s[0], rel=1e-12)
+
+    def test_line_cut_scales_with_frame_conditioning(self):
+        # cond(Gamma) = 1e4: the base eigenbasis is ill-conditioned, and one
+        # direction's minors clear rank_tol in the frame but not rank_tol
+        # times the frame's condition number; an SVD test of the input-space
+        # stacks refuses it too
+        ms = conditioned_yes(8, 5, exponent=4)
+        base = prepare(ms)[0]
+        assert base.frame_rcond < 1e-3
+        with pytest.raises(GenericityViolation,
+                           match="generator 1: eigendirection 7 not generic with the base"):
+            decide(ms, method="cross")
 
 
 class TestDirect:
@@ -565,13 +637,14 @@ class TestDecisionContract:
         assert calls == {"decide_direct": 1, "conjugation_witness": 2}
 
 
-def conditioned_yes(k, seed):
+def conditioned_yes(k, seed, exponent=3):
     """An oracle Yes instance (two hyperbolic and one elliptic generator)
-    moved by Gamma = U diag(logspace(0, 3, k)) U^H, cond(Gamma) = 1e3."""
+    moved by Gamma = U diag(logspace(0, exponent, k)) U^H, cond(Gamma) =
+    10**exponent."""
     inst = generate(InstanceSpec(k, 3, {"hyperbolic": 2, "elliptic": 1, "mixed": 0}, seed=seed))
     rng = np.random.default_rng(1000 + seed)
     u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-    g = u @ np.diag(np.logspace(0, 3, k)) @ u.conj().T
+    g = u @ np.diag(np.logspace(0, exponent, k)) @ u.conj().T
     gi = np.linalg.inv(g)
     return [g @ m @ gi for m in inst.matrices]
 

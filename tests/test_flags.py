@@ -11,7 +11,7 @@ from realform.errors import GenericityViolation
 from realform.flags import (
     Flag,
     _compositions,
-    first_nongeneric_line,
+    first_nongeneric_coords,
     flag_pair_from_eigensystem,
     generic_position,
     generic_with_point,
@@ -144,7 +144,14 @@ class TestBatchedGenericPosition:
             assert generic_position(flags) is False
 
 
+def frame_coordinates(a, points):
+    """Coordinates of points in the basis of A's vectors, one row each."""
+    return np.array([p.coords for p in points]) @ np.linalg.inv(a.vectors)
+
+
 class TestFirstNongenericLine:
+    """The closed-form line genericity against (A, C = A reversed) and d."""
+
     def test_returns_first_failing_index(self, rng):
         a, c = standard_pair(4)
         d = pp(1, 1, 1, 1)
@@ -154,17 +161,58 @@ class TestFirstNongenericLine:
         flags_of = [[a, point_flag(v), c, point_flag(d)] for v in lines]
         expect = next(n for n, fl in enumerate(flags_of) if not naive_generic_position(fl))
         assert expect == 2
-        assert first_nongeneric_line(a, lines, c, d) == 2
-        assert first_nongeneric_line(a, lines[3:], c, d) == 2
-        assert first_nongeneric_line(a, good, c, d) is None
-        assert first_nongeneric_line(a, [], c, d) is None
+        x, dx = frame_coordinates(a, lines), d.coords
+        assert first_nongeneric_coords(x, dx) == 2
+        assert first_nongeneric_coords(x[3:], dx) == 2
+        assert first_nongeneric_coords(frame_coordinates(a, good), dx) is None
+        assert first_nongeneric_coords(np.zeros((0, 4)), dx) is None
 
     def test_nongeneric_base_fails_every_line(self, rng):
         a, c = standard_pair(4)
         d = pp(1, 0, 0, 0)  # lies in A_1
         lines = [ProjPoint(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(3)]
         assert not generic_position([a, c, point_flag(d)])
-        assert first_nongeneric_line(a, lines, c, d) == 0
+        assert first_nongeneric_coords(frame_coordinates(a, lines), d.coords) == 0
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    @pytest.mark.parametrize("which", ["line coordinate", "reference coordinate", "consecutive minor"])
+    def test_exact_zeros_fail_both_tests(self, rng, k, which):
+        a = random_flag(rng, k, k)
+        c = a.reversed()
+        y = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
+        dy = rng.normal(size=k) + 1j * rng.normal(size=k)
+        i = int(rng.integers(k - 1))
+        if which == "line coordinate":
+            y[1, i] = 0
+        elif which == "reference coordinate":
+            dy[i] = 0
+        else:   # x_i d_{i+1} - x_{i+1} d_i = 0
+            y[1, i + 1] = y[1, i] * dy[i + 1] / dy[i]
+        lines, d = [ProjPoint(v @ a.vectors) for v in y], ProjPoint(dy @ a.vectors)
+        first = 0 if which == "reference coordinate" else 1
+        assert first_nongeneric_coords(frame_coordinates(a, lines), frame_coordinates(a, [d])[0]) == first
+        assert [generic_with_point(a, v, c, d) for v in lines] == [first == 1 and n != 1 for n in range(3)]
+        assert naive_generic_position([a, point_flag(lines[first]), c, point_flag(d)]) is False
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_generic_position(self, seed, k, integers):
+        # Gaussian-integer entries make exact zeros and coincidences common
+        rng = np.random.default_rng(seed)
+        draw = ((lambda *shape: rng.integers(-1, 2, shape) + 1j * rng.integers(-1, 2, shape))
+                if integers else lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        vecs = draw(k + 4, k)
+        if not np.abs(vecs).max(axis=1).all():
+            return
+        try:
+            a = make_flag(vecs[:k])
+        except GenericityViolation:
+            return
+        lines, d = [ProjPoint(v) for v in vecs[k + 1:]], ProjPoint(vecs[k])
+        c = a.reversed()
+        got = first_nongeneric_coords(frame_coordinates(a, lines), frame_coordinates(a, [d])[0])
+        flags = [generic_with_point(a, v, c, d) for v in lines]
+        assert got == (flags.index(False) if False in flags else None)
 
 
 class TestGenericWithPoint:

@@ -30,3 +30,41 @@ def test_dump_and_compare(tmp_path, capsys):
     assert ic.main(["compare", str(first), str(second)]) == 1
     out = capsys.readouterr().out
     assert f"{key}: answer" in out and "1 differ" in out
+
+
+def test_values_lets_only_condition_values_move(tmp_path, capsys):
+    ic = load_script()
+    op = {"answer": "yes", "method": "DimKCrossOnly", "multiplicity": "one",
+          "conditions": [["cr[0]", "real", True, [0.5, 1e-12]],
+                         ["pair[0]", "conjugate pair", True, [3e-12, 0.0]]],
+          "diagnostics": [], "residual_ok": True}
+    raised = {"raised": "GenericityViolation", "message": "flags not in generic position"}
+    before = {"w/1/0/cross": op, "w/1/1/fg": raised}
+    moved = json.loads(json.dumps(before))
+    moved["w/1/0/cross"]["conditions"][0][3][0] *= 1 + 2e-11
+    moved["w/1/0/cross"]["conditions"][1][3][0] += 5e-13
+    paths = [tmp_path / "before.json", tmp_path / "moved.json"]
+    for path, ops in zip(paths, (before, moved)):
+        path.write_text(json.dumps(ops))
+    # a rounding-level value change: values passes and reports it, compare fails
+    capsys.readouterr()
+    assert ic.main(["values", *map(str, paths)]) == 0
+    out = capsys.readouterr().out
+    assert "0 differ" in out and "cr[0]" in out and "pair[0]" in out
+    above, below = ic.value_changes(before, moved)
+    assert above[1:] == ("w/1/0/cross", "cr[0]") and 1e-11 < above[0] < 3e-11
+    assert below[1:] == ("w/1/0/cross", "pair[0]") and 4e-13 < below[0] < 6e-13
+    assert ic.main(["compare", *map(str, paths)]) == 1
+
+    # a flipped pass flag, or a changed raise message, fails both
+    for change in ("flag", "message"):
+        other = json.loads(json.dumps(before))
+        if change == "flag":
+            other["w/1/0/cross"]["conditions"][1][2] = False
+        else:
+            other["w/1/1/fg"]["message"] = "base flags are not in generic position"
+        paths[1].write_text(json.dumps(other))
+        for command in ("values", "compare"):
+            capsys.readouterr()
+            assert ic.main([command, *map(str, paths)]) == 1
+            assert "1 differ" in capsys.readouterr().out
