@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .coords import CrossRatio, frame_cross_ratio_sets, triple_ratio_set
-from .decide import FORCED_METHODS, base_flags, decide, prepare, verify_certificate
+from .decide import FORCED_METHODS, base_flags, decide, prepare, spectral_pass, verify_certificate
 from .errors import (
     DegenerateFrame,
     DegenerateTriple,
@@ -38,8 +38,8 @@ from .errors import (
 )
 from .flags import flag_pair_from_eigensystem, generic_position
 from .oracle import InstanceSpec, generate
-from .projlin import MAX_DIM, MIN_DIM, eig
-from .spectrum import KIND_HYPERBOLIC, type_transformation
+from .projlin import MAX_DIM, MIN_DIM
+from .spectrum import KIND_HYPERBOLIC
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -147,14 +147,10 @@ def _add_tol_flags(p):
 def cmd_classify(args) -> int:
     k, mats, options = _load_document(args.input)
     cfg = _tolerances(options, args)
-    reports = []
-    for idx, m in enumerate(mats):
-        try:
-            es = eig(m, cfg)
-        except RealformError as exc:
-            raise type(exc)(f"matrix {idx}: {exc}") from exc
-        reports.append(_classification(idx, type_transformation(es, cfg)))
-    _emit({"k": k, "classifications": reports})
+    infos, exc = spectral_pass(mats, cfg)
+    if exc is not None:
+        raise exc
+    _emit({"k": k, "classifications": [_classification(i.index, i.sclass) for i in infos]})
     return EXIT_YES
 
 

@@ -55,7 +55,6 @@ from .errors import (
     NoConjugation,
     NumericalDegeneracy,
     RealformError,
-    RepeatedEigenvalues,
     SharedEigendirections,
     SpectralPreconditionError,
 )
@@ -69,13 +68,15 @@ from .flags import (
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
 from .coords import cross_ratio_set  # noqa: F401
 from .flags import generic_with_point, point_flag  # noqa: F401
+from .projlin import eig  # noqa: F401
+from .spectrum import type_transformation  # noqa: F401
 from .projlin import (
     MAX_DIM,
     MIN_DIM,
     ProjPoint,
     canonical_matrix,
     check_matrix,
-    eig,
+    eigensystems,
     frame_from_points,
     homography,
     proj_dist,
@@ -94,7 +95,7 @@ from .spectrum import (
     KIND_HYPERBOLIC,
     KIND_INCOMPATIBLE,
     KIND_MIXED,
-    type_transformation,
+    classify_spectra,
 )
 
 METHOD_DIM2 = "Dim2Lemmas"
@@ -178,25 +179,49 @@ class GenInfo:
         return s[-1] / s[0]
 
 
-def prepare(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
-    """Eigendecompose and classify every generator; fail fast on spectra."""
+def _stack_infos(a, cfg, start=0):
+    """GenInfo of each matrix of the stack a (indices from ``start``) before
+    the first that fails a gate, and that matrix's error naming it."""
+    systems, exc = eigensystems(a, cfg)
+    classes = classify_spectra(np.array([es.eigenvalues for es in systems]), cfg) if systems else []
+    infos = [GenInfo(index=start + i, matrix=es.matrix, es=es, sclass=sc)
+             for i, (es, sc) in enumerate(zip(systems, classes))]
+    if exc is not None:
+        exc = type(exc)(f"matrix {start + len(infos)}: {exc}")
+    return infos, exc
+
+
+def spectral_pass(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """Eigendecompose and classify every generator in one stacked pass.
+
+    Returns the GenInfo of the generators before the first that fails a
+    gate (an incompatible spectrum is a class, not a failure), and that
+    failure, its message prefixed with "matrix {index}: ", or None.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in ms]
+    if not mats:
+        return [], ValueError("empty collection")
+    if len({m.shape for m in mats}) == 1:
+        return _stack_infos(np.stack(mats), cfg)
+    # mismatched shapes cannot be stacked: one pass per matrix
     infos = []
-    for idx, m in enumerate(ms):
-        try:
-            es = eig(m, cfg)
-        except RepeatedEigenvalues as exc:
-            raise RepeatedEigenvalues(f"matrix {idx}: {exc}") from exc
-        sc = type_transformation(es, cfg)
-        if sc.kind == KIND_INCOMPATIBLE:
-            raise IncompatibleEigenvalues(
-                f"matrix {idx}: eigenvalues admit no organizing real line"
-            )
-        infos.append(GenInfo(index=idx, matrix=es.matrix, es=es, sclass=sc))
-    if not infos:
-        raise ValueError("empty collection")
-    k = infos[0].es.dim
-    if any(info.es.dim != k for info in infos):
-        raise ValueError("matrices have mismatched dimensions")
+    for idx, m in enumerate(mats):
+        got, exc = _stack_infos(m[None], cfg, idx)
+        infos += got
+        if exc is not None:
+            return infos, exc
+    return infos, ValueError("matrices have mismatched dimensions")
+
+
+def prepare(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """Eigendecompose and classify every generator; the first generator in
+    index order that fails a gate or has an incompatible spectrum raises."""
+    infos, exc = spectral_pass(ms, cfg)
+    bad = next((info.index for info in infos if info.kind == KIND_INCOMPATIBLE), None)
+    if bad is not None:
+        raise IncompatibleEigenvalues(f"matrix {bad}: eigenvalues admit no organizing real line")
+    if exc is not None:
+        raise exc
     return infos
 
 

@@ -18,6 +18,28 @@ from .errors import DegenerateFrame, NonDiagonalizable, RepeatedEigenvalues, Sin
 
 MIN_DIM = 2
 MAX_DIM = 8
+_SINGULAR = "matrix is singular within deg_tol"
+
+
+def _input_gate(a: np.ndarray, cfg: Tolerances):
+    """Gate a stack a (n, ...) of matrices in one pass.
+
+    Returns the number of leading matrices that are square, k x k with
+    MIN_DIM <= k <= MAX_DIM and finite, a mask of those singular within
+    ``deg_tol`` (one SVD of the stack), and the error of the matrix after
+    them (None when there is none).  The mask is None when a is no stack
+    of supported k x k matrices.
+    """
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        return 0, None, ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
+    k = a.shape[1]
+    if not (MIN_DIM <= k <= MAX_DIM):
+        return 0, None, ValueError(f"dimension {k} outside supported range [{MIN_DIM}, {MAX_DIM}]")
+    finite = np.isfinite(a).all(axis=(1, 2)).tolist()
+    n = finite.index(False) if False in finite else len(finite)
+    s = np.linalg.svd(a[:n], compute_uv=False)
+    late = ValueError("matrix has non-finite entries") if n < len(finite) else None
+    return n, s[:, -1] <= cfg.deg_tol * s[:, 0], late
 
 
 def check_matrix(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -27,16 +49,11 @@ def check_matrix(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     pairs already converted by the caller.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    k = a.shape[0]
-    if not (MIN_DIM <= k <= MAX_DIM):
-        raise ValueError(f"dimension {k} outside supported range [{MIN_DIM}, {MAX_DIM}]")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= cfg.deg_tol * s[0]:
-        raise SingularMatrix("matrix is singular within deg_tol")
+    n, singular, exc = _input_gate(a[None], cfg)
+    if n and singular[0]:
+        exc = SingularMatrix(_SINGULAR)
+    if exc is not None:
+        raise exc
     return a
 
 
@@ -61,6 +78,13 @@ class ProjPoint:
         if mags[idx] <= cfg.deg_tol:
             raise ValueError("zero vector does not define a projective point")
         self.coords = v / v[idx]
+
+    @classmethod
+    def canonical(cls, coords: np.ndarray) -> "ProjPoint":
+        """The point whose representative ``coords`` is already canonical."""
+        p = cls.__new__(cls)
+        p.coords = coords
+        return p
 
     @property
     def dim(self) -> int:
@@ -108,15 +132,29 @@ def upper_pairs(k: int) -> tuple:
     return pairs
 
 
-def require_separated(lam: np.ndarray, sep_tol: float, message: str) -> None:
-    """Raise RepeatedEigenvalues(message.format(lam_i, lam_j)) for the first pair
-    i < j (row-major) with |lam_i - lam_j| / max(|lam_i|, |lam_j|) <= sep_tol."""
+def _close_pairs(lam: np.ndarray, sep_tol: float) -> np.ndarray:
+    """close[..., p] for each spectrum lam[...] of length k: its p-th pair
+    (i, j) of ``upper_pairs(k)`` has |lam_i - lam_j| / max(|lam_i|, |lam_j|)
+    at most sep_tol."""
+    i, j = upper_pairs(lam.shape[-1])
+    t = lam.T   # pairs index the leading axis, a fast gather for one spectrum
+    mag = modulus(t)
+    return (modulus(t[i] - t[j]) / np.maximum(mag[i], mag[j]) <= sep_tol).T
+
+
+def _repeated(lam: np.ndarray, close: np.ndarray, message: str) -> RepeatedEigenvalues:
+    """RepeatedEigenvalues(message.format(lam_i, lam_j)) for the first close
+    pair i < j (row-major) of one spectrum."""
     i, j = upper_pairs(lam.size)
-    mag = modulus(lam)
-    close = (modulus(lam[i] - lam[j]) / np.maximum(mag[i], mag[j]) <= sep_tol).tolist()
-    if True in close:
-        n = close.index(True)
-        raise RepeatedEigenvalues(message.format(lam[i[n]], lam[j[n]]))
+    n = close.tolist().index(True)
+    return RepeatedEigenvalues(message.format(lam[i[n]], lam[j[n]]))
+
+
+def require_separated(lam: np.ndarray, sep_tol: float, message: str) -> None:
+    """Raise ``_repeated`` for the first pair of lam closer than sep_tol."""
+    close = _close_pairs(lam, sep_tol)
+    if close.any():
+        raise _repeated(lam, close, message)
 
 
 @dataclass(frozen=True)
@@ -137,7 +175,8 @@ class EigenSystem:
 
 
 def eig(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
-    """Eigendecomposition with deterministic ordering and validity gates.
+    """Eigendecomposition with deterministic ordering and validity gates:
+    the one-matrix case of :func:`eigensystems`.
 
     Raises
     ------
@@ -146,22 +185,67 @@ def eig(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
     NonDiagonalizable
         if an eigenvector residual exceeds ``eig_tol``.
     """
-    a = check_matrix(m, cfg)
-    lam, vecs = np.linalg.eig(a)
-    order = np.lexsort((np.abs(lam), np.angle(lam)))
-    lam = lam[order]
-    vecs = vecs[:, order]
+    systems, exc = eigensystems(np.asarray(m, dtype=complex)[None], cfg)
+    if exc is not None:
+        raise exc
+    return systems[0]
 
-    require_separated(lam, cfg.sep_tol, "eigenvalues {:.6g} and {:.6g} are projectively equal")
+
+def eigensystems(a: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """Eigendecompose a stack a (n, k, k) of matrices in one pass.
+
+    Returns the EigenSystems of the matrices before the first one that
+    fails a gate, and that matrix's error (None when every matrix passes).
+    Each matrix meets the gates in one order: shape and range,
+    finiteness, singularity, eigenvalue separation, eigenvector residual
+    and the checks of ``ProjPoint`` on each direction.  One SVD of the
+    stack gates singularity and one ``np.linalg.eig`` decomposes it; the
+    matrices after the first non-finite one are not decomposed.
+    """
+    n, singular, late = _input_gate(a, cfg)
+    if singular is None:   # no stack of k x k matrices
+        return [], late
+    a = a[:n]
+    k = a.shape[1]
+    lam, vecs = np.linalg.eig(a)
+    order = np.lexsort((np.abs(lam), np.angle(lam)), axis=-1)
+    g = np.arange(n)[:, None]
+    lam = lam[g, order]
+    rows = vecs.transpose(0, 2, 1)[g, order]   # rows[g, j]: eigenvector of lam[g, j]
+    vecs = rows.transpose(0, 2, 1)
+
+    close = _close_pairs(lam, cfg.sep_tol)
     # the residual is scale-free, so LAPACK's columns stand in for the points
-    scale = max(1.0, float(np.abs(a).max()))
-    res = (np.linalg.norm(a @ vecs - vecs * lam, axis=0)
-           / (np.linalg.norm(vecs, axis=0) * scale)).tolist()
-    for j, r in enumerate(res):
-        if r >= cfg.eig_tol:
-            raise NonDiagonalizable(f"eigenvector residual {r:.3g} for eigenvalue {lam[j]:.6g}")
-    dirs = tuple(ProjPoint(v, cfg) for v in vecs.T)
-    return EigenSystem(eigenvalues=lam, directions=dirs, matrix=a)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    res = (np.linalg.norm(a @ vecs - vecs * lam[:, None, :], axis=1)
+           / (np.linalg.norm(vecs, axis=1) * scale[:, None]))
+    # the directions as ProjPoint makes them: largest-magnitude coordinate 1
+    mags = np.abs(rows)
+    top = mags.max(axis=2)
+    coords = rows / rows[g, np.arange(k), mags.argmax(axis=2)][..., None]
+    finite = np.isfinite(top)
+    bad_dir = ~(finite & (top > cfg.deg_tol))
+
+    bad = np.concatenate((singular[:, None], close, res >= cfg.eig_tol, bad_dir), axis=1)
+    f = int(bad.any(axis=1).argmax()) if bad.any() else n
+    systems = [EigenSystem(eigenvalues=lam[i], matrix=a[i],
+                           directions=tuple(map(ProjPoint.canonical, coords[i])))
+               for i in range(f)]
+    if f == n:
+        return systems, late
+    if singular[f]:
+        return systems, SingularMatrix(_SINGULAR)
+    if close[f].any():
+        return systems, _repeated(lam[f], close[f],
+                                  "eigenvalues {:.6g} and {:.6g} are projectively equal")
+    j = (res[f] >= cfg.eig_tol).tolist()
+    if True in j:
+        j = j.index(True)
+        return systems, NonDiagonalizable(
+            f"eigenvector residual {res[f, j]:.3g} for eigenvalue {lam[f, j]:.6g}")
+    j = bad_dir[f].tolist().index(True)
+    return systems, ValueError("zero vector does not define a projective point" if finite[f, j]
+                               else "non-finite coordinates")
 
 
 @dataclass(frozen=True)

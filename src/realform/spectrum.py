@@ -76,65 +76,76 @@ def _greedy_labeling(theta, on_line, err, tol):
 
 
 def classify_eigenvalues(lams, cfg: Tolerances = DEFAULT_TOLERANCES) -> SpectralClass:
-    """Classify a spectrum: admissible lines, labels, pairing, genericity.
+    """Classify a spectrum: admissible lines, labels, pairing, genericity;
+    the one-spectrum case of :func:`classify_spectra`.
 
     Raises RepeatedEigenvalues when two inputs are projectively equal.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    k = lams.size
     require_separated(lams, cfg.sep_tol, "eigenvalues {:.6g}, {:.6g} coincide")
+    return classify_spectra(lams[None], cfg)[0]
 
+
+def classify_spectra(lams: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES) -> list:
+    """SpectralClass of each row of lams (n, k), rows already separated.
+
+    Every candidate test runs on the whole stack; only the dedup of
+    accepted angles and the greedy labeling stay per spectrum.
+    """
+    n, k = lams.shape
     # candidates: the arguments and the pairwise half-sums of arguments, mod pi
     pi_, pj = upper_pairs(k)
     args = np.arctan2(lams.imag, lams.real)
-    raw = args.tolist() + ((args[pi_] + args[pj]) / 2.0).tolist()
-    mod = [y + math.pi if y < 0 else y for y in (math.fmod(x, math.pi) for x in raw)]
-    thetas = sorted(mod)
-    at = [math.fmod(t, math.pi) for t in thetas]   # a candidate rounded up to pi sits at 0
-    n = len(thetas)
-    grid = np.array(mod[:k] + at + thetas)
-    # on_line[c, i]: lam_i lies on the line at candidate angle c
-    d = np.abs(grid[:k] - grid[k:k + n, None])
+    mod = np.fmod(np.concatenate((args, (args[:, pi_] + args[:, pj]) / 2.0), axis=1), np.pi)
+    np.add(mod, np.pi, out=mod, where=mod < 0)
+    thetas = np.sort(mod, axis=1, kind="stable")   # -0.0 and 0.0 keep their order
+    at = np.fmod(thetas, np.pi)   # a candidate rounded up to pi sits at 0
+    # on_line[g, c, i]: lam_i lies on the line at candidate angle c
+    d = np.abs(mod[:, None, :k] - at[:, :, None])
     on_line = np.minimum(d, np.pi - d) < cfg.angle_tol
-    # err[c, i, j]: relative distance of lam_j from lam_i reflected about candidate c
+    # err[g, c, i, j]: relative distance of lam_j from lam_i reflected about candidate c
     mag = modulus(lams)
-    top = np.maximum(mag[:, None], mag)
-    reflect = np.exp(2j * grid[k + n:])[:, None] * np.conj(lams)
-    err = modulus(lams - reflect[:, :, None]) / top
+    top = np.maximum(mag[:, :, None], mag[:, None, :])
+    reflect = np.exp(2j * thetas)[:, :, None] * np.conj(lams)[:, None, :]
+    err = modulus(lams[:, None, None, :] - reflect[..., None]) / top[:, None]
     # a labeling pairs each off-line lam_i with some lam_j, in one order or the
     # other; a candidate where some lam_i has no such partner cannot work
     near = err < cfg.angle_tol
-    near |= near.transpose(0, 2, 1)
-    viable = np.logical_and.reduce(on_line | np.logical_or.reduce(near, axis=2), axis=1).tolist()
-
-    labelings = []
-    seen = []
-    for c, ok in enumerate(viable):
-        t = at[c]
-        if not ok or any(min(abs(t - s), math.pi - abs(t - s)) < cfg.angle_tol for s in seen):
-            continue
-        lab = _greedy_labeling(thetas[c], on_line[c].tolist(), err[c].tolist(), cfg.angle_tol)
-        if lab is not None:
-            labelings.append(lab)
-            seen.append(t)
-
-    compatible = bool(labelings)
+    near |= near.transpose(0, 1, 3, 2)
+    viable = np.logical_and.reduce(on_line | np.logical_or.reduce(near, axis=3), axis=2)
     # A pair on a common line with equal magnitudes (i.e. lam_j = -lam_i)
     # is both hyperbolic for one line and elliptic for another: not generic.
-    forbidden_pair = True in (modulus(lams[:, None] + lams) <= cfg.sep_tol * top)[pi_, pj].tolist()
-    generic = bool(compatible and len(labelings) == 1 and not forbidden_pair)
+    forbidden = modulus(lams[:, :, None] + lams[:, None, :]) <= cfg.sep_tol * top
+    forbidden = forbidden[:, pi_, pj]
 
-    kinds = [set(lab.labels) for lab in labelings]
-    kind = (KIND_INCOMPATIBLE if not compatible else KIND_HYPERBOLIC if {HYPERBOLIC} in kinds
-            else KIND_ELLIPTIC if {ELLIPTIC} in kinds else KIND_MIXED)
+    classes = []
+    for g, (ok, theta, at_g, nongeneric) in enumerate(zip(
+            viable.tolist(), thetas.tolist(), at.tolist(), forbidden.tolist())):
+        labelings = []
+        seen = []
+        for c, viable_c in enumerate(ok):
+            t = at_g[c]
+            if not viable_c or any(min(abs(t - s), math.pi - abs(t - s)) < cfg.angle_tol
+                                   for s in seen):
+                continue
+            lab = _greedy_labeling(theta[c], on_line[g, c].tolist(), err[g, c].tolist(),
+                                   cfg.angle_tol)
+            if lab is not None:
+                labelings.append(lab)
+                seen.append(t)
 
-    return SpectralClass(
-        compatible=compatible,
-        line_angles=tuple(lab.theta for lab in labelings),
-        labelings=tuple(labelings),
-        generic=generic,
-        kind=kind,
-    )
+        compatible = bool(labelings)
+        kinds = [set(lab.labels) for lab in labelings]
+        kind = (KIND_INCOMPATIBLE if not compatible else KIND_HYPERBOLIC if {HYPERBOLIC} in kinds
+                else KIND_ELLIPTIC if {ELLIPTIC} in kinds else KIND_MIXED)
+        classes.append(SpectralClass(
+            compatible=compatible,
+            line_angles=tuple(lab.theta for lab in labelings),
+            labelings=tuple(labelings),
+            generic=compatible and len(labelings) == 1 and True not in nongeneric,
+            kind=kind,
+        ))
+    return classes
 
 
 def type_transformation(es: EigenSystem, cfg: Tolerances = DEFAULT_TOLERANCES) -> SpectralClass:

@@ -115,6 +115,13 @@ class TestDecide:
         res = run_cli("decide", str(golden_file), "--method", "dim3")
         assert res.returncode == 3
 
+    def test_singular_names_its_matrix_exit5(self, tmp_path):
+        f = write_doc(tmp_path / "m.json", 2, [np.diag([2.0, 1.0]), np.diag([1.0, 0.0]),
+                                               np.diag([3.0, 1.0])])
+        res = run_cli("decide", str(f))
+        assert res.returncode == 5
+        assert "error: matrix 1: matrix is singular within deg_tol" in res.stderr
+
     def test_determinism(self, golden_file):
         out1 = run_cli("decide", str(golden_file)).stdout
         out2 = run_cli("decide", str(golden_file)).stdout

@@ -1,0 +1,194 @@
+"""decide.prepare runs one stacked spectral pass over a collection: it must give
+what the per-matrix loop gives, eigendata and classes bit for bit, and raise
+what that loop raises, for the first failing matrix in index order."""
+
+import itertools
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from realform.config import DEFAULT_TOLERANCES
+from realform.decide import prepare
+from realform.errors import IncompatibleEigenvalues, RealformError
+from realform.oracle import InstanceSpec, generate
+from realform.spectrum import KIND_INCOMPATIBLE, classify_eigenvalues
+
+from conftest import random_invertible
+from test_projlin import reference_eig
+
+
+def reference_prepare(ms, cfg=DEFAULT_TOLERANCES):
+    """One matrix at a time: the loop the stacked pass replaced, with every
+    per-matrix error named by its matrix."""
+    out = []
+    for idx, m in enumerate(ms):
+        try:
+            es = reference_eig(m, cfg)
+        except (ValueError, RealformError) as exc:
+            raise type(exc)(f"matrix {idx}: {exc}") from exc
+        sc = classify_eigenvalues(es.eigenvalues, cfg)
+        if sc.kind == KIND_INCOMPATIBLE:
+            raise IncompatibleEigenvalues(
+                f"matrix {idx}: eigenvalues admit no organizing real line")
+        out.append((es, sc))
+    if not out:
+        raise ValueError("empty collection")
+    if any(es.dim != out[0][0].dim for es, _ in out):
+        raise ValueError("matrices have mismatched dimensions")
+    return out
+
+
+def _bits(es, sc):
+    """Everything prepare reports of one generator, floats by their bits."""
+    return (es.matrix.tobytes(), es.eigenvalues.tobytes(),
+            [d.coords.tobytes() for d in es.directions],
+            sc.compatible, sc.generic, sc.kind, [t.hex() for t in sc.line_angles],
+            [(lab.theta.hex(), lab.labels, lab.pairing) for lab in sc.labelings])
+
+
+def _outcome(fn, ms):
+    try:
+        got = fn(ms)
+    except Exception as exc:  # the exception type and message are part of the outcome
+        return type(exc), str(exc)
+    return [_bits(*pair) for pair in got]
+
+
+def _prepare_pairs(ms):
+    return [(info.es, info.sclass) for info in prepare(ms)]
+
+
+def _spectrum(kind, k, rng):
+    """k eigenvalues organized by a random line, or a random spectrum."""
+    line = np.exp(1j * rng.uniform(0, np.pi))
+    mags = rng.permutation(np.linspace(0.4, 3.0, k))   # distinct: no repeated values
+    if kind == "plus_minus_i":
+        # +-s*i and +-r on one line: two admissible lines, so two labelings
+        vals = [mags[0] * 1j, -mags[0] * 1j]
+        vals += [mags[1 + i // 2] * (-1) ** i for i in range(k - 2)]
+        return np.array(vals[:k]) * line
+    if kind == "random":
+        return mags * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    n_pairs = {"hyperbolic": 0, "elliptic": k // 2, "mixed": int(rng.integers(1, k // 2 + 1))}[kind]
+    vals = []
+    for i in range(n_pairs):
+        lam = mags[i] * np.exp(1j * rng.uniform(0.1, np.pi - 0.1)) * line
+        vals += [lam, line ** 2 * np.conj(lam)]
+    vals += list(mags[n_pairs:k - n_pairs] * rng.choice([-1, 1], k - 2 * n_pairs) * line)
+    return np.array(vals)
+
+
+@st.composite
+def collections(draw):
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["hyperbolic", "elliptic", "mixed", "plus_minus_i"] * 4 + ["random"])
+    ms = []
+    for _ in range(n):
+        v = random_invertible(rng, k)
+        ms.append(v @ np.diag(_spectrum(draw(kinds), k, rng)) @ np.linalg.inv(v))
+    return ms
+
+
+@given(collections())
+@settings(max_examples=150, deadline=None)
+def test_matches_the_per_matrix_loop(ms):
+    assert _outcome(_prepare_pairs, ms) == _outcome(reference_prepare, ms)
+
+
+def test_plus_minus_i_has_two_labelings(rng):
+    v = random_invertible(rng, 4)
+    m = v @ np.diag([1j, -1j, 2, -2]) @ np.linalg.inv(v)
+    (info,) = prepare([m])
+    assert len(info.sclass.labelings) == 2 and not info.generic
+    assert _outcome(_prepare_pairs, [m, m]) == _outcome(reference_prepare, [m, m])
+
+
+# ---------------------------------------------------------------------------
+# error order: the first failing matrix in index order wins, whatever gate
+# a later matrix fails
+
+def _conj(rng, lams):
+    v = random_invertible(rng, len(lams))
+    return v @ np.diag(lams) @ np.linalg.inv(v)
+
+
+def _failing_matrices(rng):
+    nonfinite = _conj(rng, [1.0, 2.0, -3.0])
+    nonfinite[0, 1] = np.nan
+    return {
+        "nonfinite": nonfinite,
+        "singular": _conj(rng, [1.0, 2.0, 0.0]),
+        "repeated": _conj(rng, [1.0, 1.0, 2.0]),
+        "nondiagonalizable": _conj(rng, [1.5, 2.5, -3.5]),   # its eig is spoiled below
+        "incompatible": _conj(rng, [2j, 1.0, 3.0]),
+        "mismatched": _conj(rng, [1.0, 2.0, -3.0, 4.0]),
+    }
+
+
+def _named(outcome):
+    """The raised type and the matrix its message names."""
+    typ, message = outcome
+    return typ, re.match(r"(matrix \d+: )?", message).group(0)
+
+
+@pytest.mark.parametrize("early, late", itertools.product(
+    ["nonfinite", "singular", "repeated", "nondiagonalizable", "incompatible", "mismatched"],
+    repeat=2))
+def test_first_failing_matrix_wins(rng, monkeypatch, early, late):
+    bad = _failing_matrices(rng)
+    good = [_conj(rng, [1.0, 2.0, -3.0]) for _ in range(3)]
+    spoiled = bad["nondiagonalizable"]
+    true_eig = np.linalg.eig
+
+    def spoiling_eig(a):
+        lam, vecs = true_eig(a)
+        if a.shape[-2:] == spoiled.shape:
+            hit = (a == spoiled).all(axis=(-2, -1))
+            vecs = np.where(hit[..., None, None], vecs + 0.5, vecs)
+        return lam, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", spoiling_eig)
+    ms = [good[0], bad[early], good[1], bad[late], good[2]]
+    want = _outcome(reference_prepare, ms)
+    assert isinstance(want, tuple)
+    assert _named(_outcome(_prepare_pairs, ms)) == _named(want)
+
+
+def test_empty_collection():
+    assert _outcome(_prepare_pairs, []) == (ValueError, "empty collection")
+
+
+def test_every_gate_names_its_matrix(rng):
+    ms = [_conj(rng, [1.0, 2.0, -3.0]) for _ in range(6)]
+    ms[4] = _conj(rng, [1.0, 2.0, 0.0])
+    with pytest.raises(ValueError, match=r"^matrix 4: matrix is singular within deg_tol$"):
+        prepare(ms)
+    ms[4] = np.eye(3)
+    ms[4][0, 0] = np.inf
+    with pytest.raises(ValueError, match=r"^matrix 4: matrix has non-finite entries$"):
+        prepare(ms)
+
+
+def _counting(calls, name):
+    fn = getattr(np.linalg, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_one_eig_and_one_gate_svd(monkeypatch):
+    inst = generate(InstanceSpec(k=8, n_generators=6, type_mix={"hyperbolic": 3, "mixed": 3},
+                                 seed=5))
+    calls = []
+    for name in ("eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, _counting(calls, name))
+    assert len(prepare(inst.matrices)) == 6
+    assert sorted(calls) == ["eig", "svd"]

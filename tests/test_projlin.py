@@ -178,7 +178,9 @@ class TestEigMatchesReference:
             bad = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
             spoiled = vecs.copy()
             spoiled[:, bad] += 0.3 * (rng.normal(size=(k, bad.size)) + 1j * rng.normal(size=(k, bad.size)))
-            monkeypatch.setattr(np.linalg, "eig", lambda a: (lam, spoiled))
+            # eig decomposes a stack of one matrix, the reference one matrix
+            monkeypatch.setattr(np.linalg, "eig", lambda a: (
+                np.broadcast_to(lam, a.shape[:-1]), np.broadcast_to(spoiled, a.shape)))
             got = _eig_outcome(eig, m)
             assert got[0] is NonDiagonalizable
             assert got == _eig_outcome(reference_eig, m)
