@@ -2,16 +2,19 @@
 
 Subcommands: classify, decide, coords, generate, verify.  JSON is the
 only wire format; complex numbers are always [re, im] pairs.  Output is
-deterministic: sorted keys, floats rounded to 17 significant digits.
+deterministic: sorted keys, floats in their shortest round-trip repr.
 
 Exit codes: 0 yes/ok, 1 no, 2 parse or spec error (including k
 outside [2, 8]), 3 spectral precondition failure, 4 genericity failure,
 5 numerical failure (singular input matrix, failed certificate, no
 conjugation, degenerate frame, triple ratio or cross ratio).  ``main``
-maps every library error to its code in one place.
+maps every library error to its code in one place, and may be called
+repeatedly in one process: the parser is built once.
 """
 
 import argparse
+import cmath
+import functools
 import json
 import os
 import sys
@@ -64,31 +67,13 @@ class CliError(Exception):
         self.code = code
 
 
-def _round17(x: float) -> float:
-    return float(f"{float(x):.17g}")
-
-
 def _c2pair(z) -> list:
     z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        return None
-    return [_round17(z.real), _round17(z.imag)]
+    return [z.real, z.imag] if cmath.isfinite(z) else None
 
 
 def _matrix_out(m) -> list:
-    return [[_c2pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _pair2c(v):
-    if (not isinstance(v, (list, tuple))) or len(v) != 2:
-        raise CliError("complex numbers must be [re, im] pairs", EXIT_PARSE)
-    re, im = v
-    if not all(isinstance(x, (int, float)) for x in (re, im)):
-        raise CliError("complex number components must be numbers", EXIT_PARSE)
-    z = complex(float(re), float(im))
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise CliError("non-finite number in input", EXIT_PARSE)
-    return z
+    return [[_c2pair(z) for z in row] for row in np.asarray(m, dtype=complex).tolist()]
 
 
 def _matrix_in(m, k, what) -> np.ndarray:
@@ -96,15 +81,32 @@ def _matrix_in(m, k, what) -> np.ndarray:
     if not isinstance(m, list) or len(m) != k or any(
             not isinstance(row, list) or len(row) != k for row in m):
         raise CliError(f"{what} is not a {k}x{k} matrix of [re, im] pairs", EXIT_PARSE)
-    return np.array([[_pair2c(v) for v in row] for row in m])
+    for row in m:
+        for v in row:
+            if not isinstance(v, (list, tuple)) or len(v) != 2:
+                raise CliError("complex numbers must be [re, im] pairs", EXIT_PARSE)
+            if not (isinstance(v[0], (int, float)) and isinstance(v[1], (int, float))):
+                raise CliError("complex number components must be numbers", EXIT_PARSE)
+    try:
+        pairs = np.array(m, dtype=float)
+    except OverflowError:
+        raise CliError("number outside the float range in input", EXIT_PARSE)
+    if not np.isfinite(pairs).all():
+        raise CliError("non-finite number in input", EXIT_PARSE)
+    return pairs.view(complex)[..., 0]   # bit-exact complex(re, im), signed zeros included
+
+
+def _read_json(path, what):
+    """The JSON value in ``path``; an unreadable file is a parse error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(f"cannot read {what}: {exc}", EXIT_PARSE)
 
 
 def _load_document(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read input document: {exc}", EXIT_PARSE)
+    doc = _read_json(path, "input document")
     if not isinstance(doc, dict) or "k" not in doc or "matrices" not in doc:
         raise CliError("input document needs fields 'k' and 'matrices'", EXIT_PARSE)
     k = doc["k"]
@@ -125,7 +127,7 @@ def _tolerances(options, args) -> Tolerances:
     cfg = DEFAULT_TOLERANCES
     try:
         cfg = cfg.override(**{k: float(v) for k, v in options.get("tolerances", {}).items()})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"bad tolerance override in document: {exc}", EXIT_PARSE)
     try:
         return cfg.override(**{f.name: getattr(args, f.name) for f in fields(Tolerances)
@@ -159,10 +161,10 @@ def _classification(idx, sc):
         "index": idx,
         "compatible": bool(sc.compatible),
         "kind": sc.kind,
-        "line_angles": [_round17(t) for t in sc.line_angles],
+        "line_angles": [float(t) for t in sc.line_angles],
         "labelings": [
             {
-                "theta": _round17(lab.theta),
+                "theta": float(lab.theta),
                 "labels": list(lab.labels),
                 "pairing": [list(p) for p in lab.pairing],
             }
@@ -185,7 +187,7 @@ def _decision_doc(verdict, cert):
         "verdict": verdict.answer,
         "method": verdict.method,
         "multiplicity": verdict.multiplicity.value if verdict.multiplicity else None,
-        "residual": _round17(cert.residual) if cert.residual is not None else None,
+        "residual": float(cert.residual) if cert.residual is not None else None,
         "gamma": _matrix_out(cert.gamma) if cert.gamma is not None else None,
         "conditions": [
             {
@@ -313,18 +315,15 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     k, mats, options = _load_document(args.input)
     cfg = _tolerances(options, args)
-    try:
-        with open(args.gamma) as fh:
-            gdoc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read gamma file: {exc}", EXIT_PARSE)
+    gdoc = _read_json(args.gamma, "gamma file")
     gamma = _matrix_in(gdoc.get("gamma", gdoc) if isinstance(gdoc, dict) else gdoc, k, "gamma")
     residual = verify_certificate(mats, gamma, cfg)
-    _emit({"residual": _round17(residual), "cert_tol": _round17(cfg.cert_tol),
+    _emit({"residual": float(residual), "cert_tol": float(cfg.cert_tol),
            "pass": bool(residual < cfg.cert_tol)})
     return EXIT_YES if residual < cfg.cert_tol else EXIT_NO
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="realform",
                                      description="Simultaneous conjugacy into PGL(k,R)")
@@ -368,8 +367,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, RealformError) as exc:

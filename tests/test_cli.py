@@ -1,30 +1,47 @@
+import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from realform import cli
 from realform.config import DEFAULT_TOLERANCES, Tolerances
 
 from conftest import unit_circle_collection
 
-CLI = [sys.executable, "-m", "realform.cli"]
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 # the example of the README's Library section
 README_COLLECTION = [np.array([[3j - 1, 3j - 3], [-3j - 3, -3j - 1]]),
                      np.array([[1 + 1j, 0], [0, 1 - 1j]])]
 
 
-def run_cli(*args, env=None):
-    import os
+@pytest.fixture
+def run_cli(capsys):
+    """``cli.main`` in this process; the result reads like a finished process."""
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+    return run
 
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=full_env)
+
+def run_process(*args):
+    """``python -m realform`` in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "realform", *args], capture_output=True,
+                          text=True, env=env)
 
 
 def write_doc(path, k, matrices, options=None):
@@ -56,7 +73,7 @@ def no_file(tmp_path):
 
 
 class TestClassify:
-    def test_kinds(self, golden_file):
+    def test_kinds(self, run_cli, golden_file):
         res = run_cli("classify", str(golden_file))
         assert res.returncode == 0
         doc = json.loads(res.stdout)
@@ -64,27 +81,27 @@ class TestClassify:
         assert kinds == ["strictly_hyperbolic", "strictly_hyperbolic",
                          "strictly_elliptic", "strictly_elliptic"]
 
-    def test_two_admissible_lines(self, tmp_path):
+    def test_two_admissible_lines(self, run_cli, tmp_path):
         f = write_doc(tmp_path / "m.json", 4, [np.diag([1j, -1j, 2, -2])])
         doc = json.loads(run_cli("classify", str(f)).stdout)
         c = doc["classifications"][0]
         assert c["compatible"] and not c["generic"]
         assert len(c["line_angles"]) == 2
 
-    def test_incompatible_reported(self, tmp_path):
+    def test_incompatible_reported(self, run_cli, tmp_path):
         f = write_doc(tmp_path / "m.json", 2, [np.diag([2j, 1])])
         res = run_cli("classify", str(f))
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         assert doc["classifications"][0]["kind"] == "incompatible"
 
-    def test_repeated_exit3(self, tmp_path):
+    def test_repeated_exit3(self, run_cli, tmp_path):
         f = write_doc(tmp_path / "m.json", 2, [np.eye(2)])
         res = run_cli("classify", str(f))
         assert res.returncode == 3
         assert "matrix 0" in res.stderr
 
-    def test_repeated_names_its_matrix(self, tmp_path):
+    def test_repeated_names_its_matrix(self, run_cli, tmp_path):
         f = write_doc(tmp_path / "m.json", 2, [np.diag([2.0, 1.0]), np.eye(2)])
         res = run_cli("classify", str(f))
         assert res.returncode == 3
@@ -92,7 +109,7 @@ class TestClassify:
 
 
 class TestDecide:
-    def test_yes_exit0(self, golden_file):
+    def test_yes_exit0(self, run_cli, golden_file):
         res = run_cli("decide", str(golden_file))
         assert res.returncode == 0
         doc = json.loads(res.stdout)
@@ -100,22 +117,22 @@ class TestDecide:
         assert doc["residual"] < 1e-8
         assert doc["gamma"] is not None
 
-    def test_no_exit1(self, no_file):
+    def test_no_exit1(self, run_cli, no_file):
         res = run_cli("decide", str(no_file))
         assert res.returncode == 1
         assert json.loads(res.stdout)["verdict"] == "no"
 
-    def test_forced_method_genericity_exit4(self, tmp_path):
+    def test_forced_method_genericity_exit4(self, run_cli, tmp_path):
         ms = [np.diag([2.0, 1.0]), np.diag([5.0, 1.0])]
         f = write_doc(tmp_path / "m.json", 2, ms)
         res = run_cli("decide", str(f), "--method", "dim2")
         assert res.returncode == 4
 
-    def test_wrong_dimension_for_method_exit3(self, golden_file):
+    def test_wrong_dimension_for_method_exit3(self, run_cli, golden_file):
         res = run_cli("decide", str(golden_file), "--method", "dim3")
         assert res.returncode == 3
 
-    def test_singular_names_its_matrix_exit5(self, tmp_path):
+    def test_singular_names_its_matrix_exit5(self, run_cli, tmp_path):
         f = write_doc(tmp_path / "m.json", 2, [np.diag([2.0, 1.0]), np.diag([1.0, 0.0]),
                                                np.diag([3.0, 1.0])])
         res = run_cli("decide", str(f))
@@ -123,11 +140,11 @@ class TestDecide:
         assert "error: matrix 1: matrix is singular within deg_tol" in res.stderr
 
     def test_determinism(self, golden_file):
-        out1 = run_cli("decide", str(golden_file)).stdout
-        out2 = run_cli("decide", str(golden_file)).stdout
+        out1 = run_process("decide", str(golden_file)).stdout
+        out2 = run_process("decide", str(golden_file)).stdout
         assert out1 == out2
 
-    def test_tolerance_flag_overrides(self, no_file, tmp_path):
+    def test_tolerance_flag_overrides(self, run_cli, no_file, tmp_path):
         # flags reach the tolerance config: a huge sep-tol makes distinct
         # eigenvalues look repeated
         res = run_cli("decide", str(no_file), "--sep-tol", "0.99")
@@ -153,20 +170,20 @@ class TestDecide:
         ([], {"cr_tol": "nan"}),
         ([], {"cert_tol": 0}),
     ], ids=["flag-cr-nan", "flag-cr-negative", "flag-rank-nan", "doc-cr-nan", "doc-cert-zero"])
-    def test_bad_tolerance_exit2(self, tmp_path, ms, flags, tolerances):
+    def test_bad_tolerance_exit2(self, run_cli, tmp_path, ms, flags, tolerances):
         # both collections are Yes; a NaN or negative cr_tol made them a definite No
         f = write_doc(tmp_path / "in.json", 2, ms, {"tolerances": tolerances})
         res = run_cli("decide", str(f), *flags)
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
-    def test_k_out_of_range_exit2(self, tmp_path):
+    def test_k_out_of_range_exit2(self, run_cli, tmp_path):
         f = write_doc(tmp_path / "k9.json", 9, [np.diag(np.arange(1.0, 10.0))])
         res = run_cli("decide", str(f))
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
 
-    def test_singular_matrix_exit5(self, tmp_path):
+    def test_singular_matrix_exit5(self, run_cli, tmp_path):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
         f = write_doc(tmp_path / "singular.json", 2, [singular])
         res = run_cli("decide", str(f))
@@ -180,7 +197,7 @@ class TestDecide:
         assert res.returncode == 5
         assert "Traceback" not in res.stderr
 
-    def test_failed_certificate_exit5(self, golden_file, tmp_path):
+    def test_failed_certificate_exit5(self, run_cli, golden_file, tmp_path):
         doc = json.loads(golden_file.read_text())
         doc["options"] = {"tolerances": {"cert_tol": 1e-16}}
         f = tmp_path / "tight.json"
@@ -189,7 +206,7 @@ class TestDecide:
         assert res.returncode == 5
         assert "Traceback" not in res.stderr
 
-    def test_parse_error_exit2(self, tmp_path):
+    def test_parse_error_exit2(self, run_cli, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text("{not json")
         assert run_cli("decide", str(f)).returncode == 2
@@ -198,31 +215,133 @@ class TestDecide:
         assert run_cli("decide", str(g)).returncode == 2
 
 
+DIAG = [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]]
+BIG = 10**400   # an integer no float can hold
+
+
 @pytest.mark.parametrize("argv, doc, gamma", [
     (["decide"], {"k": 2, "matrices": 5}, None),
     (["decide"], {"k": 2, "matrices": [5]}, None),
     (["classify"], {"k": 2, "matrices": 5}, None),
     (["classify"], {"k": 2, "matrices": [5]}, None),
-    (["decide"], {"k": 2, "matrices": [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]],
-                  "options": {"tolerances": [1]}}, None),
-    (["decide"], {"k": 2, "matrices": [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]], "options": 5}, None),
-    (["verify"], {"k": 2, "matrices": [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]]},
-     [[[1, 0]], [[1, 0], [0, 0]]]),
+    (["decide"], {"k": 2, "matrices": DIAG, "options": {"tolerances": [1]}}, None),
+    (["decide"], {"k": 2, "matrices": DIAG, "options": 5}, None),
+    (["verify"], {"k": 2, "matrices": DIAG}, [[[1, 0]], [[1, 0], [0, 0]]]),
+    pytest.param(["decide"], {"k": 2, "matrices": [[[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]]]}, None,
+                 id="huge-int-entry"),
+    pytest.param(["verify"], {"k": 2, "matrices": DIAG}, [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]],
+                 id="huge-int-gamma"),
+    pytest.param(["decide"], {"k": 2, "matrices": DIAG, "options": {"tolerances": {"cr_tol": BIG}}},
+                 None, id="huge-int-tolerance"),
+    pytest.param(["decide"], b'{"k": 2, "matrices": [[[[1' + b"0" * 5000 + b', 0]]]]}', None,
+                 id="int-literal-over-4300-digits"),
+    pytest.param(["decide"], b'{"k": 2, "matrices": "\xff"}', None, id="non-utf8-document"),
+    pytest.param(["verify"], {"k": 2, "matrices": DIAG}, b'{"gamma": "\xfe"}', id="non-utf8-gamma"),
+    pytest.param(["decide"], b"[" * 100_000 + b"]" * 100_000, None, id="nesting-too-deep"),
 ])
-def test_malformed_document_exit2(tmp_path, argv, doc, gamma):
+def test_malformed_document_exit2(run_cli, tmp_path, argv, doc, gamma):
     f = tmp_path / "doc.json"
-    f.write_text(json.dumps(doc))
+    f.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     if gamma is not None:
         g = tmp_path / "gamma.json"
-        g.write_text(json.dumps({"gamma": gamma}))
+        g.write_bytes(gamma if isinstance(gamma, bytes) else json.dumps({"gamma": gamma}).encode())
         argv = [*argv, "--gamma", str(g)]
     res = run_cli(*argv, str(f))
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+def test_malformed_document_exit2_in_a_fresh_process(tmp_path):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps({"k": 2, "matrices": [[[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+    res = run_process("decide", str(f))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def test_python_m_realform_matches_main(run_cli, golden_file):
+    res = run_process("decide", str(golden_file))
+    assert res.returncode == 0
+    assert res.stdout == run_cli("decide", str(golden_file)).stdout
+
+
+class TestRepeatedMain:
+    """``main`` builds its parser once and keeps no state between calls."""
+
+    def test_one_parser_per_process(self, run_cli, golden_file, monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        try:
+            codes = [run_cli(cmd, str(golden_file)).returncode
+                     for cmd in ("decide", "classify", "coords", "decide")]
+        finally:
+            cli.build_parser.cache_clear()
+        assert codes == [0, 0, 4, 0]
+        # one top-level parser, and its five subcommand parsers, for all four calls
+        assert made.count("realform") == 1 and len(made) == 6
+
+    def test_later_calls_match_a_fresh_process(self, run_cli, no_file, golden_file, tmp_path):
+        assert run_cli("decide", str(no_file), "--sep-tol", "0.99").returncode == 3
+        gfile = tmp_path / "gamma.json"
+        gfile.write_text(json.dumps({"gamma": json.loads(run_cli("decide", str(golden_file)).stdout)
+                                     ["gamma"]}))
+        for argv in (["decide", str(no_file)], ["classify", str(golden_file)],
+                     ["coords", str(golden_file)], ["verify", str(golden_file), "--gamma", str(gfile)]):
+            fresh = run_process(*argv)
+            res = run_cli(*argv)
+            assert (res.returncode, res.stdout, res.stderr) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# JSON values of every kind a document can hold where a number belongs
+_NUMBER = st.one_of(st.integers(-3, 3), st.floats(-4, 4),
+                    st.sampled_from([BIG, -BIG, 2**1024, 1.7976931348623157e308, 5e-324,
+                                     float("nan"), float("inf")]))
+_ANY = st.one_of(_NUMBER, st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=2))
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+_ENTRY = st.one_of(_PAIR, st.lists(_ANY, max_size=3), _ANY)
+
+
+def _one_in_four(draw):
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def _documents(draw):
+    """A document text: mostly well formed, and one time in four each with
+    ragged rows, malformed entries, a wrong ``k`` or bad tolerances; raw
+    NaN and Infinity and huge integers stand among the numbers."""
+    k = draw(st.sampled_from([2, 3]))
+    rows = st.integers(k - 1, k + 1) if _one_in_four(draw) else st.just(k)
+    entry = _ENTRY if _one_in_four(draw) else _PAIR
+    matrices = [[[draw(entry) for _ in range(draw(rows))] for _ in range(draw(rows))]
+                for _ in range(draw(st.integers(1, 3)))]
+    doc = {"k": draw(_ANY) if _one_in_four(draw) else k, "matrices": matrices}
+    if _one_in_four(draw):
+        doc["options"] = {"tolerances": draw(st.dictionaries(
+            st.sampled_from(["cr_tol", "cert_tol", "sep_tol", "no_such_tol"]), _ANY, max_size=2))}
+    return json.dumps(doc)   # floats nan and inf are written as NaN and Infinity
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_documents())
+def test_decide_never_raises(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["decide", str(path)])
+    assert type(code) is int and 0 <= code <= 5
+
+
 class TestCoords:
-    def test_k3_counts(self, tmp_path):
+    def test_k3_counts(self, run_cli, tmp_path):
         res = run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",
                       "--seed", "3", "-o", str(tmp_path / "g.json"))
         assert res.returncode == 0
@@ -230,7 +349,7 @@ class TestCoords:
         assert len(doc["cross_ratios"]) == 2
         assert len(doc["triple_ratios"]) == 2
 
-    def test_k4_counts_per_flag(self, tmp_path):
+    def test_k4_counts_per_flag(self, run_cli, tmp_path):
         run_cli("generate", "--k", "4", "--generators", "3", "--hyperbolic", "3",
                 "--seed", "4", "-o", str(tmp_path / "g.json"))
         doc = json.loads(run_cli("coords", str(tmp_path / "g.json")).stdout)
@@ -243,14 +362,14 @@ class TestCoords:
             tr_by_flag.setdefault((row["generator"], row["flag"]), []).append(row)
         assert {len(v) for v in tr_by_flag.values()} == {3}
 
-    def test_real_collection_real_coords(self, tmp_path):
+    def test_real_collection_real_coords(self, run_cli, tmp_path):
         run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",
                 "--seed", "5", "--no-scramble", "-o", str(tmp_path / "g.json"))
         doc = json.loads(run_cli("coords", str(tmp_path / "g.json")).stdout)
         for row in doc["cross_ratios"] + doc["triple_ratios"]:
             assert abs(row["value"][1]) < 1e-8
 
-    def test_both_normalizations_consistent(self, tmp_path):
+    def test_both_normalizations_consistent(self, run_cli, tmp_path):
         run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",
                 "--seed", "6", "-o", str(tmp_path / "g.json"))
         doc = json.loads(run_cli("coords", str(tmp_path / "g.json")).stdout)
@@ -309,21 +428,23 @@ class TestCoords:
 
 
 class TestGenerateVerify:
-    def test_seed_byte_determinism(self, tmp_path):
+    def test_seed_byte_determinism(self, run_cli, tmp_path):
         a = run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",
                     "--seed", "9").stdout
-        b = run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",
-                    "--seed", "9").stdout
+        b = run_process("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",
+                        "--seed", "9").stdout
         assert a == b
 
-    def test_env_seed_overrides(self):
+    def test_env_seed_overrides(self, run_cli, monkeypatch):
+        monkeypatch.setenv("REALFORM_SEED", "77")
         a = run_cli("generate", "--k", "2", "--generators", "2", "--hyperbolic", "2",
-                    "--seed", "1", env={"REALFORM_SEED": "77"}).stdout
+                    "--seed", "1").stdout
+        monkeypatch.delenv("REALFORM_SEED")
         b = run_cli("generate", "--k", "2", "--generators", "2", "--hyperbolic", "2",
                     "--seed", "77").stdout
         assert a == b
 
-    def test_sidecar_verifies(self, tmp_path):
+    def test_sidecar_verifies(self, run_cli, tmp_path):
         run_cli("generate", "--k", "3", "--generators", "3", "--hyperbolic", "2",
                 "--elliptic", "1", "--seed", "42", "-o", str(tmp_path / "g.json"))
         truth = json.loads((tmp_path / "g.json.truth").read_text())
@@ -334,7 +455,7 @@ class TestGenerateVerify:
         assert res.returncode == 0
         assert json.loads(res.stdout)["residual"] < 1e-10
 
-    def test_identity_gamma_on_real_input(self, tmp_path):
+    def test_identity_gamma_on_real_input(self, run_cli, tmp_path):
         run_cli("generate", "--k", "2", "--generators", "2", "--hyperbolic", "2",
                 "--seed", "5", "--no-scramble", "-o", str(tmp_path / "g.json"))
         eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -344,7 +465,7 @@ class TestGenerateVerify:
         assert res.returncode == 0
         assert json.loads(res.stdout)["residual"] < 1e-12
 
-    def test_wrong_gamma_exit1(self, tmp_path):
+    def test_wrong_gamma_exit1(self, run_cli, tmp_path):
         run_cli("generate", "--k", "2", "--generators", "2", "--hyperbolic", "2",
                 "--seed", "8", "-o", str(tmp_path / "g.json"))
         wrong = [[[1, 0], [2, 1]], [[0, 1], [1, 0]]]
@@ -352,26 +473,27 @@ class TestGenerateVerify:
         gfile.write_text(json.dumps({"gamma": wrong}))
         assert run_cli("verify", str(tmp_path / "g.json"), "--gamma", str(gfile)).returncode == 1
 
-    def test_infeasible_mix_exit2(self):
+    def test_infeasible_mix_exit2(self, run_cli):
         res = run_cli("generate", "--k", "5", "--generators", "1", "--elliptic", "1")
         assert res.returncode == 2
 
     @pytest.mark.parametrize("k, n, extra", [(9, 2, []), (1, 2, []), (3, 0, []),
                                              (3, 2, ["--perturb", "1:nan"]),
                                              (3, 2, ["--seed", "-1"])])
-    def test_bad_spec_exit2(self, tmp_path, k, n, extra):
+    def test_bad_spec_exit2(self, run_cli, tmp_path, k, n, extra):
         out = tmp_path / "g.json"
         res = run_cli("generate", "--k", str(k), "--generators", str(n), *extra, "-o", str(out))
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
         assert not out.exists()
 
-    def test_negative_env_seed_exit2(self):
-        res = run_cli("generate", "--k", "3", "--generators", "2", env={"REALFORM_SEED": "-5"})
+    def test_negative_env_seed_exit2(self, run_cli, monkeypatch):
+        monkeypatch.setenv("REALFORM_SEED", "-5")
+        res = run_cli("generate", "--k", "3", "--generators", "2")
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
-    def test_perturbed_sidecar(self, tmp_path):
+    def test_perturbed_sidecar(self, run_cli, tmp_path):
         run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",
                 "--seed", "3", "--perturb", "1:0.05", "-o", str(tmp_path / "g.json"))
         truth = json.loads((tmp_path / "g.json.truth").read_text())
