@@ -14,22 +14,25 @@ Five routes are implemented and cross-checked:
                        eigendata; no genericity precondition, a
                        definite answer unless certification fails.
 
-The four coordinate routes share one runner (``_run_route``): each supplies
-the k it handles and a function building its condition list against one
-base chosen by a structural rule.  The runner owns the rest:
-the genericity gate, the single-generator shortcut, certification, the
-fall back to ``direct`` when every condition passes but certification
-fails, and the ``direct`` confirmation of a ``cross`` No.
+``direct`` is the one place where a verdict is solved and certified: an
+explicit realifier gamma is produced and the maximum imaginary residual
+of gamma^{-1} M gamma over the collection must be below ``cert_tol``.
 
-Every Yes, from every route, is certified the same way: an explicit
-realifier gamma is produced and the maximum imaginary residual of
-gamma^{-1} M gamma over the collection must be below ``cert_tol``.
+The four coordinate routes share one runner (``_run_route``): each
+supplies the k it handles and a function building its condition list
+against one base chosen by a structural rule.  The runner gates k and
+genericity, builds the conditions and reads them against the direct
+solve by one rule.  When they agree, the answer is the solve's, with its
+gamma, reported under the route's method with the route's conditions.
+When the ``cross`` conditions fail and the solve finds a form, the
+answer is the solve's (those conditions are sufficient, not necessary).
+Any other disagreement is ``inconclusive``.  ``auto`` solves once and
+hands that solve to each route it tries.
 """
-
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -268,27 +271,16 @@ def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float
     return worst
 
 
-def _certify(infos, cfg, method, conditions, diagnostics, witness=None):
-    """Yes with a realifier built from ``witness`` (by default the
-    conjugation of the first labelings) whose residual is below cert_tol."""
-    if witness is None:
-        data = [d for j in _base_order(infos) for d in _eigendata(infos[j])]
-        witness = conjugation_witness(data, cfg)
+def _certify(infos, cfg, conditions, witness):
+    """Direct's Yes with the realifier built from ``witness``, whose
+    residual must be below cert_tol."""
     conj, unique = witness
     gamma = canonical_matrix(realifier(conj, cfg))
     residual = verify_certificate([info.matrix for info in infos], gamma, cfg)
     if residual >= cfg.cert_tol:
         raise NumericalDegeneracy(f"certificate residual {residual:.3g} above cert_tol")
-    cert = Certificate(gamma=gamma, residual=residual, conditions=conditions,
-                       diagnostics=list(diagnostics))
     mult = Multiplicity.ONE if unique else Multiplicity.INFINITE
-    return Verdict(answer=YES, multiplicity=mult, method=method), cert
-
-
-def _no_verdict(method, conditions, diagnostics):
-    cert = Certificate(gamma=None, residual=None, conditions=conditions,
-                       diagnostics=list(diagnostics))
-    return Verdict(answer=NO, multiplicity=Multiplicity.ZERO, method=method), cert
+    return Verdict(YES, mult, METHOD_DIRECT), Certificate(gamma, residual, conditions)
 
 
 def _require_generic(infos):
@@ -299,23 +291,15 @@ def _require_generic(infos):
         )
 
 
-def _direct_fallback(cfg, infos):
-    """``decide_direct`` on behalf of a coordinate route.  A failure is
-    marked so that ``auto`` stops there: every later route would end in
-    the same solve and the same failure."""
-    try:
-        return decide_direct(None, cfg, infos=infos)
-    except RealformError as exc:
-        exc.direct_failed = True
-        raise
-
-
-def _run_route(ms, cfg, infos, method, ks, build):
-    """Run one coordinate route and certify or confirm its answer.
+def _run_route(ms, cfg, infos, method, ks, build, direct=None):
+    """Run one coordinate route and read its conditions against the
+    direct solve.
 
     ``ks`` is the (lowest, highest) k the route handles; ``build``
     returns the route's (conditions, diagnostics) and raises a
-    RealformError when the geometry is not generic.
+    RealformError when the geometry is not generic.  ``direct`` is
+    ``decide_direct``'s result on the same generators, solved here when
+    not given.
     """
     infos = prepare(ms, cfg) if infos is None else infos
     lo, hi = ks
@@ -325,21 +309,20 @@ def _run_route(ms, cfg, infos, method, ks, build):
     _require_generic(infos)
     conditions, diagnostics = (build(infos, cfg) if len(infos) > 1
                                else ([], ["single compatible generator"]))
-    if all(c.passed for c in conditions):
-        try:
-            return _certify(infos, cfg, method, conditions, diagnostics)
-        except (NoConjugation, NumericalDegeneracy) as exc:
-            verdict, cert = _direct_fallback(cfg, infos)
-            cert.diagnostics.append(f"coordinate conditions passed but certification failed: {exc}")
-            return verdict, cert
-    if method == METHOD_CROSS:
+    solved, cert = direct or decide_direct(None, cfg, infos=infos)
+    passed = all(c.passed for c in conditions)
+    if passed == (solved.answer == YES):
+        if not passed and method == METHOD_CROSS:
+            diagnostics.append("No confirmed by the direct method")
+        return replace(solved, method=method), replace(cert, conditions=conditions,
+                                                      diagnostics=list(diagnostics))
+    if method == METHOD_CROSS and not passed:
         # the cross-only conditions are sufficient, not always necessary
-        verdict, cert = _direct_fallback(cfg, infos)
-        if verdict.answer == YES:
-            cert.diagnostics.append("cross-only conditions failed but the direct method found a form")
-            return verdict, cert
-        diagnostics.append("No confirmed by the direct method")
-    return _no_verdict(method, conditions, diagnostics)
+        return solved, replace(cert, diagnostics=cert.diagnostics + [
+            "cross-only conditions failed but the direct method found a form"])
+    diagnostics.append(f"coordinate conditions {'pass' if passed else 'fail'} "
+                       f"but the direct method answers {solved.answer}")
+    return Verdict(INCONCLUSIVE, None, method), Certificate(None, None, conditions, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +417,9 @@ def _dim2_conditions(infos, cfg):
     raise SharedEigendirections("no base pair with distinct eigendirection sets")
 
 
-def decide_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
+def decide_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None, direct=None):
     """Cross-ratio decision on CP^1 fixed-point configurations."""
-    return _run_route(ms, cfg, infos, METHOD_DIM2, (2, 2), _dim2_conditions)
+    return _run_route(ms, cfg, infos, METHOD_DIM2, (2, 2), _dim2_conditions, direct)
 
 
 def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
@@ -662,14 +645,14 @@ def _dim3_conditions(infos, cfg):
     return _synthetic_conditions(infos, cfg)
 
 
-def decide_pgl3(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
+def decide_pgl3(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None, direct=None):
     """Flag cross-ratio and triple-ratio decision at k = 3."""
-    return _run_route(ms, cfg, infos, METHOD_DIM3, (3, 3), _dim3_conditions)
+    return _run_route(ms, cfg, infos, METHOD_DIM3, (3, 3), _dim3_conditions, direct)
 
 
-def decide_pglk_fg(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
+def decide_pglk_fg(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None, direct=None):
     """Flag cross-ratio and triple-ratio decision at general k >= 3."""
-    return _run_route(ms, cfg, infos, METHOD_FG, (3, MAX_DIM), _flag_conditions)
+    return _run_route(ms, cfg, infos, METHOD_FG, (3, MAX_DIM), _flag_conditions, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -770,16 +753,16 @@ def _cross_conditions(infos, cfg):
     return conditions, [f"base generator {base.index}, reference direction from {provider.index}"]
 
 
-def decide_pglk_cross_only(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
+def decide_pglk_cross_only(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None, direct=None):
     """Per-eigendirection cross-ratio conditions against a base flag pair.
 
     The base pair comes from one generator's eigenbasis (pairs listed
     consecutively for elliptic/mixed bases) and the reference direction
     is a hyperbolic eigendirection of another generator.  A No from the
-    all-hyperbolic base is a failed sufficient condition, so every No is
-    confirmed by the direct method before being reported.
+    all-hyperbolic base is a failed sufficient condition: when the direct
+    method finds a form, its Yes is the answer.
     """
-    return _run_route(ms, cfg, infos, METHOD_CROSS, (MIN_DIM, MAX_DIM), _cross_conditions)
+    return _run_route(ms, cfg, infos, METHOD_CROSS, (MIN_DIM, MAX_DIM), _cross_conditions, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +797,9 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
         records = [Condition(f"preserves(M{info.index})", complex(0 if ok else 1),
                              "commutes with conjugation", ok) for info, ok in zip(infos, good)]
         if all(good):
-            return _certify(infos, cfg, METHOD_DIRECT, records, [], witness)
-    return _no_verdict(METHOD_DIRECT, records, ["no labeling admits a common real form"])
+            return _certify(infos, cfg, records, witness)
+    return (Verdict(NO, Multiplicity.ZERO, METHOD_DIRECT),
+            Certificate(None, None, records, ["no labeling admits a common real form"]))
 
 
 # ---------------------------------------------------------------------------
@@ -837,10 +821,10 @@ def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
     """Decide simultaneous conjugacy into PGL(k,R) with a certificate.
 
     ``method`` forces one route ("dim2", "dim3", "fg", "cross",
-    "direct"); "auto" cascades through the coordinate methods of the
-    right dimension, falls back past any that raise, and ends in the
-    direct one, recording each fallback reason in the certificate
-    diagnostics.
+    "direct"); "auto" solves by the direct method once, then reads that
+    solve against the coordinate routes of the right dimension, the
+    first that applies giving the answer; the reason each skipped route
+    raised is recorded in the certificate diagnostics.
     """
     if method not in FORCED_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -848,6 +832,7 @@ def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
     if method != "auto":
         return globals()[_ROUTES[method]](None, cfg, infos=infos)
 
+    direct = decide_direct(None, cfg, infos=infos)
     k = infos[0].es.dim
     notes = []
     if all(info.generic for info in infos):
@@ -857,13 +842,11 @@ def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
         notes.append("non-generic eigenvalues present; using the direct method")
     for name in chain:
         try:
-            verdict, cert = globals()[_ROUTES[name]](None, cfg, infos=infos)
+            verdict, cert = globals()[_ROUTES[name]](None, cfg, infos=infos, direct=direct)
             break
         except RealformError as exc:
-            if getattr(exc, "direct_failed", False):
-                raise
             notes.append(f"{name}: {exc}")
     else:
-        verdict, cert = decide_direct(None, cfg, infos=infos)
+        verdict, cert = direct
     cert.diagnostics = notes + cert.diagnostics
     return verdict, cert
