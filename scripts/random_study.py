@@ -3,7 +3,9 @@
 
 Generates scrambled real collections (and perturbed negatives) across
 dimensions and type mixes, runs every applicable decision method, and
-tabulates agreement rates plus residual statistics.
+tabulates agreement rates plus residual statistics.  An ``inconclusive``
+answer is counted on its own: it is neither a wrong answer nor a
+disagreement.
 """
 
 import argparse
@@ -35,6 +37,15 @@ def methods(k):
     return (*first, "direct")
 
 
+def tally(answers, truth):
+    """(inconclusive, disagreement, wrong) for one instance's answers, a
+    dict method -> answer: an inconclusive answer sits in none of the
+    other two counts."""
+    definite = set(answers.values()) - {"inconclusive"}
+    return (len(definite) < len(set(answers.values())), len(definite) > 1,
+            bool(definite) and definite != {truth})
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--per-dim", type=int, default=100)
@@ -45,8 +56,7 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     for k in args.dims:
         counts = {m: 0 for m in methods(k)}
-        disagreements = 0
-        wrong = 0
+        counts_by_kind = np.zeros(3, dtype=int)   # inconclusive, disagreements, wrong
         residuals = []
         t0 = time.time()
         for _ in range(args.per_dim):
@@ -64,15 +74,14 @@ def main(argv=None):
                 counts[method] += 1
                 if v.answer == "yes":
                     residuals.append(cert.residual)
-            if len(set(answers.values())) > 1:
-                disagreements += 1
-            if answers and set(answers.values()) != {inst.answer}:
-                wrong += 1
+            counts_by_kind += tally(answers, inst.answer)
         dt = time.time() - t0
         print(f"k={k}: {args.per_dim} instances in {dt:.1f}s "
               f"({1000 * dt / args.per_dim:.1f} ms each)")
         print(f"  applicable counts: {counts}")
-        print(f"  disagreements: {disagreements}, wrong vs ground truth: {wrong}")
+        inconclusive, disagreements, wrong = counts_by_kind
+        print(f"  disagreements: {disagreements}, wrong vs ground truth: {wrong}, "
+              f"inconclusive: {inconclusive}")
         if residuals:
             print(f"  residuals: median {np.median(residuals):.2e}, max {max(residuals):.2e}")
     return 0

@@ -7,7 +7,8 @@ deterministic: sorted keys, floats in their shortest round-trip repr.
 Exit codes: 0 yes/ok, 1 no, 2 parse or spec error (including k
 outside [2, 8]), 3 spectral precondition failure, 4 genericity failure,
 5 numerical failure (singular input matrix, failed certificate, no
-conjugation, degenerate frame, triple ratio or cross ratio).  ``main``
+conjugation, degenerate frame, triple ratio or cross ratio), 6
+inconclusive (a route's conditions and the direct solve disagree).  ``main``
 maps every library error to its code in one place, and may be called
 repeatedly in one process: the parser is built once.
 """
@@ -50,6 +51,7 @@ EXIT_PARSE = 2
 EXIT_SPECTRAL = 3
 EXIT_GENERICITY = 4
 EXIT_NUMERICAL = 5
+EXIT_INCONCLUSIVE = 6
 
 # library error -> exit code, first match wins; any other RealformError is EXIT_PARSE
 _EXIT_CODES = (
@@ -179,7 +181,7 @@ def cmd_decide(args) -> int:
     cfg = _tolerances(options, args)
     verdict, cert = decide(mats, cfg, method=args.method)
     _emit(_decision_doc(verdict, cert))
-    return EXIT_YES if verdict.answer == "yes" else EXIT_NO
+    return {"yes": EXIT_YES, "no": EXIT_NO}.get(verdict.answer, EXIT_INCONCLUSIVE)
 
 
 def _decision_doc(verdict, cert):
@@ -334,7 +336,7 @@ def build_parser():
     _add_tol_flags(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("decide", help="decide conjugacy; exit 0 yes, 1 no")
+    p = sub.add_parser("decide", help="decide conjugacy; exit 0 yes, 1 no, 6 inconclusive")
     p.add_argument("input")
     p.add_argument("--method", choices=list(FORCED_METHODS), default="auto")
     _add_tol_flags(p)

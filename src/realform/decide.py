@@ -82,6 +82,7 @@ from .projlin import (
     eigensystems,
     frame_from_points,
     homography,
+    in_band,
     proj_dist,
 )
 from .rform import (
@@ -255,20 +256,19 @@ def _base_order(infos):
 def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Max imaginary residual of gamma^{-1} M gamma after optimal rephasing.
 
-    The phase minimizing the squared imaginary part has the closed form
-    exp(-i arg(sum of squared entries) / 2); the residual is relative to
-    the largest entry.  Independent of how gamma was produced.
+    Gamma and each M are brought ``in_band`` and each product divided by
+    its largest entry's magnitude, so the residual does not depend on
+    their scales.  The phase minimizing the squared imaginary part has the
+    closed form exp(-i arg(sum of squared entries) / 2).  A residual that
+    is not finite reads as inf.  Independent of how gamma was produced.
     """
-    gamma = check_matrix(gamma, cfg)
-    inv = np.linalg.inv(gamma)
-    worst = 0.0
-    for m in ms:
-        n = inv @ np.asarray(m, dtype=complex) @ gamma
-        w = np.sum(n * n)
-        s = np.exp(-0.5j * np.angle(w)) if abs(w) > 0 else 1.0
-        r = s * n
-        worst = max(worst, float(np.max(np.abs(r.imag)) / np.max(np.abs(r))))
-    return worst
+    gamma = in_band(check_matrix(gamma, cfg)[None])[0]
+    n = np.linalg.inv(gamma) @ in_band(np.array(ms, dtype=complex)) @ gamma
+    with np.errstate(invalid="ignore"):   # a NaN residual is reported as inf
+        n = n / np.abs(n).max(axis=(1, 2), keepdims=True)
+        r = n * np.exp(-0.5j * np.angle(np.sum(n * n, axis=(1, 2))))[:, None, None]
+        worst = float(np.max(np.abs(r.imag).max(axis=(1, 2)) / np.abs(r).max(axis=(1, 2))))
+    return worst if math.isfinite(worst) else math.inf
 
 
 def _certify(infos, cfg, conditions, witness):
@@ -314,8 +314,8 @@ def _run_route(ms, cfg, infos, method, ks, build, direct=None):
     if passed == (solved.answer == YES):
         if not passed and method == METHOD_CROSS:
             diagnostics.append("No confirmed by the direct method")
-        return replace(solved, method=method), replace(cert, conditions=conditions,
-                                                      diagnostics=list(diagnostics))
+        return (replace(solved, method=method),
+                replace(cert, conditions=conditions, diagnostics=diagnostics))
     if method == METHOD_CROSS and not passed:
         # the cross-only conditions are sufficient, not always necessary
         return solved, replace(cert, diagnostics=cert.diagnostics + [

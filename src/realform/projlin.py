@@ -19,27 +19,44 @@ from .errors import DegenerateFrame, NonDiagonalizable, RepeatedEigenvalues, Sin
 MIN_DIM = 2
 MAX_DIM = 8
 _SINGULAR = "matrix is singular within deg_tol"
+_BAND = 2.0 ** 256
+
+
+def in_band(a: np.ndarray) -> np.ndarray:
+    """The stack a (n, k, k) with each matrix whose largest entry lies
+    outside [2^-256, 2^256] scaled exactly by a power of two, its largest
+    entry then in [1/2, 1); a stack already inside is returned as it is.
+    The question is projective, so the scale changes no answer."""
+    top = np.abs(np.ascontiguousarray(a).view(float)).max(axis=(1, 2))
+    if 1 / _BAND <= top.min(initial=1.0) and top.max(initial=1.0) <= _BAND:
+        return a
+    e = np.frexp(top)[1]
+    shift = np.where((top < 1 / _BAND) | (top > _BAND), -e, 0)[:, None, None]
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, shift), np.ldexp(a.imag, shift)
+    return out
 
 
 def _input_gate(a: np.ndarray, cfg: Tolerances):
     """Gate a stack a (n, ...) of matrices in one pass.
 
-    Returns the number of leading matrices that are square, k x k with
-    MIN_DIM <= k <= MAX_DIM and finite, a mask of those singular within
-    ``deg_tol`` (one SVD of the stack), and the error of the matrix after
-    them (None when there is none).  The mask is None when a is no stack
-    of supported k x k matrices.
+    Returns the leading matrices that are square, k x k with MIN_DIM <=
+    k <= MAX_DIM and finite, brought ``in_band``; a mask of those
+    singular within ``deg_tol`` (one SVD of the stack); and the error of
+    the matrix after them (None when there is none).  The mask is None
+    when a is no stack of supported k x k matrices.
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        return 0, None, ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
+        return None, None, ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
     k = a.shape[1]
     if not (MIN_DIM <= k <= MAX_DIM):
-        return 0, None, ValueError(f"dimension {k} outside supported range [{MIN_DIM}, {MAX_DIM}]")
+        return None, None, ValueError(f"dimension {k} outside supported range [{MIN_DIM}, {MAX_DIM}]")
     finite = np.isfinite(a).all(axis=(1, 2)).tolist()
     n = finite.index(False) if False in finite else len(finite)
-    s = np.linalg.svd(a[:n], compute_uv=False)
+    a = in_band(a[:n])
+    s = np.linalg.svd(a, compute_uv=False)
     late = ValueError("matrix has non-finite entries") if n < len(finite) else None
-    return n, s[:, -1] <= cfg.deg_tol * s[:, 0], late
+    return a, s[:, -1] <= cfg.deg_tol * s[:, 0], late
 
 
 def check_matrix(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -49,8 +66,8 @@ def check_matrix(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     pairs already converted by the caller.
     """
     a = np.asarray(m, dtype=complex)
-    n, singular, exc = _input_gate(a[None], cfg)
-    if n and singular[0]:
+    _, singular, exc = _input_gate(a[None], cfg)
+    if singular is not None and singular.any():
         exc = SingularMatrix(_SINGULAR)
     if exc is not None:
         raise exc
@@ -132,6 +149,7 @@ def upper_pairs(k: int) -> tuple:
     return pairs
 
 
+@np.errstate(invalid="ignore")   # two zero eigenvalues read 0/0, not close; singular anyway
 def _close_pairs(lam: np.ndarray, sep_tol: float) -> np.ndarray:
     """close[..., p] for each spectrum lam[...] of length k: its p-th pair
     (i, j) of ``upper_pairs(k)`` has |lam_i - lam_j| / max(|lam_i|, |lam_j|)
@@ -200,13 +218,13 @@ def eigensystems(a: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES):
     finiteness, singularity, eigenvalue separation, eigenvector residual
     and the checks of ``ProjPoint`` on each direction.  One SVD of the
     stack gates singularity and one ``np.linalg.eig`` decomposes it; the
-    matrices after the first non-finite one are not decomposed.
+    matrices after the first non-finite one are not decomposed.  Each
+    ``EigenSystem.matrix`` is its matrix brought ``in_band``.
     """
-    n, singular, late = _input_gate(a, cfg)
+    a, singular, late = _input_gate(a, cfg)
     if singular is None:   # no stack of k x k matrices
         return [], late
-    a = a[:n]
-    k = a.shape[1]
+    n, k = a.shape[:2]
     lam, vecs = np.linalg.eig(a)
     order = np.lexsort((np.abs(lam), np.angle(lam)), axis=-1)
     g = np.arange(n)[:, None]

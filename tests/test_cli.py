@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from realform import cli
 from realform.config import DEFAULT_TOLERANCES, Tolerances
+from realform.oracle import InstanceSpec, generate
 
 from conftest import unit_circle_collection
 
@@ -106,6 +108,36 @@ class TestClassify:
         res = run_cli("classify", str(f))
         assert res.returncode == 3
         assert "error: matrix 1: eigenvalues" in res.stderr and "matrix 0" not in res.stderr
+
+
+class TestClassifyScale:
+    # the largest entry 1e300 made eig's residual overflow (NonDiagonalizable)
+    # and 1e308 the SVD's (SingularMatrix)
+    @pytest.mark.parametrize("scale", [1e300, 1e308, 1e-300])
+    @pytest.mark.parametrize("m", [[[1 + 1j, 1], [1j, 1]], [[0.5, 0.25], [0.25, 0.75]],
+                                   [[0.5 + 0.5j, 0.25], [0, 0.5 - 0.5j]]],
+                             ids=["incompatible", "hyperbolic", "elliptic"])
+    def test_scale_classifies_like_scale_1(self, run_cli, tmp_path, scale, m):
+        docs = []
+        for s in (1, scale):
+            f = write_doc(tmp_path / "m.json", 2, [s * np.array(m)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = run_cli("classify", str(f))
+            assert res.returncode == 0, res.stderr
+            docs.append(json.loads(res.stdout)["classifications"][0])
+        assert docs[1]["kind"] == docs[0]["kind"]
+        assert docs[1]["line_angles"] == pytest.approx(docs[0]["line_angles"], abs=1e-12)
+        assert [lab["labels"] for lab in docs[1]["labelings"]] == \
+            [lab["labels"] for lab in docs[0]["labelings"]]
+
+    def test_scale_decides_like_scale_1(self, run_cli, golden_file, tmp_path):
+        doc = json.loads(golden_file.read_text())
+        doc["matrices"] = [[[[1e300 * x for x in z] for z in row] for row in m]
+                           for m in doc["matrices"]]
+        (tmp_path / "big.json").write_text(json.dumps(doc))
+        res = run_cli("decide", str(tmp_path / "big.json"))
+        assert res.returncode == 0 and json.loads(res.stdout)["verdict"] == "yes"
 
 
 class TestDecide:
@@ -337,7 +369,7 @@ def test_decide_never_raises(tmp_path_factory, text):
     path.write_text(text)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["decide", str(path)])
-    assert type(code) is int and 0 <= code <= 5
+    assert type(code) is int and 0 <= code <= 6
 
 
 class TestCoords:
@@ -473,6 +505,21 @@ class TestGenerateVerify:
         gfile.write_text(json.dumps({"gamma": wrong}))
         assert run_cli("verify", str(tmp_path / "g.json"), "--gamma", str(gfile)).returncode == 1
 
+    @pytest.mark.parametrize("scale", [1e170, 1e200, 1e-200])
+    def test_wrong_gamma_exit1_at_any_scale(self, run_cli, tmp_path, scale):
+        # a wrong gamma read residual 0 once n * n overflowed or underflowed
+        inst = generate(InstanceSpec(k=3, n_generators=2, type_mix={"hyperbolic": 2}, seed=19))
+        wrong = [[[1, 0], [2, 1], [0, 0]], [[0, 1], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 1]]]
+        gfile = tmp_path / "gamma.json"
+        gfile.write_text(json.dumps({"gamma": wrong}))
+        residuals = []
+        for s in (1, scale):
+            write_doc(tmp_path / "g.json", 3, [s * m for m in inst.matrices])
+            res = run_cli("verify", str(tmp_path / "g.json"), "--gamma", str(gfile))
+            assert res.returncode == 1
+            residuals.append(json.loads(res.stdout)["residual"])
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-12)
+
     def test_infeasible_mix_exit2(self, run_cli):
         res = run_cli("generate", "--k", "5", "--generators", "1", "--elliptic", "1")
         assert res.returncode == 2
@@ -492,6 +539,15 @@ class TestGenerateVerify:
         res = run_cli("generate", "--k", "3", "--generators", "2")
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+    def test_inconclusive_exit6(self, run_cli, tmp_path):
+        # at this perturbation float64 cannot separate yes from no
+        run_cli("generate", "--k", "6", "--generators", "3", "--hyperbolic", "3",
+                "--seed", "0", "--perturb", "0:1e-8", "-o", str(tmp_path / "g.json"))
+        res = run_cli("decide", str(tmp_path / "g.json"))
+        assert res.returncode == cli.EXIT_INCONCLUSIVE == 6
+        doc = json.loads(res.stdout)
+        assert doc["verdict"] == "inconclusive" and doc["gamma"] is None
 
     def test_perturbed_sidecar(self, run_cli, tmp_path):
         run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",

@@ -9,6 +9,8 @@ from realform.decide import (
     METHOD_DIM3,
     METHOD_DIRECT,
     METHOD_FG,
+    INCONCLUSIVE,
+    Verdict,
     condition_functions_pgl2,
     decide,
     decide_direct,
@@ -23,6 +25,7 @@ from realform.errors import (
     GenericityViolation,
     IncompatibleEigenvalues,
     NumericalDegeneracy,
+    RealformError,
     RepeatedEigenvalues,
     SharedEigendirections,
     SpectralPreconditionError,
@@ -511,6 +514,22 @@ class TestVerifyCertificate:
         wrong = random_invertible(rng, 3)
         assert verify_certificate(inst.matrices, wrong) > 1e-3
 
+    @pytest.mark.parametrize("scale", [1e170, 1e200, 1e-200])
+    def test_residual_independent_of_scale(self, rng, scale):
+        # n * n overflowed (or underflowed) here, and a wrong gamma read 0
+        inst = generate(InstanceSpec(k=3, n_generators=2,
+                                     type_mix={"hyperbolic": 2}, seed=19))
+        wrong = random_invertible(rng, 3)
+        scaled = [scale * m for m in inst.matrices]
+        assert verify_certificate(scaled, wrong) == pytest.approx(
+            verify_certificate(inst.matrices, wrong), rel=1e-12)
+        assert verify_certificate(scaled, inst.gamma) < 1e-10
+
+    def test_non_finite_residual_is_inf(self):
+        # max(0.0, nan) is 0.0: a NaN residual used to pass
+        ms = [np.eye(2), np.full((2, 2), np.nan)]
+        assert verify_certificate(ms, np.eye(2)) == np.inf
+
 
 class TestDispatch:
     def test_methods_agree_and_certs_portable(self):
@@ -635,6 +654,40 @@ class TestDecisionContract:
         assert str(auto_exc.value) == str(direct_exc.value)
         # auto solves once, first, and that solve's failure is the answer
         assert calls == {"decide_direct": 1, "conjugation_witness": 1}
+
+
+def perturbed(k, seed, eps):
+    """Three hyperbolic generators, generator 0 perturbed by eps."""
+    return generate(InstanceSpec(k, 3, {"hyperbolic": 3}, seed=seed,
+                                 perturbation=(0, eps))).matrices
+
+
+def test_disagreement_is_inconclusive():
+    # fg's conditions fail while direct certifies a form
+    ms = perturbed(6, 0, 1e-8)
+    _, direct = decide(ms, method="direct")
+    verdict, cert = decide(ms)
+    assert verdict == Verdict(INCONCLUSIVE, None, METHOD_FG)
+    assert cert.gamma is None and cert.residual is None
+    assert any(not c.passed for c in cert.conditions)
+    assert direct.residual < DEFAULT_TOLERANCES.cert_tol
+    assert cert.diagnostics == ["coordinate conditions fail but the direct method answers yes"]
+
+
+@pytest.mark.parametrize("k", [3, 6, 8])
+def test_perturbation_sweep_has_no_contradiction(k):
+    # at eps 1e-9 to 1e-7 float64 cannot separate yes from no: a coordinate
+    # route and direct may disagree, but neither answer may stand against the other
+    for eps in (1e-7, 1e-8, 1e-9):
+        for seed in range(10):
+            ms = perturbed(k, seed, eps)
+            direct = decide(ms, method="direct")[0].answer
+            for method in ("auto", "dim3" if k == 3 else "fg", "cross"):
+                try:
+                    answer = decide(ms, method=method)[0].answer
+                except RealformError:   # the forced route does not apply
+                    continue
+                assert {answer, direct} != {"yes", "no"}, (k, eps, seed, method)
 
 
 def conditioned_yes(k, seed, exponent=3):

@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realform.config import DEFAULT_TOLERANCES
-from realform.errors import DegenerateFrame, NonDiagonalizable, RepeatedEigenvalues
+from realform.errors import DegenerateFrame, NonDiagonalizable, RepeatedEigenvalues, SingularMatrix
 from realform.projlin import (
     EigenSystem,
     ProjPoint,
     canonical_matrix,
     check_matrix,
     eig,
+    eigensystems,
     frame_from_points,
     homography,
+    in_band,
     matrices_proportional,
     proj_dist,
     proj_eq,
@@ -260,6 +262,27 @@ class TestHomography:
 def test_check_matrix_rejects_singular():
     with pytest.raises(ValueError):
         check_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_in_band_scales_by_powers_of_two_only_outside_the_band():
+    a = np.array([[[1e300, 3j], [1, 2]], [[1, 2], [3, 4j]], [[1e-300j, 0], [0, 2e-301]]])
+    inside = a[1:2]
+    assert in_band(inside) is inside
+    b = in_band(a)
+    assert (b[1] == a[1]).all()
+    for i in (0, 2):
+        top = np.maximum(np.abs(a[i].real), np.abs(a[i].imag)).max()
+        # the largest entry's binary exponent is taken off every entry, exactly
+        assert (b[i] == a[i] * 2.0 ** -np.frexp(top)[1]).all()
+        assert 0.5 <= np.maximum(np.abs(b[i].real), np.abs(b[i].imag)).max() < 1
+
+
+def test_singular_at_a_huge_scale_has_no_close_pair_warning():
+    # two exact zero eigenvalues read 0/0 in the separation test
+    big = 1.7976931348623157e308
+    m = np.array([[big * 1j, 1, 1], [-big, 1, 1], [1, 1, 1j]])
+    systems, exc = eigensystems(m[None])
+    assert systems == [] and isinstance(exc, SingularMatrix)
 
 
 def test_canonical_matrix_largest_entry_one():

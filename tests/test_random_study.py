@@ -26,4 +26,13 @@ def test_smoke_small_and_high_k(capsys):
     out = capsys.readouterr().out
     assert [int(k) for k in re.findall(r"^k=(\d+):", out, re.M)] == [2, 3, 8]
     assert "'direct': 1" in out
-    assert "wrong vs ground truth: 0" in out
+    assert "wrong vs ground truth: 0" in out and "inconclusive: 0" in out
+
+
+def test_inconclusive_is_neither_wrong_nor_a_disagreement():
+    rs = load_script()
+    assert rs.tally({"fg": "inconclusive", "direct": "yes"}, "no") == (True, False, True)
+    assert rs.tally({"fg": "inconclusive", "cross": "yes", "direct": "yes"}, "yes") == \
+        (True, False, False)
+    assert rs.tally({"fg": "no", "direct": "yes"}, "yes") == (False, True, True)
+    assert rs.tally({"fg": "inconclusive"}, "yes") == (True, False, False)
