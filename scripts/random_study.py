@@ -56,7 +56,7 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     for k in args.dims:
         counts = {m: 0 for m in methods(k)}
-        counts_by_kind = np.zeros(3, dtype=int)   # inconclusive, disagreements, wrong
+        tallies = np.zeros(3, dtype=int)   # inconclusive, disagreements, wrong
         residuals = []
         t0 = time.time()
         for _ in range(args.per_dim):
@@ -74,12 +74,12 @@ def main(argv=None):
                 counts[method] += 1
                 if v.answer == "yes":
                     residuals.append(cert.residual)
-            counts_by_kind += tally(answers, inst.answer)
+            tallies += tally(answers, inst.answer)
         dt = time.time() - t0
         print(f"k={k}: {args.per_dim} instances in {dt:.1f}s "
               f"({1000 * dt / args.per_dim:.1f} ms each)")
         print(f"  applicable counts: {counts}")
-        inconclusive, disagreements, wrong = counts_by_kind
+        inconclusive, disagreements, wrong = tallies
         print(f"  disagreements: {disagreements}, wrong vs ground truth: {wrong}, "
               f"inconclusive: {inconclusive}")
         if residuals:

@@ -29,6 +29,7 @@ answer is the solve's (those conditions are sufficient, not necessary).
 Any other disagreement is ``inconclusive``.  ``auto`` solves once and
 hands that solve to each route it tries.
 """
+
 import functools
 import itertools
 import math
