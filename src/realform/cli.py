@@ -24,7 +24,7 @@ from dataclasses import fields
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .coords import CrossRatio, frame_cross_ratio_sets, triple_ratio_set
+from .coords import CrossRatio, cross_ratio_lists, frame_cross_ratio_sets, triple_ratio_set
 from .decide import FORCED_METHODS, base_flags, decide, prepare, spectral_pass, verify_certificate
 from .errors import (
     DegenerateFrame,
@@ -248,8 +248,8 @@ def _coords_doc(infos, cfg):
 
     k = a.dim
     # [[A, B, C, D]] = -1 / [A, B, C, D]
-    sets = frame_cross_ratio_sets(np.array([f.vectors[0] for f, _, _ in cross_flags]) @ g.frame,
-                                  d.vectors[0] @ g.frame)
+    sets = cross_ratio_lists(frame_cross_ratio_sets(
+        np.array([f.vectors[0] for f, _, _ in cross_flags]) @ g.frame, d.vectors[0] @ g.frame))
     cross_out = [
         {"generator": owner, "flag": tag, "i": i, "j": k - 2 - i,
          "value": _c2pair(cr.value), "fg_value": _c2pair(CrossRatio(-cr.den, cr.num).value)}

@@ -44,21 +44,36 @@ def _det2(p: ProjPoint, q: ProjPoint) -> complex:
 
 @dataclass(frozen=True)
 class CrossRatio:
-    """Cross ratio as a homogeneous pair num/den of O(1) determinants."""
+    """Cross ratio as a homogeneous pair num/den of O(1) determinants.
+
+    num and den may also be equal-shape arrays, one cross ratio per
+    element: the membership predicates below act elementwise, and
+    indexing selects elements.
+    """
 
     num: complex
     den: complex
     provenance: tuple | None = None
 
     @property
-    def infinite(self) -> bool:
-        return abs(self.den) <= 1e-14 * max(abs(self.num), 1.0)
+    def infinite(self):
+        return np.abs(self.den) <= 1e-14 * np.maximum(np.abs(self.num), 1.0)
 
     @property
     def value(self) -> complex:
         if self.infinite:
             return complex(np.inf, 0.0)
-        return self.num / self.den
+        return complex(self.num / self.den)
+
+    def __getitem__(self, index) -> "CrossRatio":
+        return CrossRatio(num=self.num[index], den=self.den[index])
+
+
+def ratio_values(cr: CrossRatio) -> list:
+    """The values of an array-valued cross ratio as nested lists of complex,
+    each num / den by Python's complex division, or inf where infinite."""
+    return [[complex(np.inf, 0.0) if i else n / d for n, d, i in zip(*row)]
+            for row in zip(cr.num.tolist(), cr.den.tolist(), cr.infinite.tolist())]
 
 
 @dataclass(frozen=True)
@@ -96,70 +111,72 @@ def config_cross_ratio(cfgn: LineConfig) -> CrossRatio:
 # ---------------------------------------------------------------------------
 # membership predicates, evaluated homogeneously
 
-def is_real_extended(cr: CrossRatio, tol: float) -> bool:
+def _max(*xs):
+    return functools.reduce(np.maximum, xs)
+
+
+def is_real_extended(cr: CrossRatio, tol: float):
     """Real or infinite (the extended real line)."""
     w = cr.num * np.conj(cr.den)
-    return abs(w.imag) <= tol * max(abs(w), abs(cr.num) ** 2, abs(cr.den) ** 2, 1e-300)
+    return np.abs(w.imag) <= tol * _max(np.abs(w), np.abs(cr.num) ** 2, np.abs(cr.den) ** 2, 1e-300)
 
 
-def is_real(cr: CrossRatio, tol: float) -> bool:
-    return not cr.infinite and is_real_extended(cr, tol)
+def is_real(cr: CrossRatio, tol: float):
+    return ~cr.infinite & is_real_extended(cr, tol)
 
 
-def is_real_positive(cr: CrossRatio, tol: float) -> bool:
-    w = cr.num * np.conj(cr.den)
-    return is_real(cr, tol) and w.real > 0
+def is_real_positive(cr: CrossRatio, tol: float):
+    return is_real(cr, tol) & ((cr.num * np.conj(cr.den)).real > 0)
 
 
-def _equal_moduli(n: float, d: float, tol: float) -> bool:
-    return abs(n - d) <= tol * max(n, d, 1e-300)
+def _equal_moduli(n, d, tol: float):
+    return np.abs(n - d) <= tol * _max(n, d, 1e-300)
 
 
-def _relative_defect(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+def _relative_defect(lhs, rhs):
+    return np.abs(lhs - rhs) / _max(np.abs(lhs), np.abs(rhs), 1e-300)
 
 
-def in_unit_circle(cr: CrossRatio, tol: float) -> bool:
-    return _equal_moduli(abs(cr.num), abs(cr.den), tol)
+def in_unit_circle(cr: CrossRatio, tol: float):
+    return _equal_moduli(np.abs(cr.num), np.abs(cr.den), tol)
 
 
-def conj_pair_defect(cr1: CrossRatio, cr2: CrossRatio) -> float:
+def conj_pair_defect(cr1: CrossRatio, cr2: CrossRatio):
     """Relative defect of cr1 == conj(cr2)."""
     return _relative_defect(cr1.num * np.conj(cr2.den), cr1.den * np.conj(cr2.num))
 
 
-def unit_product_defect(cr1: CrossRatio, cr2: CrossRatio) -> float:
+def unit_product_defect(cr1: CrossRatio, cr2: CrossRatio):
     """Relative defect of cr1 * conj(cr2) == 1."""
     return _relative_defect(cr1.num * np.conj(cr2.num), cr1.den * np.conj(cr2.den))
 
 
-def product_in_unit_circle(cr1: CrossRatio, cr2: CrossRatio, tol: float) -> bool:
+def product_in_unit_circle(cr1: CrossRatio, cr2: CrossRatio, tol: float):
     """|cr1 * cr2| == 1 within tol."""
-    return _equal_moduli(abs(cr1.num) * abs(cr2.num), abs(cr1.den) * abs(cr2.den), tol)
+    return _equal_moduli(np.abs(cr1.num) * np.abs(cr2.num), np.abs(cr1.den) * np.abs(cr2.den), tol)
 
 
-def conj_product_defect(cr: CrossRatio, factors) -> float:
+def conj_product_defect(cr: CrossRatio, factors):
     """Relative defect of cr == conj(prod(factors))."""
-    num = np.prod([f.num for f in factors])
-    den = np.prod([f.den for f in factors])
+    num = functools.reduce(np.multiply, [f.num for f in factors])
+    den = functools.reduce(np.multiply, [f.den for f in factors])
     return _relative_defect(cr.num * np.conj(den), cr.den * np.conj(num))
 
 
-def arg_sum_is_zero(crs, weights, tol: float) -> bool:
+def arg_sum_is_zero(crs, weights, tol: float):
     """Is sum(w * arg(cr)) an integer multiple of 2*pi?
 
     Evaluated as prod(cr**w) having argument 0, i.e. the product is a
-    positive real; moduli are irrelevant.
+    positive real; moduli are irrelevant, and a zero num * conj(den)
+    fails.
     """
-    p = complex(1.0)
+    p, nonzero = 1.0, True
     for cr, w in zip(crs, weights):
         z = cr.num * np.conj(cr.den)
-        m = abs(z)
-        if m == 0:
-            return False
-        z /= m
-        p *= z**w
-    return abs(p.imag) <= tol and p.real > 0
+        m = np.abs(z)
+        nonzero = nonzero & (m != 0)
+        p = p * (z / np.where(m == 0, 1.0, m)) ** w
+    return nonzero & (np.abs(p.imag) <= tol) & (p.real > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +192,29 @@ def _canonical_pairs(x: np.ndarray):
     return first / pivot, second / pivot
 
 
-def frame_cross_ratio_sets(x: np.ndarray, d: np.ndarray):
+def frame_cross_ratio_sets(x: np.ndarray, d: np.ndarray) -> CrossRatio:
     """The k-1 cross ratios [A, B, C, D] of each line B, in the quotients of
     C^k by A_i + C_{k-2-i}, from coordinates in the basis of A's vectors.
 
     C is A reversed, so quotient i keeps the coordinates (i, i+1): A and
     C map to [1, 0] and [0, 1], the line x[n] to (x_i, x_{i+1}) and the
     reference to (d_i, d_{i+1}).  The ratio is x_i d_{i+1} / (x_{i+1} d_i),
-    with both pairs scaled canonically.  A 0/0 ratio raises.
+    with both pairs scaled canonically.  Returned as one CrossRatio whose
+    num and den have a row per line; a 0/0 ratio raises.
     """
     (x0, x1), (d0, d1) = _canonical_pairs(x), _canonical_pairs(d)
     num, den = x0 * d1, x1 * d0
     if ((modulus(num) <= 1e-13) & (modulus(den) <= 1e-13)).any():
         raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
+    return CrossRatio(num=num, den=den)
+
+
+def cross_ratio_lists(crs: CrossRatio) -> list:
+    """The rows of ``frame_cross_ratio_sets``' result as lists of scalar
+    CrossRatios, entry i with provenance (i, k-2-i)."""
     return [[CrossRatio(num=n, den=e, provenance=(i, len(nums) - 1 - i))
              for i, (n, e) in enumerate(zip(nums, dens))]
-            for nums, dens in zip(num.tolist(), den.tolist())]
+            for nums, dens in zip(crs.num.tolist(), crs.den.tolist())]
 
 
 def cross_ratio_set(a: Flag, b1, c: Flag, d1):
@@ -204,7 +228,7 @@ def cross_ratio_set(a: Flag, b1, c: Flag, d1):
     if not np.array_equal(c.vectors, a.vectors[::-1]):
         raise ValueError("cross ratio sets need C = A reversed")
     x = np.array([p.coords for p in _points([b1, d1])]) @ np.linalg.inv(a.vectors)
-    return frame_cross_ratio_sets(x[:1], x[1])[0]
+    return cross_ratio_lists(frame_cross_ratio_sets(x[:1], x[1]))[0]
 
 
 def triple_ratio(va, fa, vb, fb, vc, fc, provenance=None) -> TripleRatio:

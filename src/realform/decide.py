@@ -45,9 +45,11 @@ from .coords import (
     cross_ratio,
     frame_cross_ratio_sets,
     in_unit_circle,
+    is_real,
     is_real_extended,
     is_real_positive,
     product_in_unit_circle,
+    ratio_values,
     triple_ratio_set,
     unit_product_defect,
 )
@@ -357,7 +359,7 @@ def _dim2_conditions(infos, cfg):
     conditions = []
 
     def add(name, value, requirement, passed):
-        conditions.append(Condition(name=name, value=value, requirement=requirement, passed=passed))
+        conditions.append(Condition(name, complex(value), requirement, bool(passed)))
 
     hyp_base = _first_valid_pair(hyp, cfg)
     if hyp_base is not None:
@@ -376,7 +378,7 @@ def _dim2_conditions(infos, cfg):
                         "extended real", is_real_extended(cr, tol))
             else:
                 defect = conj_pair_defect(crm, crp)
-                add(f"[h{h1.index}-,e{other.index}±,h{h1.index}+,ref] pair", complex(defect),
+                add(f"[h{h1.index}-,e{other.index}±,h{h1.index}+,ref] pair", defect,
                     "conjugate pair", defect <= tol)
         return conditions, []
 
@@ -487,12 +489,11 @@ def _mirrored_flags(info: GenInfo, cfg):
     return beta, beta.reversed()
 
 
-def _real_crs(crs_sets, names, cfg):
-    """Each set's cross ratios must be real; one condition list per name."""
-    return [Condition(f"{name}[{i}]", cr.value, "real",
-                      is_real_extended(cr, cfg.cr_tol) and not cr.infinite)
-            for crs, name in zip(crs_sets, names)
-            for i, cr in enumerate(crs)]
+def _real_crs(crs, names, cfg):
+    """Each row's cross ratios must be real; one row per name."""
+    return [Condition(f"{name}[{i}]", v, "real", ok)
+            for name, vs, oks in zip(names, ratio_values(crs), is_real(crs, cfg.cr_tol).tolist())
+            for i, (v, ok) in enumerate(zip(vs, oks))]
 
 
 def _real_triples(a, f, c, name, cfg):
@@ -502,15 +503,16 @@ def _real_triples(a, f, c, name, cfg):
 
 
 def _conj_crs(crs_b, crs_p, name, cfg):
-    defects = [conj_pair_defect(c1, c2) for c1, c2 in zip(crs_b, crs_p)]
-    return [Condition(f"{name}[{i}]", complex(d), "conjugate pair", d <= cfg.cr_tol)
-            for i, d in enumerate(defects)]
+    """The cross ratios of one line, a row, against the conjugates of its partner's."""
+    defects = conj_pair_defect(crs_b, crs_p)
+    return [Condition(f"{name}[{i}]", d, "conjugate pair", ok) for i, (d, ok) in
+            enumerate(zip(defects.astype(complex).tolist(), (defects <= cfg.cr_tol).tolist()))]
 
 
 def _conj_triples(a, beta, beta_rev, c, name, cfg):
     out = []
     for t1, t2 in zip(triple_ratio_set(a, beta, c, cfg), triple_ratio_set(a, beta_rev, c, cfg)):
-        defect = abs(t1.value - np.conj(t2.value)) / max(abs(t1.value), abs(t2.value), 1e-300)
+        defect = abs(t1.value - t2.value.conjugate()) / max(abs(t1.value), abs(t2.value), 1e-300)
         out.append(Condition(f"{name}{t1.provenance}", complex(defect), "conjugate pair",
                              defect <= cfg.cr_tol))
     return out
@@ -551,25 +553,25 @@ def _flag_conditions(infos, cfg):
                   + _real_triples(a, b, c, "r3(A,B,C)", cfg)
                   + _real_triples(a, c, d, "r3(A,C,D)", cfg))
     for m, (info, beta, beta_rev) in enumerate(others):
-        crs_b, crs_p = crs[2 * m + 1:2 * m + 3]
         n = info.index
         if info.kind == KIND_HYPERBOLIC:
-            conditions += (_real_crs([crs_b, crs_p], [f"cr(A,b{n},C,D)", f"cr(A,b'{n},C,D)"], cfg)
+            conditions += (_real_crs(crs[2 * m + 1:2 * m + 3],
+                                     [f"cr(A,b{n},C,D)", f"cr(A,b'{n},C,D)"], cfg)
                            + _real_triples(a, beta, c, f"r3(A,b{n},C)", cfg)
                            + _real_triples(a, beta_rev, c, f"r3(A,b'{n},C)", cfg))
         else:
-            conditions += (_conj_crs(crs_b, crs_p, f"cr(A,b{n},C,D) vs b'", cfg)
+            conditions += (_conj_crs(crs[2 * m + 1], crs[2 * m + 2], f"cr(A,b{n},C,D) vs b'", cfg)
                            + _conj_triples(a, beta, beta_rev, c, f"r3(A,b{n},C) vs b'", cfg))
     return conditions, []
 
 
 def _line_sets(checks, frame, d, message, cfg):
     """Cross-ratio sets of the eigendirections named by ``checks``,
-    (generator, eigendirection indices) in condition order, grouped like
-    ``checks``, against a flag pair (A, C = A reversed) and a reference
-    with A-coordinates ``d``; a direction's A-coordinates are it times
-    ``frame``.  One closed-form genericity check covers every line first;
-    the first failing line raises ``message`` formatted with its
+    (generator, eigendirection indices) in condition order, one row per
+    direction in that order, against a flag pair (A, C = A reversed) and a
+    reference with A-coordinates ``d``; a direction's A-coordinates are it
+    times ``frame``.  One closed-form genericity check covers every line
+    first; the first failing line raises ``message`` formatted with its
     generator ``n`` and index ``i``."""
     owners = [(info, i) for info, idx in checks for i in idx]
     x = np.array([info.direction(i).coords for info, i in owners]).reshape(-1, len(d)) @ frame
@@ -577,8 +579,12 @@ def _line_sets(checks, frame, d, message, cfg):
     if bad is not None:
         info, i = owners[bad]
         raise GenericityViolation(message.format(n=info.index, i=i))
-    crs = iter(frame_cross_ratio_sets(x, d))
-    return [[next(crs) for _ in idx] for _, idx in checks]
+    return frame_cross_ratio_sets(x, d)
+
+
+def _first_rows(checks):
+    """The row of each check's first direction in ``_line_sets``' result."""
+    return list(itertools.accumulate((len(idx) for _, idx in checks), initial=0))[:-1]
 
 
 def _synthetic_conditions(infos, cfg):
@@ -619,14 +625,14 @@ def _synthetic_conditions(infos, cfg):
         elif info is not e1:
             checks.append((info, info.labeling().pairing[0]))
     # the identity flag's coordinates of a direction moved by gamma0
-    sets = _line_sets(checks, gamma0.T, np.ones(3, dtype=complex),
-                      "generator {n}: eigendirection not generic with the synthetic base", cfg)
+    crs = _line_sets(checks, gamma0.T, np.ones(3, dtype=complex),
+                     "generator {n}: eigendirection not generic with the synthetic base", cfg)
     conditions = []
-    for (info, idx), crs in zip(checks, sets):
+    for (info, idx), r in zip(checks, _first_rows(checks)):
         if len(idx) == 1:
-            conditions += _real_crs(crs, [f"cr(A,h{info.index}.{idx[0]},C,D)"], cfg)
+            conditions += _real_crs(crs[r:r + 1], [f"cr(A,h{info.index}.{idx[0]},C,D)"], cfg)
             continue
-        conditions += _conj_crs(*crs, f"cr(A,b{info.index},C,D) vs b'", cfg)
+        conditions += _conj_crs(crs[r], crs[r + 1], f"cr(A,b{info.index},C,D) vs b'", cfg)
         p, q, mid = (ProjPoint(gamma0 @ info.direction(i).coords, cfg)
                      for i in (*idx, info.hyp_indices()[0]))
         try:
@@ -659,56 +665,51 @@ def decide_pglk_fg(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None, direct=
 # ---------------------------------------------------------------------------
 # cross-ratio-only method
 
-def _cross_hyp_conditions(crs, L, prefix, cfg):
-    """Conditions on the cross ratios of one hyperbolic direction.
+def _cross_hyp_table(crs, L, tol):
+    """The conditions of a hyperbolic direction, for every row of ``crs``:
+    (layout, values, passed), a condition of row r reading
+    values[r][value column] and passed[r][pass column] as its layout entry
+    (suffix, requirement, value column, pass column) says.
 
     The base flag lists L pair-derived directions first, then
     hyperbolic ones; L = 0 is the all-hyperbolic base.  Within the pair
     block the ratios live on the unit circle and their arguments
     telescope to full turns; past it they are real.
     """
-    tol = cfg.cr_tol
-    k = len(crs) + 1
-    out = []
-    for j, cr in enumerate(crs):
+    K, n = crs.num.shape[1], max(L - 3, 0)
+    triples = range(0, n, 2)   # argument sums over columns (j, j + 1, j + 2)
+    passed = [in_unit_circle(crs, tol), is_real(crs, tol),
+              arg_sum_is_zero([crs[:, 0:n:2], crs[:, 1:n + 1:2], crs[:, 2:n + 2:2]], (1, 2, 1), tol)]
+    # value column K holds the argument sums' value, 0
+    layout = ([(f"[{j}]", "unit circle", j, j) for j in range(0, min(L, K), 2)]
+              + [(f"[{j}]", "real", j, K + j) for j in range(L, K)]
+              + [(f" argsum[{j},{j+1},{j+2}]", "0 mod 2pi", K, 2 * K + j // 2) for j in triples])
+    if 2 <= L <= K:
+        passed.append(arg_sum_is_zero([crs[:, L - 2:L - 1], crs[:, L - 1:L]], (1, 2), tol))
+        layout.append((f" argsum[{L-2},{L-1}]", "0 mod 2pi", K, 2 * K + len(triples)))
+    return layout, [vs + [0j] for vs in ratio_values(crs)], np.hstack(passed).tolist()
+
+
+def _cross_pair_table(crs, L, tol):
+    """As ``_cross_hyp_table``, for the conditions tying the cross ratios of
+    an elliptic pair together: row r holds the pair of lines r and r + 1."""
+    K, crs_b, crs_p = crs.num.shape[1], crs[:-1], crs[1:]
+    defects = [unit_product_defect(crs_b, crs_p), conj_pair_defect(crs_b, crs_p),
+               conj_product_defect(crs_b[:, 1:-1], [crs_p[:, :-2], crs_p[:, 1:-1], crs_p[:, 2:]])]
+    columns = []   # (suffix, requirement, column of the defect table)
+    for j in range(K):
         if j < L and j % 2 == 0:
-            out.append(Condition(f"{prefix}[{j}]", cr.value, "unit circle", in_unit_circle(cr, tol)))
-        elif j >= L:
-            out.append(Condition(f"{prefix}[{j}]", cr.value, "real",
-                                 is_real_extended(cr, tol) and not cr.infinite))
-    for j in range(0, max(L - 3, 0), 2):
-        out.append(Condition(f"{prefix} argsum[{j},{j+1},{j+2}]", complex(0), "0 mod 2pi",
-                             arg_sum_is_zero([crs[j], crs[j + 1], crs[j + 2]], (1, 2, 1), tol)))
-    if 2 <= L <= k - 1:
-        j = L - 2
-        out.append(Condition(f"{prefix} argsum[{j},{j+1}]", complex(0), "0 mod 2pi",
-                             arg_sum_is_zero([crs[j], crs[j + 1]], (1, 2), tol)))
-    return out
-
-
-def _cross_pair_conditions(crs_b, crs_p, L, prefix, cfg):
-    """Conditions tying the cross ratios of an elliptic pair together."""
-    k = len(crs_b) + 1
-    out = []
-
-    def add(j, tag, defect, requirement):
-        out.append(Condition(f"{prefix}[{j}]{tag}", complex(defect), requirement,
-                             defect <= cfg.cr_tol))
-
-    for j in range(k - 1):
-        if j < L and j % 2 == 0:
-            add(j, " product", unit_product_defect(crs_b[j], crs_p[j]), "product == 1")
+            columns.append((f"[{j}] product", "product == 1", j))
         elif j < L - 2 and j % 2 == 1:
-            add(j, " triple product",
-                conj_product_defect(crs_b[j], [crs_p[j - 1], crs_p[j], crs_p[j + 1]]),
-                "conjugate of product")
+            columns.append((f"[{j}] triple product", "conjugate of product", 2 * K + j - 1))
         elif j >= L:
-            add(j, "", conj_pair_defect(crs_b[j], crs_p[j]), "conjugate pair")
-    if 2 <= L <= k - 1:
-        j = L - 1
-        add(j, " boundary", conj_product_defect(crs_p[j], [crs_b[j - 1], crs_b[j]]),
-            "conjugate of product")
-    return out
+            columns.append((f"[{j}]", "conjugate pair", K + j))
+    if 2 <= L <= K:
+        defects.append(conj_product_defect(crs_p[:, L - 1:L], [crs_b[:, L - 2:L - 1], crs_b[:, L - 1:L]]))
+        columns.append((f"[{L - 1}] boundary", "conjugate of product", 3 * K - 2))
+    table = np.hstack(defects)
+    return ([(name, requirement, c, c) for name, requirement, c in columns],
+            table.astype(complex).tolist(), (table <= tol).tolist())
 
 
 def _cross_conditions(infos, cfg):
@@ -741,16 +742,16 @@ def _cross_conditions(infos, cfg):
                        if info is not provider or i != d_idx]
     # a minor in the frame bounds the input-space s_min / s_max only up to
     # the frame's conditioning, so the line cut is scaled by it
-    sets = _line_sets(checks, frame, provider.direction(d_idx).coords @ frame,
-                      "generator {n}: eigendirection {i} not generic with the base",
-                      cfg.override(rank_tol=cfg.rank_tol / base.frame_rcond))
+    crs = _line_sets(checks, frame, provider.direction(d_idx).coords @ frame,
+                     "generator {n}: eigendirection {i} not generic with the base",
+                     cfg.override(rank_tol=cfg.rank_tol / base.frame_rcond))
+    tables = {1: _cross_hyp_table(crs, L, cfg.cr_tol), 2: _cross_pair_table(crs, L, cfg.cr_tol)}
     conditions = []
-    for (info, idx), crs in zip(checks, sets):
-        if len(idx) == 1:
-            conditions += _cross_hyp_conditions(crs[0], L, f"cr(A,h{info.index}.{idx[0]},C,d)", cfg)
-        else:
-            conditions += _cross_pair_conditions(
-                *crs, L, f"cr(A,e{info.index}.{idx[0]}/{idx[1]},C,d)", cfg)
+    for (info, idx), r in zip(checks, _first_rows(checks)):
+        layout, values, passed = tables[len(idx)]
+        prefix = f"cr(A,{'h' if len(idx) == 1 else 'e'}{info.index}.{'/'.join(map(str, idx))},C,d)"
+        conditions += [Condition(prefix + name, values[r][v], requirement, passed[r][c])
+                       for name, requirement, v, c in layout]
     return conditions, [f"base generator {base.index}, reference direction from {provider.index}"]
 
 

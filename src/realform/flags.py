@@ -101,13 +101,23 @@ def generic_position(flags, cfg: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Do all dimension-compatible direct sums of flag parts fill C^k?
 
     For every composition (i_1, ..., i_m) with sum k and i_j at most
-    each flag's height, the stacked leading vectors must have rank k,
-    read as s_min > rank_tol * s_max.  All compositions go through one
-    batched SVD.
+    each flag's height, the stacked leading vectors M must have rank k,
+    read as s_min > rank_tol * s_max.  Since s_max <= ||M||_F, s_min /
+    s_max >= |det M| / ||M||_F^k: a stack whose bound, read on M scaled
+    to largest entry 1, exceeds 2 * rank_tol passes without an SVD (the
+    factor absorbs the rounding of the LU determinant).  The other
+    stacks, a bound that is NaN included, go through one batched SVD.
     """
     flags = list(flags)
-    idx = _composition_rows(tuple(f.height for f in flags), flags[0].dim)
-    s = np.linalg.svd(np.vstack([f.vectors for f in flags])[idx], compute_uv=False)
+    k = flags[0].dim
+    stacks = np.vstack([f.vectors for f in flags])[_composition_rows(tuple(f.height for f in flags), k)]
+    with np.errstate(all="ignore"):
+        m = stacks / np.abs(stacks).max(axis=(1, 2), keepdims=True)
+        bound = np.abs(np.linalg.det(m)) / np.linalg.norm(m, axis=(1, 2)) ** k
+    rest = stacks[~(bound > 2 * cfg.rank_tol)]
+    if not len(rest):
+        return True
+    s = np.linalg.svd(rest, compute_uv=False)
     return bool(np.all(s[:, -1] > cfg.rank_tol * s[:, 0]))
 
 

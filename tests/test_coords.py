@@ -8,6 +8,7 @@ from realform.coords import (
     conj_pair_defect,
     cross_ratio,
     config_cross_ratio,
+    cross_ratio_lists,
     cross_ratio_set,
     fg_cross_ratio,
     frame_cross_ratio_sets,
@@ -272,9 +273,11 @@ def per_line_cross_ratios(a, lines, c, d1, cfg=DEFAULT_TOLERANCES):
 
 
 def frame_coords_cross_ratios(a, lines, d1):
-    """frame_cross_ratio_sets on the lines' and d1's coordinates in A's basis."""
+    """frame_cross_ratio_sets on the lines' and d1's coordinates in A's basis,
+    one list of CrossRatios per line."""
     frame = np.linalg.inv(a.vectors)
-    return frame_cross_ratio_sets(np.array([v.coords for v in lines]) @ frame, d1.coords @ frame)
+    return cross_ratio_lists(
+        frame_cross_ratio_sets(np.array([v.coords for v in lines]) @ frame, d1.coords @ frame))
 
 
 def closed_form_cross_ratios(a, lines, d1):

@@ -702,11 +702,63 @@ def conditioned_yes(k, seed, exponent=3):
     return [g @ m @ gi for m in inst.matrices]
 
 
-@pytest.mark.parametrize("k,seed", [(4, 0), (4, 7), (8, 0), (8, 1), (8, 4)])
+@pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4, 6, 8) for seed in range(10)])
 @pytest.mark.parametrize("method", ["direct", "auto"])
 def test_yes_at_condition_1e3(k, seed, method):
-    # the involution test on S conj(S) over all k^2 entries measured
-    # defects above 1e-7 here and answered No
+    # the conditioning sweep's first row; the involution test on S conj(S)
+    # over all k^2 entries measured defects above 1e-7 here and answered No
     verdict, cert = decide(conditioned_yes(k, seed), method=method)
     assert verdict.answer == "yes"
     assert cert.residual < DEFAULT_TOLERANCES.cert_tol
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 8])
+def test_condition_1e4_has_no_contradiction(k):
+    # at cond(Gamma) = 1e4 some answers are refusals or wrong No's of direct
+    # itself, but no route may answer opposite to direct
+    for seed in range(10):
+        ms = conditioned_yes(k, seed, exponent=4)
+        try:
+            direct = decide(ms, method="direct")[0].answer
+        except RealformError:   # a refusal, shared by every route
+            continue
+        for method in ("auto", "dim3" if k == 3 else "fg", "cross"):
+            try:
+                answer = decide(ms, method=method)[0].answer
+            except RealformError:
+                continue
+            assert {answer, direct} != {"yes", "no"}, (k, seed, method)
+
+
+# (k, type mix, perturbation): together they reach every route and every requirement
+TYPED_INSTANCES = [
+    (2, {"hyperbolic": 2, "elliptic": 1}, None),
+    (2, {"hyperbolic": 1, "elliptic": 2}, None),
+    (2, {"hyperbolic": 1, "elliptic": 1}, None),
+    (3, {"hyperbolic": 2, "elliptic": 1}, None),
+    (3, {"hyperbolic": 1, "elliptic": 2}, (1, 0.05)),
+    (4, {"hyperbolic": 2, "elliptic": 1}, (2, 0.05)),
+    (5, {"mixed": 2, "hyperbolic": 1}, None),
+    (6, {"elliptic": 2, "hyperbolic": 1}, None),
+    (7, {"mixed": 2, "hyperbolic": 1}, (0, 0.05)),
+]
+
+
+def test_conditions_carry_plain_python_types():
+    # passed is a bool and value a complex, never their numpy counterparts
+    seen = set()
+    for seed, (k, mix, pert) in enumerate(TYPED_INSTANCES):
+        inst = generate(InstanceSpec(k, sum(mix.values()), mix, seed=seed, perturbation=pert))
+        for method in ("auto", "dim2", "dim3", "fg", "cross", "direct"):
+            try:
+                verdict, cert = decide(inst.matrices, method=method)
+            except RealformError:
+                continue
+            for c in cert.conditions:
+                assert type(c.passed) is bool and type(c.value) is complex, (k, method, c)
+                seen.add((verdict.method, c.requirement, c.passed))
+    assert {m for m, *_ in seen} == {METHOD_DIM2, METHOD_DIM3, METHOD_FG, METHOD_CROSS, METHOD_DIRECT}
+    assert {r for _, r, _ in seen} == {
+        "extended real", "positive real", "unit circle", "conjugate pair", "real",
+        "0 mod 2pi", "product == 1", "conjugate of product", "commutes with conjugation"}
+    assert {p for *_, p in seen} == {True, False}

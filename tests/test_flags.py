@@ -10,6 +10,7 @@ from realform.coords import config_cross_ratio, triple_ratio_cp2, triple_ratio_s
 from realform.errors import GenericityViolation
 from realform.flags import (
     Flag,
+    _composition_rows,
     _compositions,
     first_nongeneric_coords,
     flag_pair_from_eigensystem,
@@ -142,6 +143,91 @@ class TestBatchedGenericPosition:
             flags[last] = Flag(vectors=vectors)
             assert naive_generic_position(flags) is False
             assert generic_position(flags) is False
+
+
+def batched_generic_position(flags, rank_tol=DEFAULT_TOLERANCES.rank_tol):
+    """Reference: the unscreened test, one batched SVD over every composition."""
+    idx = _composition_rows(tuple(f.height for f in flags), flags[0].dim)
+    s = np.linalg.svd(np.vstack([f.vectors for f in flags])[idx], compute_uv=False)
+    return bool(np.all(s[:, -1] > rank_tol * s[:, 0]))
+
+
+def outcome(fn, flags):
+    """fn(flags), or the type of the LinAlgError it raises."""
+    try:
+        return fn(flags)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+class TestDeterminantScreen:
+    """generic_position sends to the SVD only the stacks whose determinant
+    bound does not clear the cut; the answer must not change."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 4),
+           st.sampled_from([None, -1, 1]), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, seed, k, m, near, scaled, nan):
+        rng = np.random.default_rng(seed)
+        heights = tuple(int(h) for h in rng.integers(1, k + 1, size=m))
+        rows = [rng.normal(size=(h, k)) + 1j * rng.normal(size=(h, k)) for h in heights]
+        combos = _compositions(heights, k)
+        if near is not None and combos:
+            # one composition's stack gets s_min / s_max = rank_tol * (1 +- 1e-3)
+            combo = combos[rng.integers(len(combos))]
+            u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+            v, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+            s = np.concatenate([[1.0], rng.uniform(1e-3, 1.0, size=k - 2),
+                                [DEFAULT_TOLERANCES.rank_tol * (1 + near * 1e-3)]])[:k]
+            stack = (u * s) @ v.conj().T
+            starts = np.cumsum((0,) + combo[:-1])
+            for r, n, start in zip(rows, combo, starts):
+                r[:n] = stack[start:start + n]
+        if scaled:
+            for r in rows:
+                r *= 10.0 ** (150 * rng.integers(-1, 2, size=(len(r), 1)))
+        if nan:
+            r = rows[rng.integers(m)]
+            r[rng.integers(len(r)), rng.integers(k)] = np.nan
+        flags = [Flag(vectors=r) for r in rows]
+        got = outcome(generic_position, flags)
+        assert got == outcome(batched_generic_position, flags)
+        if not nan:
+            assert got == naive_generic_position(flags)
+            if near is not None and combos and not scaled:
+                assert got is (near > 0)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_cut_is_kept_at_the_threshold(self, rng, k, factor):
+        # all but the last singular value 1: at k = 2 the bound is nearly the ratio itself
+        u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        s = np.ones(k)
+        s[-1] = DEFAULT_TOLERANCES.rank_tol * factor
+        flag = Flag(vectors=u * s)
+        assert generic_position([flag]) is (factor > 1) is naive_generic_position([flag])
+
+    def test_generic_flags_need_no_svd(self, rng, monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        configs = [[random_flag(rng, 8, 8) for _ in range(4)] for _ in range(5)]
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert all(generic_position(flags) for flags in configs)
+        assert calls == []
+        # a rank-deficient composition still reaches the SVD and fails it
+        flags = configs[0]
+        vectors = flags[3].vectors.copy()
+        vectors[1] = rng.normal(size=6) @ np.vstack([flags[0].vectors[:3], flags[2].vectors[:2],
+                                                     flags[3].vectors[:1]])
+        flags[3] = Flag(vectors=vectors)
+        assert generic_position(flags) is False
+        assert calls and all(shape[1:] == (8, 8) for shape in calls)
+        monkeypatch.undo()
+        assert naive_generic_position(flags) is False
 
 
 def frame_coordinates(a, points):
