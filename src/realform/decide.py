@@ -25,7 +25,8 @@ genericity, builds the conditions and reads them against the direct
 solve by one rule.  When they agree, the answer is the solve's, with its
 gamma, reported under the route's method with the route's conditions.
 When the ``cross`` conditions fail and the solve finds a form, the
-answer is the solve's (those conditions are sufficient, not necessary).
+answer is the solve's: at an ill-conditioned eigenbasis rounding can
+carry a ``cross`` defect just past ``cr_tol``.
 Any other disagreement is ``inconclusive``.  ``auto`` solves once and
 hands that solve to each route it tries.
 """
@@ -147,6 +148,9 @@ class GenInfo:
     matrix: np.ndarray
     es: object
     sclass: object
+    # s_min / s_max of the eigendirection rows, the measure ``make_flag``
+    # tests for independence
+    frame_rcond: float
 
     @property
     def kind(self):
@@ -166,33 +170,26 @@ class GenInfo:
         return self.es.directions[i]
 
     @functools.cached_property
-    def _eigenbasis_svd(self):
-        """SVD of the matrix whose rows are the eigendirections as
-        ``make_flag`` scales them."""
-        return np.linalg.svd(np.array([p.coords for p in self.es.directions]))
-
-    @functools.cached_property
     def frame(self) -> np.ndarray:
         """Inverse of the eigendirection matrix: v @ frame are v's
-        eigen-coordinates."""
-        u, s, vh = self._eigenbasis_svd
-        return (vh.conj().T / s) @ u.conj().T
-
-    @property
-    def frame_rcond(self) -> float:
-        """s_min / s_max of the eigendirection matrix, the measure
-        ``make_flag`` tests for independence."""
-        s = self._eigenbasis_svd[1]
-        return s[-1] / s[0]
+        eigen-coordinates.  Read only when ``frame_rcond`` clears rank_tol."""
+        return np.linalg.inv(np.array([p.coords for p in self.es.directions]))
 
 
 def _stack_infos(a, cfg, start=0):
     """GenInfo of each matrix of the stack a (indices from ``start``) before
-    the first that fails a gate, and that matrix's error naming it."""
+    the first that fails a gate, and that matrix's error naming it.  One
+    s-only SVD of the eigendirection rows, as ``make_flag`` scales them,
+    measures every eigenbasis."""
     systems, exc = eigensystems(a, cfg)
-    classes = classify_spectra(np.array([es.eigenvalues for es in systems]), cfg) if systems else []
-    infos = [GenInfo(index=start + i, matrix=es.matrix, es=es, sclass=sc)
-             for i, (es, sc) in enumerate(zip(systems, classes))]
+    infos = []
+    if systems:
+        classes = classify_spectra(np.array([es.eigenvalues for es in systems]), cfg)
+        s = np.linalg.svd(np.array([[p.coords for p in es.directions] for es in systems]),
+                          compute_uv=False)
+        infos = [GenInfo(index=start + i, matrix=es.matrix, es=es, sclass=sc,
+                         frame_rcond=float(si[-1] / si[0]))
+                 for i, (es, sc, si) in enumerate(zip(systems, classes, s))]
     if exc is not None:
         exc = type(exc)(f"matrix {start + len(infos)}: {exc}")
     return infos, exc
@@ -245,14 +242,11 @@ def _eigendata(info: GenInfo, labeling=None):
 
 
 def _base_order(infos):
-    """Generator indices, the best-conditioned eigenvector matrix first: the
-    conjugation solve takes the first full set of directions as its base.
-    One batched SVD over all the generators."""
+    """Generator indices, the best-conditioned eigenbasis (largest
+    ``frame_rcond``) first: the conjugation solve takes the first full set
+    of directions as its base."""
     order = list(range(len(infos)))
-    if len(infos) > 1:
-        vs = np.array([[p.coords for p in info.es.directions] for info in infos])
-        s = np.linalg.svd(vs / np.linalg.norm(vs, axis=2, keepdims=True), compute_uv=False)
-        order.insert(0, order.pop(int(np.argmin(s[:, 0] / s[:, -1]))))
+    order.insert(0, order.pop(max(order, key=lambda i: infos[i].frame_rcond)))
     return order
 
 
@@ -320,7 +314,7 @@ def _run_route(ms, cfg, infos, method, ks, build, direct=None):
         return (replace(solved, method=method),
                 replace(cert, conditions=conditions, diagnostics=diagnostics))
     if method == METHOD_CROSS and not passed:
-        # the cross-only conditions are sufficient, not always necessary
+        # rounding at an ill-conditioned base can carry a defect past cr_tol
         return solved, replace(cert, diagnostics=cert.diagnostics + [
             "cross-only conditions failed but the direct method found a form"])
     diagnostics.append(f"coordinate conditions {'pass' if passed else 'fail'} "
@@ -565,17 +559,17 @@ def _flag_conditions(infos, cfg):
     return conditions, []
 
 
-def _line_sets(checks, frame, d, message, cfg):
+def _line_sets(checks, frame, d, message, rank_tol):
     """Cross-ratio sets of the eigendirections named by ``checks``,
     (generator, eigendirection indices) in condition order, one row per
     direction in that order, against a flag pair (A, C = A reversed) and a
     reference with A-coordinates ``d``; a direction's A-coordinates are it
-    times ``frame``.  One closed-form genericity check covers every line
-    first; the first failing line raises ``message`` formatted with its
-    generator ``n`` and index ``i``."""
+    times ``frame``.  One closed-form genericity check, at the cut
+    ``rank_tol``, covers every line first; the first failing line raises
+    ``message`` formatted with its generator ``n`` and index ``i``."""
     owners = [(info, i) for info, idx in checks for i in idx]
     x = np.array([info.direction(i).coords for info, i in owners]).reshape(-1, len(d)) @ frame
-    bad = first_nongeneric_coords(x, d, cfg)
+    bad = first_nongeneric_coords(x, d, rank_tol)
     if bad is not None:
         info, i = owners[bad]
         raise GenericityViolation(message.format(n=info.index, i=i))
@@ -626,7 +620,8 @@ def _synthetic_conditions(infos, cfg):
             checks.append((info, info.labeling().pairing[0]))
     # the identity flag's coordinates of a direction moved by gamma0
     crs = _line_sets(checks, gamma0.T, np.ones(3, dtype=complex),
-                     "generator {n}: eigendirection not generic with the synthetic base", cfg)
+                     "generator {n}: eigendirection not generic with the synthetic base",
+                     cfg.rank_tol)
     conditions = []
     for (info, idx), r in zip(checks, _first_rows(checks)):
         if len(idx) == 1:
@@ -744,7 +739,7 @@ def _cross_conditions(infos, cfg):
     # the frame's conditioning, so the line cut is scaled by it
     crs = _line_sets(checks, frame, provider.direction(d_idx).coords @ frame,
                      "generator {n}: eigendirection {i} not generic with the base",
-                     cfg.override(rank_tol=cfg.rank_tol / base.frame_rcond))
+                     cfg.rank_tol / base.frame_rcond)
     tables = {1: _cross_hyp_table(crs, L, cfg.cr_tol), 2: _cross_pair_table(crs, L, cfg.cr_tol)}
     conditions = []
     for (info, idx), r in zip(checks, _first_rows(checks)):
@@ -760,9 +755,10 @@ def decide_pglk_cross_only(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None,
 
     The base pair comes from one generator's eigenbasis (pairs listed
     consecutively for elliptic/mixed bases) and the reference direction
-    is a hyperbolic eigendirection of another generator.  A No from the
-    all-hyperbolic base is a failed sufficient condition: when the direct
-    method finds a form, its Yes is the answer.
+    is a hyperbolic eigendirection of another generator.  When these
+    conditions fail and the direct method finds a form, its Yes is the
+    answer, whatever the base's type: at an ill-conditioned eigenbasis
+    rounding can carry a defect just past ``cr_tol``.
     """
     return _run_route(ms, cfg, infos, METHOD_CROSS, (MIN_DIM, MAX_DIM), _cross_conditions, direct)
 

@@ -122,7 +122,7 @@ def generic_position(flags, cfg: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 
 def first_nongeneric_coords(x: np.ndarray, d: np.ndarray,
-                            cfg: Tolerances = DEFAULT_TOLERANCES) -> int | None:
+                            rank_tol: float = DEFAULT_TOLERANCES.rank_tol) -> int | None:
     """Index of the first row x[n] for which (A, span x[n], C, span d) is
     not in generic position, or None when every row passes.
 
@@ -135,11 +135,11 @@ def first_nongeneric_coords(x: np.ndarray, d: np.ndarray,
     caller whose basis of A is ill-conditioned scales rank_tol by its
     condition number.
     """
-    tol = cfg.rank_tol
     nx, nd = np.linalg.norm(x, axis=1)[:, None], np.linalg.norm(d)
     minors = x[:, :-1] * d[1:] - x[:, 1:] * d[:-1]
-    bad = np.flatnonzero(~((np.abs(d) > tol * nd).all() & (np.abs(x) > tol * nx).all(axis=1)
-                           & (np.abs(minors) > tol * nd * nx).all(axis=1)))
+    ok = ((np.abs(d) > rank_tol * nd).all() & (np.abs(x) > rank_tol * nx).all(axis=1)
+          & (np.abs(minors) > rank_tol * nd * nx).all(axis=1))
+    bad = np.flatnonzero(~ok)
     return int(bad[0]) if bad.size else None
 
 

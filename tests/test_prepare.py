@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realform.config import DEFAULT_TOLERANCES
-from realform.decide import prepare
+from realform.decide import _base_order, prepare
 from realform.errors import IncompatibleEigenvalues, RealformError
 from realform.oracle import InstanceSpec, generate
 from realform.spectrum import KIND_INCOMPATIBLE, classify_eigenvalues
@@ -184,11 +184,26 @@ def _counting(calls, name):
     return wrapper
 
 
-def test_one_eig_and_one_gate_svd(monkeypatch):
+def test_one_eig_and_two_batched_svds(monkeypatch):
+    # one SVD gates singular input, one measures every eigenbasis
     inst = generate(InstanceSpec(k=8, n_generators=6, type_mix={"hyperbolic": 3, "mixed": 3},
                                  seed=5))
     calls = []
     for name in ("eig", "svd"):
         monkeypatch.setattr(np.linalg, name, _counting(calls, name))
     assert len(prepare(inst.matrices)) == 6
-    assert sorted(calls) == ["eig", "svd"]
+    assert sorted(calls) == ["eig", "svd", "svd"]
+
+
+def test_base_order_reads_the_measured_eigenbases(monkeypatch):
+    # the anchor is the best-conditioned eigenbasis, read from prepare's
+    # measurement: ordering takes no SVD of its own
+    inst = generate(InstanceSpec(k=6, n_generators=4, type_mix={"hyperbolic": 2, "mixed": 2},
+                                 seed=3))
+    infos = prepare(inst.matrices)
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", _counting(calls, "svd"))
+    order = _base_order(infos)
+    assert calls == []
+    assert order == [1, 0, 2, 3]
+    assert infos[order[0]].frame_rcond == max(info.frame_rcond for info in infos)
