@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
 """Record every decision of a fixed op set, and compare two records.
 
-An op is one ``decide`` call: every forced method and ``auto`` on every
-instance of the seed-1 and seed-2 sets of the three benchmark workloads
-(3,600 ops without ``--limit``).  For each op the record keeps the
-answer, method and multiplicity, the conditions (name, requirement, pass
-flag and value) and diagnostics, the type and message of a raise, and
-whether the certificate residual is below ``cert_tol``.  Gamma itself is
-not kept: two correct versions may return different realifiers.
+An op is one ``decide`` call.  The record has two sections:
+
+* every forced method and ``auto`` on every instance of the seed-1 and
+  seed-2 sets of the three benchmark workloads (3,600 ops);
+* the boundary, where float64 barely separates Yes from No (680 ops):
+  ``auto``, ``direct``, ``dim3`` (k = 3) or ``fg``, and ``cross`` on the
+  conditioning sweep (oracle Yes instances moved by a Gamma with
+  cond(Gamma) 1e3 or 1e4, k = 3, 4, 6, 8) and the perturbation sweep
+  (oracle No instances 1e-7, 1e-8 or 1e-9 from real, k = 3, 6, 8),
+  seeds 0-9 per cell.
+
+For each op the record keeps the answer, method and multiplicity, the
+conditions (name, requirement, pass flag and value) and diagnostics, the
+type and message of a raise, and whether the certificate residual is
+below ``cert_tol``.  Gamma itself is not kept: two correct versions may
+return different realifiers.
 
     python3 scripts/identity_check.py dump before.json
     python3 scripts/identity_check.py dump after.json
@@ -20,8 +29,10 @@ on any other difference (answer, method, multiplicity, condition name,
 requirement or pass flag, diagnostics, raise type or message,
 ``residual_ok``) and prints the largest change of condition values,
 relative for values above ``cr_tol`` and absolute for the defects at or
-below it.  The instance sets come from ``perfbench.workloads``,
-read-only.
+below it.  The benchmark instance sets come from ``perfbench.workloads``,
+read-only.  The sweeps' recipes (``conditioned_yes``, ``perturbed``) are
+defined here, and the tests load them from this file; the script itself
+needs only numpy.
 """
 
 import argparse
@@ -40,9 +51,42 @@ from perfbench import workloads  # noqa: E402
 from realform.config import DEFAULT_TOLERANCES  # noqa: E402
 from realform.decide import FORCED_METHODS, decide  # noqa: E402
 from realform.errors import RealformError  # noqa: E402
-from realform.oracle import generate  # noqa: E402
+from realform.oracle import InstanceSpec, generate  # noqa: E402
 
 SEEDS = (1, 2)
+BOUNDARY_SEEDS = range(10)
+THREE_GENERATORS = {"hyperbolic": 2, "elliptic": 1, "mixed": 0}
+
+
+def conditioned_yes(k, seed, exponent=3, mix=THREE_GENERATORS):
+    """An oracle Yes instance of type mix ``mix`` moved by Gamma = U
+    diag(logspace(0, exponent, k)) U^H, cond(Gamma) = 10**exponent."""
+    inst = generate(InstanceSpec(k, sum(mix.values()), mix, seed=seed))
+    rng = np.random.default_rng(1000 + seed)
+    u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    g = u @ np.diag(np.logspace(0, exponent, k)) @ u.conj().T
+    gi = np.linalg.inv(g)
+    return [g @ m @ gi for m in inst.matrices]
+
+
+def perturbed(k, seed, eps):
+    """Three hyperbolic generators, generator 0 perturbed by eps."""
+    return generate(InstanceSpec(k, 3, {"hyperbolic": 3}, seed=seed,
+                                 perturbation=(0, eps))).matrices
+
+
+def boundary_instances(limit=None):
+    """(key, k, matrices) of each boundary instance, the first ``limit``
+    seeds of each cell when given."""
+    seeds = BOUNDARY_SEEDS[:limit]
+    for exponent in (3, 4):
+        for k in (3, 4, 6, 8):
+            for seed in seeds:
+                yield f"conditioned/1e{exponent}/{k}/{seed}", k, conditioned_yes(k, seed, exponent)
+    for eps in (1e-7, 1e-8, 1e-9):
+        for k in (3, 6, 8):
+            for seed in seeds:
+                yield f"perturbed/{eps:g}/{k}/{seed}", k, perturbed(k, seed, eps)
 
 
 def _value(z):
@@ -68,7 +112,8 @@ def record_op(ms, method, cfg=DEFAULT_TOLERANCES):
 
 
 def dump(limit=None):
-    """Every op of the identity set, keyed workload/seed/instance/method."""
+    """Every op of the identity set, keyed workload/seed/instance/method and
+    boundary/sweep/cell/seed/method."""
     ops = {}
     for name, workload in workloads.WORKLOADS.items():
         for seed in SEEDS:
@@ -76,6 +121,9 @@ def dump(limit=None):
                 ms = [np.asarray(m, dtype=complex) for m in generate(spec).matrices]
                 for method in FORCED_METHODS:
                     ops[f"{name}/{seed}/{i}/{method}"] = record_op(ms, method)
+    for key, k, ms in boundary_instances(limit):
+        for method in ("auto", "direct", "dim3" if k == 3 else "fg", "cross"):
+            ops[f"boundary/{key}/{method}"] = record_op(ms, method)
     return ops
 
 
@@ -127,7 +175,8 @@ def main(argv=None):
     d = sub.add_parser("dump", help="record every op into OUT")
     d.add_argument("out")
     d.add_argument("--limit", type=int, default=None,
-                   help="use only this many instances of each set, evenly spaced over the design")
+                   help="use only this many instances of each benchmark set, evenly spaced "
+                        "over the design, and this many seeds of each boundary cell")
     for name, text in (("compare", "print the ops that differ between two records"),
                        ("values", "as compare, but report condition values as changes, not differences")):
         c = sub.add_parser(name, help=text)

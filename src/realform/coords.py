@@ -86,22 +86,23 @@ def _points(points):
     return [p if isinstance(p, ProjPoint) else ProjPoint(p) for p in points]
 
 
-def _homogeneous(num, den, provenance, tiny) -> CrossRatio:
-    if abs(num) <= tiny and abs(den) <= tiny:
+def _homogeneous(num, den, provenance) -> CrossRatio:
+    # the 0/0 floor of frame_cross_ratio_sets
+    if abs(num) <= 1e-13 and abs(den) <= 1e-13:
         raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
     return CrossRatio(num=num, den=den, provenance=provenance)
 
 
-def cross_ratio(a, b, c, d, provenance=None, tiny: float = 1e-13) -> CrossRatio:
+def cross_ratio(a, b, c, d, provenance=None) -> CrossRatio:
     """[A, B, C, D] for four points of CP^1."""
     a, b, c, d = _points((a, b, c, d))
-    return _homogeneous(_det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d), provenance, tiny)
+    return _homogeneous(_det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d), provenance)
 
 
-def fg_cross_ratio(a, b, c, d, provenance=None, tiny: float = 1e-13) -> CrossRatio:
+def fg_cross_ratio(a, b, c, d, provenance=None) -> CrossRatio:
     """[[A, B, C, D]], the Fock-Goncharov normalization."""
     a, b, c, d = _points((a, b, c, d))
-    return _homogeneous(_det2(a, b) * _det2(c, d), _det2(a, d) * _det2(b, c), provenance, tiny)
+    return _homogeneous(_det2(a, b) * _det2(c, d), _det2(a, d) * _det2(b, c), provenance)
 
 
 def config_cross_ratio(cfgn: LineConfig) -> CrossRatio:

@@ -388,7 +388,8 @@ def _dim2_conditions(infos, cfg):
                 continue
             om, op = _cp1_dirs(other)
             if other.kind == KIND_ELLIPTIC:
-                for base in (e1, e2):
+                # skip a base whose fixed points other shares: other keeps every circle it keeps
+                for base in (b for b in (e1, e2) if _pick_reference(_cp1_dirs(b), other, cfg)):
                     bm, bp = _cp1_dirs(base)
                     cr = cross_ratio(bm, om, bp, op)
                     add(f"[E{base.index},E{other.index}]", cr.value, "positive real",
@@ -483,24 +484,56 @@ def _mirrored_flags(info: GenInfo, cfg):
     return beta, beta.reversed()
 
 
-def _real_crs(crs, names, cfg):
-    """Each row's cross ratios must be real; one row per name."""
-    return [Condition(f"{name}[{i}]", v, "real", ok)
-            for name, vs, oks in zip(names, ratio_values(crs), is_real(crs, cfg.cr_tol).tolist())
-            for i, (v, ok) in enumerate(zip(vs, oks))]
+def _columns(crs, L, tol):
+    """The conditions of every line of ``crs`` as (hyperbolic, pair) lists of
+    columns (suffix, requirement, values, passed), one entry per line.  A
+    hyperbolic column reads its line alone; a pair column ties line r to
+    its partner, line r + 1.
+
+    The base flag lists L pair-derived directions first, then hyperbolic
+    ones; L = 0 is the all-hyperbolic base.  Within the pair block the
+    ratios live on the unit circle and their arguments telescope to full
+    turns; past it they are real.  Each requirement is read once over all
+    lines, then split into columns; the pair block's only when L > 0.
+    """
+    K, n = crs.num.shape[1], max(L - 3, 0)
+    values, real = list(zip(*ratio_values(crs))), is_real(crs, tol).T.tolist()
+    b, p = crs[:-1], crs[1:]
+    conj = conj_pair_defect(b, p)
+    hyp = [(f"[{j}]", "real", values[j], real[j]) for j in range(L, K)]
+    # a pair column holds its defects until the return reads them
+    pair = [(f"[{j}]", "conjugate pair", conj[:, j]) for j in range(L, K)]
+    if L:   # the pair block ahead of the hyperbolic directions; an argument sum's value is 0
+        zeros, unit = [0j] * len(crs.num), in_unit_circle(crs, tol).T.tolist()
+        sums = arg_sum_is_zero([crs[:, 0:n:2], crs[:, 1:n + 1:2], crs[:, 2:n + 2:2]], (1, 2, 1), tol)
+        hyp = ([(f"[{j}]", "unit circle", values[j], unit[j]) for j in range(0, min(L, K), 2)] + hyp
+               + [(f" argsum[{j},{j+1},{j+2}]", "0 mod 2pi", zeros, ok)
+                  for j, ok in zip(range(0, n, 2), sums.T.tolist())])
+        product = unit_product_defect(b, p)
+        # column j - 1 ties ratio j of line r to ratios j - 1, j, j + 1 of its partner
+        triple = conj_product_defect(b[:, 1:-1], [p[:, :-2], p[:, 1:-1], p[:, 2:]])
+        # even j ties the partners of one pair, odd j below L - 2 one pair to the next
+        pair = [(f"[{j}] product", "product == 1", product[:, j]) if j % 2 == 0 else
+                (f"[{j}] triple product", "conjugate of product", triple[:, j - 1])
+                for j in range(min(L, K)) if j % 2 == 0 or j < L - 2] + pair
+        if L <= K:
+            hyp.append((f" argsum[{L-2},{L-1}]", "0 mod 2pi", zeros,
+                        arg_sum_is_zero([crs[:, L - 2], crs[:, L - 1]], (1, 2), tol).tolist()))
+            pair.append((f"[{L - 1}] boundary", "conjugate of product",
+                         conj_product_defect(p[:, L - 1], [b[:, L - 2], b[:, L - 1]])))
+    return hyp, [(s, q, d.astype(complex).tolist(), (d <= tol).tolist()) for s, q, d in pair]
+
+
+def _emit(prefix, columns, r):
+    """The conditions of line r, one per column of ``_columns``' result."""
+    return [Condition(prefix + suffix, values[r], requirement, passed[r])
+            for suffix, requirement, values, passed in columns]
 
 
 def _real_triples(a, f, c, name, cfg):
     return [Condition(f"{name}{tr.provenance}", tr.value, "real",
                       abs(tr.value.imag) <= cfg.cr_tol * (1 + abs(tr.value.real)))
             for tr in triple_ratio_set(a, f, c, cfg)]
-
-
-def _conj_crs(crs_b, crs_p, name, cfg):
-    """The cross ratios of one line, a row, against the conjugates of its partner's."""
-    defects = conj_pair_defect(crs_b, crs_p)
-    return [Condition(f"{name}[{i}]", d, "conjugate pair", ok) for i, (d, ok) in
-            enumerate(zip(defects.astype(complex).tolist(), (defects <= cfg.cr_tol).tolist()))]
 
 
 def _conj_triples(a, beta, beta_rev, c, name, cfg):
@@ -541,20 +574,20 @@ def _flag_conditions(infos, cfg):
                 raise GenericityViolation(f"generator {info.index}: flags not in generic position")
         others.append((info, beta, beta_rev))
 
-    lines = np.array([f.vectors[0] for f in [b] + [f for _, *pair in others for f in pair]])
-    crs = frame_cross_ratio_sets(lines @ g.frame, d.vectors[0] @ g.frame)
-    conditions = (_real_crs(crs[:1], ["cr(A,B,C,D)"], cfg)
+    lines = np.array([f.vectors[0] for f in [b] + [f for _, *fs in others for f in fs]]) @ g.frame
+    hcols, pcols = _columns(frame_cross_ratio_sets(lines, d.vectors[0] @ g.frame), 0, cfg.cr_tol)
+    conditions = (_emit("cr(A,B,C,D)", hcols, 0)
                   + _real_triples(a, b, c, "r3(A,B,C)", cfg)
                   + _real_triples(a, c, d, "r3(A,C,D)", cfg))
     for m, (info, beta, beta_rev) in enumerate(others):
-        n = info.index
+        n, r = info.index, 2 * m + 1
         if info.kind == KIND_HYPERBOLIC:
-            conditions += (_real_crs(crs[2 * m + 1:2 * m + 3],
-                                     [f"cr(A,b{n},C,D)", f"cr(A,b'{n},C,D)"], cfg)
+            conditions += (_emit(f"cr(A,b{n},C,D)", hcols, r)
+                           + _emit(f"cr(A,b'{n},C,D)", hcols, r + 1)
                            + _real_triples(a, beta, c, f"r3(A,b{n},C)", cfg)
                            + _real_triples(a, beta_rev, c, f"r3(A,b'{n},C)", cfg))
         else:
-            conditions += (_conj_crs(crs[2 * m + 1], crs[2 * m + 2], f"cr(A,b{n},C,D) vs b'", cfg)
+            conditions += (_emit(f"cr(A,b{n},C,D) vs b'", pcols, r)
                            + _conj_triples(a, beta, beta_rev, c, f"r3(A,b{n},C) vs b'", cfg))
     return conditions, []
 
@@ -622,12 +655,13 @@ def _synthetic_conditions(infos, cfg):
     crs = _line_sets(checks, gamma0.T, np.ones(3, dtype=complex),
                      "generator {n}: eigendirection not generic with the synthetic base",
                      cfg.rank_tol)
+    hcols, pcols = _columns(crs, 0, cfg.cr_tol)
     conditions = []
     for (info, idx), r in zip(checks, _first_rows(checks)):
         if len(idx) == 1:
-            conditions += _real_crs(crs[r:r + 1], [f"cr(A,h{info.index}.{idx[0]},C,D)"], cfg)
+            conditions += _emit(f"cr(A,h{info.index}.{idx[0]},C,D)", hcols, r)
             continue
-        conditions += _conj_crs(crs[r], crs[r + 1], f"cr(A,b{info.index},C,D) vs b'", cfg)
+        conditions += _emit(f"cr(A,b{info.index},C,D) vs b'", pcols, r)
         p, q, mid = (ProjPoint(gamma0 @ info.direction(i).coords, cfg)
                      for i in (*idx, info.hyp_indices()[0]))
         try:
@@ -659,53 +693,6 @@ def decide_pglk_fg(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None, direct=
 
 # ---------------------------------------------------------------------------
 # cross-ratio-only method
-
-def _cross_hyp_table(crs, L, tol):
-    """The conditions of a hyperbolic direction, for every row of ``crs``:
-    (layout, values, passed), a condition of row r reading
-    values[r][value column] and passed[r][pass column] as its layout entry
-    (suffix, requirement, value column, pass column) says.
-
-    The base flag lists L pair-derived directions first, then
-    hyperbolic ones; L = 0 is the all-hyperbolic base.  Within the pair
-    block the ratios live on the unit circle and their arguments
-    telescope to full turns; past it they are real.
-    """
-    K, n = crs.num.shape[1], max(L - 3, 0)
-    triples = range(0, n, 2)   # argument sums over columns (j, j + 1, j + 2)
-    passed = [in_unit_circle(crs, tol), is_real(crs, tol),
-              arg_sum_is_zero([crs[:, 0:n:2], crs[:, 1:n + 1:2], crs[:, 2:n + 2:2]], (1, 2, 1), tol)]
-    # value column K holds the argument sums' value, 0
-    layout = ([(f"[{j}]", "unit circle", j, j) for j in range(0, min(L, K), 2)]
-              + [(f"[{j}]", "real", j, K + j) for j in range(L, K)]
-              + [(f" argsum[{j},{j+1},{j+2}]", "0 mod 2pi", K, 2 * K + j // 2) for j in triples])
-    if 2 <= L <= K:
-        passed.append(arg_sum_is_zero([crs[:, L - 2:L - 1], crs[:, L - 1:L]], (1, 2), tol))
-        layout.append((f" argsum[{L-2},{L-1}]", "0 mod 2pi", K, 2 * K + len(triples)))
-    return layout, [vs + [0j] for vs in ratio_values(crs)], np.hstack(passed).tolist()
-
-
-def _cross_pair_table(crs, L, tol):
-    """As ``_cross_hyp_table``, for the conditions tying the cross ratios of
-    an elliptic pair together: row r holds the pair of lines r and r + 1."""
-    K, crs_b, crs_p = crs.num.shape[1], crs[:-1], crs[1:]
-    defects = [unit_product_defect(crs_b, crs_p), conj_pair_defect(crs_b, crs_p),
-               conj_product_defect(crs_b[:, 1:-1], [crs_p[:, :-2], crs_p[:, 1:-1], crs_p[:, 2:]])]
-    columns = []   # (suffix, requirement, column of the defect table)
-    for j in range(K):
-        if j < L and j % 2 == 0:
-            columns.append((f"[{j}] product", "product == 1", j))
-        elif j < L - 2 and j % 2 == 1:
-            columns.append((f"[{j}] triple product", "conjugate of product", 2 * K + j - 1))
-        elif j >= L:
-            columns.append((f"[{j}]", "conjugate pair", K + j))
-    if 2 <= L <= K:
-        defects.append(conj_product_defect(crs_p[:, L - 1:L], [crs_b[:, L - 2:L - 1], crs_b[:, L - 1:L]]))
-        columns.append((f"[{L - 1}] boundary", "conjugate of product", 3 * K - 2))
-    table = np.hstack(defects)
-    return ([(name, requirement, c, c) for name, requirement, c in columns],
-            table.astype(complex).tolist(), (table <= tol).tolist())
-
 
 def _cross_conditions(infos, cfg):
     """Conditions against one base flag pair and one reference direction.
@@ -740,13 +727,11 @@ def _cross_conditions(infos, cfg):
     crs = _line_sets(checks, frame, provider.direction(d_idx).coords @ frame,
                      "generator {n}: eigendirection {i} not generic with the base",
                      cfg.rank_tol / base.frame_rcond)
-    tables = {1: _cross_hyp_table(crs, L, cfg.cr_tol), 2: _cross_pair_table(crs, L, cfg.cr_tol)}
+    columns = dict(zip((1, 2), _columns(crs, L, cfg.cr_tol)))
     conditions = []
     for (info, idx), r in zip(checks, _first_rows(checks)):
-        layout, values, passed = tables[len(idx)]
         prefix = f"cr(A,{'h' if len(idx) == 1 else 'e'}{info.index}.{'/'.join(map(str, idx))},C,d)"
-        conditions += [Condition(prefix + name, values[r][v], requirement, passed[r][c])
-                       for name, requirement, v, c in layout]
+        conditions += _emit(prefix, columns[len(idx)], r)
     return conditions, [f"base generator {base.index}, reference direction from {provider.index}"]
 
 

@@ -285,6 +285,7 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
 # brute-force search over circles and lines (k = 2)
 
 _CHUNK = 1 << 20
+_STARTS = 4   # coarse circles the refinement starts from
 
 
 def _fixed_points_cp1(m, cfg):
@@ -358,7 +359,7 @@ def _line_defects(points_kinds, alpha: np.ndarray, offset: np.ndarray) -> np.nda
     return worst
 
 
-def brute_rform_search(ms, grid: int = 200, refine: int = 4, starts: int = 4,
+def brute_rform_search(ms, grid: int = 200, refine: int = 4,
                        cfg: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Best preservation defect over sampled circles and lines (k = 2).
 
@@ -388,11 +389,11 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4, starts: int = 4,
         cs = np.repeat(cgrid[start:start + max(1, _CHUNK // grid)], grid)
         rr = np.tile(rs, cs.size // grid)
         d = _circle_defects(points_kinds, cs, rr)
-        order = np.argsort(d)[: max(starts, 1)]
+        order = np.argsort(d)[:_STARTS]
         seeds.extend((float(d[i]), cs[i].real, cs[i].imag, rr[i]) for i in order)
         best = min(best, float(d[order[0]]))
     seeds.sort()
-    seeds = seeds[: max(starts, 1)]
+    seeds = seeds[:_STARTS]
 
     alphas = np.repeat(np.linspace(0, np.pi, grid, endpoint=False), grid)
     offs = np.tile(np.linspace(-extent, extent, grid), grid)

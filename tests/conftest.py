@@ -1,8 +1,22 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from realform.config import DEFAULT_TOLERANCES
 from realform.projlin import ProjPoint
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """``scripts/<name>.py`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -28,6 +28,14 @@ README_COLLECTION = [np.array([[3j - 1, 3j - 3], [-3j - 3, -3j - 1]]),
                      np.array([[1 + 1j, 0], [0, 1 - 1j]])]
 
 
+def real_conjugates(eigenvalues, n, seed=7):
+    """n conjugates of diag(eigenvalues) by random real matrices."""
+    rng = np.random.default_rng(seed)
+    k = len(eigenvalues)
+    return [v @ np.diag(eigenvalues) @ np.linalg.inv(v)
+            for v in (rng.normal(size=(k, k)) for _ in range(n))]
+
+
 @pytest.fixture
 def run_cli(capsys):
     """``cli.main`` in this process; the result reads like a finished process."""
@@ -159,6 +167,26 @@ class TestDecide:
         f = write_doc(tmp_path / "m.json", 2, ms)
         res = run_cli("decide", str(f), "--method", "dim2")
         assert res.returncode == 4
+
+    @pytest.mark.parametrize("eigenvalues,method", [
+        ((1.0, -1.0, 2.0), "dim3"), ((1.0, -1.0, 2.0), "fg"), ((1.0, -1.0, 2.0), "cross"),
+        ((1.0, -1.0), "dim2"), ((1.0, -1.0), "cross")])
+    def test_forced_route_on_nongeneric_spectrum_exit3(self, run_cli, tmp_path, eigenvalues,
+                                                       method):
+        # 1 and -1 admit more than one labeling, so coordinate routes refuse
+        f = write_doc(tmp_path / "m.json", len(eigenvalues), real_conjugates(eigenvalues, 2))
+        res = run_cli("decide", str(f), "--method", method)
+        assert res.returncode == 3
+        assert "have non-generic eigenvalues" in res.stderr
+        assert run_cli("decide", str(f)).returncode == 0
+
+    @pytest.mark.parametrize("method", ["direct", "auto"])
+    def test_labeling_search_cap_exit5(self, run_cli, tmp_path, method):
+        # two labelings per member, eight members: 2**8 combinations
+        f = write_doc(tmp_path / "m.json", 2, real_conjugates((1.0, -1.0), 8))
+        res = run_cli("decide", str(f), "--method", method)
+        assert res.returncode == 5
+        assert "256 labeling combinations exceed the search cap" in res.stderr
 
     def test_wrong_dimension_for_method_exit3(self, run_cli, golden_file):
         res = run_cli("decide", str(golden_file), "--method", "dim3")
@@ -393,6 +421,13 @@ class TestCoords:
         for row in doc["triple_ratios"]:
             tr_by_flag.setdefault((row["generator"], row["flag"]), []).append(row)
         assert {len(v) for v in tr_by_flag.values()} == {3}
+
+    def test_without_two_hyperbolic_generators_exit4(self, run_cli, tmp_path):
+        run_cli("generate", "--k", "4", "--generators", "2", "--elliptic", "2",
+                "--seed", "1", "-o", str(tmp_path / "g.json"))
+        res = run_cli("coords", str(tmp_path / "g.json"))
+        assert res.returncode == 4
+        assert "coordinate dump needs two strictly hyperbolic generators" in res.stderr
 
     def test_real_collection_real_coords(self, run_cli, tmp_path):
         run_cli("generate", "--k", "3", "--generators", "2", "--hyperbolic", "2",

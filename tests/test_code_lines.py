@@ -1,7 +1,4 @@
-import importlib.util
-from pathlib import Path
-
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
+from conftest import load_script
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -22,15 +19,8 @@ class Point:
 '''
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_counts_code_lines_only(capsys):
-    cl = load_script()
+    cl = load_script("code_lines")
     # import, class, def, the two lines of the string assignment, return
     assert cl.code_lines(SAMPLE) == 6
     assert cl.main() == 0

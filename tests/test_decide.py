@@ -1,7 +1,10 @@
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realform.decide import (
     METHOD_CROSS,
@@ -36,7 +39,11 @@ from realform.oracle import InstanceSpec, generate
 from realform.projlin import ProjPoint, proj_dist
 from realform.rform import Multiplicity
 
-from conftest import no_common_circle_pair, random_invertible, unit_circle_collection
+from conftest import load_script, no_common_circle_pair, random_invertible, unit_circle_collection
+
+# the boundary sweeps' recipes, shared with the identity check's boundary section
+_sweeps = load_script("identity_check")
+conditioned_yes, perturbed = _sweeps.conditioned_yes, _sweeps.perturbed
 
 
 def is_proj_real(v, tol=1e-8):
@@ -107,6 +114,18 @@ class TestDim2:
         m2 = v @ np.diag([1 + 1j, 1 - 1j]) @ np.linalg.inv(v)
         verdict, cert = decide_pgl2([m1, m2])
         assert verdict.answer == "yes" and cert.residual < 1e-9
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_rotation_sharing_a_base_axis(self, seed):
+        # the inverse of a base rotation keeps every circle that base keeps:
+        # its condition against that base, cr = 0/x, must not be read
+        ms = generate(InstanceSpec(2, 2, {"elliptic": 2}, seed=seed)).matrices
+        ms = [*ms, np.linalg.inv(ms[1])]
+        for method in ("auto", "dim2"):
+            verdict, cert = decide(ms, method=method)
+            assert verdict == Verdict("yes", Multiplicity.ONE, METHOD_DIM2), method
+            assert cert.residual < DEFAULT_TOLERANCES.cert_tol
+            assert all(c.passed for c in cert.conditions)
 
     def test_shared_pair_falls_back(self):
         m1 = np.diag([2.0, 1.0])
@@ -657,12 +676,6 @@ class TestDecisionContract:
         assert calls == {"decide_direct": 1, "conjugation_witness": 1}
 
 
-def perturbed(k, seed, eps):
-    """Three hyperbolic generators, generator 0 perturbed by eps."""
-    return generate(InstanceSpec(k, 3, {"hyperbolic": 3}, seed=seed,
-                                 perturbation=(0, eps))).matrices
-
-
 def test_disagreement_is_inconclusive():
     # fg's conditions fail while direct certifies a form
     ms = perturbed(6, 0, 1e-8)
@@ -689,20 +702,6 @@ def test_perturbation_sweep_has_no_contradiction(k):
                 except RealformError:   # the forced route does not apply
                     continue
                 assert {answer, direct} != {"yes", "no"}, (k, eps, seed, method)
-
-
-THREE_GENERATORS = {"hyperbolic": 2, "elliptic": 1, "mixed": 0}
-
-
-def conditioned_yes(k, seed, exponent=3, mix=THREE_GENERATORS):
-    """An oracle Yes instance of type mix ``mix`` moved by Gamma = U
-    diag(logspace(0, exponent, k)) U^H, cond(Gamma) = 10**exponent."""
-    inst = generate(InstanceSpec(k, sum(mix.values()), mix, seed=seed))
-    rng = np.random.default_rng(1000 + seed)
-    u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-    g = u @ np.diag(np.logspace(0, exponent, k)) @ u.conj().T
-    gi = np.linalg.inv(g)
-    return [g @ m @ gi for m in inst.matrices]
 
 
 @pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4, 6, 8) for seed in range(10)])
@@ -788,3 +787,43 @@ def test_conditions_carry_plain_python_types():
         "extended real", "positive real", "unit circle", "conjugate pair", "real",
         "0 mod 2pi", "product == 1", "conjugate of product", "commutes with conjugation"}
     assert {p for *_, p in seen} == {True, False}
+
+
+def _realizable(k):
+    """Generator types the oracle realizes at dimension k."""
+    if k == 2:
+        return ("hyperbolic", "elliptic")
+    return ("hyperbolic", "elliptic", "mixed") if k == 3 or k % 2 == 0 else ("hyperbolic", "mixed")
+
+
+# each keeps the answer: the generated group, or its complex conjugate, is unchanged
+RELATIONS = {
+    "permute": lambda ms, rng: [ms[i] for i in rng.permutation(len(ms))],
+    "conjugate": lambda ms, rng: [m.conj() for m in ms],
+    "product": lambda ms, rng: [*ms, np.matmul(*(ms[i] for i in
+                                                 rng.choice(len(ms), 2, replace=False)))],
+    "inverse": lambda ms, rng: [*ms, np.linalg.inv(ms[rng.integers(len(ms))])],
+}
+
+
+def _answer(ms, method):
+    try:
+        return decide(ms, method=method)[0].answer
+    except RealformError:   # a refusal
+        return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k=st.integers(2, 8), data=st.data(), no=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_metamorphic_relations_never_swap_yes_and_no(k, data, no, seed):
+    # an answer may become inconclusive or a refusal, never the opposite one
+    types = data.draw(st.lists(st.sampled_from(_realizable(k)), min_size=2, max_size=3))
+    pert = (data.draw(st.integers(0, len(types) - 1)), 0.05) if no else None
+    ms = generate(InstanceSpec(k, len(types), dict(Counter(types)), seed=seed,
+                               perturbation=pert)).matrices
+    rng = np.random.default_rng(seed)
+    for method in ("auto", "direct"):
+        before = _answer(ms, method)
+        for name, relation in RELATIONS.items():
+            after = _answer(relation(ms, rng), method)
+            assert {before, after} != {"yes", "no"}, (method, name, before, after)

@@ -1,24 +1,17 @@
-import importlib.util
 import json
-from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "identity_check.py"
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("identity_check", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_dump_and_compare(tmp_path, capsys):
-    ic = load_script()
+    ic = load_script("identity_check")
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     assert ic.main(["dump", str(first), "--limit", "1"]) == 0
     ops = json.loads(first.read_text())
-    # one instance of each seed set of each workload, under every method
-    assert len(ops) == 3 * 2 * 6
+    # one instance of each seed set of each workload, under every method, and
+    # one seed of each of the 8 conditioning and 9 perturbation cells under 4 methods
+    assert len(ops) == 3 * 2 * 6 + (8 + 9) * 4
+    assert "boundary/conditioned/1e4/8/0/fg" in ops and "boundary/perturbed/1e-09/3/0/dim3" in ops
     assert any("answer" in op for op in ops.values()) and any("raised" in op for op in ops.values())
     assert ic.main(["dump", str(second), "--limit", "1"]) == 0
     assert ic.main(["compare", str(first), str(second)]) == 0
@@ -33,7 +26,7 @@ def test_dump_and_compare(tmp_path, capsys):
 
 
 def test_values_lets_only_condition_values_move(tmp_path, capsys):
-    ic = load_script()
+    ic = load_script("identity_check")
     op = {"answer": "yes", "method": "DimKCrossOnly", "multiplicity": "one",
           "conditions": [["cr[0]", "real", True, [0.5, 1e-12]],
                          ["pair[0]", "conjugate pair", True, [3e-12, 0.0]]],

@@ -1,19 +1,10 @@
-import importlib.util
 import re
-from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "random_study.py"
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("random_study", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_routes_follow_k():
-    rs = load_script()
+    rs = load_script("random_study")
     assert rs.methods(2) == ("dim2", "direct")
     assert rs.methods(3) == ("dim3", "cross", "direct")
     for k in range(4, 9):
@@ -21,7 +12,7 @@ def test_routes_follow_k():
 
 
 def test_smoke_small_and_high_k(capsys):
-    rs = load_script()
+    rs = load_script("random_study")
     assert rs.main(["--per-dim", "1", "--dims", "2", "3", "8"]) == 0
     out = capsys.readouterr().out
     assert [int(k) for k in re.findall(r"^k=(\d+):", out, re.M)] == [2, 3, 8]
@@ -30,7 +21,7 @@ def test_smoke_small_and_high_k(capsys):
 
 
 def test_inconclusive_is_neither_wrong_nor_a_disagreement():
-    rs = load_script()
+    rs = load_script("random_study")
     assert rs.tally({"fg": "inconclusive", "direct": "yes"}, "no") == (True, False, True)
     assert rs.tally({"fg": "inconclusive", "cross": "yes", "direct": "yes"}, "yes") == \
         (True, False, False)
