@@ -16,7 +16,10 @@ For each op the record keeps the answer, method and multiplicity, the
 conditions (name, requirement, pass flag and value) and diagnostics, the
 type and message of a raise, and whether the certificate residual is
 below ``cert_tol``.  Gamma itself is not kept: two correct versions may
-return different realifiers.
+return different realifiers.  The record also keeps the sha256 of every
+instance it decides, under ``instance/<workload>/<seed>/<i>`` and
+``instance/boundary/<key>``, so a change of the oracle shows as the
+instances it moved, not only as the ops that follow from them.
 
     python3 scripts/identity_check.py dump before.json
     python3 scripts/identity_check.py dump after.json
@@ -36,6 +39,7 @@ needs only numpy.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -111,17 +115,26 @@ def record_op(ms, method, cfg=DEFAULT_TOLERANCES):
     }
 
 
+def record_instance(ms):
+    """The sha256 of an instance's matrices, with their shape."""
+    stack = np.ascontiguousarray(ms, dtype=complex)
+    return {"sha256": hashlib.sha256(repr(stack.shape).encode() + stack.tobytes()).hexdigest()}
+
+
 def dump(limit=None):
     """Every op of the identity set, keyed workload/seed/instance/method and
-    boundary/sweep/cell/seed/method."""
+    boundary/sweep/cell/seed/method, and every instance, keyed
+    instance/workload/seed/instance and instance/boundary/sweep/cell/seed."""
     ops = {}
     for name, workload in workloads.WORKLOADS.items():
         for seed in SEEDS:
             for i, spec in enumerate(workloads.specs(workload, seed, limit)):
                 ms = [np.asarray(m, dtype=complex) for m in generate(spec).matrices]
+                ops[f"instance/{name}/{seed}/{i}"] = record_instance(ms)
                 for method in FORCED_METHODS:
                     ops[f"{name}/{seed}/{i}/{method}"] = record_op(ms, method)
     for key, k, ms in boundary_instances(limit):
+        ops[f"instance/boundary/{key}"] = record_instance(ms)
         for method in ("auto", "direct", "dim3" if k == 3 else "fg", "cross"):
             ops[f"boundary/{key}/{method}"] = record_op(ms, method)
     return ops

@@ -160,7 +160,7 @@ def _perturbation_delta(m, rng, gamma, cfg):
     def perp(u):
         w = u - v * (np.vdot(v, u) / np.vdot(v, v))
         n = np.linalg.norm(w)
-        return None if n < 1e-8 * np.linalg.norm(u) else w / n
+        return None if n < cfg.rank_tol * np.linalg.norm(u) else w / n
 
     delta = None
     label = sc.labels[0]
@@ -172,7 +172,7 @@ def _perturbation_delta(m, rng, gamma, cfg):
         for _ in range(20):
             w = rng.normal(size=k)
             w = w - x * (x @ w) / (x @ x)
-            if np.linalg.norm(w) < 1e-8:
+            if np.linalg.norm(w) < cfg.rank_tol:
                 continue
             delta = perp(1j * (gamma @ w))
             if delta is not None:
@@ -301,35 +301,41 @@ def _fixed_points_cp1(m, cfg):
 def _gap_vec(z: np.ndarray, w: complex) -> np.ndarray:
     """Chordal distance from an array of sphere points to one point."""
     zinf = ~np.isfinite(z)
+    finite = not zinf.any()
+    zf = z if finite else z[~zinf]
     if np.isinf(w):
-        out = np.empty(z.shape)
-        out[zinf] = 0.0
-        zf = z[~zinf]
-        out[~zinf] = 2.0 / np.sqrt(1 + np.abs(zf) ** 2)
-        return out
+        gap, at_inf = 2.0 / np.sqrt(1 + np.abs(zf) ** 2), 0.0
+    else:
+        gap = 2 * np.abs(zf - w) / np.sqrt((1 + np.abs(zf) ** 2) * (1 + abs(w) ** 2))
+        at_inf = 2.0 / np.sqrt(1 + abs(w) ** 2)
+    if finite:
+        return gap
     out = np.empty(z.shape)
-    out[zinf] = 2.0 / np.sqrt(1 + abs(w) ** 2)
-    zf = z[~zinf]
-    out[~zinf] = 2 * np.abs(zf - w) / np.sqrt((1 + np.abs(zf) ** 2) * (1 + abs(w) ** 2))
+    out[zinf] = at_inf
+    out[~zinf] = gap
     return out
 
 
-def _invert_vec(z: complex, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Image of one point under inversion about arrays of circles."""
+def _invert_vec(z: complex, c: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Image of one point under inversion about every circle of the grid of
+    centers ``c`` (..., m, 1) and squared radii ``r2`` (..., 1, n); a point at
+    infinity maps to the centers themselves."""
     if np.isinf(z):
-        return c.copy()
+        return c
     d = z - c
     small = np.abs(d) < 1e-300
-    out = np.empty_like(c)
-    out[small] = np.inf
-    out[~small] = c[~small] + (r[~small] ** 2) / np.conj(d[~small])
-    return out
+    if not small.any():
+        return c + r2 / np.conj(d)
+    return np.where(small, np.inf, c + r2 / np.conj(np.where(small, 1, d)))
 
 
 def _circle_defects(points_kinds, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    worst = np.zeros(c.shape)
+    """Worst defect of every circle with a center of ``c`` (..., m) and a
+    radius of ``r`` (..., n), as (..., m, n): center-major once raveled."""
+    c, r2 = c[..., :, None], (r ** 2)[..., None, :]
+    worst = np.zeros(np.broadcast_shapes(c.shape, r2.shape))
     for (p, q), kind in points_kinds:
-        ip, iq = _invert_vec(p, c, r), _invert_vec(q, c, r)
+        ip, iq = _invert_vec(p, c, r2), _invert_vec(q, c, r2)
         if kind == KIND_HYPERBOLIC:
             d = np.maximum(_gap_vec(ip, p), _gap_vec(iq, q))
         else:
@@ -340,15 +346,17 @@ def _circle_defects(points_kinds, c: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _reflect_vec(z: complex, e2: np.ndarray, p0: np.ndarray) -> np.ndarray:
     if np.isinf(z):
-        return np.full(e2.shape, np.inf, dtype=complex)
+        return np.full(p0.shape, np.inf, dtype=complex)
     return e2 * np.conj(z - p0) + p0
 
 
 def _line_defects(points_kinds, alpha: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    e = np.exp(1j * alpha)
+    """Worst defect of every line at an angle of ``alpha`` (a,) and an
+    offset of ``offset`` (o,), as (a, o): angle-major once raveled."""
+    e = np.exp(1j * alpha)[:, None]
     e2 = e * e
     p0 = offset * 1j * e
-    worst = np.zeros(alpha.shape)
+    worst = np.zeros(p0.shape)
     for (p, q), kind in points_kinds:
         rp, rq = _reflect_vec(p, e2, p0), _reflect_vec(q, e2, p0)
         if kind == KIND_HYPERBOLIC:
@@ -368,12 +376,19 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4,
     Sweeps center x center x radius plus line angle x offset, then
     shrinks the grid around the best few coarse circles (the minimum can
     sit in a different basin than the coarse argmin) so a genuinely
-    preserved form is located to high accuracy.
+    preserved form is located to high accuracy.  Each kernel evaluates
+    a whole product grid at once; the refinement runs every start
+    together.
     """
+    if grid < 2 or refine < 0:
+        raise ValueError(f"need grid >= 2 and refine >= 0, got grid={grid}, refine={refine}")
     points_kinds = []
     extent = 2.0
-    for m in ms:
-        pts, kind = _fixed_points_cp1(np.asarray(m, dtype=complex), cfg)
+    for i, m in enumerate(ms):
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError(f"matrix {i}: the search needs 2x2 matrices, got shape {m.shape}")
+        pts, kind = _fixed_points_cp1(m, cfg)
         points_kinds.append((tuple(pts), kind))
         for p in pts:
             if not np.isinf(p):
@@ -385,50 +400,47 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4,
 
     best = np.inf
     seeds = []
-    for start in range(0, cgrid.size, max(1, _CHUNK // grid)):
-        cs = np.repeat(cgrid[start:start + max(1, _CHUNK // grid)], grid)
-        rr = np.tile(rs, cs.size // grid)
-        d = _circle_defects(points_kinds, cs, rr)
+    step = max(1, _CHUNK // grid)
+    for start in range(0, cgrid.size, step):
+        cs = cgrid[start:start + step]
+        d = _circle_defects(points_kinds, cs, rs).ravel()
         order = np.argsort(d)[:_STARTS]
-        seeds.extend((float(d[i]), cs[i].real, cs[i].imag, rr[i]) for i in order)
+        seeds.extend((float(d[i]), cs[i // grid].real, cs[i // grid].imag, rs[i % grid])
+                     for i in order)
         best = min(best, float(d[order[0]]))
     seeds.sort()
-    seeds = seeds[:_STARTS]
+    _, cx, cy, r = np.array(seeds[:_STARTS]).T
 
-    alphas = np.repeat(np.linspace(0, np.pi, grid, endpoint=False), grid)
-    offs = np.tile(np.linspace(-extent, extent, grid), grid)
-    dline = _line_defects(points_kinds, alphas, offs)
+    alphas = np.linspace(0, np.pi, grid, endpoint=False)
+    dline = _line_defects(points_kinds, alphas, xs).ravel()
     li = int(np.argmin(dline))
-    best_line = (alphas[li], offs[li], float(dline[li]))
-    best = min(best, best_line[2])
+    la, lo = alphas[li // grid], xs[li % grid]
+    best = min(best, float(dline[li]))
 
-    la, lo, _ = best_line
     aspan, ospan = 2 * np.pi / grid, 4 * extent / grid
     for _ in range(3 * refine):
-        na = np.repeat(np.linspace(la - aspan, la + aspan, 15), 15)
-        no = np.tile(np.linspace(lo - ospan, lo + ospan, 15), 15)
-        d = _line_defects(points_kinds, na, no)
+        na = np.linspace(la - aspan, la + aspan, 15)
+        no = np.linspace(lo - ospan, lo + ospan, 15)
+        d = _line_defects(points_kinds, na, no).ravel()
         i = int(np.argmin(d))
         if d[i] < best:
             best = float(d[i])
-        la, lo = na[i], no[i]
+        la, lo = na[i // 15], no[i % 15]
         aspan /= 2.5
         ospan /= 2.5
 
-    for _, cx, cy, r in seeds:
-        span = 4 * extent / grid
-        rspan = 2 * r * (rs[1] / rs[0] - 1) + 4 * extent / grid
-        for _ in range(3 * refine):
-            nx = np.linspace(cx - span, cx + span, 11)
-            ny = np.linspace(cy - span, cy + span, 11)
-            nr = np.linspace(max(r - rspan, 1e-4), r + rspan, 11)
-            cc = (nx[:, None, None] + 1j * ny[None, :, None] + 0 * nr[None, None, :]).ravel()
-            rrr = np.broadcast_to(nr[None, None, :], (11, 11, 11)).copy().ravel()
-            d = _circle_defects(points_kinds, cc, rrr)
-            i = int(np.argmin(d))
-            if d[i] < best:
-                best = float(d[i])
-            cx, cy, r = cc[i].real, cc[i].imag, rrr[i]
-            span /= 2.5
-            rspan /= 2.5
+    span = 4 * extent / grid
+    rspan = 2 * r * (rs[1] / rs[0] - 1) + 4 * extent / grid
+    each = np.arange(cx.size)
+    for _ in range(3 * refine):
+        nx = np.linspace(cx - span, cx + span, 11, axis=-1)
+        ny = np.linspace(cy - span, cy + span, 11, axis=-1)
+        nr = np.linspace(np.maximum(r - rspan, 1e-4), r + rspan, 11, axis=-1)
+        cc = (nx[:, :, None] + 1j * ny[:, None, :]).reshape(cx.size, 121)
+        d = _circle_defects(points_kinds, cc, nr).reshape(cx.size, -1)
+        i = np.argmin(d, axis=1)
+        best = float(min(best, *d[each, i]))
+        cx, cy, r = cc[each, i // 11].real, cc[each, i // 11].imag, nr[each, i % 11]
+        span /= 2.5
+        rspan /= 2.5
     return float(best)

@@ -796,13 +796,23 @@ def _realizable(k):
     return ("hyperbolic", "elliptic", "mixed") if k == 3 or k % 2 == 0 else ("hyperbolic", "mixed")
 
 
-# each keeps the answer: the generated group, or its complex conjugate, is unchanged
+def _conjugate_by_random_gamma(ms, rng):
+    g = random_invertible(rng, len(ms[0]), max_cond=10.0)
+    gi = np.linalg.inv(g)
+    return [g @ m @ gi for m in ms]
+
+
+# each keeps the answer: the group generated in PGL(k, C) stays the same up to
+# one conjugation in PGL(k, C) and the entrywise complex conjugate
 RELATIONS = {
     "permute": lambda ms, rng: [ms[i] for i in rng.permutation(len(ms))],
     "conjugate": lambda ms, rng: [m.conj() for m in ms],
     "product": lambda ms, rng: [*ms, np.matmul(*(ms[i] for i in
                                                  rng.choice(len(ms), 2, replace=False)))],
     "inverse": lambda ms, rng: [*ms, np.linalg.inv(ms[rng.integers(len(ms))])],
+    "gamma": _conjugate_by_random_gamma,
+    "scale": lambda ms, rng: [m * 10 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.uniform())
+                              for m in ms],
 }
 
 

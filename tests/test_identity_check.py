@@ -9,9 +9,12 @@ def test_dump_and_compare(tmp_path, capsys):
     assert ic.main(["dump", str(first), "--limit", "1"]) == 0
     ops = json.loads(first.read_text())
     # one instance of each seed set of each workload, under every method, and
-    # one seed of each of the 8 conditioning and 9 perturbation cells under 4 methods
-    assert len(ops) == 3 * 2 * 6 + (8 + 9) * 4
+    # one seed of each of the 8 conditioning and 9 perturbation cells under 4
+    # methods, plus one sha256 record per instance
+    assert len(ops) == 3 * 2 * 6 + (8 + 9) * 4 + 3 * 2 + (8 + 9)
     assert "boundary/conditioned/1e4/8/0/fg" in ops and "boundary/perturbed/1e-09/3/0/dim3" in ops
+    assert len(ops["instance/cli_docs/2/0"]["sha256"]) == 64
+    assert "sha256" in ops["instance/boundary/perturbed/1e-09/3/0"]
     assert any("answer" in op for op in ops.values()) and any("raised" in op for op in ops.values())
     assert ic.main(["dump", str(second), "--limit", "1"]) == 0
     assert ic.main(["compare", str(first), str(second)]) == 0
@@ -23,6 +26,15 @@ def test_dump_and_compare(tmp_path, capsys):
     assert ic.main(["compare", str(first), str(second)]) == 1
     out = capsys.readouterr().out
     assert f"{key}: answer" in out and "1 differ" in out
+
+    # a moved instance is named as its own line
+    ops[key]["answer"] = json.loads(first.read_text())[key]["answer"]
+    ops["instance/auto_highk/1/0"]["sha256"] = "0" * 64
+    second.write_text(json.dumps(ops))
+    capsys.readouterr()
+    assert ic.main(["compare", str(first), str(second)]) == 1
+    out = capsys.readouterr().out
+    assert "instance/auto_highk/1/0: sha256" in out and "1 differ" in out
 
 
 def test_values_lets_only_condition_values_move(tmp_path, capsys):
