@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Record every decision of a fixed op set, and compare two records.
 
-An op is one ``decide`` call.  The record has two sections:
+An op is one ``decide`` call or one CLI command.  The record has three
+sections:
 
 * every forced method and ``auto`` on every instance of the seed-1 and
   seed-2 sets of the three benchmark workloads (3,600 ops);
@@ -10,16 +11,21 @@ An op is one ``decide`` call.  The record has two sections:
   conditioning sweep (oracle Yes instances moved by a Gamma with
   cond(Gamma) 1e3 or 1e4, k = 3, 4, 6, 8) and the perturbation sweep
   (oracle No instances 1e-7, 1e-8 or 1e-9 from real, k = 3, 6, 8),
-  seeds 0-9 per cell.
+  seeds 0-9 per cell;
+* the CLI: ``classify``, ``coords`` and ``decide`` through
+  ``realform.cli.main`` on every seed-1 and seed-2 ``cli_docs`` document
+  (360 ops).
 
-For each op the record keeps the answer, method and multiplicity, the
+For each ``decide`` op the record keeps the answer, method and multiplicity, the
 conditions (name, requirement, pass flag and value) and diagnostics, the
 type and message of a raise, and whether the certificate residual is
 below ``cert_tol``.  Gamma itself is not kept: two correct versions may
 return different realifiers.  The record also keeps the sha256 of every
 instance it decides, under ``instance/<workload>/<seed>/<i>`` and
 ``instance/boundary/<key>``, so a change of the oracle shows as the
-instances it moved, not only as the ops that follow from them.
+instances it moved, not only as the ops that follow from them.  For
+each CLI op it keeps the exit code, the stderr text and the sha256 of
+stdout.
 
     python3 scripts/identity_check.py dump before.json
     python3 scripts/identity_check.py dump after.json
@@ -30,18 +36,24 @@ instances it moved, not only as the ops that follow from them.
 ``values`` does the same but lets condition values move: it exits 1
 on any other difference (answer, method, multiplicity, condition name,
 requirement or pass flag, diagnostics, raise type or message,
-``residual_ok``) and prints the largest change of condition values,
+``residual_ok``, a CLI op's exit code or stderr), ignores the CLI
+stdout digests, where printed numbers may move as well, and prints the largest change of condition values,
 relative for values above ``cr_tol`` and absolute for the defects at or
 below it.  The benchmark instance sets come from ``perfbench.workloads``,
-read-only.  The sweeps' recipes (``conditioned_yes``, ``perturbed``) are
+read-only, as are their CLI documents (``workloads.document``).  The
+sweeps' recipes (``conditioned_yes``, ``perturbed``) are
 defined here, and the tests load them from this file; the script itself
 needs only numpy.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,12 +64,14 @@ for path in (ROOT, ROOT / "src"):
 import numpy as np  # noqa: E402
 
 from perfbench import workloads  # noqa: E402
+from realform.cli import main as cli_main  # noqa: E402
 from realform.config import DEFAULT_TOLERANCES  # noqa: E402
 from realform.decide import FORCED_METHODS, decide  # noqa: E402
 from realform.errors import RealformError  # noqa: E402
 from realform.oracle import InstanceSpec, generate  # noqa: E402
 
 SEEDS = (1, 2)
+CLI_COMMANDS = ("classify", "coords", "decide")
 BOUNDARY_SEEDS = range(10)
 THREE_GENERATORS = {"hyperbolic": 2, "elliptic": 1, "mixed": 0}
 
@@ -121,18 +135,37 @@ def record_instance(ms):
     return {"sha256": hashlib.sha256(repr(stack.shape).encode() + stack.tobytes()).hexdigest()}
 
 
+def record_cli(path, command):
+    """The exit code, stderr and stdout digest of one ``realform`` command
+    on the document at ``path``, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main([command, path])
+    return {"exit": code, "stderr": err.getvalue(),
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
 def dump(limit=None):
-    """Every op of the identity set, keyed workload/seed/instance/method and
-    boundary/sweep/cell/seed/method, and every instance, keyed
-    instance/workload/seed/instance and instance/boundary/sweep/cell/seed."""
+    """Every op of the identity set, keyed workload/seed/instance/method,
+    boundary/sweep/cell/seed/method and cli/workload/seed/instance/command,
+    and every instance, keyed instance/workload/seed/instance and
+    instance/boundary/sweep/cell/seed."""
     ops = {}
-    for name, workload in workloads.WORKLOADS.items():
-        for seed in SEEDS:
-            for i, spec in enumerate(workloads.specs(workload, seed, limit)):
-                ms = [np.asarray(m, dtype=complex) for m in generate(spec).matrices]
-                ops[f"instance/{name}/{seed}/{i}"] = record_instance(ms)
-                for method in FORCED_METHODS:
-                    ops[f"{name}/{seed}/{i}/{method}"] = record_op(ms, method)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        for name, workload in workloads.WORKLOADS.items():
+            for seed in SEEDS:
+                for i, spec in enumerate(workloads.specs(workload, seed, limit)):
+                    ms = [np.asarray(m, dtype=complex) for m in generate(spec).matrices]
+                    ops[f"instance/{name}/{seed}/{i}"] = record_instance(ms)
+                    for method in FORCED_METHODS:
+                        ops[f"{name}/{seed}/{i}/{method}"] = record_op(ms, method)
+                    if workload.cli:
+                        doc = workloads.document(workloads.Instance(ms, "", spec.k))
+                        with open(path, "w") as fh:
+                            fh.write(json.dumps(doc, sort_keys=True))
+                        for command in CLI_COMMANDS:
+                            ops[f"cli/{name}/{seed}/{i}/{command}"] = record_cli(path, command)
     for key, k, ms in boundary_instances(limit):
         ops[f"instance/boundary/{key}"] = record_instance(ms)
         for method in ("auto", "direct", "dim3" if k == 3 else "fg", "cross"):
@@ -154,6 +187,8 @@ def compare(a, b):
 
 
 def _without_values(op):
+    if "stdout_sha256" in op:
+        return {f: v for f, v in op.items() if f != "stdout_sha256"}
     if "conditions" not in op:
         return op
     return {**op, "conditions": [c[:3] for c in op["conditions"]]}

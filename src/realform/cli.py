@@ -24,8 +24,9 @@ from dataclasses import fields
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .coords import CrossRatio, cross_ratio_lists, frame_cross_ratio_sets, triple_ratio_set
-from .decide import FORCED_METHODS, base_flags, decide, prepare, spectral_pass, verify_certificate
+from .coords import CrossRatio, cross_ratio_lists, triple_ratio_set
+from .decide import (FORCED_METHODS, decide, eigenbasis_flags, flag_set, prepare,
+                     spectral_pass, verify_certificate)
 from .errors import (
     DegenerateFrame,
     DegenerateTriple,
@@ -40,7 +41,6 @@ from .errors import (
     SharedEigendirections,
     SpectralPreconditionError,
 )
-from .flags import flag_pair_from_eigensystem, generic_position
 from .oracle import InstanceSpec, generate
 from .projlin import MAX_DIM, MIN_DIM
 from .spectrum import KIND_HYPERBOLIC
@@ -107,8 +107,10 @@ def _read_json(path, what):
         raise CliError(f"cannot read {what}: {exc}", EXIT_PARSE)
 
 
-def _load_document(path):
-    doc = _read_json(path, "input document")
+def _load_document(args):
+    """(k, matrices, tolerances) of the input document; the tolerances are
+    read last, so a document error is reported ahead of a tolerance error."""
+    doc = _read_json(args.input, "input document")
     if not isinstance(doc, dict) or "k" not in doc or "matrices" not in doc:
         raise CliError("input document needs fields 'k' and 'matrices'", EXIT_PARSE)
     k = doc["k"]
@@ -122,7 +124,7 @@ def _load_document(path):
     options = doc.get("options", {})
     if not isinstance(options, dict) or not isinstance(options.get("tolerances", {}), dict):
         raise CliError("'options' and its 'tolerances' must be objects", EXIT_PARSE)
-    return k, mats, options
+    return k, mats, _tolerances(options, args)
 
 
 def _tolerances(options, args) -> Tolerances:
@@ -138,9 +140,14 @@ def _tolerances(options, args) -> Tolerances:
         raise CliError(f"bad tolerance flag: {exc}", EXIT_PARSE)
 
 
-def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2))
-    sys.stdout.write("\n")
+def _emit(doc, path=None) -> None:
+    """Write ``doc`` as sorted, indented JSON to ``path``, or to stdout."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _add_tol_flags(p):
@@ -149,8 +156,7 @@ def _add_tol_flags(p):
 
 
 def cmd_classify(args) -> int:
-    k, mats, options = _load_document(args.input)
-    cfg = _tolerances(options, args)
+    k, mats, cfg = _load_document(args)
     infos, exc = spectral_pass(mats, cfg)
     if exc is not None:
         raise exc
@@ -177,8 +183,7 @@ def _classification(idx, sc):
 
 
 def cmd_decide(args) -> int:
-    k, mats, options = _load_document(args.input)
-    cfg = _tolerances(options, args)
+    _, mats, cfg = _load_document(args)
     verdict, cert = decide(mats, cfg, method=args.method)
     _emit(_decision_doc(verdict, cert))
     return {"yes": EXIT_YES, "no": EXIT_NO}.get(verdict.answer, EXIT_INCONCLUSIVE)
@@ -205,8 +210,7 @@ def _decision_doc(verdict, cert):
 
 
 def cmd_coords(args) -> int:
-    k, mats, options = _load_document(args.input)
-    cfg = _tolerances(options, args)
+    _, mats, cfg = _load_document(args)
     _emit(_coords_doc(prepare(mats, cfg), cfg))
     return EXIT_YES
 
@@ -215,48 +219,28 @@ def _coords_doc(infos, cfg):
     hyp = [i for i in infos if i.kind == KIND_HYPERBOLIC]
     if len(hyp) < 2:
         raise GenericityViolation("coordinate dump needs two strictly hyperbolic generators")
-    g, h = hyp[0], hyp[1]
-    a, b, c, d = base_flags(g, h, cfg)
-
-    cross_flags = []   # (flag, generator, tag) in output order
-    triple_out = []
-
-    def tr_rows(x, y, z, owner, tag):
-        for tr in triple_ratio_set(x, y, z, cfg):
-            p, q, r = tr.provenance
-            triple_out.append({
-                "generator": owner,
-                "flag": tag,
-                "i": p,
-                "j": q,
-                "l": r,
-                "value": _c2pair(tr.value),
-            })
-
-    cross_flags.append((b, h.index, "B"))
-    tr_rows(a, b, c, h.index, "B")
-    tr_rows(a, c, d, h.index, "D")
-    for info in infos:
-        if info is g or info is h:
-            continue
-        fp = flag_pair_from_eigensystem(info.es, cfg=cfg)
-        for tag, f in (("beta", fp.flag), ("beta_prime", fp.reverse)):
-            if not generic_position([a, f, c, d], cfg):
-                raise GenericityViolation(f"generator {info.index}: flags not in generic position")
-            cross_flags.append((f, info.index, tag))
-            tr_rows(a, f, c, info.index, tag)
-
-    k = a.dim
+    g, h = hyp[:2]
+    pairs = ((i, eigenbasis_flags(i, cfg)) for i in infos if i is not g and i is not h)
+    (a, b, c, d), others, crs = flag_set(g, h, pairs, cfg)
+    # (generator, tag, flag) of each line, in the order of the cross-ratio rows
+    lines = [(h.index, "B", b)] + [(info.index, tag, f) for info, *fs in others
+                                   for tag, f in zip(("beta", "beta_prime"), fs)]
     # [[A, B, C, D]] = -1 / [A, B, C, D]
-    sets = cross_ratio_lists(frame_cross_ratio_sets(
-        np.array([f.vectors[0] for f, _, _ in cross_flags]) @ g.frame, d.vectors[0] @ g.frame))
     cross_out = [
-        {"generator": owner, "flag": tag, "i": i, "j": k - 2 - i,
+        {"generator": owner, "flag": tag, "i": i, "j": j,
          "value": _c2pair(cr.value), "fg_value": _c2pair(CrossRatio(-cr.den, cr.num).value)}
-        for (_, owner, tag), crs in zip(cross_flags, sets)
-        for i, cr in enumerate(crs)
+        for (owner, tag, _), row in zip(lines, cross_ratio_lists(crs))
+        for cr in row
+        for i, j in [cr.provenance]
     ]
-    return {"k": k, "cross_ratios": cross_out, "triple_ratios": triple_out}
+    triple_out = [
+        {"generator": owner, "flag": tag, "i": p, "j": q, "l": r, "value": _c2pair(tr.value)}
+        for owner, tag, x, y, z in ([(h.index, "B", a, b, c), (h.index, "D", a, c, d)]
+                                    + [(owner, tag, a, f, c) for owner, tag, f in lines[1:]])
+        for tr in triple_ratio_set(x, y, z, cfg)
+        for p, q, r in [tr.provenance]
+    ]
+    return {"k": a.dim, "cross_ratios": cross_out, "triple_ratios": triple_out}
 
 
 def cmd_generate(args) -> int:
@@ -267,15 +251,8 @@ def cmd_generate(args) -> int:
             seed = int(env_seed)
         except ValueError:
             raise CliError("REALFORM_SEED must be an integer", EXIT_PARSE)
-    mix = {}
-    if args.hyperbolic:
-        mix["hyperbolic"] = args.hyperbolic
-    if args.elliptic:
-        mix["elliptic"] = args.elliptic
-    if args.mixed:
-        mix["mixed"] = args.mixed
-    if not mix:
-        mix["hyperbolic"] = args.generators
+    mix = {kind: getattr(args, kind) for kind in ("hyperbolic", "elliptic", "mixed")
+           if getattr(args, kind)} or {"hyperbolic": args.generators}
     perturbation = None
     if args.perturb is not None:
         try:
@@ -303,20 +280,15 @@ def cmd_generate(args) -> int:
         "seed": seed,
     }
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(args.output + ".truth", "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _emit(doc, args.output)
+        _emit(sidecar, args.output + ".truth")
     else:
         _emit({"instance": doc, "truth": sidecar})
     return EXIT_YES
 
 
 def cmd_verify(args) -> int:
-    k, mats, options = _load_document(args.input)
-    cfg = _tolerances(options, args)
+    k, mats, cfg = _load_document(args)
     gdoc = _read_json(args.gamma, "gamma file")
     gamma = _matrix_in(gdoc.get("gamma", gdoc) if isinstance(gdoc, dict) else gdoc, k, "gamma")
     residual = verify_certificate(mats, gamma, cfg)
@@ -369,7 +341,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has written its usage or help
+        return exc.code
     try:
         return args.func(args)
     except (CliError, RealformError) as exc:

@@ -145,7 +145,6 @@ class GenInfo:
     """One generator with its eigendata and spectral classification."""
 
     index: int
-    matrix: np.ndarray
     es: object
     sclass: object
     # s_min / s_max of the eigendirection rows, the measure ``make_flag``
@@ -187,7 +186,7 @@ def _stack_infos(a, cfg, start=0):
         classes = classify_spectra(np.array([es.eigenvalues for es in systems]), cfg)
         s = np.linalg.svd(np.array([[p.coords for p in es.directions] for es in systems]),
                           compute_uv=False)
-        infos = [GenInfo(index=start + i, matrix=es.matrix, es=es, sclass=sc,
+        infos = [GenInfo(index=start + i, es=es, sclass=sc,
                          frame_rcond=float(si[-1] / si[0]))
                  for i, (es, sc, si) in enumerate(zip(systems, classes, s))]
     if exc is not None:
@@ -273,7 +272,7 @@ def _certify(infos, cfg, conditions, witness):
     residual must be below cert_tol."""
     conj, unique = witness
     gamma = canonical_matrix(realifier(conj, cfg))
-    residual = verify_certificate([info.matrix for info in infos], gamma, cfg)
+    residual = verify_certificate([info.es.matrix for info in infos], gamma, cfg)
     if residual >= cfg.cert_tol:
         raise NumericalDegeneracy(f"certificate residual {residual:.3g} above cert_tol")
     mult = Multiplicity.ONE if unique else Multiplicity.INFINITE
@@ -325,10 +324,6 @@ def _run_route(ms, cfg, infos, method, ks, build, direct=None):
 # ---------------------------------------------------------------------------
 # dimension 2
 
-def _cp1_dirs(info: GenInfo):
-    return info.es.directions[0], info.es.directions[1]
-
-
 def _pick_reference(base_dirs, other: GenInfo, cfg):
     """First eigendirection of ``other`` distinct from all base directions."""
     for d in other.es.directions:
@@ -339,7 +334,7 @@ def _pick_reference(base_dirs, other: GenInfo, cfg):
 
 def _first_valid_pair(cands, cfg):
     for a, b in itertools.combinations(cands, 2):
-        if _pick_reference(_cp1_dirs(a), b, cfg) is not None:
+        if _pick_reference(a.es.directions, b, cfg) is not None:
             return a, b
     return None
 
@@ -358,14 +353,14 @@ def _dim2_conditions(infos, cfg):
     hyp_base = _first_valid_pair(hyp, cfg)
     if hyp_base is not None:
         h1, h2 = hyp_base
-        h1m, h1p = _cp1_dirs(h1)
+        h1m, h1p = h1.es.directions
         ref = _pick_reference((h1m, h1p), h2, cfg)
         cr = cross_ratio(h1m, h2.direction(0), h1p, h2.direction(1))
         add(f"[H{h1.index},H{h2.index}]", cr.value, "extended real", is_real_extended(cr, tol))
         for other in infos:
             if other is h1 or other is h2:
                 continue
-            crm, crp = (cross_ratio(h1m, dpt, h1p, ref) for dpt in _cp1_dirs(other))
+            crm, crp = (cross_ratio(h1m, dpt, h1p, ref) for dpt in other.es.directions)
             if other.kind == KIND_HYPERBOLIC:
                 for tag, cr in (("-", crm), ("+", crp)):
                     add(f"[h{h1.index}-,h{other.index}{tag},h{h1.index}+,ref]", cr.value,
@@ -379,18 +374,18 @@ def _dim2_conditions(infos, cfg):
     ell_base = _first_valid_pair(ell, cfg)
     if ell_base is not None:
         e1, e2 = ell_base
-        e1m, e1p = _cp1_dirs(e1)
-        e2m, e2p = _cp1_dirs(e2)
+        e1m, e1p = e1.es.directions
+        e2m, e2p = e2.es.directions
         cr = cross_ratio(e1m, e2m, e1p, e2p)
         add(f"[E{e1.index},E{e2.index}]", cr.value, "positive real", is_real_positive(cr, tol))
         for other in infos:
             if other is e1 or other is e2:
                 continue
-            om, op = _cp1_dirs(other)
+            om, op = other.es.directions
             if other.kind == KIND_ELLIPTIC:
                 # skip a base whose fixed points other shares: other keeps every circle it keeps
-                for base in (b for b in (e1, e2) if _pick_reference(_cp1_dirs(b), other, cfg)):
-                    bm, bp = _cp1_dirs(base)
+                for base in (b for b in (e1, e2) if _pick_reference(b.es.directions, other, cfg)):
+                    bm, bp = base.es.directions
                     cr = cross_ratio(bm, om, bp, op)
                     add(f"[E{base.index},E{other.index}]", cr.value, "positive real",
                         is_real_positive(cr, tol))
@@ -405,8 +400,8 @@ def _dim2_conditions(infos, cfg):
 
     if len(hyp) == 1 and len(ell) == 1:
         (h,), (e,) = hyp, ell
-        hm, hp = _cp1_dirs(h)
-        em, ep = _cp1_dirs(e)
+        hm, hp = h.es.directions
+        em, ep = e.es.directions
         cr = cross_ratio(hm, em, hp, ep)
         add(f"[h{h.index}-,e{e.index}-,h{h.index}+,e{e.index}+]", cr.value,
             "unit circle", in_unit_circle(cr, tol))
@@ -436,11 +431,11 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
     m1, m2 = infos[0], infos[1]
     if m1.kind != KIND_HYPERBOLIC or m2.kind != KIND_HYPERBOLIC:
         raise SpectralPreconditionError("first two generators must be hyperbolic")
-    if _pick_reference(_cp1_dirs(m1), m2, cfg) is None:
+    if _pick_reference(m1.es.directions, m2, cfg) is None:
         raise SharedEigendirections("first two generators share their eigendirection pair")
 
-    m1m, m1p = _cp1_dirs(m1)
-    m2m, m2p = _cp1_dirs(m2)
+    m1m, m1p = m1.es.directions
+    m2m, m2p = m2.es.directions
 
     def crv(b):
         return cross_ratio(m1m, b, m1p, m2p).value
@@ -448,7 +443,7 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
     z = crv(m2m)
     values = [z - np.conj(z)]
     for info in infos[2:]:
-        dm, dp = _cp1_dirs(info)
+        dm, dp = info.es.directions
         zm, zp = crv(dm), crv(dp)
         if info.kind == KIND_HYPERBOLIC:
             values.append(zm - np.conj(zm))
@@ -462,15 +457,37 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
 # ---------------------------------------------------------------------------
 # flag coordinate methods (k >= 3)
 
-def base_flags(g: GenInfo, h: GenInfo, cfg: Tolerances = DEFAULT_TOLERANCES):
-    """(A, B, C, D) from the eigenbasis flag pairs of the strictly
-    hyperbolic generators g and h, checked to be in generic position."""
-    fg_ = flag_pair_from_eigensystem(g.es, cfg=cfg)
-    fh = flag_pair_from_eigensystem(h.es, cfg=cfg)
-    a, b, c, d = fg_.flag, fh.flag, fg_.reverse, fh.reverse
+def eigenbasis_flags(info: GenInfo, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """The flag of a generator's eigenbasis in eigenvalue order, and its
+    reverse."""
+    fp = flag_pair_from_eigensystem(info.es, cfg=cfg)
+    return fp.flag, fp.reverse
+
+
+def flag_set(g: GenInfo, h: GenInfo, pairs, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """The flags of the Fock-Goncharov coordinates and their cross ratios.
+
+    (A, C) and (B, D) are the eigenbasis flag pairs of the strictly
+    hyperbolic generators g and h, checked to be in generic position.
+    ``pairs`` yields (generator, (beta, beta')); both flags are checked
+    against (A, C, D) as each pair is yielded, so the first fault in
+    generator order raises.  One evaluation in g's eigen-coordinates then
+    gives the cross ratios of B's line and of every yielded flag's line.
+
+    Returns ((A, B, C, D), [(generator, beta, beta')], cross ratios), the
+    cross ratios with one row per line in that order.
+    """
+    (a, c), (b, d) = eigenbasis_flags(g, cfg), eigenbasis_flags(h, cfg)
     if not generic_position([a, b, c, d], cfg):
         raise GenericityViolation("base flags are not in generic position")
-    return a, b, c, d
+    others = []
+    for info, flags in pairs:
+        for f in flags:
+            if not generic_position([a, f, c, d], cfg):
+                raise GenericityViolation(f"generator {info.index}: flags not in generic position")
+        others.append((info, *flags))
+    lines = np.array([f.vectors[0] for f in [b] + [f for _, *fs in others for f in fs]]) @ g.frame
+    return (a, b, c, d), others, frame_cross_ratio_sets(lines, d.vectors[0] @ g.frame)
 
 
 def _mirrored_flags(info: GenInfo, cfg):
@@ -559,23 +576,10 @@ def _flag_conditions(infos, cfg):
             raise GenericityViolation(
                 f"generator {info.index}: flag coordinates handle at most one hyperbolic direction")
     g, h = hyp[:2]
-    a, b, c, d = base_flags(g, h, cfg)
-    others = []
-    for info in infos:
-        if info is g or info is h:
-            continue
-        if info.kind == KIND_HYPERBOLIC:
-            fp = flag_pair_from_eigensystem(info.es, cfg=cfg)
-            beta, beta_rev = fp.flag, fp.reverse
-        else:
-            beta, beta_rev = _mirrored_flags(info, cfg)
-        for f in (beta, beta_rev):
-            if not generic_position([a, f, c, d], cfg):
-                raise GenericityViolation(f"generator {info.index}: flags not in generic position")
-        others.append((info, beta, beta_rev))
-
-    lines = np.array([f.vectors[0] for f in [b] + [f for _, *fs in others for f in fs]]) @ g.frame
-    hcols, pcols = _columns(frame_cross_ratio_sets(lines, d.vectors[0] @ g.frame), 0, cfg.cr_tol)
+    (a, b, c, d), others, crs = flag_set(g, h, (
+        (info, (eigenbasis_flags if info.kind == KIND_HYPERBOLIC else _mirrored_flags)(info, cfg))
+        for info in infos if info is not g and info is not h), cfg)
+    hcols, pcols = _columns(crs, 0, cfg.cr_tol)
     conditions = (_emit("cr(A,B,C,D)", hcols, 0)
                   + _real_triples(a, b, c, "r3(A,B,C)", cfg)
                   + _real_triples(a, c, d, "r3(A,C,D)", cfg))
@@ -776,7 +780,7 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
             witness = conjugation_witness(data, cfg)
         except NoConjugation:
             continue
-        good = [preserves(info.matrix, witness[0], tol) for info in infos]
+        good = [preserves(info.es.matrix, witness[0], tol) for info in infos]
         records = [Condition(f"preserves(M{info.index})", complex(0 if ok else 1),
                              "commutes with conjugation", ok) for info, ok in zip(infos, good)]
         if all(good):
@@ -790,15 +794,6 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
 
 FORCED_METHODS = ("auto", "dim2", "dim3", "fg", "cross", "direct")
 
-# looked up in the module namespace at call time
-_ROUTES = {
-    "dim2": "decide_pgl2",
-    "dim3": "decide_pgl3",
-    "fg": "decide_pglk_fg",
-    "cross": "decide_pglk_cross_only",
-    "direct": "decide_direct",
-}
-
 
 def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
     """Decide simultaneous conjugacy into PGL(k,R) with a certificate.
@@ -811,9 +806,12 @@ def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
     """
     if method not in FORCED_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    # names read per call: a module-level map would keep the originals, not a wrapper
+    routes = {"dim2": decide_pgl2, "dim3": decide_pgl3, "fg": decide_pglk_fg,
+              "cross": decide_pglk_cross_only, "direct": decide_direct}
     infos = prepare(ms, cfg)
     if method != "auto":
-        return globals()[_ROUTES[method]](None, cfg, infos=infos)
+        return routes[method](None, cfg, infos=infos)
 
     direct = decide_direct(None, cfg, infos=infos)
     k = infos[0].es.dim
@@ -825,7 +823,7 @@ def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
         notes.append("non-generic eigenvalues present; using the direct method")
     for name in chain:
         try:
-            verdict, cert = globals()[_ROUTES[name]](None, cfg, infos=infos, direct=direct)
+            verdict, cert = routes[name](None, cfg, infos=infos, direct=direct)
             break
         except RealformError as exc:
             notes.append(f"{name}: {exc}")

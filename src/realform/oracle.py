@@ -11,6 +11,7 @@ confirming No verdicts independently of the decision procedures.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -52,6 +53,8 @@ class InstanceSpec:
         if self.seed < 0:
             raise InfeasibleSpec("seed must be a non-negative integer")
         counts = {TYPE_HYPERBOLIC: 0, TYPE_ELLIPTIC: 0, TYPE_MIXED: 0}
+        if any(t not in counts or not isinstance(v, Integral) for t, v in self.type_mix.items()):
+            raise InfeasibleSpec(f"type mix must map {', '.join(counts)} to integer counts")
         counts.update(self.type_mix)
         if sum(counts.values()) != self.n_generators:
             raise InfeasibleSpec("type mix does not sum to the generator count")
@@ -64,9 +67,9 @@ class InstanceSpec:
             raise InfeasibleSpec("mixed spectra need k >= 3")
         if self.perturbation is not None:
             g, mag = self.perturbation
-            if not (0 <= g < self.n_generators) or not 0 < mag < np.inf:
-                raise InfeasibleSpec(
-                    "perturbation index out of range or magnitude not positive and finite")
+            if not (isinstance(g, Integral) and 0 <= g < self.n_generators) or not 0 < mag < np.inf:
+                raise InfeasibleSpec("perturbation index not an integer in range or magnitude "
+                                     "not positive and finite")
         return counts
 
 

@@ -186,9 +186,12 @@ def conjugation_from_eigendata(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Co
     only quaternionic) and UnderdeterminedConjugation, carrying one
     witness, when infinitely many projective real forms qualify.
     Raises NumericalDegeneracy when no partner-closed set of the
-    directions, taken greedily in order, spans all of them.
+    directions, taken greedily in order, spans all of them, and
+    ValueError on empty data.
     """
     data = list(data)
+    if not data:
+        raise ValueError("empty eigendata")
     fixed = [d.hyperbolic for d in data]
     src = np.array([d.direction.coords for d in data])
     tgt = np.array([(d.direction if f else d.partner).coords for d, f in zip(data, fixed)])

@@ -325,6 +325,26 @@ def test_python_m_realform_matches_main(run_cli, golden_file):
     assert res.stdout == run_cli("decide", str(golden_file)).stdout
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["decide"], 2), (["bogus"], 2), (["decide", "x.json", "--method", "nope"], 2), ([], 2),
+    (["--help"], 0), (["coords", "--help"], 0),
+])
+def test_main_returns_the_argparse_code(run_cli, argv, code):
+    res = run_cli(*argv)
+    assert res.returncode == code
+    if code:
+        assert res.stderr.startswith("usage: realform") and "error: " in res.stderr
+        assert res.stdout == ""
+    else:
+        assert res.stdout.startswith("usage: realform") and res.stderr == ""
+
+
+def test_python_m_realform_exits_with_the_argparse_code(run_cli):
+    res = run_process("decide", "x.json", "--method", "nope")
+    assert res.returncode == 2
+    assert res.stderr == run_cli("decide", "x.json", "--method", "nope").stderr
+
+
 class TestRepeatedMain:
     """``main`` builds its parser once and keeps no state between calls."""
 
@@ -446,6 +466,27 @@ class TestCoords:
             product = complex(*row["value"]) * complex(*row["fg_value"])
             assert abs(product + 1) <= 1e-9
 
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_coords_print_the_values_fg_reads(self, run_cli, tmp_path, k):
+        from realform.decide import decide
+
+        inst = generate(InstanceSpec(k=k, n_generators=3, type_mix={"hyperbolic": 3}, seed=k))
+        doc = json.loads(run_cli("coords", str(write_doc(tmp_path / "g.json", k,
+                                                         inst.matrices))).stdout)
+        _, cert = decide(inst.matrices, method="fg")
+        fg = {c.name: cli._c2pair(c.value) for c in cert.conditions}
+        assert len(doc["cross_ratios"]) + len(doc["triple_ratios"]) == len(fg)
+
+        def flag(row):
+            return {"B": "B", "D": "D", "beta": f"b{row['generator']}",
+                    "beta_prime": f"b'{row['generator']}"}[row["flag"]]
+
+        for row in doc["cross_ratios"]:
+            assert row["value"] == fg[f"cr(A,{flag(row)},C,D)[{row['i']}]"]
+        for row in doc["triple_ratios"]:
+            name = "r3(A,C,D)" if row["flag"] == "D" else f"r3(A,{flag(row)},C)"
+            assert row["value"] == fg[f"{name}{(row['i'], row['j'], row['l'])}"]
 
     def test_cross_ratios_need_no_complement_bases(self, tmp_path, monkeypatch, capsys):
         from realform import flags

@@ -587,6 +587,43 @@ class TestDispatch:
         assert verdict.method == METHOD_DIRECT
         assert any("dim2" in d for d in cert.diagnostics)
 
+    ROUTE_GLOBALS = {"dim2": "decide_pgl2", "dim3": "decide_pgl3", "fg": "decide_pglk_fg",
+                     "cross": "decide_pglk_cross_only", "direct": "decide_direct"}
+
+    def count_routes(self, monkeypatch):
+        """Put a counting wrapper on each route's module global."""
+        dec = importlib.import_module("realform.decide")
+        calls = Counter()
+        for route, name in self.ROUTE_GLOBALS.items():
+            def counted(*args, route=route, original=getattr(dec, name), **kwargs):
+                calls[route] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(dec, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("route, k, mix", [
+        ("dim2", 2, {"hyperbolic": 2}),
+        ("dim3", 3, {"hyperbolic": 2, "elliptic": 1}),
+        ("fg", 4, {"hyperbolic": 3}),
+        ("cross", 4, {"hyperbolic": 3}),
+        ("direct", 4, {"hyperbolic": 3}),
+    ])
+    def test_forced_route_calls_the_module_global(self, monkeypatch, route, k, mix):
+        inst = generate(InstanceSpec(k=k, n_generators=sum(mix.values()), type_mix=mix, seed=1))
+        calls = self.count_routes(monkeypatch)
+        decide(inst.matrices, method=route)
+        # a forced coordinate route solves with the direct method itself
+        assert calls == Counter({route: 1, "direct": 1})
+
+    def test_auto_calls_the_module_globals(self, monkeypatch):
+        # fg needs two strictly hyperbolic generators: auto goes on to cross
+        inst = generate(InstanceSpec(k=4, n_generators=3,
+                                     type_mix={"hyperbolic": 1, "elliptic": 2}, seed=1))
+        calls = self.count_routes(monkeypatch)
+        _, cert = decide(inst.matrices)
+        assert calls == Counter({"direct": 1, "fg": 1, "cross": 1})
+        assert any(d.startswith("fg: ") for d in cert.diagnostics)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             decide([np.diag([2.0, 1.0])], method="bogus")

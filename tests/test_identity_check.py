@@ -10,9 +10,15 @@ def test_dump_and_compare(tmp_path, capsys):
     ops = json.loads(first.read_text())
     # one instance of each seed set of each workload, under every method, and
     # one seed of each of the 8 conditioning and 9 perturbation cells under 4
-    # methods, plus one sha256 record per instance
-    assert len(ops) == 3 * 2 * 6 + (8 + 9) * 4 + 3 * 2 + (8 + 9)
+    # methods, plus one sha256 record per instance and three CLI commands on
+    # each cli_docs document
+    assert len(ops) == 3 * 2 * 6 + (8 + 9) * 4 + 3 * 2 + (8 + 9) + 2 * 3
     assert "boundary/conditioned/1e4/8/0/fg" in ops and "boundary/perturbed/1e-09/3/0/dim3" in ops
+    cli_ops = {key: op for key, op in ops.items() if key.startswith("cli/")}
+    assert sorted(cli_ops) == [f"cli/cli_docs/{seed}/0/{command}" for seed in (1, 2)
+                               for command in ("classify", "coords", "decide")]
+    assert all(set(op) == {"exit", "stderr", "stdout_sha256"} for op in cli_ops.values())
+    assert ops["cli/cli_docs/1/0/classify"]["exit"] == 0
     assert len(ops["instance/cli_docs/2/0"]["sha256"]) == 64
     assert "sha256" in ops["instance/boundary/perturbed/1e-09/3/0"]
     assert any("answer" in op for op in ops.values()) and any("raised" in op for op in ops.values())
@@ -35,6 +41,20 @@ def test_dump_and_compare(tmp_path, capsys):
     assert ic.main(["compare", str(first), str(second)]) == 1
     out = capsys.readouterr().out
     assert "instance/auto_highk/1/0: sha256" in out and "1 differ" in out
+
+    # a moved CLI stdout fails compare and passes values; a moved exit code fails both
+    ops["instance/auto_highk/1/0"] = json.loads(first.read_text())["instance/auto_highk/1/0"]
+    ops["cli/cli_docs/2/0/coords"]["stdout_sha256"] = "0" * 64
+    second.write_text(json.dumps(ops))
+    capsys.readouterr()
+    assert ic.main(["compare", str(first), str(second)]) == 1
+    assert "cli/cli_docs/2/0/coords: stdout_sha256" in capsys.readouterr().out
+    assert ic.main(["values", str(first), str(second)]) == 0
+    ops["cli/cli_docs/2/0/coords"]["exit"] += 1
+    second.write_text(json.dumps(ops))
+    capsys.readouterr()
+    assert ic.main(["values", str(first), str(second)]) == 1
+    assert "cli/cli_docs/2/0/coords: exit" in capsys.readouterr().out
 
 
 def test_values_lets_only_condition_values_move(tmp_path, capsys):

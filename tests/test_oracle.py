@@ -48,6 +48,23 @@ class TestInstanceSpec:
             InstanceSpec(k=2, n_generators=2, type_mix={"hyperbolic": 2},
                          perturbation=(1, mag)).validate()
 
+    # each passed validation: an empty or short instance, or a TypeError while drawing
+    @pytest.mark.parametrize("mix, perturbation, match", [
+        ({"parabolic": 2}, None, "type mix must map hyperbolic, elliptic, mixed to integer"),
+        ({"hyperbolic": 1, "Elliptic": 1}, None, "type mix must map"),
+        ({"hyperbolic": 1.0, "elliptic": 1}, None, "type mix must map"),
+        ({"hyperbolic": "2"}, None, "type mix must map"),
+        ({"hyperbolic": 2}, (0.5, 0.05), "perturbation index not an integer in range"),
+    ])
+    def test_unrealizable_spec_rejected(self, mix, perturbation, match):
+        with pytest.raises(InfeasibleSpec, match=match):
+            generate(InstanceSpec(k=4, n_generators=2, type_mix=mix, perturbation=perturbation))
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = InstanceSpec(k=4, n_generators=2, type_mix={"hyperbolic": np.int64(2)},
+                            seed=3, perturbation=(np.int64(1), 0.05))
+        assert len(generate(spec).matrices) == 2
+
 
 class TestGenerate:
     def test_seed_determinism(self):

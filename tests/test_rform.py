@@ -183,6 +183,11 @@ class TestMultiplicity:
         stage3 = stage2 + [*elliptic_pair(pp(1, 0, 1), pp(2, 0, 2))]
         assert rform_multiplicity(stage3) is Multiplicity.ZERO
 
+    @pytest.mark.parametrize("solve", [conjugation_from_eigendata, rform_multiplicity])
+    def test_empty_data_rejected(self, solve):
+        with pytest.raises(ValueError, match="empty eigendata"):
+            solve([])
+
     def test_disjoint_hyperbolic_supports(self):
         data = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(0, 1, 1))]
         assert rform_multiplicity(data) is Multiplicity.INFINITE
