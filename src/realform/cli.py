@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -160,26 +160,8 @@ def cmd_classify(args) -> int:
     infos, exc = spectral_pass(mats, cfg)
     if exc is not None:
         raise exc
-    _emit({"k": k, "classifications": [_classification(i.index, i.sclass) for i in infos]})
+    _emit({"k": k, "classifications": [{"index": i.index, **asdict(i.sclass)} for i in infos]})
     return EXIT_YES
-
-
-def _classification(idx, sc):
-    return {
-        "index": idx,
-        "compatible": bool(sc.compatible),
-        "kind": sc.kind,
-        "line_angles": [float(t) for t in sc.line_angles],
-        "labelings": [
-            {
-                "theta": float(lab.theta),
-                "labels": list(lab.labels),
-                "pairing": [list(p) for p in lab.pairing],
-            }
-            for lab in sc.labelings
-        ],
-        "generic": bool(sc.generic),
-    }
 
 
 def cmd_decide(args) -> int:

@@ -231,11 +231,10 @@ def prepare(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
 def _eigendata(info: GenInfo, labeling=None):
     lab = labeling or info.labeling()
     data = []
-    paired = {i for p in lab.pairing for i in p}
     for i, j in lab.pairing:
         data.extend(elliptic_pair(info.direction(i), info.direction(j)))
     for i, l in enumerate(lab.labels):
-        if l == HYPERBOLIC and i not in paired:
+        if l == HYPERBOLIC:
             data.append(hyperbolic_datum(info.direction(i)))
     return data
 
@@ -257,9 +256,13 @@ def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float
     their scales.  The phase minimizing the squared imaginary part has the
     closed form exp(-i arg(sum of squared entries) / 2).  A residual that
     is not finite reads as inf.  Independent of how gamma was produced.
+    Raises ValueError when gamma's size differs from the matrices'.
     """
     gamma = in_band(check_matrix(gamma, cfg)[None])[0]
-    n = np.linalg.inv(gamma) @ in_band(np.array(ms, dtype=complex)) @ gamma
+    ms = np.array(ms, dtype=complex)
+    if ms.shape[1:] != gamma.shape:
+        raise ValueError(f"gamma has shape {gamma.shape} but the matrices {ms.shape[1:]}")
+    n = np.linalg.inv(gamma) @ in_band(ms) @ gamma
     with np.errstate(invalid="ignore"):   # a NaN residual is reported as inf
         n = n / np.abs(n).max(axis=(1, 2), keepdims=True)
         r = n * np.exp(-0.5j * np.angle(np.sum(n * n, axis=(1, 2))))[:, None, None]
@@ -270,12 +273,11 @@ def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float
 def _certify(infos, cfg, conditions, witness):
     """Direct's Yes with the realifier built from ``witness``, whose
     residual must be below cert_tol."""
-    conj, unique = witness
+    conj, mult = witness
     gamma = canonical_matrix(realifier(conj, cfg))
     residual = verify_certificate([info.es.matrix for info in infos], gamma, cfg)
     if residual >= cfg.cert_tol:
         raise NumericalDegeneracy(f"certificate residual {residual:.3g} above cert_tol")
-    mult = Multiplicity.ONE if unique else Multiplicity.INFINITE
     return Verdict(YES, mult, METHOD_DIRECT), Certificate(gamma, residual, conditions)
 
 

@@ -11,7 +11,7 @@ confirming No verdicts independently of the decision procedures.
 """
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,6 +46,11 @@ class InstanceSpec:
     perturbation: tuple | None = None  # (generator index, magnitude)
 
     def validate(self):
+        for name in ("k", "n_generators", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise InfeasibleSpec(f"{name} must be an integer")
+        if self.scramble not in (SCRAMBLE_NONE, SCRAMBLE_GAMMA):
+            raise InfeasibleSpec(f"scramble must be {SCRAMBLE_NONE!r} or {SCRAMBLE_GAMMA!r}")
         if not MIN_DIM <= self.k <= MAX_DIM:
             raise InfeasibleSpec(f"k must lie in [{MIN_DIM}, {MAX_DIM}]")
         if self.n_generators < 1:
@@ -53,7 +58,8 @@ class InstanceSpec:
         if self.seed < 0:
             raise InfeasibleSpec("seed must be a non-negative integer")
         counts = {TYPE_HYPERBOLIC: 0, TYPE_ELLIPTIC: 0, TYPE_MIXED: 0}
-        if any(t not in counts or not isinstance(v, Integral) for t, v in self.type_mix.items()):
+        if not isinstance(self.type_mix, dict) or any(
+                t not in counts or not isinstance(v, Integral) for t, v in self.type_mix.items()):
             raise InfeasibleSpec(f"type mix must map {', '.join(counts)} to integer counts")
         counts.update(self.type_mix)
         if sum(counts.values()) != self.n_generators:
@@ -66,8 +72,11 @@ class InstanceSpec:
         if counts[TYPE_MIXED] and self.k < 3:
             raise InfeasibleSpec("mixed spectra need k >= 3")
         if self.perturbation is not None:
+            if not (isinstance(self.perturbation, tuple) and len(self.perturbation) == 2):
+                raise InfeasibleSpec("perturbation must be a (generator index, magnitude) pair")
             g, mag = self.perturbation
-            if not (isinstance(g, Integral) and 0 <= g < self.n_generators) or not 0 < mag < np.inf:
+            if not (isinstance(g, Integral) and 0 <= g < self.n_generators) or not (
+                    isinstance(mag, Real) and 0 < mag < np.inf):
                 raise InfeasibleSpec("perturbation index not an integer in range or magnitude "
                                      "not positive and finite")
         return counts
@@ -81,16 +90,14 @@ class GeneratedInstance:
     spec: InstanceSpec
 
 
-def _sample_real_eigenvalues(rng, count, existing):
+def _sample_real_eigenvalues(rng, count):
     """Distinct reals with projective gaps from each other and their negatives."""
-    vals = list(existing)
     out = []
     while len(out) < count:
         lam = float(rng.uniform(0.5, 2.5) * rng.choice([-1.0, 1.0]))
         if all(abs(lam - v) > _RATIO_MARGIN * max(abs(lam), abs(v)) and
-               abs(lam + v) > _RATIO_MARGIN * max(abs(lam), abs(v)) for v in vals):
+               abs(lam + v) > _RATIO_MARGIN * max(abs(lam), abs(v)) for v in out):
             out.append(lam)
-            vals.append(lam)
     return out
 
 
@@ -108,7 +115,7 @@ def _real_matrix_with_spectrum(rng, k, n_pairs, n_reals):
     """Real matrix with n_pairs rotation-scale blocks and n_reals real eigenvalues."""
     angles = _sample_angles(rng, n_pairs)
     radii = [float(rng.uniform(0.5, 2.5)) for _ in range(n_pairs)]
-    reals = _sample_real_eigenvalues(rng, n_reals, [])
+    reals = _sample_real_eigenvalues(rng, n_reals)
     blocks = []
     for r, th in zip(radii, angles):
         blocks.append(r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]))
@@ -234,7 +241,6 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
              + [TYPE_ELLIPTIC] * counts[TYPE_ELLIPTIC]
              + [TYPE_MIXED] * counts[TYPE_MIXED])
 
-    gamma = None
     answer = "yes"
     for _ in range(200):
         try:
@@ -332,19 +338,28 @@ def _invert_vec(z: complex, c: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return np.where(small, np.inf, c + r2 / np.conj(np.where(small, 1, d)))
 
 
-def _circle_defects(points_kinds, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Worst defect of every circle with a center of ``c`` (..., m) and a
-    radius of ``r`` (..., n), as (..., m, n): center-major once raveled."""
-    c, r2 = c[..., :, None], (r ** 2)[..., None, :]
-    worst = np.zeros(np.broadcast_shapes(c.shape, r2.shape))
+def _worst_defect(points_kinds, image, shape) -> np.ndarray:
+    """Worst defect over the fixed points of every candidate form, as an
+    array of ``shape``; ``image(z)`` maps a point to its image under each
+    candidate.  A hyperbolic fixed point must map to itself, an elliptic
+    pair must swap."""
+    worst = np.zeros(shape)
     for (p, q), kind in points_kinds:
-        ip, iq = _invert_vec(p, c, r2), _invert_vec(q, c, r2)
+        ip, iq = image(p), image(q)
         if kind == KIND_HYPERBOLIC:
             d = np.maximum(_gap_vec(ip, p), _gap_vec(iq, q))
         else:
             d = np.maximum(_gap_vec(ip, q), _gap_vec(iq, p))
         worst = np.maximum(worst, d)
     return worst
+
+
+def _circle_defects(points_kinds, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Worst defect of every circle with a center of ``c`` (..., m) and a
+    radius of ``r`` (..., n), as (..., m, n): center-major once raveled."""
+    c, r2 = c[..., :, None], (r ** 2)[..., None, :]
+    return _worst_defect(points_kinds, lambda z: _invert_vec(z, c, r2),
+                         np.broadcast_shapes(c.shape, r2.shape))
 
 
 def _reflect_vec(z: complex, e2: np.ndarray, p0: np.ndarray) -> np.ndarray:
@@ -359,15 +374,7 @@ def _line_defects(points_kinds, alpha: np.ndarray, offset: np.ndarray) -> np.nda
     e = np.exp(1j * alpha)[:, None]
     e2 = e * e
     p0 = offset * 1j * e
-    worst = np.zeros(p0.shape)
-    for (p, q), kind in points_kinds:
-        rp, rq = _reflect_vec(p, e2, p0), _reflect_vec(q, e2, p0)
-        if kind == KIND_HYPERBOLIC:
-            d = np.maximum(_gap_vec(rp, p), _gap_vec(rq, q))
-        else:
-            d = np.maximum(_gap_vec(rp, q), _gap_vec(rq, p))
-        worst = np.maximum(worst, d)
-    return worst
+    return _worst_defect(points_kinds, lambda z: _reflect_vec(z, e2, p0), p0.shape)
 
 
 def brute_rform_search(ms, grid: int = 200, refine: int = 4,
@@ -383,6 +390,8 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4,
     a whole product grid at once; the refinement runs every start
     together.
     """
+    if not (isinstance(grid, Integral) and isinstance(refine, Integral)):
+        raise ValueError(f"grid and refine must be integers, got grid={grid!r}, refine={refine!r}")
     if grid < 2 or refine < 0:
         raise ValueError(f"need grid >= 2 and refine >= 0, got grid={grid}, refine={refine}")
     points_kinds = []

@@ -256,22 +256,21 @@ def conjugation_from_eigendata(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Co
 def conjugation_witness(data, cfg: Tolerances = DEFAULT_TOLERANCES):
     """Like conjugation_from_eigendata but always returns a member.
 
-    Returns (Conjugation, Multiplicity-one-or-infinite flag as bool
-    ``unique``).  Raises NoConjugation when no real form qualifies.
+    Returns (Conjugation, Multiplicity.ONE or Multiplicity.INFINITE).
+    Raises NoConjugation when no real form qualifies.
     """
     try:
-        return conjugation_from_eigendata(data, cfg), True
+        return conjugation_from_eigendata(data, cfg), Multiplicity.ONE
     except UnderdeterminedConjugation as exc:
-        return exc.witness, False
+        return exc.witness, Multiplicity.INFINITE
 
 
 def rform_multiplicity(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Multiplicity:
     """How many projective real forms respect the eigendata: 0, 1, oo."""
     try:
-        _, unique = conjugation_witness(data, cfg)
+        return conjugation_witness(data, cfg)[1]
     except NoConjugation:
         return Multiplicity.ZERO
-    return Multiplicity.ONE if unique else Multiplicity.INFINITE
 
 
 def preserves(m: np.ndarray, c: Conjugation, tol: float = 1e-7) -> bool:

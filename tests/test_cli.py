@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from realform import cli
 from realform.config import DEFAULT_TOLERANCES, Tolerances
 from realform.oracle import InstanceSpec, generate
+from realform.spectrum import Labeling, SpectralClass
 
 from conftest import unit_circle_collection
 
@@ -104,6 +105,16 @@ class TestClassify:
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         assert doc["classifications"][0]["kind"] == "incompatible"
+
+    def test_entries_hold_the_dataclass_fields(self, run_cli, golden_file, tmp_path):
+        # a field added to SpectralClass or Labeling reaches the output
+        mixed = write_doc(tmp_path / "m.json", 4, [np.diag([1j, -1j, 2, -2])])
+        for f in (golden_file, mixed):
+            for c in json.loads(run_cli("classify", str(f)).stdout)["classifications"]:
+                assert set(c) == {"index"} | {fl.name for fl in fields(SpectralClass)}
+                assert c["labelings"]
+                for lab in c["labelings"]:
+                    assert set(lab) == {fl.name for fl in fields(Labeling)}
 
     def test_repeated_exit3(self, run_cli, tmp_path):
         f = write_doc(tmp_path / "m.json", 2, [np.eye(2)])
@@ -297,6 +308,8 @@ BIG = 10**400   # an integer no float can hold
                  id="int-literal-over-4300-digits"),
     pytest.param(["decide"], b'{"k": 2, "matrices": "\xff"}', None, id="non-utf8-document"),
     pytest.param(["verify"], {"k": 2, "matrices": DIAG}, b'{"gamma": "\xfe"}', id="non-utf8-gamma"),
+    pytest.param(["verify"], {"k": 2, "matrices": DIAG}, np.eye(3)[..., None].repeat(2, -1).tolist(),
+                 id="gamma-size-differs"),
     pytest.param(["decide"], b"[" * 100_000 + b"]" * 100_000, None, id="nesting-too-deep"),
 ])
 def test_malformed_document_exit2(run_cli, tmp_path, argv, doc, gamma):

@@ -545,6 +545,13 @@ class TestVerifyCertificate:
             verify_certificate(inst.matrices, wrong), rel=1e-12)
         assert verify_certificate(scaled, inst.gamma) < 1e-10
 
+    @pytest.mark.parametrize("k_ms, k_gamma", [(3, 2), (2, 3)])
+    def test_gamma_size_must_match(self, rng, k_ms, k_gamma):
+        ms = [rng.normal(size=(k_ms, k_ms)) for _ in range(2)]
+        with pytest.raises(ValueError, match=rf"gamma has shape \({k_gamma}, {k_gamma}\) but the "
+                                             rf"matrices \({k_ms}, {k_ms}\)"):
+            verify_certificate(ms, np.eye(k_gamma))
+
     def test_non_finite_residual_is_inf(self):
         # max(0.0, nan) is 0.0: a NaN residual used to pass
         ms = [np.eye(2), np.full((2, 2), np.nan)]

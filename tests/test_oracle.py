@@ -61,9 +61,36 @@ class TestInstanceSpec:
             generate(InstanceSpec(k=4, n_generators=2, type_mix=mix, perturbation=perturbation))
 
     def test_numpy_integer_counts_accepted(self):
-        spec = InstanceSpec(k=4, n_generators=2, type_mix={"hyperbolic": np.int64(2)},
-                            seed=3, perturbation=(np.int64(1), 0.05))
-        assert len(generate(spec).matrices) == 2
+        spec = InstanceSpec(k=np.int64(4), n_generators=np.int32(2),
+                            type_mix={"hyperbolic": np.int64(2)}, seed=np.uint64(3),
+                            perturbation=(np.int64(1), np.float64(0.05)))
+        plain = InstanceSpec(k=4, n_generators=2, type_mix={"hyperbolic": 2}, seed=3,
+                             perturbation=(1, 0.05))
+        got, want = generate(spec), generate(plain)
+        assert len(got.matrices) == 2 and got.answer == "no"
+        assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want.matrices))
+
+    # each reached the draw: a TypeError, ValueError or AttributeError there,
+    # a float kept in the spec, or an unscrambled Yes instance
+    @pytest.mark.parametrize("fields, match", [
+        ({"k": 3.0}, "k must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"n_generators": 2.0}, "n_generators must be an integer"),
+        ({"perturbation": (0, 0.05, 1)}, "perturbation must be a"),
+        ({"perturbation": 0.05}, "perturbation must be a"),
+        ({"perturbation": (0, "0.1")}, "perturbation index not an integer in range or magnitude"),
+        ({"type_mix": [("hyperbolic", 2)]}, "type mix must map"),
+        ({"scramble": "bogus"}, "scramble must be 'none' or 'random_gamma'"),
+    ])
+    def test_malformed_spec_rejected_before_the_draw(self, monkeypatch, fields, match):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew from a malformed spec")
+
+        monkeypatch.setattr(oracle.np.random, "default_rng", no_draw)
+        spec = InstanceSpec(**{"k": 3, "n_generators": 2, "type_mix": {"hyperbolic": 2},
+                               **fields})
+        with pytest.raises(InfeasibleSpec, match=match):
+            generate(spec)
 
 
 class TestGenerate:
@@ -132,11 +159,16 @@ class TestBruteSearch:
         ({"grid": 1}, "grid >= 2.*grid=1"),
         ({"grid": 0}, "grid >= 2.*grid=0"),
         ({"refine": -1}, "refine >= 0.*refine=-1"),
+        ({"grid": 2.5}, "grid and refine must be integers.*grid=2.5"),
+        ({"refine": 1.5}, "grid and refine must be integers.*refine=1.5"),
     ])
     def test_unsearchable_input_raises(self, kwargs, match):
         args = {"ms": no_common_circle_pair(), "grid": 10, "refine": 1, **kwargs}
         with pytest.raises(ValueError, match=match):
             brute_rform_search(args.pop("ms"), **args)
+
+    def test_empty_collection_has_zero_defect(self):
+        assert brute_rform_search([], grid=10, refine=1) == 0.0
 
 
 # the per-circle and per-line kernels the grid kernels replaced: each

@@ -188,6 +188,16 @@ class TestMultiplicity:
         with pytest.raises(ValueError, match="empty eigendata"):
             solve([])
 
+    def test_witness_carries_the_multiplicity(self):
+        frame = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(1, 1, 1))]
+        c, mult = conjugation_witness(frame)
+        assert mult is Multiplicity.ONE and np.allclose(c.S, np.eye(3))
+        loose = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(0, 1, 1))]
+        c, mult = conjugation_witness(loose)
+        assert mult is Multiplicity.INFINITE
+        for d in loose:
+            assert proj_dist(ProjPoint(c.apply(d.direction.coords)), d.direction) < 1e-8
+
     def test_disjoint_hyperbolic_supports(self):
         data = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(0, 1, 1))]
         assert rform_multiplicity(data) is Multiplicity.INFINITE
