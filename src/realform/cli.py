@@ -63,10 +63,8 @@ _EXIT_CODES = (
 )
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+class CliError(RealformError):
+    """A command line or input document that cannot be read: exit 2."""
 
 
 def _c2pair(z) -> list:
@@ -82,19 +80,19 @@ def _matrix_in(m, k, what) -> np.ndarray:
     """A k x k complex matrix from nested lists of [re, im] pairs."""
     if not isinstance(m, list) or len(m) != k or any(
             not isinstance(row, list) or len(row) != k for row in m):
-        raise CliError(f"{what} is not a {k}x{k} matrix of [re, im] pairs", EXIT_PARSE)
+        raise CliError(f"{what} is not a {k}x{k} matrix of [re, im] pairs")
     for row in m:
         for v in row:
             if not isinstance(v, (list, tuple)) or len(v) != 2:
-                raise CliError("complex numbers must be [re, im] pairs", EXIT_PARSE)
+                raise CliError("complex numbers must be [re, im] pairs")
             if not (isinstance(v[0], (int, float)) and isinstance(v[1], (int, float))):
-                raise CliError("complex number components must be numbers", EXIT_PARSE)
+                raise CliError("complex number components must be numbers")
     try:
         pairs = np.array(m, dtype=float)
     except OverflowError:
-        raise CliError("number outside the float range in input", EXIT_PARSE)
+        raise CliError("number outside the float range in input")
     if not np.isfinite(pairs).all():
-        raise CliError("non-finite number in input", EXIT_PARSE)
+        raise CliError("non-finite number in input")
     return pairs.view(complex)[..., 0]   # bit-exact complex(re, im), signed zeros included
 
 
@@ -104,7 +102,7 @@ def _read_json(path, what):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        raise CliError(f"cannot read {what}: {exc}", EXIT_PARSE)
+        raise CliError(f"cannot read {what}: {exc}")
 
 
 def _load_document(args):
@@ -112,18 +110,18 @@ def _load_document(args):
     read last, so a document error is reported ahead of a tolerance error."""
     doc = _read_json(args.input, "input document")
     if not isinstance(doc, dict) or "k" not in doc or "matrices" not in doc:
-        raise CliError("input document needs fields 'k' and 'matrices'", EXIT_PARSE)
+        raise CliError("input document needs fields 'k' and 'matrices'")
     k = doc["k"]
     if not isinstance(k, int):
-        raise CliError("'k' must be an integer", EXIT_PARSE)
+        raise CliError("'k' must be an integer")
     if not MIN_DIM <= k <= MAX_DIM:
-        raise CliError(f"'k' must lie in [{MIN_DIM}, {MAX_DIM}]", EXIT_PARSE)
+        raise CliError(f"'k' must lie in [{MIN_DIM}, {MAX_DIM}]")
     if not isinstance(doc["matrices"], list) or not doc["matrices"]:
-        raise CliError("'matrices' must be a non-empty list", EXIT_PARSE)
+        raise CliError("'matrices' must be a non-empty list")
     mats = [_matrix_in(m, k, f"matrix {idx}") for idx, m in enumerate(doc["matrices"])]
     options = doc.get("options", {})
     if not isinstance(options, dict) or not isinstance(options.get("tolerances", {}), dict):
-        raise CliError("'options' and its 'tolerances' must be objects", EXIT_PARSE)
+        raise CliError("'options' and its 'tolerances' must be objects")
     return k, mats, _tolerances(options, args)
 
 
@@ -132,12 +130,12 @@ def _tolerances(options, args) -> Tolerances:
     try:
         cfg = cfg.override(**{k: float(v) for k, v in options.get("tolerances", {}).items()})
     except (ValueError, TypeError, OverflowError) as exc:
-        raise CliError(f"bad tolerance override in document: {exc}", EXIT_PARSE)
+        raise CliError(f"bad tolerance override in document: {exc}")
     try:
         return cfg.override(**{f.name: getattr(args, f.name) for f in fields(Tolerances)
                                if getattr(args, f.name, None) is not None})
     except ValueError as exc:
-        raise CliError(f"bad tolerance flag: {exc}", EXIT_PARSE)
+        raise CliError(f"bad tolerance flag: {exc}")
 
 
 def _emit(doc, path=None) -> None:
@@ -232,7 +230,7 @@ def cmd_generate(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            raise CliError("REALFORM_SEED must be an integer", EXIT_PARSE)
+            raise CliError("REALFORM_SEED must be an integer")
     mix = {kind: getattr(args, kind) for kind in ("hyperbolic", "elliptic", "mixed")
            if getattr(args, kind)} or {"hyperbolic": args.generators}
     perturbation = None
@@ -241,7 +239,7 @@ def cmd_generate(args) -> int:
             gen_s, mag_s = args.perturb.split(":")
             perturbation = (int(gen_s), float(mag_s))
         except ValueError:
-            raise CliError("--perturb takes GENERATOR:MAGNITUDE", EXIT_PARSE)
+            raise CliError("--perturb takes GENERATOR:MAGNITUDE")
     spec = InstanceSpec(
         k=args.k,
         n_generators=args.generators,
@@ -329,10 +327,8 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (CliError, RealformError) as exc:
+    except RealformError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CliError):
-            return exc.code
         return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_PARSE)
 
 

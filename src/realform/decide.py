@@ -89,14 +89,7 @@ from .projlin import (
     in_band,
     proj_dist,
 )
-from .rform import (
-    Multiplicity,
-    conjugation_witness,
-    elliptic_pair,
-    hyperbolic_datum,
-    preserves,
-    realifier,
-)
+from .rform import Multiplicity, conjugation_witness, preserves, realifier
 from .spectrum import (
     HYPERBOLIC,
     KIND_ELLIPTIC,
@@ -228,24 +221,14 @@ def prepare(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
     return infos
 
 
-def _eigendata(info: GenInfo, labeling=None):
-    lab = labeling or info.labeling()
-    data = []
-    for i, j in lab.pairing:
-        data.extend(elliptic_pair(info.direction(i), info.direction(j)))
-    for i, l in enumerate(lab.labels):
-        if l == HYPERBOLIC:
-            data.append(hyperbolic_datum(info.direction(i)))
-    return data
-
-
-def _base_order(infos):
-    """Generator indices, the best-conditioned eigenbasis (largest
-    ``frame_rcond``) first: the conjugation solve takes the first full set
-    of directions as its base."""
-    order = list(range(len(infos)))
-    order.insert(0, order.pop(max(order, key=lambda i: infos[i].frame_rcond)))
-    return order
+def _eigenrows(rows, lab):
+    """A generator's eigendirection rows under one labeling, pairs first
+    (each pair's two members in turn), then the hyperbolic ones, and the
+    position of each row's partner among them (its own when fixed)."""
+    order = [i for pair in lab.pairing for i in pair]
+    partners = [n ^ 1 for n in range(len(order))]
+    order += [i for i, l in enumerate(lab.labels) if l == HYPERBOLIC]
+    return rows[order], partners + list(range(len(partners), len(order)))
 
 
 def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -775,11 +758,15 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
 
     tol = max(1e-6, cfg.cert_tol)
     records = []
-    order = _base_order(infos)
+    # the best-conditioned eigenbasis first: the solve takes it as its base
+    anchor = max(range(len(infos)), key=lambda j: infos[j].frame_rcond)
+    order = [anchor] + [j for j in range(len(infos)) if j != anchor]
+    rows = [np.array([p.coords for p in infos[j].es.directions]) for j in order]
     for combo in itertools.product(*options):
-        data = [d for j in order for d in _eigendata(infos[j], combo[j])]
+        parts = [_eigenrows(r, combo[j]) for r, j in zip(rows, order)]
+        partners = np.array([len(r) * n + p for n, (r, ps) in enumerate(parts) for p in ps])
         try:
-            witness = conjugation_witness(data, cfg)
+            witness = conjugation_witness(np.vstack([r for r, _ in parts]), partners, cfg)
         except NoConjugation:
             continue
         good = [preserves(info.es.matrix, witness[0], tol) for info in infos]

@@ -4,20 +4,25 @@ A conjugation is the map v -> S @ conj(v) with S @ conj(S) = I; its
 fixed vectors form a real form whose projectivization is a copy of
 RP^{k-1} inside CP^{k-1}.  Eigendata ask S to fix hyperbolic directions
 and to swap elliptic pairs, which leaves S only k unknowns: take as base
-the leading data whose directions, closed under partners, are
-independent, as unit columns of V with pairing permutation P; then
-S = V diag(phi) P conj(V)^{-1}.  Each other datum v -> w asks that
-diag(P conj(x)) phi be parallel to y, with x = V^{-1} v and y = V^{-1} w:
-k linear rows in phi.  One thin SVD of width k gives the solutions, and
-S is an involution exactly when phi_i conj(phi_P(i)) is one positive
-real for all i.  A solution space of more dimensions splits over blocks
-of eigen-coordinates that no datum links; each block is normalized on
-its own to give a witness.  When the data span fewer than k dimensions,
-fixed directions complete the base and S stays free on them.
+k directions, closed under partners and independent, as unit columns
+of V with pairing permutation P; then S = V diag(phi) P conj(V)^{-1}.
+Each other datum v -> w asks that diag(P conj(x)) phi be parallel to
+y, with x = V^{-1} v and y = V^{-1} w: k linear rows in phi.  One thin
+SVD of width k gives the solutions, and S is an involution exactly when
+phi_i conj(phi_P(i)) is one positive real for all i.  A solution space
+of more dimensions splits over blocks of eigen-coordinates that no
+datum links; each block is normalized on its own to give a witness.
+When the data span fewer than k dimensions, fixed directions complete
+the base and S stays free on them.
 
 This module solves that system, counts how many projective real forms
 the data allow, and builds the change of basis that realifies a
-compatible collection.
+compatible collection.  ``conjugation_witness`` takes eigendirection
+rows with partner indices and uses its first k rows as the base, as
+``decide`` orders them (the best-conditioned eigenbasis first);
+``conjugation_from_eigendata`` and ``rform_multiplicity`` take
+``EigenDatum`` lists and build the base greedily from them.  Both share
+one solve.
 """
 
 from dataclasses import dataclass
@@ -73,17 +78,16 @@ def elliptic_pair(p, q) -> tuple[EigenDatum, EigenDatum]:
 
 
 def _base(data, fixed, src, tgt, rank_tol):
-    """Greedy base of the solve: each datum whose direction (with its
-    partner, for a pair) is independent of the base so far joins it.
+    """Greedy base of an eigendata solve: each datum whose direction (with
+    its partner, for a pair) is independent of the base so far joins it,
+    one QR per datum.
 
     ``fixed`` flags the hyperbolic data; ``src`` and ``tgt`` hold each
-    datum's unit direction and target as rows.  Returns (used, base, q,
-    perm): the indices of the data the base accounts for (each datum
-    taken and the mirror datum of a pair taken), the base columns, an
-    orthonormal basis of their span and the permutation pairing them.
-    The data are tested in runs that fit the dimensions still missing,
-    one QR per run, so a leading full set of eigendirections costs one
-    QR.
+    datum's unit direction and target as rows.  Returns (rest, base, perm,
+    m): the indices of the data the base does not account for (a datum
+    taken and the mirror datum of a pair taken are accounted for), the k
+    base columns, the permutation pairing them, and the number m of them
+    that are data; fixed directions complete the base past m.
     """
     k = src.shape[1]
     first, mirror_of = {}, {}
@@ -94,43 +98,21 @@ def _base(data, fixed, src, tgt, rank_tol):
                 first[id(d.direction), id(d.partner)] = n
             else:
                 mirror_of[n] = m
-    units = [n for n in range(len(data)) if n not in mirror_of]
-
-    def columns(n):
-        return [src[n]] if fixed[n] else [src[n], tgt[n]]
-
-    taken, cols, q = [], [], np.zeros((k, 0), dtype=complex)
-    start = 0
-    while start < len(units) and len(cols) < k:
-        run, width = [], 0
-        for n in units[start:]:
-            width += len(columns(n))
-            if width > k - len(cols):
-                break
-            run.append(n)
-        if not run:  # a pair with one dimension left cannot be independent
-            start += 1
+    taken, cols, perm, q = set(), [], [], np.zeros((k, 0), dtype=complex)
+    for n in range(len(data)):
+        c = np.array([src[n]] if fixed[n] else [src[n], tgt[n]]).T
+        if n in mirror_of or c.shape[1] > k - len(cols):
             continue
-        c = np.array([v for n in run for v in columns(n)]).T
         qr, r = np.linalg.qr(c - q @ (q.conj().T @ c))
-        fresh = (np.abs(np.diag(r)) > rank_tol).tolist()
-        good, width = 0, 0
-        for n in run:
-            w = len(columns(n))
-            if not all(fresh[width:width + w]):
-                break
-            good, width = good + 1, width + w
-        taken += run[:good]
-        cols += list(c.T[:width])
-        q = np.hstack([q, qr[:, :width]])
-        start += good + (good < len(run))
-    taken_set = set(taken)
-    used = taken_set | {n for n, m in mirror_of.items() if m in taken_set}
-    perm = []
-    for n in taken:
-        m = len(perm)
-        perm += [m] if fixed[n] else [m + 1, m]
-    return used, np.array(cols).T, q, perm
+        if (np.abs(np.diag(r)) > rank_tol).all():
+            taken.add(n)
+            perm += [len(cols)] if fixed[n] else [len(cols) + 1, len(cols)]
+            cols += list(c.T)
+            q = np.hstack([q, qr])
+    m = len(cols)
+    base = np.hstack([np.array(cols).reshape(m, k).T, np.linalg.qr(q, mode="complete")[0][:, m:]])
+    rest = [n for n in range(len(data)) if n not in taken and mirror_of.get(n) not in taken]
+    return rest, base, perm + list(range(m, k)), m
 
 
 def _blocks(touch, perm):
@@ -178,40 +160,22 @@ def _check_solution(S: np.ndarray, src, tgt, cfg) -> bool:
     return bool((proj_dists(img, tgt) <= 1e-6).all())
 
 
-def conjugation_from_eigendata(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Conjugation:
-    """Solve for the conjugation respecting the given eigendata.
-
-    Hyperbolic directions must be fixed projectively, elliptic pairs
-    swapped.  Raises NoConjugation when the system is inconsistent (or
-    only quaternionic) and UnderdeterminedConjugation, carrying one
-    witness, when infinitely many projective real forms qualify.
-    Raises NumericalDegeneracy when no partner-closed set of the
-    directions, taken greedily in order, spans all of them, and
-    ValueError on empty data.
-    """
-    data = list(data)
-    if not data:
-        raise ValueError("empty eigendata")
-    fixed = [d.hyperbolic for d in data]
-    src = np.array([d.direction.coords for d in data])
-    tgt = np.array([(d.direction if f else d.partner).coords for d, f in zip(data, fixed)])
+def _solve(src, tgt, swapped, pick, cfg):
+    """The conjugation sending each row of ``src`` to the same row of
+    ``tgt`` (rows flagged ``swapped`` are elliptic), and the dimension of
+    its solution space.  ``pick(unit_src, unit_tgt)`` chooses the base and
+    returns (rest, base, perm, m) as ``_base`` does.  Raises NoConjugation
+    when no conjugation qualifies and NumericalDegeneracy when the data
+    leave the span of the m data columns of the base."""
     k = src.shape[1]
-    swapped = ~np.array(fixed)
     if (proj_dists(src[swapped], tgt[swapped]) < cfg.sep_tol).any():
         raise NoConjugation("elliptic pair members are projectively equal; nothing can swap them")
     unit_src = src / np.linalg.norm(src, axis=1, keepdims=True)
     unit_tgt = tgt / np.linalg.norm(tgt, axis=1, keepdims=True)
-    used, base, q, perm = _base(data, fixed, unit_src, unit_tgt, cfg.rank_tol)
-    m = base.shape[1]
-    if m < k:
-        # complete the base by fixed directions; S is free on them
-        base = np.hstack([base, np.linalg.qr(q, mode="complete")[0][:, m:]])
-        perm += range(m, k)
+    rest, base, perm, m = pick(unit_src, unit_tgt)
     perm = np.array(perm)
     inv = np.linalg.inv(base)
-
-    rest = [n for n in range(len(data)) if n not in used]
-    if rest:
+    if len(rest):
         xy = inv @ np.vstack([unit_src[rest], unit_tgt[rest]]).T
         xy /= np.linalg.norm(xy, axis=0)
         x, y = np.conj(xy[:, :len(rest)].T[:, perm]), xy[:, len(rest):].T
@@ -243,34 +207,61 @@ def conjugation_from_eigendata(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Co
     S = (base * phi)[:, perm] @ np.conj(inv)
     if not _check_solution(S, src, tgt, cfg):
         raise NoConjugation("solution fails to reproduce the eigendata")
-    d_free = n + (k - m) * (k - 1)
+    return Conjugation(S=S), n + (k - m) * (k - 1)
+
+
+def conjugation_from_eigendata(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Conjugation:
+    """Solve for the conjugation respecting the given eigendata.
+
+    Hyperbolic directions must be fixed projectively, elliptic pairs
+    swapped.  Raises NoConjugation when the system is inconsistent (or
+    only quaternionic) and UnderdeterminedConjugation, carrying one
+    witness, when infinitely many projective real forms qualify.
+    Raises NumericalDegeneracy when no partner-closed set of the
+    directions, taken greedily in order, spans all of them, and
+    ValueError on empty data.
+    """
+    data = list(data)
+    if not data:
+        raise ValueError("empty eigendata")
+    fixed = [d.hyperbolic for d in data]
+    src = np.array([d.direction.coords for d in data])
+    tgt = np.array([(d.direction if f else d.partner).coords for d, f in zip(data, fixed)])
+    conj, d_free = _solve(src, tgt, ~np.array(fixed),
+                          lambda us, ut: _base(data, fixed, us, ut, cfg.rank_tol), cfg)
     if d_free > 1:
         raise UnderdeterminedConjugation(
             f"solution space has {2 * d_free - 2} real dimensions beyond gauge",
-            witness=Conjugation(S=S),
+            witness=conj,
             free_real_dims=2 * d_free - 2,
         )
-    return Conjugation(S=S)
+    return conj
 
 
-def conjugation_witness(data, cfg: Tolerances = DEFAULT_TOLERANCES):
-    """Like conjugation_from_eigendata but always returns a member.
+def conjugation_witness(directions, partners, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """The conjugation that fixes each row of ``directions`` whose partner
+    index is its own and sends every other row to the row ``partners``
+    names, solved with the first k rows as the base (they must be
+    independent and closed under partners); no base is searched.
 
     Returns (Conjugation, Multiplicity.ONE or Multiplicity.INFINITE).
     Raises NoConjugation when no real form qualifies.
     """
-    try:
-        return conjugation_from_eigendata(data, cfg), Multiplicity.ONE
-    except UnderdeterminedConjugation as exc:
-        return exc.witness, Multiplicity.INFINITE
+    k = directions.shape[1]
+    conj, d_free = _solve(directions, directions[partners], partners != np.arange(len(partners)),
+                          lambda us, _: (np.arange(k, len(us)), us[:k].T, partners[:k], k), cfg)
+    return conj, Multiplicity.INFINITE if d_free > 1 else Multiplicity.ONE
 
 
 def rform_multiplicity(data, cfg: Tolerances = DEFAULT_TOLERANCES) -> Multiplicity:
     """How many projective real forms respect the eigendata: 0, 1, oo."""
     try:
-        return conjugation_witness(data, cfg)[1]
+        conjugation_from_eigendata(data, cfg)
+    except UnderdeterminedConjugation:
+        return Multiplicity.INFINITE
     except NoConjugation:
         return Multiplicity.ZERO
+    return Multiplicity.ONE
 
 
 def preserves(m: np.ndarray, c: Conjugation, tol: float = 1e-7) -> bool:

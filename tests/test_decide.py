@@ -517,6 +517,29 @@ class TestDirect:
         assert verdict.answer == "yes"
         assert verdict.multiplicity is Multiplicity.INFINITE
 
+    @pytest.mark.parametrize("method", ["direct", "auto"])
+    def test_never_searches_a_base(self, monkeypatch, rng, method):
+        # the anchor eigenbasis is the solve's base: the greedy base search
+        # serves eigendata lists only
+        collections = [generate(InstanceSpec(k=k, n_generators=3, type_mix=mix, seed=k)).matrices
+                       for k, mix in ((2, {"hyperbolic": 2, "elliptic": 1}),
+                                      (5, {"hyperbolic": 1, "mixed": 2}),
+                                      (8, {"hyperbolic": 2, "mixed": 1}))]
+        # a real matrix with eigenvalues +-i and +-2, which lie on two lines:
+        # two labelings, so two combinations
+        rotation = np.block([[np.array([[0, -1], [1, 0]]), np.zeros((2, 2))],
+                             [np.zeros((2, 2)), np.diag([2, -2])]])
+        v = random_invertible(rng, 4)
+        collections.append([v @ m @ np.linalg.inv(v) for m in (rotation, rng.normal(size=(4, 4)))])
+        expected = [decide(ms, method=method)[0] for ms in collections]
+
+        def refuse(*args):
+            raise AssertionError("base search on decide's path")
+
+        monkeypatch.setattr(importlib.import_module("realform.rform"), "_base", refuse)
+        assert [decide(ms, method=method)[0] for ms in collections] == expected
+        assert [v.answer for v in expected] == ["yes"] * 4
+
 
 class TestVerifyCertificate:
     def test_real_with_identity(self, rng):
@@ -778,6 +801,16 @@ def test_cross_one_sided_rule_at_condition_1e3():
 @pytest.mark.parametrize("method", ["auto", "direct", "cross"])
 def test_two_hyperbolic_yes_at_condition_1e3(method):
     verdict, _ = decide(conditioned_yes(3, 29, mix={"hyperbolic": 2}), method=method)
+    assert verdict.answer == "yes"
+
+
+@pytest.mark.xfail(strict=True, reason="wrong answer at cond(Gamma) = 1e3: direct answers No, "
+                   "auto and cross inconclusive")
+@pytest.mark.parametrize("method", ["auto", "direct", "cross"])
+@pytest.mark.parametrize("seed,mix", [(18, {"hyperbolic": 1, "elliptic": 1}), (42, {"mixed": 3})],
+                         ids=["hyperbolic-elliptic", "mixed"])
+def test_k6_yes_at_condition_1e3(seed, mix, method):
+    verdict, _ = decide(conditioned_yes(6, seed, mix=mix), method=method)
     assert verdict.answer == "yes"
 
 

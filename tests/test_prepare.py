@@ -2,6 +2,7 @@
 what the per-matrix loop gives, eigendata and classes bit for bit, and raise
 what that loop raises, for the first failing matrix in index order."""
 
+import importlib
 import itertools
 import re
 
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realform.config import DEFAULT_TOLERANCES
-from realform.decide import _base_order, prepare
-from realform.errors import IncompatibleEigenvalues, RealformError
+from realform.decide import decide_direct, prepare
+from realform.errors import IncompatibleEigenvalues, NoConjugation, RealformError
 from realform.oracle import InstanceSpec, generate
 from realform.spectrum import KIND_INCOMPATIBLE, classify_eigenvalues
 
@@ -201,9 +202,20 @@ def test_base_order_reads_the_measured_eigenbases(monkeypatch):
     inst = generate(InstanceSpec(k=6, n_generators=4, type_mix={"hyperbolic": 2, "mixed": 2},
                                  seed=3))
     infos = prepare(inst.matrices)
-    calls = []
+    calls, solved = [], []
+
+    def solve(directions, partners, cfg):
+        solved.append(directions)
+        raise NoConjugation("stub")
+
+    # the package exports a function named decide, so fetch the module
+    monkeypatch.setattr(importlib.import_module("realform.decide"), "conjugation_witness", solve)
     monkeypatch.setattr(np.linalg, "svd", _counting(calls, "svd"))
-    order = _base_order(infos)
+    decide_direct(None, infos=infos)
     assert calls == []
+    # the generator whose eigendirections fill each block of k rows
+    order = [next(info.index for info in infos
+                  if sorted(map(tuple, block)) == sorted(tuple(p.coords) for p in info.es.directions))
+             for block in solved[0].reshape(len(infos), 6, 6)]
     assert order == [1, 0, 2, 3]
     assert infos[order[0]].frame_rcond == max(info.frame_rcond for info in infos)

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realform.decide import _base_order, _eigendata, prepare
+from realform.decide import prepare
 from realform.errors import NoConjugation, NumericalDegeneracy, UnderdeterminedConjugation
 from realform.oracle import InstanceSpec, generate
 from realform.projlin import ProjPoint, proj_dist
 from realform.config import DEFAULT_TOLERANCES
 from realform.rform import (
     Conjugation,
+    EigenDatum,
     Multiplicity,
     conjugation_from_eigendata,
     conjugation_witness,
@@ -155,10 +156,41 @@ class TestConjugationFromEigendata:
 
     def test_frame_points_on_fixed_set(self, rng):
         pts = [ProjPoint(rng.normal(size=3)) for _ in range(4)]
-        data = [hyperbolic_datum(p) for p in pts]
-        c, _ = conjugation_witness(data)
+        c, _ = conjugation_witness(np.array([p.coords for p in pts]), np.arange(4))
         for p in pts:
             assert proj_dist(ProjPoint(c.apply(p.coords)), p) < 1e-8
+
+    def test_lone_swapped_datum_has_no_involution(self):
+        # the lone datum asks phi_2 = 0, so phi_i conj(phi_i) is not one value
+        data = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1))]
+        data += [EigenDatum(pp(1, 0, 1), pp(1, 0, 0)), hyperbolic_datum(pp(1, 1, 0))]
+        with pytest.raises(NoConjugation, match="not one value"):
+            conjugation_from_eigendata(data)
+
+    def test_solution_vanishing_on_a_block(self):
+        # (0,0,1,1,0) and (0,0,1,i,0) both fixed force phi_2 = phi_3 = 0, while
+        # phi_0 = phi_1 and phi_4 stay free: no solution lives on that block
+        data = [hyperbolic_datum(p) for p in np.eye(5)]
+        data += [hyperbolic_datum(pp(1, 1, 0, 0, 0)), hyperbolic_datum(pp(0, 0, 1, 1, 0)),
+                 hyperbolic_datum(pp(0, 0, 1, 1j, 0))]
+        with pytest.raises(NoConjugation, match="vanishes on a block"):
+            conjugation_from_eigendata(data)
+
+    def test_solution_off_the_data_is_refused(self):
+        # base (1,0), (1,1e-4): the conflict of the last two data is below the
+        # rank cut in base coordinates, but cond(base) carries it past 1e-6
+        data = [hyperbolic_datum(p) for p in (pp(1, 0), pp(1, 1e-4), pp(0, 1), pp(1e-5j, 1))]
+        with pytest.raises(NoConjugation, match="fails to reproduce the eigendata"):
+            conjugation_from_eigendata(data)
+        assert rform_multiplicity(data[:3]) is Multiplicity.ONE
+
+    def test_degenerate_image_is_refused(self):
+        # the real frame's images have largest entry 1: a degeneracy gate above
+        # that refuses the solution that the default gate accepts
+        data = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(1, 1, 1))]
+        assert np.allclose(conjugation_from_eigendata(data).S, np.eye(3))
+        with pytest.raises(NoConjugation, match="fails to reproduce the eigendata"):
+            conjugation_from_eigendata(data, DEFAULT_TOLERANCES.override(deg_tol=2.0))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -189,14 +221,21 @@ class TestMultiplicity:
             solve([])
 
     def test_witness_carries_the_multiplicity(self):
-        frame = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(1, 1, 1))]
-        c, mult = conjugation_witness(frame)
+        frame = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=complex)
+        c, mult = conjugation_witness(frame, np.arange(4))
         assert mult is Multiplicity.ONE and np.allclose(c.S, np.eye(3))
-        loose = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(0, 1, 1))]
-        c, mult = conjugation_witness(loose)
+        loose = [pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(0, 1, 1)]
+        c, mult = conjugation_witness(np.array([p.coords for p in loose]), np.arange(4))
         assert mult is Multiplicity.INFINITE
-        for d in loose:
-            assert proj_dist(ProjPoint(c.apply(d.direction.coords)), d.direction) < 1e-8
+        for p in loose:
+            assert proj_dist(ProjPoint(c.apply(p.coords)), p) < 1e-8
+
+    def test_witness_swaps_partner_rows(self):
+        # rows 0 and 1 are a pair, swapped by plain complex conjugation
+        rows = np.array([[1, 1j, 0], [1, -1j, 0], [0, 0, 1], [1, 0, 1]])
+        c, mult = conjugation_witness(rows, np.array([1, 0, 2, 3]))
+        assert mult is Multiplicity.ONE
+        assert np.allclose(c.S / c.S[2, 2], np.eye(3))
 
     def test_disjoint_hyperbolic_supports(self):
         data = [hyperbolic_datum(p) for p in (pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(0, 1, 1))]
@@ -346,7 +385,9 @@ def test_realifier_gates_an_ill_conditioned_form(rng):
 
 
 def oracle_data(rng, k):
-    """The eigendata decide_direct solves for an oracle instance, Yes or No."""
+    """The eigendata of an oracle instance, Yes or No, as decide_direct
+    orders them: the best-conditioned eigenbasis first, pairs ahead of
+    hyperbolic directions."""
     kinds = (("hyperbolic", "elliptic") if k == 2 else ("hyperbolic", "mixed") if k % 2 and k > 3
              else ("hyperbolic", "elliptic", "mixed"))
     n = int(rng.integers(2, 5))
@@ -357,7 +398,14 @@ def oracle_data(rng, k):
     spec = InstanceSpec(k=k, n_generators=n, type_mix=mix, seed=int(rng.integers(2**31)),
                         perturbation=pert)
     infos = prepare(generate(spec).matrices)
-    return [d for j in _base_order(infos) for d in _eigendata(infos[j])]
+    anchor = max(infos, key=lambda info: info.frame_rcond)
+    data = []
+    for info in [anchor] + [info for info in infos if info is not anchor]:
+        lab = info.labeling()
+        for i, j in lab.pairing:
+            data += elliptic_pair(info.direction(i), info.direction(j))
+        data += [hyperbolic_datum(info.direction(i)) for i in info.hyp_indices()]
+    return data
 
 
 def partial_data(rng, k):
