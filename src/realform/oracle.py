@@ -7,7 +7,8 @@ by moving one eigendirection off the preserved form (ground truth No).
 
 The brute-force search at k = 2 sweeps circles and lines of the
 extended plane and reports the best preservation defect over the grid,
-confirming No verdicts independently of the decision procedures.
+confirming No verdicts independently of the decision procedures; it
+drops a circle once its defect provably exceeds the ones it keeps.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasibleSpec, NonDiagonalizable, RepeatedEigenvalues
-from .projlin import MAX_DIM, MIN_DIM, eig, proj_dist
-from .spectrum import KIND_ELLIPTIC, KIND_HYPERBOLIC, type_transformation
+from .projlin import MAX_DIM, MIN_DIM, eig, eigensystems, proj_dist
+from .spectrum import KIND_ELLIPTIC, KIND_HYPERBOLIC, classify_spectra, type_transformation
 
 SCRAMBLE_NONE = "none"
 SCRAMBLE_GAMMA = "random_gamma"
@@ -30,6 +31,11 @@ TYPE_MIXED = "mixed"
 _RATIO_MARGIN = 0.1
 _ANGLE_MARGIN = 0.1
 _MAX_COND = 15.0
+
+
+def _is_integer(v) -> bool:
+    """An Integral that is not a bool (True is an Integral too)."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 class _Resample(Exception):
@@ -47,7 +53,7 @@ class InstanceSpec:
 
     def validate(self):
         for name in ("k", "n_generators", "seed"):
-            if not isinstance(getattr(self, name), Integral):
+            if not _is_integer(getattr(self, name)):
                 raise InfeasibleSpec(f"{name} must be an integer")
         if self.scramble not in (SCRAMBLE_NONE, SCRAMBLE_GAMMA):
             raise InfeasibleSpec(f"scramble must be {SCRAMBLE_NONE!r} or {SCRAMBLE_GAMMA!r}")
@@ -59,7 +65,7 @@ class InstanceSpec:
             raise InfeasibleSpec("seed must be a non-negative integer")
         counts = {TYPE_HYPERBOLIC: 0, TYPE_ELLIPTIC: 0, TYPE_MIXED: 0}
         if not isinstance(self.type_mix, dict) or any(
-                t not in counts or not isinstance(v, Integral) for t, v in self.type_mix.items()):
+                t not in counts or not _is_integer(v) for t, v in self.type_mix.items()):
             raise InfeasibleSpec(f"type mix must map {', '.join(counts)} to integer counts")
         counts.update(self.type_mix)
         if sum(counts.values()) != self.n_generators:
@@ -75,8 +81,8 @@ class InstanceSpec:
             if not (isinstance(self.perturbation, tuple) and len(self.perturbation) == 2):
                 raise InfeasibleSpec("perturbation must be a (generator index, magnitude) pair")
             g, mag = self.perturbation
-            if not (isinstance(g, Integral) and 0 <= g < self.n_generators) or not (
-                    isinstance(mag, Real) and 0 < mag < np.inf):
+            if not (_is_integer(g) and 0 <= g < self.n_generators) or not (
+                    isinstance(mag, Real) and not isinstance(mag, bool) and 0 < mag < np.inf):
                 raise InfeasibleSpec("perturbation index not an integer in range or magnitude "
                                      "not positive and finite")
         return counts
@@ -227,6 +233,15 @@ def _perturb_eigendirection(ms, g_idx, magnitude, rng, gamma, cfg):
     return best, best_defect
 
 
+def _spectra(ms, cfg):
+    """EigenSystems and SpectralClasses of the matrices of the stack ms
+    (n, k, k) before the first one ``eigensystems`` refuses, and that
+    matrix's error (None when there is none)."""
+    systems, exc = eigensystems(ms, cfg)
+    lams = np.array([es.eigenvalues for es in systems]).reshape(len(systems), ms.shape[-1])
+    return systems, classify_spectra(lams, cfg), exc
+
+
 def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> GeneratedInstance:
     """Realize an instance spec with a known answer.
 
@@ -245,14 +260,17 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
     for _ in range(200):
         try:
             ms = [_generator(rng, spec.k, t) for t in order]
-            for m, t in zip(ms, order):
-                sc = type_transformation(eig(m, cfg), cfg)
+            # the gates of the matrices eig accepts come before its error
+            _, spectra, exc = _spectra(np.array(ms, dtype=complex), cfg)
+            for sc, t in zip(spectra, order):
                 if not (sc.compatible and sc.generic):
                     raise _Resample
                 if t == TYPE_HYPERBOLIC and sc.kind != KIND_HYPERBOLIC:
                     raise _Resample
                 if t == TYPE_ELLIPTIC and spec.k != 3 and sc.kind != KIND_ELLIPTIC:
                     raise _Resample
+            if exc is not None:
+                raise exc
             gamma = None
             if spec.scramble == SCRAMBLE_GAMMA:
                 # a strong stretch pulls every direction toward the top
@@ -265,7 +283,10 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
             if spec.k == 2:
                 # near-shared fixed points leave the configuration close
                 # to degenerate for the circle search; keep them apart
-                dirs = [d for m in ms for d in eig(m, cfg).directions]
+                systems, exc = eigensystems(np.array(ms, dtype=complex), cfg)
+                if exc is not None:
+                    raise exc
+                dirs = [d for es in systems for d in es.directions]
                 margin = min(0.08, 0.6 / len(dirs))
                 seps = [proj_dist(dirs[i], dirs[j])
                         for i in range(len(dirs)) for j in range(i + 1, len(dirs))]
@@ -297,14 +318,15 @@ _CHUNK = 1 << 20
 _STARTS = 4   # coarse circles the refinement starts from
 
 
-def _fixed_points_cp1(m, cfg):
-    es = eig(m, cfg)
-    pts = []
-    for d in es.directions:
-        a, b = d.coords
-        pts.append(complex(np.inf) if abs(b) <= cfg.deg_tol else a / b)
-    sc = type_transformation(es, cfg)
-    return pts, sc.kind
+def _fixed_points_cp1(ms: np.ndarray, cfg):
+    """The fixed points on the extended plane and the spectral kind of
+    each matrix of the stack ms (n, 2, 2), as ((p, q), kind) pairs."""
+    systems, spectra, exc = _spectra(ms, cfg)
+    if exc is not None:
+        raise exc
+    return [(tuple(complex(np.inf) if abs(b) <= cfg.deg_tol else a / b
+                   for a, b in (d.coords for d in es.directions)), sc.kind)
+            for es, sc in zip(systems, spectra)]
 
 
 def _gap_vec(z: np.ndarray, w: complex) -> np.ndarray:
@@ -326,9 +348,10 @@ def _gap_vec(z: np.ndarray, w: complex) -> np.ndarray:
 
 
 def _invert_vec(z: complex, c: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Image of one point under inversion about every circle of the grid of
-    centers ``c`` (..., m, 1) and squared radii ``r2`` (..., 1, n); a point at
-    infinity maps to the centers themselves."""
+    """Image of one point under inversion about every circle of centers
+    ``c`` and squared radii ``r2``, two arrays that broadcast together (a
+    product grid (..., m, 1) x (..., 1, n), or one flat list of circles); a
+    point at infinity maps to the centers themselves."""
     if np.isinf(z):
         return c
     d = z - c
@@ -338,28 +361,55 @@ def _invert_vec(z: complex, c: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return np.where(small, np.inf, c + r2 / np.conj(np.where(small, 1, d)))
 
 
-def _worst_defect(points_kinds, image, shape) -> np.ndarray:
-    """Worst defect over the fixed points of every candidate form, as an
-    array of ``shape``; ``image(z)`` maps a point to its image under each
-    candidate.  A hyperbolic fixed point must map to itself, an elliptic
-    pair must swap."""
-    worst = np.zeros(shape)
-    for (p, q), kind in points_kinds:
-        ip, iq = image(p), image(q)
-        if kind == KIND_HYPERBOLIC:
-            d = np.maximum(_gap_vec(ip, p), _gap_vec(iq, q))
-        else:
-            d = np.maximum(_gap_vec(ip, q), _gap_vec(iq, p))
-        worst = np.maximum(worst, d)
-    return worst
+def _pair_defect(point_kind, image) -> np.ndarray:
+    """Defect of one generator's fixed points under ``image``, which maps a
+    point to its image under each candidate.  A hyperbolic fixed point must
+    map to itself, an elliptic pair must swap."""
+    (p, q), kind = point_kind
+    ip, iq = image(p), image(q)
+    if kind == KIND_HYPERBOLIC:
+        return np.maximum(_gap_vec(ip, p), _gap_vec(iq, q))
+    return np.maximum(_gap_vec(ip, q), _gap_vec(iq, p))
 
 
-def _circle_defects(points_kinds, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Worst defect of every circle with a center of ``c`` (..., m) and a
-    radius of ``r`` (..., n), as (..., m, n): center-major once raveled."""
-    c, r2 = c[..., :, None], (r ** 2)[..., None, :]
-    return _worst_defect(points_kinds, lambda z: _invert_vec(z, c, r2),
-                         np.broadcast_shapes(c.shape, r2.shape))
+def _generator_defects(points_kinds, c: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Defect of each generator (rows) at each circle of centers ``c`` and
+    squared radii ``r2``, two flat arrays of one length."""
+    out = np.zeros((len(points_kinds), c.size))
+    for g, point_kind in enumerate(points_kinds):
+        out[g] = _pair_defect(point_kind, lambda z: _invert_vec(z, c, r2))
+    return out
+
+
+def _circle_defects(points_kinds, c: np.ndarray, r: np.ndarray, bound: np.ndarray,
+                    order: np.ndarray) -> np.ndarray:
+    """Worst defect of every circle of the product grids of centers ``c``
+    (s, m) and radii ``r`` (s, n), as (s, m * n), center-major, wherever it
+    is at most ``bound[b]`` for grid b, and inf elsewhere.
+
+    The generators are met in ``order``, and a circle is dropped once the
+    worst of the generators met so far exceeds its bound.  The worst
+    defect is a max, so the value of every kept circle is exact.
+    """
+    s, m = c.shape
+    size, n = m * r.shape[1], r.shape[1]
+    r2 = r ** 2
+    worst = np.zeros((s, size))
+    if len(order):
+        cg, rg = c[:, :, None], r2[:, None, :]
+        worst = _pair_defect(points_kinds[order[0]], lambda z: _invert_vec(z, cg, rg))
+    # from here on, the kept circles' raveled indices and worst defects
+    i = np.flatnonzero(worst.reshape(s, size) <= bound[:, None])
+    worst = worst.ravel()[i]
+    c, r2 = c.ravel(), r2.ravel()
+    for g in order[1:]:
+        ca, ra = c[i // n], r2[i // size * n + i % n]
+        worst = np.maximum(worst, _pair_defect(points_kinds[g], lambda z: _invert_vec(z, ca, ra)))
+        keep = worst <= bound[i // size]
+        i, worst = i[keep], worst[keep]
+    out = np.full(s * size, np.inf)
+    out[i] = worst
+    return out.reshape(s, size)
 
 
 def _reflect_vec(z: complex, e2: np.ndarray, p0: np.ndarray) -> np.ndarray:
@@ -374,7 +424,10 @@ def _line_defects(points_kinds, alpha: np.ndarray, offset: np.ndarray) -> np.nda
     e = np.exp(1j * alpha)[:, None]
     e2 = e * e
     p0 = offset * 1j * e
-    return _worst_defect(points_kinds, lambda z: _reflect_vec(z, e2, p0), p0.shape)
+    worst = np.zeros(p0.shape)
+    for point_kind in points_kinds:
+        worst = np.maximum(worst, _pair_defect(point_kind, lambda z: _reflect_vec(z, e2, p0)))
+    return worst
 
 
 def brute_rform_search(ms, grid: int = 200, refine: int = 4,
@@ -389,19 +442,31 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4,
     preserved form is located to high accuracy.  Each kernel evaluates
     a whole product grid at once; the refinement runs every start
     together.
+
+    A circle's defect is the max of its generators' defects, so the
+    circle grids meet the generators one at a time and drop a circle
+    once its running max exceeds a bound no kept circle is above: in a
+    coarse chunk, the ``_STARTS``-th smallest defect over every 7th
+    circle (no subset's is below the chunk's own); in a refinement
+    round, the defect of each grid's middle circle, with the generators
+    worst over the middle circles met first.  A kept circle's defect is
+    exact, so the search returns the float of evaluating every circle.
+    Where defects tie exactly at a chunk's cut, the starts picked among
+    the tied circles may differ from that evaluation's, since
+    quicksort's pick among ties depends on the whole array it sorts.
     """
     if not (isinstance(grid, Integral) and isinstance(refine, Integral)):
         raise ValueError(f"grid and refine must be integers, got grid={grid!r}, refine={refine!r}")
     if grid < 2 or refine < 0:
         raise ValueError(f"need grid >= 2 and refine >= 0, got grid={grid}, refine={refine}")
-    points_kinds = []
+    ms = [np.asarray(m, dtype=complex) for m in ms]
+    # the matrices before the first of another shape meet eig first
+    bad = next((i for i, m in enumerate(ms) if m.shape != (2, 2)), len(ms))
+    points_kinds = _fixed_points_cp1(np.array(ms[:bad]).reshape(bad, 2, 2), cfg)
+    if bad < len(ms):
+        raise ValueError(f"matrix {bad}: the search needs 2x2 matrices, got shape {ms[bad].shape}")
     extent = 2.0
-    for i, m in enumerate(ms):
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"matrix {i}: the search needs 2x2 matrices, got shape {m.shape}")
-        pts, kind = _fixed_points_cp1(m, cfg)
-        points_kinds.append((tuple(pts), kind))
+    for pts, _ in points_kinds:
         for p in pts:
             if not np.isinf(p):
                 extent = max(extent, 1.5 * abs(p))
@@ -415,11 +480,18 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4,
     step = max(1, _CHUNK // grid)
     for start in range(0, cgrid.size, step):
         cs = cgrid[start:start + step]
-        d = _circle_defects(points_kinds, cs, rs).ravel()
-        order = np.argsort(d)[:_STARTS]
+        # the _STARTS-th smallest defect of every 7th circle bounds the chunk's
+        sub = np.arange(0, cs.size * grid, 7)
+        dsub = _generator_defects(points_kinds, cs[sub // grid], rs[sub % grid] ** 2)
+        worst = dsub.max(axis=0, initial=0.0)
+        bound = np.partition(worst, _STARTS - 1)[_STARTS - 1] if worst.size >= _STARTS else np.inf
+        d = _circle_defects(points_kinds, cs[None], rs[None], np.array([bound]),
+                            np.arange(len(points_kinds)))[0]
+        kept = np.flatnonzero(d <= bound)
+        top = kept[np.argsort(d[kept])[:_STARTS]]
         seeds.extend((float(d[i]), cs[i // grid].real, cs[i // grid].imag, rs[i % grid])
-                     for i in order)
-        best = min(best, float(d[order[0]]))
+                     for i in top)
+        best = min(best, float(d[top[0]]))
     seeds.sort()
     _, cx, cy, r = np.array(seeds[:_STARTS]).T
 
@@ -449,7 +521,11 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4,
         ny = np.linspace(cy - span, cy + span, 11, axis=-1)
         nr = np.linspace(np.maximum(r - rspan, 1e-4), r + rspan, 11, axis=-1)
         cc = (nx[:, :, None] + 1j * ny[:, None, :]).reshape(cx.size, 121)
-        d = _circle_defects(points_kinds, cc, nr).reshape(cx.size, -1)
+        # a grid's middle circle bounds its minimum; the generators worst
+        # over the middle circles go first
+        dmid = _generator_defects(points_kinds, cc[:, 60], nr[:, 5] ** 2)
+        d = _circle_defects(points_kinds, cc, nr, dmid.max(axis=0, initial=0.0),
+                            np.argsort(-dmid.max(axis=1), kind="stable"))
         i = np.argmin(d, axis=1)
         best = float(min(best, *d[each, i]))
         cx, cy, r = cc[each, i // 11].real, cc[each, i // 11].imag, nr[each, i % 11]

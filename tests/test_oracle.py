@@ -4,9 +4,10 @@ import pytest
 from realform import oracle
 from realform.config import DEFAULT_TOLERANCES
 from realform.decide import decide, verify_certificate
-from realform.errors import InfeasibleSpec
+from realform.errors import InfeasibleSpec, SingularMatrix
 from realform.oracle import InstanceSpec, brute_rform_search, generate
-from realform.spectrum import KIND_HYPERBOLIC
+from realform.projlin import eig
+from realform.spectrum import KIND_HYPERBOLIC, type_transformation
 
 from conftest import no_common_circle_pair
 
@@ -81,6 +82,14 @@ class TestInstanceSpec:
         ({"perturbation": (0, "0.1")}, "perturbation index not an integer in range or magnitude"),
         ({"type_mix": [("hyperbolic", 2)]}, "type mix must map"),
         ({"scramble": "bogus"}, "scramble must be 'none' or 'random_gamma'"),
+        # True is an Integral and a Real: a bool field drew a one-generator No
+        ({"k": True}, "k must be an integer"),
+        ({"n_generators": True, "type_mix": {"hyperbolic": True}},
+         "n_generators must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"type_mix": {"hyperbolic": True, "elliptic": 1}}, "type mix must map"),
+        ({"perturbation": (False, 0.05)}, "perturbation index not an integer in range"),
+        ({"perturbation": (0, True)}, "perturbation index not an integer in range or magnitude"),
     ])
     def test_malformed_spec_rejected_before_the_draw(self, monkeypatch, fields, match):
         def no_draw(*args, **kwargs):
@@ -131,6 +140,80 @@ class TestGenerate:
         monkeypatch.setattr(oracle, "_generator", broken)
         with pytest.raises(TypeError):
             generate(InstanceSpec(k=3, n_generators=2, type_mix={"hyperbolic": 2}, seed=0))
+
+
+def _ref_spectra(ms, cfg):
+    """One eig and one classification per matrix, up to the first matrix
+    eig refuses: the loop the stacked pass replaced."""
+    systems, spectra = [], []
+    for m in ms:
+        try:
+            es = eig(m, cfg)
+        except Exception as exc:   # the stacked pass returns the error instead
+            return systems, spectra, exc
+        systems.append(es)
+        spectra.append(type_transformation(es, cfg))
+    return systems, spectra, None
+
+
+_ROTATION = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])   # elliptic
+_JORDAN = np.array([[2.0, 1.0], [0.0, 2.0]])                                       # repeated
+_SINGULAR = np.array([[1.0, 0.0], [0.0, 0.0]])
+_HYPERBOLIC = np.diag([1.0, 2.0])
+
+
+class TestStackedGates:
+    """generate gates its generators with one eig and one classification
+    pass over the stack; a gate of matrix i still comes before an eig
+    error of matrix j > i."""
+
+    SPEC = InstanceSpec(k=2, n_generators=2, type_mix={"hyperbolic": 2}, seed=7)
+
+    @staticmethod
+    def draw_first(monkeypatch, *matrices):
+        # the crafted matrices make the first draw and take nothing from
+        # the rng, so a resample then draws what a clean run draws first
+        real, queue = oracle._generator, list(matrices)
+        monkeypatch.setattr(oracle, "_generator",
+                            lambda rng, k, t: queue.pop(0) if queue else real(rng, k, t))
+
+    @pytest.mark.parametrize("first, second", [(_ROTATION, _JORDAN), (_ROTATION, _SINGULAR),
+                                               (_HYPERBOLIC, _JORDAN)],
+                             ids=["wrong type, repeated", "wrong type, singular", "repeated"])
+    def test_resamples(self, monkeypatch, first, second):
+        # a wrong type at matrix 0 wins over matrix 1's eig error, even one
+        # that is no reason to resample
+        clean = generate(self.SPEC)
+        self.draw_first(monkeypatch, first, second)
+        got = generate(self.SPEC)
+        assert all(np.array_equal(a, b) for a, b in zip(got.matrices, clean.matrices))
+
+    @pytest.mark.parametrize("first, second", [(_HYPERBOLIC, _SINGULAR), (_SINGULAR, _ROTATION)])
+    def test_a_singular_member_raises(self, monkeypatch, first, second):
+        self.draw_first(monkeypatch, first, second)
+        with pytest.raises(SingularMatrix):
+            generate(self.SPEC)
+
+    def test_same_matrices_as_the_per_matrix_loop(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        specs = []
+        for i in range(40):
+            k = 2 + i % 7
+            kinds = ["hyperbolic"] + (["elliptic"] if k % 2 == 0 or k == 3 else []) + (
+                ["mixed"] if k >= 3 else [])
+            n = int(rng.integers(1, 4))
+            mix = {}
+            for t in rng.choice(kinds, size=n):
+                mix[str(t)] = mix.get(str(t), 0) + 1
+            specs.append(InstanceSpec(k, n, mix, seed=int(rng.integers(2**32)),
+                                      perturbation=(0, 0.05) if i % 3 == 0 else None))
+        stacked = [generate(s) for s in specs]
+        monkeypatch.setattr(oracle, "_spectra", _ref_spectra)
+        monkeypatch.setattr(oracle, "eigensystems", lambda ms, cfg: _ref_spectra(ms, cfg)[::2])
+        for spec, got in zip(specs, stacked):
+            want = generate(spec)
+            assert got.answer == want.answer
+            assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want.matrices)), spec
 
 
 class TestBruteSearch:
@@ -245,30 +328,172 @@ KERNEL_CASES = {
 }
 
 
+def _ref_points_kinds(ms, cfg=DEFAULT_TOLERANCES):
+    """Fixed points and kind of each matrix, one eig and one classification
+    per matrix, as the search took them before the stacked pass."""
+    out = []
+    for m in ms:
+        es = eig(np.asarray(m, dtype=complex), cfg)
+        pts = tuple(complex(np.inf) if abs(b) <= cfg.deg_tol else a / b
+                    for a, b in (d.coords for d in es.directions))
+        out.append((pts, type_transformation(es, cfg).kind))
+    return out
+
+
+def _ref_brute_rform_search(ms, grid=200, refine=4, cfg=DEFAULT_TOLERANCES):
+    """The search before the bounds: every generator at every circle of the
+    coarse chunks and the refinement grids, on the per-candidate kernels."""
+    points_kinds = _ref_points_kinds(ms, cfg)
+    extent = 2.0
+    for pts, _ in points_kinds:
+        for p in pts:
+            if not np.isinf(p):
+                extent = max(extent, 1.5 * abs(p))
+    xs = np.linspace(-extent, extent, grid)
+    rs = np.geomspace(0.05, 2 * extent, grid)
+    cgrid = (xs[:, None] + 1j * xs[None, :]).ravel()
+
+    best = np.inf
+    seeds = []
+    step = max(1, oracle._CHUNK // grid)
+    for start in range(0, cgrid.size, step):
+        cs = cgrid[start:start + step]
+        d = _ref_circle_defects(points_kinds, np.repeat(cs, grid), np.tile(rs, cs.size))
+        order = np.argsort(d)[:oracle._STARTS]
+        seeds.extend((float(d[i]), cs[i // grid].real, cs[i // grid].imag, rs[i % grid])
+                     for i in order)
+        best = min(best, float(d[order[0]]))
+    seeds.sort()
+    _, cx, cy, r = np.array(seeds[:oracle._STARTS]).T
+
+    alphas = np.linspace(0, np.pi, grid, endpoint=False)
+    dline = _ref_line_defects(points_kinds, np.repeat(alphas, grid), np.tile(xs, grid))
+    li = int(np.argmin(dline))
+    la, lo = alphas[li // grid], xs[li % grid]
+    best = min(best, float(dline[li]))
+
+    aspan, ospan = 2 * np.pi / grid, 4 * extent / grid
+    for _ in range(3 * refine):
+        na = np.linspace(la - aspan, la + aspan, 15)
+        no = np.linspace(lo - ospan, lo + ospan, 15)
+        d = _ref_line_defects(points_kinds, np.repeat(na, 15), np.tile(no, 15))
+        i = int(np.argmin(d))
+        if d[i] < best:
+            best = float(d[i])
+        la, lo = na[i // 15], no[i % 15]
+        aspan /= 2.5
+        ospan /= 2.5
+
+    span = 4 * extent / grid
+    rspan = 2 * r * (rs[1] / rs[0] - 1) + 4 * extent / grid
+    each = np.arange(cx.size)
+    for _ in range(3 * refine):
+        nx = np.linspace(cx - span, cx + span, 11, axis=-1)
+        ny = np.linspace(cy - span, cy + span, 11, axis=-1)
+        nr = np.linspace(np.maximum(r - rspan, 1e-4), r + rspan, 11, axis=-1)
+        cc = (nx[:, :, None] + 1j * ny[:, None, :]).reshape(cx.size, 121)
+        d = np.stack([_ref_circle_defects(points_kinds, np.repeat(cc[s], 11), np.tile(nr[s], 121))
+                      for s in each])
+        i = np.argmin(d, axis=1)
+        best = float(min(best, *d[each, i]))
+        cx, cy, r = cc[each, i // 11].real, cc[each, i // 11].imag, nr[each, i % 11]
+        span /= 2.5
+        rspan /= 2.5
+    return float(best)
+
+
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_grid_kernels_match_the_per_candidate_kernels(case):
     # the search keeps the perturbation phase with the largest defect, so
     # the grid kernels must return the per-candidate values bit for bit
-    points_kinds = [(tuple(pts), kind) for pts, kind in
-                    (oracle._fixed_points_cp1(np.asarray(m, dtype=complex), DEFAULT_TOLERANCES)
-                     for m in KERNEL_CASES[case]())]
+    ms = KERNEL_CASES[case]()
+    points_kinds = oracle._fixed_points_cp1(np.array(ms, dtype=complex), DEFAULT_TOLERANCES)
+    assert points_kinds == _ref_points_kinds(ms)
     xs = np.linspace(-3.0, 3.0, 13)
     assert 0.0 in xs and 1.0 in xs
     c = (xs[:, None] + 1j * xs[None, :]).ravel()
     rs = np.geomspace(0.05, 6.0, 13)
-    got = oracle._circle_defects(points_kinds, c, rs)
-    assert got.shape == (c.size, rs.size)
     want = _ref_circle_defects(points_kinds, np.repeat(c, rs.size), np.tile(rs, c.size))
-    assert np.array_equal(got.ravel(), want)
+    for order in (np.arange(len(ms)), np.arange(len(ms))[::-1]):
+        got = oracle._circle_defects(points_kinds, c[None], rs[None], np.array([np.inf]), order)
+        assert got.shape == (1, c.size * rs.size)
+        assert np.array_equal(got[0], want)
 
     # a batch of grids, as the refinement evaluates all its starts at once
     cb, rb = c.reshape(13, 13), np.stack([rs, rs[::-1] / 3])
-    got = oracle._circle_defects(points_kinds, cb[:2], rb)
+    got = oracle._circle_defects(points_kinds, cb[:2], rb, np.full(2, np.inf), np.arange(len(ms)))
     for row in range(2):
         want = _ref_circle_defects(points_kinds, np.repeat(cb[row], 13), np.tile(rb[row], 13))
-        assert np.array_equal(got[row].ravel(), want)
+        assert np.array_equal(got[row], want)
 
     alphas = np.linspace(0, np.pi, 13, endpoint=False)
     got = oracle._line_defects(points_kinds, alphas, xs)
     want = _ref_line_defects(points_kinds, np.repeat(alphas, 13), np.tile(xs, 13))
     assert got.shape == (13, 13) and np.array_equal(got.ravel(), want)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_bounded_kernel_keeps_every_circle_within_the_bound(case):
+    # each grid's own bound: a circle at or below it keeps its exact value
+    # whichever generator comes first, and every other circle reads inf
+    ms = KERNEL_CASES[case]()
+    points_kinds = _ref_points_kinds(ms)
+    xs = np.linspace(-3.0, 3.0, 13)
+    cb = (xs[:, None] + 1j * xs[None, :])[:3]
+    rb = np.stack([np.geomspace(0.05, 6.0, 13), np.geomspace(0.1, 3.0, 13), np.full(13, 1.0)])
+    want = np.stack([_ref_circle_defects(points_kinds, np.repeat(cb[s], 13), np.tile(rb[s], 13))
+                     for s in range(3)])
+    bound = np.stack([np.quantile(w, q) for w, q in zip(want, (0.0, 0.1, 0.5))])
+    for order in (np.arange(len(ms)), np.arange(len(ms))[::-1]):
+        got = oracle._circle_defects(points_kinds, cb, rb, bound, order)
+        assert np.array_equal(got, np.where(want <= bound[:, None], want, np.inf))
+
+
+def _perturbed_k2(seed):
+    n = 2 + seed % 3
+    mix = ({"hyperbolic": n}, {"elliptic": n}, {"hyperbolic": 1, "elliptic": n - 1})[seed % 3]
+    return generate(InstanceSpec(2, n, mix, seed=seed, perturbation=(seed % n, 0.05))).matrices
+
+
+class TestSearchMatchesTheUnboundedSearch:
+    """The bounds drop only circles that cannot be kept, so the search
+    returns the float of the search that evaluates every circle."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    @pytest.mark.parametrize("grid, refine", [(40, 3), (13, 2)])
+    def test_kernel_cases(self, case, grid, refine):
+        # the two one-generator cases tie exactly at the coarse cut (13 and
+        # 10 circles share the fourth smallest defect at grid 40), and the
+        # bounded chunk picks other tied circles as starts than quicksort
+        # on the whole chunk; what is asserted there is the same float
+        ms = KERNEL_CASES[case]()
+        assert (brute_rform_search(ms, grid=grid, refine=refine)
+                == _ref_brute_rform_search(ms, grid=grid, refine=refine))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_perturbed_draws(self, seed):
+        ms = _perturbed_k2(seed)
+        for grid, refine in ((40, 3), (60, 4)):
+            assert (brute_rform_search(ms, grid=grid, refine=refine)
+                    == _ref_brute_rform_search(ms, grid=grid, refine=refine))
+
+    @pytest.mark.parametrize("grid", [2, 3])
+    def test_chunks_smaller_than_the_subsample_needs(self, grid):
+        # 8 and 27 circles: every 7th leaves 2 (no bound) and 4 (a bound)
+        for ms in (no_common_circle_pair(), _perturbed_k2(1)):
+            assert (brute_rform_search(ms, grid=grid, refine=2)
+                    == _ref_brute_rform_search(ms, grid=grid, refine=2))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_and_one_generator(self, n):
+        ms = _perturbed_k2(2)[:n]
+        assert (brute_rform_search(ms, grid=20, refine=2)
+                == _ref_brute_rform_search(ms, grid=20, refine=2))
+
+    def test_many_chunks(self, monkeypatch):
+        # 7 centers (91 circles) a chunk, the last one a single center
+        collections = (no_common_circle_pair(), _perturbed_k2(4))
+        monkeypatch.setattr(oracle, "_CHUNK", 100)
+        for ms in collections:
+            assert (brute_rform_search(ms, grid=13, refine=2)
+                    == _ref_brute_rform_search(ms, grid=13, refine=2))
