@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .coords import CrossRatio, cross_ratio_lists, triple_ratio_set
-from .decide import (FORCED_METHODS, decide, eigenbasis_flags, flag_set, prepare,
-                     spectral_pass, verify_certificate)
+from .decide import (FORCED_METHODS, decide, flag_set, prepare, spectral_pass,
+                     verify_certificate)
 from .errors import (
     DegenerateFrame,
     DegenerateTriple,
@@ -41,6 +41,7 @@ from .errors import (
     SharedEigendirections,
     SpectralPreconditionError,
 )
+from .flags import flag_pair_from_eigensystem
 from .oracle import InstanceSpec, generate
 from .projlin import MAX_DIM, MIN_DIM
 from .spectrum import KIND_HYPERBOLIC
@@ -85,7 +86,7 @@ def _matrix_in(m, k, what) -> np.ndarray:
         for v in row:
             if not isinstance(v, (list, tuple)) or len(v) != 2:
                 raise CliError("complex numbers must be [re, im] pairs")
-            if not (isinstance(v[0], (int, float)) and isinstance(v[1], (int, float))):
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
                 raise CliError("complex number components must be numbers")
     try:
         pairs = np.array(m, dtype=float)
@@ -112,7 +113,7 @@ def _load_document(args):
     if not isinstance(doc, dict) or "k" not in doc or "matrices" not in doc:
         raise CliError("input document needs fields 'k' and 'matrices'")
     k = doc["k"]
-    if not isinstance(k, int):
+    if not isinstance(k, int) or isinstance(k, bool):
         raise CliError("'k' must be an integer")
     if not MIN_DIM <= k <= MAX_DIM:
         raise CliError(f"'k' must lie in [{MIN_DIM}, {MAX_DIM}]")
@@ -128,7 +129,9 @@ def _load_document(args):
 def _tolerances(options, args) -> Tolerances:
     cfg = DEFAULT_TOLERANCES
     try:
-        cfg = cfg.override(**{k: float(v) for k, v in options.get("tolerances", {}).items()})
+        # a JSON boolean is not converted: Tolerances refuses it by name
+        cfg = cfg.override(**{k: v if isinstance(v, bool) else float(v)
+                              for k, v in options.get("tolerances", {}).items()})
     except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"bad tolerance override in document: {exc}")
     try:
@@ -200,7 +203,8 @@ def _coords_doc(infos, cfg):
     if len(hyp) < 2:
         raise GenericityViolation("coordinate dump needs two strictly hyperbolic generators")
     g, h = hyp[:2]
-    pairs = ((i, eigenbasis_flags(i, cfg)) for i in infos if i is not g and i is not h)
+    pairs = ((i, flag_pair_from_eigensystem(i.es, cfg))
+             for i in infos if i is not g and i is not h)
     (a, b, c, d), others, crs = flag_set(g, h, pairs, cfg)
     # (generator, tag, flag) of each line, in the order of the cross-ratio rows
     lines = [(h.index, "B", b)] + [(info.index, tag, f) for info, *fs in others

@@ -4,11 +4,13 @@ All geometric predicates in the package are exact statements about
 projective configurations; float64 needs thresholds.  One frozen
 dataclass carries them so every operation can be driven from a single
 override point (library call sites, CLI flags, JSON options).  Every
-threshold must be positive and finite: a NaN or negative one turns every
-test it gates into a silent failure.
+threshold must be a positive, finite real number: a NaN or negative one
+turns every test it gates into a silent failure, and a boolean is not a
+threshold.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace, fields
 
 
@@ -25,6 +27,8 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
             if not 0 < value < math.inf:
                 raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 

@@ -76,6 +76,7 @@ from .flags import (
 from .coords import cross_ratio_set  # noqa: F401
 from .flags import generic_with_point, point_flag  # noqa: F401
 from .projlin import eig  # noqa: F401
+from .rform import preserves  # noqa: F401
 from .spectrum import type_transformation  # noqa: F401
 from .projlin import (
     MAX_DIM,
@@ -89,7 +90,7 @@ from .projlin import (
     in_band,
     proj_dist,
 )
-from .rform import Multiplicity, conjugation_witness, preserves, realifier
+from .rform import Multiplicity, conjugation_witness, realifier
 from .spectrum import (
     HYPERBOLIC,
     KIND_ELLIPTIC,
@@ -251,17 +252,6 @@ def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float
         r = n * np.exp(-0.5j * np.angle(np.sum(n * n, axis=(1, 2))))[:, None, None]
         worst = float(np.max(np.abs(r.imag).max(axis=(1, 2)) / np.abs(r).max(axis=(1, 2))))
     return worst if math.isfinite(worst) else math.inf
-
-
-def _certify(infos, cfg, conditions, witness):
-    """Direct's Yes with the realifier built from ``witness``, whose
-    residual must be below cert_tol."""
-    conj, mult = witness
-    gamma = canonical_matrix(realifier(conj, cfg))
-    residual = verify_certificate([info.es.matrix for info in infos], gamma, cfg)
-    if residual >= cfg.cert_tol:
-        raise NumericalDegeneracy(f"certificate residual {residual:.3g} above cert_tol")
-    return Verdict(YES, mult, METHOD_DIRECT), Certificate(gamma, residual, conditions)
 
 
 def _require_generic(infos):
@@ -442,13 +432,6 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
 # ---------------------------------------------------------------------------
 # flag coordinate methods (k >= 3)
 
-def eigenbasis_flags(info: GenInfo, cfg: Tolerances = DEFAULT_TOLERANCES):
-    """The flag of a generator's eigenbasis in eigenvalue order, and its
-    reverse."""
-    fp = flag_pair_from_eigensystem(info.es, cfg=cfg)
-    return fp.flag, fp.reverse
-
-
 def flag_set(g: GenInfo, h: GenInfo, pairs, cfg: Tolerances = DEFAULT_TOLERANCES):
     """The flags of the Fock-Goncharov coordinates and their cross ratios.
 
@@ -462,7 +445,7 @@ def flag_set(g: GenInfo, h: GenInfo, pairs, cfg: Tolerances = DEFAULT_TOLERANCES
     Returns ((A, B, C, D), [(generator, beta, beta')], cross ratios), the
     cross ratios with one row per line in that order.
     """
-    (a, c), (b, d) = eigenbasis_flags(g, cfg), eigenbasis_flags(h, cfg)
+    (a, c), (b, d) = (flag_pair_from_eigensystem(x.es, cfg) for x in (g, h))
     if not generic_position([a, b, c, d], cfg):
         raise GenericityViolation("base flags are not in generic position")
     others = []
@@ -562,7 +545,8 @@ def _flag_conditions(infos, cfg):
                 f"generator {info.index}: flag coordinates handle at most one hyperbolic direction")
     g, h = hyp[:2]
     (a, b, c, d), others, crs = flag_set(g, h, (
-        (info, (eigenbasis_flags if info.kind == KIND_HYPERBOLIC else _mirrored_flags)(info, cfg))
+        (info, flag_pair_from_eigensystem(info.es, cfg) if info.kind == KIND_HYPERBOLIC
+         else _mirrored_flags(info, cfg))
         for info in infos if info is not g and info is not h), cfg)
     hcols, pcols = _columns(crs, 0, cfg.cr_tol)
     conditions = (_emit("cr(A,B,C,D)", hcols, 0)
@@ -748,7 +732,11 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
 
     No genericity precondition; always Yes or No unless certification
     fails.  Non-generic generators contribute one labeling per
-    admissible line and all combinations are tried.
+    admissible line, and the combinations are tried in turn.  The first
+    that admits a conjugation decides: mapping every generator's
+    eigendirections to their partners, it commutes with each generator,
+    and the certificate (gamma^{-1} M gamma real within cert_tol) checks
+    that for the whole collection at once.
     """
     infos = prepare(ms, cfg) if infos is None else infos
     options = [info.sclass.labelings for info in infos]
@@ -756,8 +744,6 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
     if total > _MAX_LABELINGS:
         raise NumericalDegeneracy(f"{total} labeling combinations exceed the search cap")
 
-    tol = max(1e-6, cfg.cert_tol)
-    records = []
     # the best-conditioned eigenbasis first: the solve takes it as its base
     anchor = max(range(len(infos)), key=lambda j: infos[j].frame_rcond)
     order = [anchor] + [j for j in range(len(infos)) if j != anchor]
@@ -766,16 +752,19 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
         parts = [_eigenrows(r, combo[j]) for r, j in zip(rows, order)]
         partners = np.array([len(r) * n + p for n, (r, ps) in enumerate(parts) for p in ps])
         try:
-            witness = conjugation_witness(np.vstack([r for r, _ in parts]), partners, cfg)
+            conj, mult = conjugation_witness(np.vstack([r for r, _ in parts]), partners, cfg)
         except NoConjugation:
             continue
-        good = [preserves(info.es.matrix, witness[0], tol) for info in infos]
-        records = [Condition(f"preserves(M{info.index})", complex(0 if ok else 1),
-                             "commutes with conjugation", ok) for info, ok in zip(infos, good)]
-        if all(good):
-            return _certify(infos, cfg, records, witness)
+        gamma = canonical_matrix(realifier(conj, cfg))
+        residual = verify_certificate([info.es.matrix for info in infos], gamma, cfg)
+        if residual >= cfg.cert_tol:
+            raise NumericalDegeneracy(f"certificate residual {residual:.3g} above cert_tol")
+        # what the certificate proves, generator by generator
+        conditions = [Condition(f"preserves(M{info.index})", 0j, "commutes with conjugation", True)
+                      for info in infos]
+        return Verdict(YES, mult, METHOD_DIRECT), Certificate(gamma, residual, conditions)
     return (Verdict(NO, Multiplicity.ZERO, METHOD_DIRECT),
-            Certificate(None, None, records, ["no labeling admits a common real form"]))
+            Certificate(None, None, [], ["no labeling admits a common real form"]))
 
 
 # ---------------------------------------------------------------------------

@@ -57,21 +57,11 @@ def point_flag(p, cfg: Tolerances = DEFAULT_TOLERANCES) -> Flag:
     return make_flag([p], cfg)
 
 
-@dataclass(frozen=True)
-class FlagPair:
-    flag: Flag
-    reverse: Flag
-
-
-def flag_pair_from_eigensystem(es: EigenSystem, order=None,
-                               cfg: Tolerances = DEFAULT_TOLERANCES) -> FlagPair:
-    """Flags from an eigenbasis in the given index order, and its reverse."""
-    k = es.dim
-    order = list(range(k)) if order is None else list(order)
-    if sorted(order) != list(range(k)):
-        raise ValueError("order must be a permutation of the eigendirection indices")
-    f = make_flag([es.directions[i] for i in order], cfg)
-    return FlagPair(flag=f, reverse=f.reversed())
+def flag_pair_from_eigensystem(es: EigenSystem,
+                               cfg: Tolerances = DEFAULT_TOLERANCES) -> tuple[Flag, Flag]:
+    """The flag of an eigenbasis in eigenvalue order, and its reverse."""
+    f = make_flag(es.directions, cfg)
+    return f, f.reversed()
 
 
 def _compositions(heights, k):

@@ -30,7 +30,7 @@ from realform.coords import (
 )
 from realform.decide import prepare
 from realform.errors import GenericityViolation, SharedEigendirections, SpectralPreconditionError
-from realform.flags import flag_pair_from_eigensystem, make_flag
+from realform.flags import make_flag
 from realform.oracle import InstanceSpec, brute_rform_search, generate
 from realform.projlin import ProjPoint
 from realform.rform import Multiplicity, elliptic_pair, hyperbolic_datum, rform_multiplicity
@@ -331,10 +331,9 @@ def matched_flag_coordinates(ms, cfg=rf.DEFAULT_TOLERANCES, reference=None):
     ref_g, ref_h = (None, None) if reference is None else reference
     og = ordered(g.es, ref_g)
     oh = ordered(h.es, ref_h)
-    fg_ = flag_pair_from_eigensystem(g.es, og, cfg)
-    fh = flag_pair_from_eigensystem(h.es, oh, cfg)
-    a, c = fg_.flag, fg_.reverse
-    b, d = fh.flag, fh.reverse
+    a = make_flag([g.es.directions[i] for i in og], cfg)
+    b = make_flag([h.es.directions[i] for i in oh], cfg)
+    c, d = a.reversed(), b.reversed()
     crs = [x.value for x in cross_ratio_set(a, ProjPoint(b.vectors[0]), c, ProjPoint(d.vectors[0]))]
     trs = [t.value for t in triple_ratio_set(a, b, c, cfg)]
     trs += [t.value for t in triple_ratio_set(a, c, d, cfg)]

@@ -240,7 +240,9 @@ class TestDecide:
         (["--rank-tol", "nan"], {}),
         ([], {"cr_tol": "nan"}),
         ([], {"cert_tol": 0}),
-    ], ids=["flag-cr-nan", "flag-cr-negative", "flag-rank-nan", "doc-cr-nan", "doc-cert-zero"])
+        ([], {"cr_tol": True}),
+    ], ids=["flag-cr-nan", "flag-cr-negative", "flag-rank-nan", "doc-cr-nan", "doc-cert-zero",
+            "doc-cr-bool"])
     def test_bad_tolerance_exit2(self, run_cli, tmp_path, ms, flags, tolerances):
         # both collections are Yes; a NaN or negative cr_tol made them a definite No
         f = write_doc(tmp_path / "in.json", 2, ms, {"tolerances": tolerances})
@@ -311,6 +313,14 @@ BIG = 10**400   # an integer no float can hold
     pytest.param(["verify"], {"k": 2, "matrices": DIAG}, np.eye(3)[..., None].repeat(2, -1).tolist(),
                  id="gamma-size-differs"),
     pytest.param(["decide"], b"[" * 100_000 + b"]" * 100_000, None, id="nesting-too-deep"),
+    # JSON booleans are not numbers, though Python's bool is an int
+    pytest.param(["decide"], {"k": 2, "matrices": [[[[True, 0], [0, 0]], [[0, 0], [2, 0]]]]}, None,
+                 id="bool-entry"),
+    pytest.param(["decide"], {"k": True, "matrices": DIAG}, None, id="bool-k"),
+    pytest.param(["verify"], {"k": 2, "matrices": DIAG}, [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+                 id="bool-gamma"),
+    pytest.param(["decide"], {"k": 2, "matrices": DIAG, "options": {"tolerances": {"cr_tol": True}}},
+                 None, id="bool-tolerance"),
 ])
 def test_malformed_document_exit2(run_cli, tmp_path, argv, doc, gamma):
     f = tmp_path / "doc.json"
@@ -322,6 +332,13 @@ def test_malformed_document_exit2(run_cli, tmp_path, argv, doc, gamma):
     res = run_cli(*argv, str(f))
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def test_boolean_k_is_not_an_integer(run_cli, tmp_path):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps({"k": True, "matrices": DIAG}))
+    res = run_cli("decide", str(f))
+    assert (res.returncode, res.stderr) == (2, "error: 'k' must be an integer\n")
 
 
 def test_malformed_document_exit2_in_a_fresh_process(tmp_path):
@@ -528,11 +545,12 @@ class TestCoords:
 
         # reference: one quotient_cp1 per (flag, i), each building its own basis
         g, h, other = prepare(inst.matrices)
-        fg_, fh, fo = (flags.flag_pair_from_eigensystem(x.es) for x in (g, h, other))
-        a, c, d1 = fg_.flag, fg_.reverse, ProjPoint(fh.reverse.vectors[0])
+        (a, c), (b, d), (beta, beta_rev) = (flags.flag_pair_from_eigensystem(x.es)
+                                            for x in (g, h, other))
+        d1 = ProjPoint(d.vectors[0])
         expected = []
-        for f, owner, tag in ((fh.flag, h.index, "B"), (fo.flag, other.index, "beta"),
-                              (fo.reverse, other.index, "beta_prime")):
+        for f, owner, tag in ((b, h.index, "B"), (beta, other.index, "beta"),
+                              (beta_rev, other.index, "beta_prime")):
             for i in range(k - 1):
                 config = flags.quotient_cp1(a, ProjPoint(f.vectors[0]), c, d1, i, k - 2 - i)
                 expected.append({

@@ -470,7 +470,7 @@ class TestEigenCoordinateFrame:
     def test_frame_is_the_inverse_eigenflag(self):
         inst = generate(InstanceSpec(k=5, n_generators=2, type_mix={"hyperbolic": 2}, seed=3))
         info = prepare(inst.matrices)[0]
-        flag = flag_pair_from_eigensystem(info.es).flag
+        flag, _ = flag_pair_from_eigensystem(info.es)
         assert info.frame is info.frame   # computed once
         assert np.allclose(flag.vectors @ info.frame, np.eye(5), atol=1e-12)
         s = np.linalg.svd(flag.vectors, compute_uv=False)
@@ -516,6 +516,67 @@ class TestDirect:
         verdict, _ = decide(ms)
         assert verdict.answer == "yes"
         assert verdict.multiplicity is Multiplicity.INFINITE
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_yes_is_checked_by_its_certificate_alone(self, monkeypatch, k):
+        # a witnessed conjugation commutes with every generator by
+        # construction; the certificate checks it, not a per-generator pass
+        def refuse(*args, **kwargs):
+            raise AssertionError("preserves called")
+
+        monkeypatch.setattr(importlib.import_module("realform.decide"), "preserves", refuse)
+        monkeypatch.setattr(importlib.import_module("realform.rform"), "preserves", refuse)
+        mix = {"hyperbolic": 2, "elliptic": 1} if k == 2 else {"hyperbolic": 2, "mixed": 1}
+        for seed in (1, 2):
+            inst = generate(InstanceSpec(k=k, n_generators=3, type_mix=mix, seed=seed))
+            verdict, cert = decide(inst.matrices, method="direct")
+            assert verdict.answer == inst.answer == "yes"
+            assert cert.residual < DEFAULT_TOLERANCES.cert_tol
+            assert [(c.name, c.value, c.requirement, c.passed) for c in cert.conditions] == [
+                (f"preserves(M{i})", 0j, "commutes with conjugation", True) for i in range(3)]
+
+    @pytest.mark.parametrize("case, answer, multiplicity, witness_calls", [
+        ("reflection", "yes", Multiplicity.ONE, 1),
+        ("reflection-no", "no", Multiplicity.ZERO, 2),
+        # the first labeling combination admits no conjugation, the second decides
+        ("two-lines", "yes", Multiplicity.ONE, 2),
+        ("two-lines-no", "no", Multiplicity.ZERO, 2),
+    ])
+    def test_non_generic_generator_pinned(self, monkeypatch, case, answer, multiplicity,
+                                          witness_calls):
+        # each first generator's eigenvalues lie on two lines: two labelings,
+        # so two combinations; every outcome as the preserves pass gave it
+        dec = importlib.import_module("realform.decide")
+        rng = np.random.default_rng(7)
+        v, w = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        u, u2 = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+        r4 = rng.normal(size=(4, 4))
+        hyp = np.array([[2.0, 1.0], [0.5, 1.0]])
+        # a real matrix with eigenvalues +-1, +-2i (two lines) times i: its
+        # real form's labeling comes second
+        lines = 1j * np.block([[np.diag([1.0, -1.0]), np.zeros((2, 2))],
+                               [np.zeros((2, 2)), np.array([[0, -2.0], [2.0, 0]])]])
+        pairs = {"reflection": ((v, np.diag([1.0, -1.0])), (v, hyp)),
+                 "reflection-no": ((v, np.diag([1.0, -1.0])), (w, hyp)),
+                 "two-lines": ((u, lines), (u, r4)),
+                 "two-lines-no": ((u, lines), (u2, r4))}[case]
+        ms = [g @ m @ np.linalg.inv(g) for g, m in pairs]
+        assert [len(info.sclass.labelings) for info in prepare(ms)] == [2, 1]
+        calls = []
+        original = dec.conjugation_witness
+        monkeypatch.setattr(dec, "conjugation_witness",
+                            lambda *args: calls.append(1) or original(*args))
+        verdict, cert = decide(ms, method="direct")
+        assert verdict == Verdict(answer, multiplicity, METHOD_DIRECT)
+        assert len(calls) == witness_calls
+        if answer == "yes":
+            assert cert.residual < DEFAULT_TOLERANCES.cert_tol
+            assert [(c.name, c.value, c.requirement, c.passed) for c in cert.conditions] == [
+                ("preserves(M0)", 0j, "commutes with conjugation", True),
+                ("preserves(M1)", 0j, "commutes with conjugation", True)]
+        else:
+            assert cert.gamma is None and cert.conditions == []
+            assert cert.diagnostics == ["no labeling admits a common real form"]
 
     @pytest.mark.parametrize("method", ["direct", "auto"])
     def test_never_searches_a_base(self, monkeypatch, rng, method):

@@ -55,15 +55,15 @@ def random_flag(rng, k, height):
 class TestFlagConstruction:
     def test_pair_from_eigensystem(self):
         es = eig(np.diag([1.0, 2.0, 4.0]))
-        fp = flag_pair_from_eigensystem(es)
-        assert np.allclose(fp.flag.vectors, np.eye(3))
-        assert np.allclose(fp.reverse.vectors, np.eye(3)[::-1])
+        flag, reverse = flag_pair_from_eigensystem(es)
+        assert np.allclose(flag.vectors, np.eye(3))
+        assert np.allclose(reverse.vectors, np.eye(3)[::-1])
 
     def test_worked_matrix_flags(self):
         es = eig(np.array([[3j - 1, 3j - 3], [-3j - 3, -3j - 1]]))
-        fp = flag_pair_from_eigensystem(es)
-        assert abs(fp.flag.vectors[0][0] / fp.flag.vectors[0][1] + 1) < 1e-9  # [-1, 1]
-        assert abs(fp.flag.vectors[1][0] / fp.flag.vectors[1][1] + 1j) < 1e-9  # [-i, 1]
+        flag, _ = flag_pair_from_eigensystem(es)
+        assert abs(flag.vectors[0][0] / flag.vectors[0][1] + 1) < 1e-9  # [-1, 1]
+        assert abs(flag.vectors[1][0] / flag.vectors[1][1] + 1j) < 1e-9  # [-i, 1]
 
     def test_dependent_vectors_rejected(self):
         with pytest.raises(GenericityViolation):
