@@ -129,8 +129,9 @@ def _load_document(args):
 def _tolerances(options, args) -> Tolerances:
     cfg = DEFAULT_TOLERANCES
     try:
-        # a JSON boolean is not converted: Tolerances refuses it by name
-        cfg = cfg.override(**{k: v if isinstance(v, bool) else float(v)
+        # only a JSON number is converted (type(True) is bool): Tolerances
+        # refuses a boolean, a string or null by name
+        cfg = cfg.override(**{k: float(v) if type(v) in (int, float) else v
                               for k, v in options.get("tolerances", {}).items()})
     except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"bad tolerance override in document: {exc}")

@@ -7,8 +7,11 @@ by moving one eigendirection off the preserved form (ground truth No).
 
 The brute-force search at k = 2 sweeps circles and lines of the
 extended plane and reports the best preservation defect over the grid,
-confirming No verdicts independently of the decision procedures; it
-drops a circle once its defect provably exceeds the ones it keeps.
+confirming No verdicts independently of the decision procedures.  It
+meets the fixed points one term at a time and drops a circle once its
+defect provably exceeds the ones it keeps, and it can stop as soon as
+its best defect falls to a given value: the k = 2 perturbation probe
+stops there every phase that cannot beat the best one so far.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasibleSpec, NonDiagonalizable, RepeatedEigenvalues
-from .projlin import MAX_DIM, MIN_DIM, eig, eigensystems, proj_dist
+from .projlin import MAX_DIM, MIN_DIM, eig, eigensystems, modulus, proj_dist
 from .spectrum import KIND_ELLIPTIC, KIND_HYPERBOLIC, classify_spectra, type_transformation
 
 SCRAMBLE_NONE = "none"
@@ -227,7 +230,9 @@ def _perturb_eigendirection(ms, g_idx, magnitude, rng, gamma, cfg):
     for j in range(4):
         cand = list(ms)
         cand[g_idx] = _apply_perturbation(es, vecs, delta * np.exp(1j * np.pi * j / 4), magnitude)
-        defect = brute_rform_search(cand, grid=40, refine=3, cfg=cfg)
+        # a phase whose search falls to the best defect so far cannot be
+        # kept, so its search stops there
+        defect = brute_rform_search(cand, grid=40, refine=3, cfg=cfg, stop_at=best_defect)
         if defect > best_defect:
             best, best_defect = cand, defect
     return best, best_defect
@@ -329,56 +334,72 @@ def _fixed_points_cp1(ms: np.ndarray, cfg):
             for es, sc in zip(systems, spectra)]
 
 
-def _gap_vec(z: np.ndarray, w: complex) -> np.ndarray:
-    """Chordal distance from an array of sphere points to one point."""
-    zinf = ~np.isfinite(z)
-    finite = not zinf.any()
-    zf = z if finite else z[~zinf]
-    if np.isinf(w):
-        gap, at_inf = 2.0 / np.sqrt(1 + np.abs(zf) ** 2), 0.0
-    else:
-        gap = 2 * np.abs(zf - w) / np.sqrt((1 + np.abs(zf) ** 2) * (1 + abs(w) ** 2))
-        at_inf = 2.0 / np.sqrt(1 + abs(w) ** 2)
-    if finite:
-        return gap
-    out = np.empty(z.shape)
-    out[zinf] = at_inf
-    out[~zinf] = gap
-    return out
+def _terms(points_kinds):
+    """The one-point terms of the defect, two per generator in order, as
+    three arrays: each fixed point z, the point w its image must meet (z
+    itself when the generator is hyperbolic, its partner when elliptic)
+    and the chordal constant 1 + |w|^2 (1 where w is infinite)."""
+    z = np.array([x for pts, _ in points_kinds for x in pts], dtype=complex)
+    w = np.array([x for (p, q), kind in points_kinds
+                  for x in ((p, q) if kind == KIND_HYPERBOLIC else (q, p))], dtype=complex)
+    # squared as Python floats, by libm's pow, as |w| of one point was: a
+    # numpy array's ** 2 (m * m) can round the other way
+    return z, w, np.array([1.0 if m == np.inf else 1 + m ** 2 for m in modulus(w).tolist()])
 
 
-def _invert_vec(z: complex, c: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Image of one point under inversion about every circle of centers
-    ``c`` and squared radii ``r2``, two arrays that broadcast together (a
-    product grid (..., m, 1) x (..., 1, n), or one flat list of circles); a
-    point at infinity maps to the centers themselves."""
-    if np.isinf(z):
-        return c
-    d = z - c
+def _gap_vec(z: np.ndarray, w, k) -> np.ndarray:
+    """Chordal distance between the sphere points ``z`` and ``w``, where
+    ``k`` is w's constant 1 + |w|^2; w and k are one point or arrays that
+    broadcast with z."""
+    zinf, winf = ~np.isfinite(z), np.isinf(w)
+    any_z, any_w = zinf.any(), winf.any()
+    zf = np.where(zinf, 0, z) if any_z else z
+    gap = 2 * np.abs(zf - (np.where(winf, 0, w) if any_w else w))
+    if any_w:
+        gap = np.where(winf, 2.0, gap)
+    gap = gap / np.sqrt((1 + np.abs(zf) ** 2) * k)
+    return np.where(zinf, np.where(winf, 0.0, 2.0 / np.sqrt(k)), gap) if any_z else gap
+
+
+def _invert_vec(z, c: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Image of the points ``z`` under inversion about the circles of
+    centers ``c`` and squared radii ``r2``, which broadcast together (a
+    product grid (..., m, 1) x (..., 1, n), or one flat list of circles),
+    and with z (one point, or a column of them); a point at infinity maps
+    to the centers themselves, a point on a center to infinity."""
+    zinf = np.isinf(z)
+    any_z = zinf.any()
+    d = (np.where(zinf, 0, z) if any_z else z) - c
     small = np.abs(d) < 1e-300
-    if not small.any():
-        return c + r2 / np.conj(d)
-    return np.where(small, np.inf, c + r2 / np.conj(np.where(small, 1, d)))
+    if small.any():
+        out = np.where(small, np.inf, c + r2 / np.conj(np.where(small, 1, d)))
+    else:
+        out = c + r2 / np.conj(d)
+    return np.where(zinf, c, out) if any_z else out
 
 
-def _pair_defect(point_kind, image) -> np.ndarray:
-    """Defect of one generator's fixed points under ``image``, which maps a
-    point to its image under each candidate.  A hyperbolic fixed point must
-    map to itself, an elliptic pair must swap."""
-    (p, q), kind = point_kind
-    ip, iq = image(p), image(q)
-    if kind == KIND_HYPERBOLIC:
-        return np.maximum(_gap_vec(ip, p), _gap_vec(iq, q))
-    return np.maximum(_gap_vec(ip, q), _gap_vec(iq, p))
+def _reflect_vec(z, e2: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """Image of the points ``z`` under reflection in the lines through
+    ``p0`` of direction squared ``e2``; a point at infinity stays there."""
+    zinf = np.isinf(z)
+    if not zinf.any():
+        return e2 * np.conj(z - p0) + p0
+    return np.where(zinf, np.inf, e2 * np.conj(np.where(zinf, 0, z) - p0) + p0)
+
+
+def _term_gaps(terms, image, ndim: int) -> np.ndarray:
+    """Every term's gap at every candidate of ``ndim`` axes, (2G, ...), in
+    one broadcast: ``image`` maps a column of points to their images."""
+    z, w, k = (a.reshape((-1,) + (1,) * ndim) for a in terms)
+    return _gap_vec(image(z), w, k)
 
 
 def _generator_defects(points_kinds, c: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Defect of each generator (rows) at each circle of centers ``c`` and
-    squared radii ``r2``, two flat arrays of one length."""
-    out = np.zeros((len(points_kinds), c.size))
-    for g, point_kind in enumerate(points_kinds):
-        out[g] = _pair_defect(point_kind, lambda z: _invert_vec(z, c, r2))
-    return out
+    squared radii ``r2``, two short flat arrays of one length: every term
+    meets every circle in one broadcast."""
+    gaps = _term_gaps(_terms(points_kinds), lambda z: _invert_vec(z, c, r2), 1)
+    return gaps.reshape(-1, 2, c.size).max(axis=1)
 
 
 def _circle_defects(points_kinds, c: np.ndarray, r: np.ndarray, bound: np.ndarray,
@@ -387,35 +408,33 @@ def _circle_defects(points_kinds, c: np.ndarray, r: np.ndarray, bound: np.ndarra
     (s, m) and radii ``r`` (s, n), as (s, m * n), center-major, wherever it
     is at most ``bound[b]`` for grid b, and inf elsewhere.
 
-    The generators are met in ``order``, and a circle is dropped once the
-    worst of the generators met so far exceeds its bound.  The worst
-    defect is a max, so the value of every kept circle is exact.
+    The generators are met in ``order``, each one term at a time, and a
+    circle is dropped once the worst term met so far exceeds its bound:
+    only the first term meets the whole grid, every later one only the
+    circles still kept.  The worst defect is a max, so the value of every
+    kept circle is exact.
     """
     s, m = c.shape
     size, n = m * r.shape[1], r.shape[1]
+    z, w, k = _terms(points_kinds)
+    ts = [t for g in order for t in (2 * g, 2 * g + 1)]
     r2 = r ** 2
-    worst = np.zeros((s, size))
-    if len(order):
-        cg, rg = c[:, :, None], r2[:, None, :]
-        worst = _pair_defect(points_kinds[order[0]], lambda z: _invert_vec(z, cg, rg))
-    # from here on, the kept circles' raveled indices and worst defects
+    if ts:
+        worst = _gap_vec(_invert_vec(z[ts[0]], c[:, :, None], r2[:, None, :]), w[ts[0]], k[ts[0]])
+    else:
+        worst = np.zeros((s, size))
+    # from here on, the kept circles' raveled indices, worst defects,
+    # centers, squared radii and bounds
     i = np.flatnonzero(worst.reshape(s, size) <= bound[:, None])
     worst = worst.ravel()[i]
-    c, r2 = c.ravel(), r2.ravel()
-    for g in order[1:]:
-        ca, ra = c[i // n], r2[i // size * n + i % n]
-        worst = np.maximum(worst, _pair_defect(points_kinds[g], lambda z: _invert_vec(z, ca, ra)))
-        keep = worst <= bound[i // size]
-        i, worst = i[keep], worst[keep]
+    c, r2, cut = c.ravel()[i // n], r2.ravel()[i // size * n + i % n], bound[i // size]
+    for t in ts[1:]:
+        worst = np.maximum(worst, _gap_vec(_invert_vec(z[t], c, r2), w[t], k[t]))
+        keep = worst <= cut
+        i, worst, c, r2, cut = i[keep], worst[keep], c[keep], r2[keep], cut[keep]
     out = np.full(s * size, np.inf)
     out[i] = worst
     return out.reshape(s, size)
-
-
-def _reflect_vec(z: complex, e2: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    if np.isinf(z):
-        return np.full(p0.shape, np.inf, dtype=complex)
-    return e2 * np.conj(z - p0) + p0
 
 
 def _line_defects(points_kinds, alpha: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -424,94 +443,46 @@ def _line_defects(points_kinds, alpha: np.ndarray, offset: np.ndarray) -> np.nda
     e = np.exp(1j * alpha)[:, None]
     e2 = e * e
     p0 = offset * 1j * e
-    worst = np.zeros(p0.shape)
-    for point_kind in points_kinds:
-        worst = np.maximum(worst, _pair_defect(point_kind, lambda z: _reflect_vec(z, e2, p0)))
-    return worst
+    gaps = _term_gaps(_terms(points_kinds), lambda z: _reflect_vec(z, e2, p0), 2)
+    return gaps.max(axis=0, initial=0.0)
 
 
-def brute_rform_search(ms, grid: int = 200, refine: int = 4,
-                       cfg: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Best preservation defect over sampled circles and lines (k = 2).
-
-    Hyperbolic fixed points must lie on the candidate form, elliptic
-    pairs must be swapped by inversion about it; defects are chordal.
-    Sweeps center x center x radius plus line angle x offset, then
-    shrinks the grid around the best few coarse circles (the minimum can
-    sit in a different basin than the coarse argmin) so a genuinely
-    preserved form is located to high accuracy.  Each kernel evaluates
-    a whole product grid at once; the refinement runs every start
-    together.
-
-    A circle's defect is the max of its generators' defects, so the
-    circle grids meet the generators one at a time and drop a circle
-    once its running max exceeds a bound no kept circle is above: in a
-    coarse chunk, the ``_STARTS``-th smallest defect over every 7th
-    circle (no subset's is below the chunk's own); in a refinement
-    round, the defect of each grid's middle circle, with the generators
-    worst over the middle circles met first.  A kept circle's defect is
-    exact, so the search returns the float of evaluating every circle.
-    Where defects tie exactly at a chunk's cut, the starts picked among
-    the tied circles may differ from that evaluation's, since
-    quicksort's pick among ties depends on the whole array it sorts.
-    """
-    if not (isinstance(grid, Integral) and isinstance(refine, Integral)):
-        raise ValueError(f"grid and refine must be integers, got grid={grid!r}, refine={refine!r}")
-    if grid < 2 or refine < 0:
-        raise ValueError(f"need grid >= 2 and refine >= 0, got grid={grid}, refine={refine}")
-    ms = [np.asarray(m, dtype=complex) for m in ms]
-    # the matrices before the first of another shape meet eig first
-    bad = next((i for i, m in enumerate(ms) if m.shape != (2, 2)), len(ms))
-    points_kinds = _fixed_points_cp1(np.array(ms[:bad]).reshape(bad, 2, 2), cfg)
-    if bad < len(ms):
-        raise ValueError(f"matrix {bad}: the search needs 2x2 matrices, got shape {ms[bad].shape}")
+def _stage_bests(points_kinds, grid: int, refine: int):
+    """Yield the best defect of each stage of the search in turn: each
+    coarse chunk of circles, each circle refinement round, the coarse
+    lines and each line refinement round."""
     extent = 2.0
     for pts, _ in points_kinds:
         for p in pts:
             if not np.isinf(p):
                 extent = max(extent, 1.5 * abs(p))
-
+    every = np.arange(len(points_kinds))
     xs = np.linspace(-extent, extent, grid)
     rs = np.geomspace(0.05, 2 * extent, grid)
     cgrid = (xs[:, None] + 1j * xs[None, :]).ravel()
 
-    best = np.inf
     seeds = []
     step = max(1, _CHUNK // grid)
     for start in range(0, cgrid.size, step):
         cs = cgrid[start:start + step]
-        # the _STARTS-th smallest defect of every 7th circle bounds the chunk's
-        sub = np.arange(0, cs.size * grid, 7)
-        dsub = _generator_defects(points_kinds, cs[sub // grid], rs[sub % grid] ** 2)
-        worst = dsub.max(axis=0, initial=0.0)
-        bound = np.partition(worst, _STARTS - 1)[_STARTS - 1] if worst.size >= _STARTS else np.inf
-        d = _circle_defects(points_kinds, cs[None], rs[None], np.array([bound]),
-                            np.arange(len(points_kinds)))[0]
+        # the _STARTS-th smallest defect of every 7th circle bounds the
+        # chunk's, as that of every 49th bounds the 7th's: no subset's is
+        # below its superset's.  Each of those circles is a 1 x 1 grid.
+        bound = np.inf
+        for stride in (49, 7):
+            sub = np.arange(0, cs.size * grid, stride)
+            worst = _circle_defects(points_kinds, cs[sub // grid, None], rs[sub % grid, None],
+                                    np.full(sub.size, bound), every)[:, 0]
+            if worst.size >= _STARTS:
+                bound = np.partition(worst, _STARTS - 1)[_STARTS - 1]
+        d = _circle_defects(points_kinds, cs[None], rs[None], np.array([bound]), every)[0]
         kept = np.flatnonzero(d <= bound)
         top = kept[np.argsort(d[kept])[:_STARTS]]
         seeds.extend((float(d[i]), cs[i // grid].real, cs[i // grid].imag, rs[i % grid])
                      for i in top)
-        best = min(best, float(d[top[0]]))
+        yield float(d[top[0]])
     seeds.sort()
     _, cx, cy, r = np.array(seeds[:_STARTS]).T
-
-    alphas = np.linspace(0, np.pi, grid, endpoint=False)
-    dline = _line_defects(points_kinds, alphas, xs).ravel()
-    li = int(np.argmin(dline))
-    la, lo = alphas[li // grid], xs[li % grid]
-    best = min(best, float(dline[li]))
-
-    aspan, ospan = 2 * np.pi / grid, 4 * extent / grid
-    for _ in range(3 * refine):
-        na = np.linspace(la - aspan, la + aspan, 15)
-        no = np.linspace(lo - ospan, lo + ospan, 15)
-        d = _line_defects(points_kinds, na, no).ravel()
-        i = int(np.argmin(d))
-        if d[i] < best:
-            best = float(d[i])
-        la, lo = na[i // 15], no[i % 15]
-        aspan /= 2.5
-        ospan /= 2.5
 
     span = 4 * extent / grid
     rspan = 2 * r * (rs[1] / rs[0] - 1) + 4 * extent / grid
@@ -527,8 +498,81 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4,
         d = _circle_defects(points_kinds, cc, nr, dmid.max(axis=0, initial=0.0),
                             np.argsort(-dmid.max(axis=1), kind="stable"))
         i = np.argmin(d, axis=1)
-        best = float(min(best, *d[each, i]))
+        yield float(min(d[each, i]))
         cx, cy, r = cc[each, i // 11].real, cc[each, i // 11].imag, nr[each, i % 11]
         span /= 2.5
         rspan /= 2.5
+
+    alphas = np.linspace(0, np.pi, grid, endpoint=False)
+    dline = _line_defects(points_kinds, alphas, xs).ravel()
+    li = int(np.argmin(dline))
+    la, lo = alphas[li // grid], xs[li % grid]
+    yield float(dline[li])
+
+    aspan, ospan = 2 * np.pi / grid, 4 * extent / grid
+    for _ in range(3 * refine):
+        na = np.linspace(la - aspan, la + aspan, 15)
+        no = np.linspace(lo - ospan, lo + ospan, 15)
+        d = _line_defects(points_kinds, na, no).ravel()
+        i = int(np.argmin(d))
+        yield float(d[i])
+        la, lo = na[i // 15], no[i % 15]
+        aspan /= 2.5
+        ospan /= 2.5
+
+
+def brute_rform_search(ms, grid: int = 200, refine: int = 4,
+                       cfg: Tolerances = DEFAULT_TOLERANCES, *, stop_at: float = -np.inf) -> float:
+    """Best preservation defect over sampled circles and lines (k = 2).
+
+    Hyperbolic fixed points must lie on the candidate form, elliptic
+    pairs must be swapped by inversion about it; defects are chordal.
+    Sweeps the center x center x radius grid, then shrinks the grid
+    around the best few coarse circles (the minimum can sit in a
+    different basin than the coarse argmin) so a genuinely preserved
+    form is located to high accuracy, then sweeps the line angle x
+    offset grid and refines its best line.  Each kernel evaluates a whole
+    product grid at once; the refinement runs every start together.
+
+    A generator's defect is the max of two one-point terms (p to p and q
+    to q when hyperbolic, p to q and q to p when elliptic), each one
+    inversion and one chordal gap, and a circle's defect the max over
+    every term.  The circle grids meet the terms one at a time and drop a
+    circle once its running max exceeds a bound no kept circle is above:
+    in a coarse chunk, the ``_STARTS``-th smallest defect over every 7th
+    circle (no subset's is below the chunk's own), itself found with that
+    over every 49th circle as its bound; in a refinement round, the
+    defect of each grid's middle circle, with the generators worst over
+    the middle circles met first.  The line grids and the middle circles
+    are small and take every term in one broadcast.  A kept
+    circle's defect is exact, so the search returns the float of
+    evaluating every circle.  Where defects tie exactly at a chunk's cut,
+    the starts picked among the tied circles may differ from that
+    evaluation's, since quicksort's pick among ties depends on the whole
+    array it sorts.
+
+    The stages run in turn (coarse circles, circle refinement, coarse
+    lines, line refinement) and the search returns as soon as its best
+    defect is at most ``stop_at``: a caller that only needs to know
+    whether the defect exceeds a value stops there.  The default runs
+    every stage.  The line and circle stages do not depend on each
+    other, so a full search returns the same float in any stage order.
+    """
+    if not (_is_integer(grid) and _is_integer(refine)):
+        raise ValueError(f"grid and refine must be integers, got grid={grid!r}, refine={refine!r}")
+    if grid < 2 or refine < 0:
+        raise ValueError(f"need grid >= 2 and refine >= 0, got grid={grid}, refine={refine}")
+    if isinstance(stop_at, bool) or not isinstance(stop_at, Real) or np.isnan(stop_at):
+        raise ValueError(f"stop_at must be a real number, got stop_at={stop_at!r}")
+    ms = [np.asarray(m, dtype=complex) for m in ms]
+    # the matrices before the first of another shape meet eig first
+    bad = next((i for i, m in enumerate(ms) if m.shape != (2, 2)), len(ms))
+    points_kinds = _fixed_points_cp1(np.array(ms[:bad]).reshape(bad, 2, 2), cfg)
+    if bad < len(ms):
+        raise ValueError(f"matrix {bad}: the search needs 2x2 matrices, got shape {ms[bad].shape}")
+    best = np.inf
+    for stage_best in _stage_bests(points_kinds, grid, refine):
+        best = min(best, stage_best)
+        if best <= stop_at:
+            break
     return float(best)

@@ -241,8 +241,12 @@ class TestDecide:
         ([], {"cr_tol": "nan"}),
         ([], {"cert_tol": 0}),
         ([], {"cr_tol": True}),
+        # a string read as a number decided under cr_tol = 0.001 and sep_tol = 0.5
+        ([], {"cr_tol": "1e-3"}),
+        ([], {"sep_tol": " 0.5 "}),
+        ([], {"cr_tol": None}),
     ], ids=["flag-cr-nan", "flag-cr-negative", "flag-rank-nan", "doc-cr-nan", "doc-cert-zero",
-            "doc-cr-bool"])
+            "doc-cr-bool", "doc-cr-string", "doc-sep-padded-string", "doc-cr-null"])
     def test_bad_tolerance_exit2(self, run_cli, tmp_path, ms, flags, tolerances):
         # both collections are Yes; a NaN or negative cr_tol made them a definite No
         f = write_doc(tmp_path / "in.json", 2, ms, {"tolerances": tolerances})

@@ -244,6 +244,13 @@ class TestBruteSearch:
         ({"refine": -1}, "refine >= 0.*refine=-1"),
         ({"grid": 2.5}, "grid and refine must be integers.*grid=2.5"),
         ({"refine": 1.5}, "grid and refine must be integers.*refine=1.5"),
+        # True is an Integral: refine=True ran one round of each refinement
+        ({"grid": True}, "grid and refine must be integers.*grid=True"),
+        ({"refine": True}, "grid and refine must be integers.*refine=True"),
+        ({"stop_at": True}, "stop_at must be a real number.*stop_at=True"),
+        ({"stop_at": float("nan")}, "stop_at must be a real number.*stop_at=nan"),
+        ({"stop_at": "0.1"}, "stop_at must be a real number.*stop_at='0.1'"),
+        ({"stop_at": 0.1j}, "stop_at must be a real number"),
     ])
     def test_unsearchable_input_raises(self, kwargs, match):
         args = {"ms": no_common_circle_pair(), "grid": 10, "refine": 1, **kwargs}
@@ -433,6 +440,23 @@ def test_grid_kernels_match_the_per_candidate_kernels(case):
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
+def test_middle_circle_kernel_matches_the_per_candidate_kernel(case):
+    # the refinement's middle circles take every one-point term in one
+    # broadcast, as the line grids do (checked above); each generator's row
+    # must be its per-candidate value
+    ms = KERNEL_CASES[case]()
+    points_kinds = _ref_points_kinds(ms)
+    xs = np.linspace(-3.0, 3.0, 13)
+    c = np.repeat((xs[:, None] + 1j * xs[None, :]).ravel(), 13)
+    r = np.tile(np.geomspace(0.05, 6.0, 13), 169)
+    got = oracle._generator_defects(points_kinds, c, r ** 2)
+    assert got.shape == (len(ms), c.size)
+    for g, row in enumerate(got):
+        assert np.array_equal(row, _ref_circle_defects(points_kinds[g:g + 1], c, r))
+    assert np.array_equal(got.max(axis=0), _ref_circle_defects(points_kinds, c, r))
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
 def test_bounded_kernel_keeps_every_circle_within_the_bound(case):
     # each grid's own bound: a circle at or below it keeps its exact value
     # whichever generator comes first, and every other circle reads inf
@@ -497,3 +521,84 @@ class TestSearchMatchesTheUnboundedSearch:
         for ms in collections:
             assert (brute_rform_search(ms, grid=13, refine=2)
                     == _ref_brute_rform_search(ms, grid=13, refine=2))
+
+
+class TestStopAt:
+    """``stop_at`` ends the search once its best defect is at most that
+    value; a search whose defect stays above it runs in full."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_above_or_at_most_the_stop(self, seed):
+        ms = _perturbed_k2(seed)
+        full = brute_rform_search(ms, grid=40, refine=3)
+        for stop in (-np.inf, -1.0, 0.0, full / 2, np.nextafter(full, 0), full, 2 * full, np.inf):
+            got = brute_rform_search(ms, grid=40, refine=3, stop_at=stop)
+            if full > stop:
+                assert got == full
+            else:
+                assert got <= stop
+
+    def test_stops_before_the_later_stages(self, monkeypatch):
+        # a stop above every coarse circle's defect ends the search after
+        # the coarse chunk: no refinement round and no line is evaluated
+        ms, lines = _perturbed_k2(1), []
+        real = oracle._line_defects
+        monkeypatch.setattr(oracle, "_line_defects", lambda *a: lines.append(1) or real(*a))
+        assert brute_rform_search(ms, grid=40, refine=3, stop_at=10.0) <= 10.0
+        assert lines == []
+        brute_rform_search(ms, grid=40, refine=3)
+        assert len(lines) == 1 + 3 * 3
+
+
+def _ref_probe(ms, g_idx, magnitude, rng, gamma, cfg):
+    """The phase probe before the stop: all four full searches, the first
+    phase with the largest defect kept."""
+    es, vecs, delta, _ = oracle._perturbation_delta(ms[g_idx], rng, gamma, cfg)
+    cands, defects = [], []
+    for j in range(4):
+        cand = list(ms)
+        cand[g_idx] = oracle._apply_perturbation(es, vecs, delta * np.exp(1j * np.pi * j / 4),
+                                                 magnitude)
+        cands.append(cand)
+        defects.append(brute_rform_search(cand, grid=40, refine=3, cfg=cfg))
+    j = int(np.argmax(defects))
+    return cands[j], defects[j]
+
+
+class TestPhaseProbe:
+    """The k = 2 probe stops a phase that cannot beat the best so far, and
+    keeps the phase and defect of the four full searches."""
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_same_phase_and_defect_as_the_full_searches(self, seed):
+        n = 2 + seed % 3
+        mix = ({"hyperbolic": n}, {"elliptic": n}, {"hyperbolic": 1, "elliptic": n - 1})[seed % 3]
+        inst = generate(InstanceSpec(2, n, mix, seed=seed))
+        g_idx, cfg = seed % n, DEFAULT_TOLERANCES
+        got = oracle._perturb_eigendirection(inst.matrices, g_idx, 0.05,
+                                             np.random.default_rng(seed), inst.gamma, cfg)
+        want = _ref_probe(inst.matrices, g_idx, 0.05, np.random.default_rng(seed), inst.gamma, cfg)
+        assert got[1] == want[1]
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generate_matches_the_full_searches(self, monkeypatch, seed):
+        spec = InstanceSpec(2, 3, {"hyperbolic": 2, "elliptic": 1}, seed=seed,
+                            perturbation=(seed, 0.05))
+        got = generate(spec)
+        monkeypatch.setattr(oracle, "_perturb_eigendirection", _ref_probe)
+        want = generate(spec)
+        assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want.matrices))
+
+    def test_calls_the_module_global(self, monkeypatch):
+        # the benchmark's tracer times the oracle by wrapping this global
+        stops = []
+        real = oracle.brute_rform_search
+
+        def counting(*args, **kwargs):
+            stops.append(kwargs["stop_at"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "brute_rform_search", counting)
+        generate(InstanceSpec(2, 2, {"hyperbolic": 2}, seed=0, perturbation=(0, 0.05)))
+        assert len(stops) == 4 and stops[0] == -1.0
