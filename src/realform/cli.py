@@ -17,7 +17,6 @@ import argparse
 import cmath
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 
@@ -229,13 +228,6 @@ def _coords_doc(infos, cfg):
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("REALFORM_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise CliError("REALFORM_SEED must be an integer")
     mix = {kind: getattr(args, kind) for kind in ("hyperbolic", "elliptic", "mixed")
            if getattr(args, kind)} or {"hyperbolic": args.generators}
     perturbation = None
@@ -249,7 +241,7 @@ def cmd_generate(args) -> int:
         k=args.k,
         n_generators=args.generators,
         type_mix=mix,
-        seed=seed,
+        seed=args.seed,
         scramble="random_gamma" if not args.no_scramble else "none",
         perturbation=perturbation,
     )
@@ -262,7 +254,7 @@ def cmd_generate(args) -> int:
     sidecar = {
         "answer": inst.answer,
         "gamma": _matrix_out(inst.gamma) if inst.gamma is not None else None,
-        "seed": seed,
+        "seed": args.seed,
     }
     if args.output:
         _emit(doc, args.output)

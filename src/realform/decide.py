@@ -82,6 +82,7 @@ from .projlin import (
     MAX_DIM,
     MIN_DIM,
     ProjPoint,
+    as_stack,
     canonical_matrix,
     check_matrix,
     eigensystems,
@@ -169,45 +170,28 @@ class GenInfo:
         return np.linalg.inv(np.array([p.coords for p in self.es.directions]))
 
 
-def _stack_infos(a, cfg, start=0):
-    """GenInfo of each matrix of the stack a (indices from ``start``) before
-    the first that fails a gate, and that matrix's error naming it.  One
+def spectral_pass(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
+    """Eigendecompose and classify every generator in one stacked pass.
+
+    The collection goes through ``as_stack`` first, so an empty one or
+    one of mismatched shapes raises before any matrix is decomposed.
+    Returns the GenInfo of the generators before the first that fails a
+    gate (an incompatible spectrum is a class, not a failure), and that
+    failure, its message prefixed with "matrix {index}: ", or None.  One
     s-only SVD of the eigendirection rows, as ``make_flag`` scales them,
-    measures every eigenbasis."""
-    systems, exc = eigensystems(a, cfg)
+    measures every eigenbasis.
+    """
+    systems, exc = eigensystems(as_stack(ms), cfg)
     infos = []
     if systems:
         classes = classify_spectra(np.array([es.eigenvalues for es in systems]), cfg)
         s = np.linalg.svd(np.array([[p.coords for p in es.directions] for es in systems]),
                           compute_uv=False)
-        infos = [GenInfo(index=start + i, es=es, sclass=sc,
-                         frame_rcond=float(si[-1] / si[0]))
+        infos = [GenInfo(index=i, es=es, sclass=sc, frame_rcond=float(si[-1] / si[0]))
                  for i, (es, sc, si) in enumerate(zip(systems, classes, s))]
     if exc is not None:
-        exc = type(exc)(f"matrix {start + len(infos)}: {exc}")
+        exc = type(exc)(f"matrix {len(infos)}: {exc}")
     return infos, exc
-
-
-def spectral_pass(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
-    """Eigendecompose and classify every generator in one stacked pass.
-
-    Returns the GenInfo of the generators before the first that fails a
-    gate (an incompatible spectrum is a class, not a failure), and that
-    failure, its message prefixed with "matrix {index}: ", or None.
-    """
-    mats = [np.asarray(m, dtype=complex) for m in ms]
-    if not mats:
-        return [], ValueError("empty collection")
-    if len({m.shape for m in mats}) == 1:
-        return _stack_infos(np.stack(mats), cfg)
-    # mismatched shapes cannot be stacked: one pass per matrix
-    infos = []
-    for idx, m in enumerate(mats):
-        got, exc = _stack_infos(m[None], cfg, idx)
-        infos += got
-        if exc is not None:
-            return infos, exc
-    return infos, ValueError("matrices have mismatched dimensions")
 
 
 def prepare(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
@@ -240,10 +224,11 @@ def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float
     their scales.  The phase minimizing the squared imaginary part has the
     closed form exp(-i arg(sum of squared entries) / 2).  A residual that
     is not finite reads as inf.  Independent of how gamma was produced.
-    Raises ValueError when gamma's size differs from the matrices'.
+    Raises ValueError when the collection is empty or of mismatched
+    shapes (``as_stack``), or when gamma's size differs from the matrices'.
     """
     gamma = in_band(check_matrix(gamma, cfg)[None])[0]
-    ms = np.array(ms, dtype=complex)
+    ms = as_stack(ms)
     if ms.shape[1:] != gamma.shape:
         raise ValueError(f"gamma has shape {gamma.shape} but the matrices {ms.shape[1:]}")
     n = np.linalg.inv(gamma) @ in_band(ms) @ gamma
@@ -794,12 +779,7 @@ def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
     direct = decide_direct(None, cfg, infos=infos)
     k = infos[0].es.dim
     notes = []
-    if all(info.generic for info in infos):
-        chain = ["dim2"] if k == 2 else ["dim3" if k == 3 else "fg", "cross"]
-    else:
-        chain = []
-        notes.append("non-generic eigenvalues present; using the direct method")
-    for name in chain:
+    for name in ["dim2"] if k == 2 else ["dim3" if k == 3 else "fg", "cross"]:
         try:
             verdict, cert = routes[name](None, cfg, infos=infos, direct=direct)
             break

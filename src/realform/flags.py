@@ -14,6 +14,7 @@ genericity in that frame in closed form; ``quotient_cp1`` and
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,7 @@ def flag_pair_from_eigensystem(es: EigenSystem,
 def _compositions(heights, k):
     """Tuples (i_1, ..., i_m) with 0 <= i_j <= heights[j] and sum k, in
     lexicographic order."""
-    if not heights:
-        return [()] if k == 0 else []
-    rest = heights[1:]
-    low = max(0, k - sum(rest))
-    return [(i,) + tail for i in range(low, min(heights[0], k) + 1)
-            for tail in _compositions(rest, k - i)]
+    return [c for c in itertools.product(*(range(h + 1) for h in heights)) if sum(c) == k]
 
 
 @functools.lru_cache(maxsize=None)

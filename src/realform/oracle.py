@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasibleSpec, NonDiagonalizable, RepeatedEigenvalues
-from .projlin import MAX_DIM, MIN_DIM, eig, eigensystems, modulus, proj_dist
+from .projlin import MAX_DIM, MIN_DIM, as_stack, eig, eigensystems, modulus, proj_dists, upper_pairs
 from .spectrum import KIND_ELLIPTIC, KIND_HYPERBOLIC, classify_spectra, type_transformation
 
 SCRAMBLE_NONE = "none"
@@ -291,11 +291,9 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
                 systems, exc = eigensystems(np.array(ms, dtype=complex), cfg)
                 if exc is not None:
                     raise exc
-                dirs = [d for es in systems for d in es.directions]
-                margin = min(0.08, 0.6 / len(dirs))
-                seps = [proj_dist(dirs[i], dirs[j])
-                        for i in range(len(dirs)) for j in range(i + 1, len(dirs))]
-                if min(seps) < margin:
+                dirs = np.array([d.coords for es in systems for d in es.directions])
+                i, j = upper_pairs(len(dirs))
+                if proj_dists(dirs[i], dirs[j]).min() < min(0.08, 0.6 / len(dirs)):
                     raise _Resample
             if spec.perturbation is not None:
                 g_idx, mag = spec.perturbation
@@ -564,12 +562,12 @@ def brute_rform_search(ms, grid: int = 200, refine: int = 4,
         raise ValueError(f"need grid >= 2 and refine >= 0, got grid={grid}, refine={refine}")
     if isinstance(stop_at, bool) or not isinstance(stop_at, Real) or np.isnan(stop_at):
         raise ValueError(f"stop_at must be a real number, got stop_at={stop_at!r}")
-    ms = [np.asarray(m, dtype=complex) for m in ms]
-    # the matrices before the first of another shape meet eig first
-    bad = next((i for i, m in enumerate(ms) if m.shape != (2, 2)), len(ms))
-    points_kinds = _fixed_points_cp1(np.array(ms[:bad]).reshape(bad, 2, 2), cfg)
-    if bad < len(ms):
-        raise ValueError(f"matrix {bad}: the search needs 2x2 matrices, got shape {ms[bad].shape}")
+    ms = list(ms)
+    # the shape rule comes before eig; an empty collection has no defect
+    a = as_stack(ms) if ms else np.zeros((0, 2, 2), dtype=complex)
+    if a.shape[1:] != (2, 2):
+        raise ValueError(f"matrix 0: the search needs 2x2 matrices, got shape {a.shape[1:]}")
+    points_kinds = _fixed_points_cp1(a, cfg)
     best = np.inf
     for stage_best in _stage_bests(points_kinds, grid, refine):
         best = min(best, stage_best)

@@ -37,6 +37,17 @@ def in_band(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def as_stack(ms) -> np.ndarray:
+    """The collection ms as one complex (n, k, k) array: the shape rule
+    every collection meets before any matrix of it is decomposed.  An
+    empty collection, or one whose matrices differ in shape, raises
+    ValueError."""
+    mats = [np.asarray(m, dtype=complex) for m in ms]
+    if len({m.shape for m in mats}) != 1:
+        raise ValueError("matrices have mismatched dimensions" if mats else "empty collection")
+    return np.array(mats)
+
+
 def _input_gate(a: np.ndarray, cfg: Tolerances):
     """Gate a stack a (n, ...) of matrices in one pass.
 
@@ -201,7 +212,8 @@ def eig(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
     RepeatedEigenvalues
         if two eigenvalues are projectively closer than ``sep_tol``.
     NonDiagonalizable
-        if an eigenvector residual exceeds ``eig_tol``.
+        if an eigenvector residual exceeds ``eig_tol``, or an
+        eigenvector is not finite or has no entry above ``deg_tol``.
     """
     systems, exc = eigensystems(np.asarray(m, dtype=complex)[None], cfg)
     if exc is not None:
@@ -216,9 +228,10 @@ def eigensystems(a: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES):
     fails a gate, and that matrix's error (None when every matrix passes).
     Each matrix meets the gates in one order: shape and range,
     finiteness, singularity, eigenvalue separation, eigenvector residual
-    and the checks of ``ProjPoint`` on each direction.  One SVD of the
-    stack gates singularity and one ``np.linalg.eig`` decomposes it; the
-    matrices after the first non-finite one are not decomposed.  Each
+    and the checks of ``ProjPoint`` on each direction, which here raise
+    NonDiagonalizable.  One SVD of the stack gates singularity and one
+    ``np.linalg.eig`` decomposes it; the matrices after the first
+    non-finite one are not decomposed.  Each
     ``EigenSystem.matrix`` is its matrix brought ``in_band``.
     """
     a, singular, late = _input_gate(a, cfg)
@@ -240,7 +253,8 @@ def eigensystems(a: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES):
     # the directions as ProjPoint makes them: largest-magnitude coordinate 1
     mags = np.abs(rows)
     top = mags.max(axis=2)
-    coords = rows / rows[g, np.arange(k), mags.argmax(axis=2)][..., None]
+    with np.errstate(invalid="ignore"):   # a non-finite direction is refused below
+        coords = rows / rows[g, np.arange(k), mags.argmax(axis=2)][..., None]
     finite = np.isfinite(top)
     bad_dir = ~(finite & (top > cfg.deg_tol))
 
@@ -262,8 +276,8 @@ def eigensystems(a: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES):
         return systems, NonDiagonalizable(
             f"eigenvector residual {res[f, j]:.3g} for eigenvalue {lam[f, j]:.6g}")
     j = bad_dir[f].tolist().index(True)
-    return systems, ValueError("zero vector does not define a projective point" if finite[f, j]
-                               else "non-finite coordinates")
+    return systems, NonDiagonalizable("zero vector does not define a projective point"
+                                      if finite[f, j] else "non-finite coordinates")
 
 
 @dataclass(frozen=True)

@@ -678,6 +678,32 @@ class TestDispatch:
         assert verdict.method == METHOD_DIRECT
         assert any("dim2" in d for d in cert.diagnostics)
 
+    NON_GENERIC = ("generators [0] have non-generic eigenvalues; coordinate methods need a "
+                   "unique labeling")
+
+    def test_auto_records_the_non_generic_reason(self):
+        # the collection of test_non_generic_enumerates_labelings: eigenvalues
+        # +-i admit two labelings, so dim2 refuses and the answer is direct's
+        ms = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([2.0, 1.0])]
+        verdict, cert = decide(ms)
+        assert verdict == decide(ms, method="direct")[0]
+        assert cert.diagnostics == [f"dim2: {self.NON_GENERIC}"]
+
+    def test_auto_records_each_route_refusing_a_non_generic_spectrum(self, rng):
+        # diag(i, -i, 2, -2) has two admissible lines; with a hyperbolic
+        # generator, conjugated together by one complex matrix
+        rotation = np.block([[np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2))],
+                             [np.zeros((2, 2)), np.diag([2.0, -2.0])]])
+        v = random_invertible(rng, 4, complex_=False)
+        hyperbolic = v @ np.diag([0.5, -1.0, 1.5, 2.5]) @ np.linalg.inv(v)
+        g = random_invertible(rng, 4)
+        ms = [g @ m @ np.linalg.inv(g) for m in (rotation, hyperbolic)]
+        verdict, cert = decide(ms)
+        direct, direct_cert = decide(ms, method="direct")
+        assert verdict == direct and verdict.answer == "yes"
+        assert cert.diagnostics == ([f"fg: {self.NON_GENERIC}", f"cross: {self.NON_GENERIC}"]
+                                    + direct_cert.diagnostics)
+
     ROUTE_GLOBALS = {"dim2": "decide_pgl2", "dim3": "decide_pgl3", "fg": "decide_pglk_fg",
                      "cross": "decide_pglk_cross_only", "direct": "decide_direct"}
 

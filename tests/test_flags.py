@@ -115,7 +115,25 @@ class TestGenericPosition:
         assert generic_position(moved)
 
 
+def recursive_compositions(heights, k):
+    """Reference: the compositions by their recursive definition, each
+    first part from its least to its greatest feasible value."""
+    if not heights:
+        return [()] if k == 0 else []
+    rest = heights[1:]
+    low = max(0, k - sum(rest))
+    return [(i,) + tail for i in range(low, min(heights[0], k) + 1)
+            for tail in recursive_compositions(rest, k - i)]
+
+
 class TestBatchedGenericPosition:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_compositions_match_the_recursive_definition(self, k):
+        # four flags of height k (generic_position of a quadruple) and three
+        # of height k - 1 (the triple-ratio minors)
+        for heights in ((k,) * 4, (k - 1,) * 3):
+            assert _compositions(heights, k) == recursive_compositions(heights, k)
+
     @pytest.mark.parametrize("heights,k", [((3, 3), 3), ((4, 1, 4, 1), 4), ((2, 3, 1), 5),
                                            ((1, 1), 3), ((8, 8, 8, 8), 8)])
     def test_compositions_match_filtered_product(self, heights, k):

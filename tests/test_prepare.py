@@ -1,6 +1,9 @@
 """decide.prepare runs one stacked spectral pass over a collection: it must give
 what the per-matrix loop gives, eigendata and classes bit for bit, and raise
-what that loop raises, for the first failing matrix in index order."""
+what that loop raises, for the first failing matrix in index order.  The
+shape rule comes first: an empty collection, or one of mismatched shapes,
+raises before any matrix is decomposed, in every function that reads a
+collection."""
 
 import importlib
 import itertools
@@ -12,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realform.config import DEFAULT_TOLERANCES
-from realform.decide import decide_direct, prepare
+from realform.decide import decide, decide_direct, prepare, verify_certificate
 from realform.errors import IncompatibleEigenvalues, NoConjugation, RealformError
-from realform.oracle import InstanceSpec, generate
+from realform.oracle import InstanceSpec, brute_rform_search, generate
 from realform.spectrum import KIND_INCOMPATIBLE, classify_eigenvalues
 
 from conftest import random_invertible
@@ -22,8 +25,14 @@ from test_projlin import reference_eig
 
 
 def reference_prepare(ms, cfg=DEFAULT_TOLERANCES):
-    """One matrix at a time: the loop the stacked pass replaced, with every
-    per-matrix error named by its matrix."""
+    """The shape rule first, an empty collection or one of mismatched shapes
+    raising before any matrix is decomposed; then one matrix at a time, the
+    loop the stacked pass replaced, with every per-matrix error named by its
+    matrix."""
+    if not ms:
+        raise ValueError("empty collection")
+    if len({np.shape(m) for m in ms}) > 1:
+        raise ValueError("matrices have mismatched dimensions")
     out = []
     for idx, m in enumerate(ms):
         try:
@@ -35,10 +44,6 @@ def reference_prepare(ms, cfg=DEFAULT_TOLERANCES):
             raise IncompatibleEigenvalues(
                 f"matrix {idx}: eigenvalues admit no organizing real line")
         out.append((es, sc))
-    if not out:
-        raise ValueError("empty collection")
-    if any(es.dim != out[0][0].dim for es, _ in out):
-        raise ValueError("matrices have mismatched dimensions")
     return out
 
 
@@ -111,7 +116,8 @@ def test_plus_minus_i_has_two_labelings(rng):
 
 # ---------------------------------------------------------------------------
 # error order: the first failing matrix in index order wins, whatever gate
-# a later matrix fails
+# a later matrix fails; a collection of mismatched shapes fails the shape
+# rule before any matrix is decomposed
 
 def _conj(rng, lams):
     v = random_invertible(rng, len(lams))
@@ -162,6 +168,39 @@ def test_first_failing_matrix_wins(rng, monkeypatch, early, late):
 
 def test_empty_collection():
     assert _outcome(_prepare_pairs, []) == (ValueError, "empty collection")
+
+
+def _refuse_eig(monkeypatch):
+    def refuse(a):
+        raise AssertionError("a matrix was decomposed")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+
+
+@pytest.mark.parametrize("call", [prepare, decide, lambda ms: verify_certificate(ms, np.eye(3))],
+                         ids=["prepare", "decide", "verify_certificate"])
+def test_mismatched_shapes_raise_before_any_decomposition(rng, monkeypatch, call):
+    # the first matrix is singular, a gate it would fail once decomposed
+    ms = [_conj(rng, [1.0, 2.0, 0.0]), _conj(rng, [1.0, 2.0, -3.0, 4.0])]
+    _refuse_eig(monkeypatch)
+    with pytest.raises(ValueError, match="^matrices have mismatched dimensions$") as err:
+        call(ms)
+    assert err.type is ValueError
+
+
+def test_search_meets_the_shape_rule_before_eig(rng, monkeypatch):
+    ms = [_conj(rng, [1.0, 0.0]), _conj(rng, [1.0, 2.0, -3.0])]
+    _refuse_eig(monkeypatch)
+    with pytest.raises(ValueError, match="^matrices have mismatched dimensions$"):
+        brute_rform_search(ms, grid=10, refine=1)
+    with pytest.raises(ValueError, match=r"^matrix 0: the search needs 2x2 matrices, "
+                                         r"got shape \(3, 3\)$"):
+        brute_rform_search(ms[1:] * 2, grid=10, refine=1)
+
+
+def test_verify_certificate_of_an_empty_collection():
+    with pytest.raises(ValueError, match="^empty collection$"):
+        verify_certificate([], np.eye(2))
 
 
 def test_every_gate_names_its_matrix(rng):

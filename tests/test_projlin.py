@@ -189,6 +189,30 @@ class TestEigMatchesReference:
             monkeypatch.undo()
 
 
+class TestDirectionGate:
+    """An eigenvector with no entry above deg_tol, or a non-finite one, is
+    refused as an eigensystem error, as a large residual is."""
+
+    def test_non_finite_eigenvector(self, monkeypatch):
+        true_eig = np.linalg.eig
+
+        def nan_eig(a):
+            lam, vecs = true_eig(a)
+            vecs = vecs.copy()
+            vecs[..., 0] = np.nan
+            return lam, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", nan_eig)
+        with pytest.raises(NonDiagonalizable, match="^non-finite coordinates$"):
+            eig(np.diag([2.0, 1.0, -3.0]))
+
+    def test_direction_below_deg_tol(self):
+        # the unit eigenvectors of the cyclic shift have entries of size 8^-1/2
+        with pytest.raises(NonDiagonalizable,
+                           match="^zero vector does not define a projective point$"):
+            eig(np.roll(np.eye(8), 1, axis=0), DEFAULT_TOLERANCES.override(deg_tol=0.9))
+
+
 class TestFrames:
     def test_standard_frame(self):
         f = frame_from_points([pp(1, 0), pp(0, 1), pp(1, 1)])
