@@ -81,6 +81,7 @@ from .spectrum import type_transformation  # noqa: F401
 from .projlin import (
     MAX_DIM,
     MIN_DIM,
+    EigenSystem,
     ProjPoint,
     as_stack,
     canonical_matrix,
@@ -137,14 +138,23 @@ class Verdict:
 
 @dataclass(frozen=True)
 class GenInfo:
-    """One generator with its eigendata and spectral classification."""
+    """One generator of a spectral pass: its slices of the pass's stacked
+    arrays (``EigenStack``) and its spectral classification.
+
+    ``es``, the generator's EigenSystem with one ProjPoint per direction,
+    is built from ``rows`` the first time it is read (by ``dim2``, the
+    flag routes or CLI ``coords``) and then kept; ``direct``, ``cross``
+    and CLI ``classify`` read the arrays alone and never build it.
+    """
 
     index: int
-    es: object
     sclass: object
     # s_min / s_max of the eigendirection rows, the measure ``make_flag``
     # tests for independence
     frame_rcond: float
+    matrix: np.ndarray        # brought ``in_band``
+    eigenvalues: np.ndarray   # (k,), in the (argument, magnitude) order
+    rows: np.ndarray          # (k, k): rows[j] the canonical direction of eigenvalues[j]
 
     @property
     def kind(self):
@@ -164,10 +174,14 @@ class GenInfo:
         return self.es.directions[i]
 
     @functools.cached_property
+    def es(self) -> EigenSystem:
+        return EigenSystem.from_rows(self.eigenvalues, self.rows, self.matrix)
+
+    @functools.cached_property
     def frame(self) -> np.ndarray:
         """Inverse of the eigendirection matrix: v @ frame are v's
         eigen-coordinates.  Read only when ``frame_rcond`` clears rank_tol."""
-        return np.linalg.inv(np.array([p.coords for p in self.es.directions]))
+        return np.linalg.inv(self.rows)
 
 
 def spectral_pass(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
@@ -177,18 +191,18 @@ def spectral_pass(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
     one of mismatched shapes raises before any matrix is decomposed.
     Returns the GenInfo of the generators before the first that fails a
     gate (an incompatible spectrum is a class, not a failure), and that
-    failure, its message prefixed with "matrix {index}: ", or None.  One
-    s-only SVD of the eigendirection rows, as ``make_flag`` scales them,
-    measures every eigenbasis.
+    failure, its message prefixed with "matrix {index}: ", or None.  Each
+    GenInfo holds its slices of the pass's arrays (``EigenStack``); no
+    ProjPoint is built.  One s-only SVD of the stacked direction rows, as
+    ``make_flag`` scales them, measures every eigenbasis.
     """
-    systems, exc = eigensystems(as_stack(ms), cfg)
+    stack, exc = eigensystems(as_stack(ms), cfg)
     infos = []
-    if systems:
-        classes = classify_spectra(np.array([es.eigenvalues for es in systems]), cfg)
-        s = np.linalg.svd(np.array([[p.coords for p in es.directions] for es in systems]),
-                          compute_uv=False)
-        infos = [GenInfo(index=i, es=es, sclass=sc, frame_rcond=float(si[-1] / si[0]))
-                 for i, (es, sc, si) in enumerate(zip(systems, classes, s))]
+    if stack is not None:
+        classes = classify_spectra(stack.eigenvalues, cfg)
+        s = np.linalg.svd(stack.rows, compute_uv=False)
+        infos = [GenInfo(i, sc, float(si[-1] / si[0]), *parts)
+                 for i, (sc, si, *parts) in enumerate(zip(classes, s, *stack))]
     if exc is not None:
         exc = type(exc)(f"matrix {len(infos)}: {exc}")
     return infos, exc
@@ -206,16 +220,6 @@ def prepare(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
     return infos
 
 
-def _eigenrows(rows, lab):
-    """A generator's eigendirection rows under one labeling, pairs first
-    (each pair's two members in turn), then the hyperbolic ones, and the
-    position of each row's partner among them (its own when fixed)."""
-    order = [i for pair in lab.pairing for i in pair]
-    partners = [n ^ 1 for n in range(len(order))]
-    order += [i for i, l in enumerate(lab.labels) if l == HYPERBOLIC]
-    return rows[order], partners + list(range(len(partners), len(order)))
-
-
 def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Max imaginary residual of gamma^{-1} M gamma after optimal rephasing.
 
@@ -227,15 +231,15 @@ def verify_certificate(ms, gamma, cfg: Tolerances = DEFAULT_TOLERANCES) -> float
     Raises ValueError when the collection is empty or of mismatched
     shapes (``as_stack``), or when gamma's size differs from the matrices'.
     """
-    gamma = in_band(check_matrix(gamma, cfg)[None])[0]
+    gamma = check_matrix(gamma, cfg)
     ms = as_stack(ms)
     if ms.shape[1:] != gamma.shape:
         raise ValueError(f"gamma has shape {gamma.shape} but the matrices {ms.shape[1:]}")
     n = np.linalg.inv(gamma) @ in_band(ms) @ gamma
     with np.errstate(invalid="ignore"):   # a NaN residual is reported as inf
         n = n / np.abs(n).max(axis=(1, 2), keepdims=True)
-        r = n * np.exp(-0.5j * np.angle(np.sum(n * n, axis=(1, 2))))[:, None, None]
-        worst = float(np.max(np.abs(r.imag).max(axis=(1, 2)) / np.abs(r).max(axis=(1, 2))))
+        r = n * np.exp(-0.5j * np.angle((n * n).sum(axis=(1, 2))))[:, None, None]
+        worst = float((np.abs(r.imag).max(axis=(1, 2)) / np.abs(r).max(axis=(1, 2))).max())
     return worst if math.isfinite(worst) else math.inf
 
 
@@ -259,7 +263,7 @@ def _run_route(ms, cfg, infos, method, ks, build, direct=None):
     """
     infos = prepare(ms, cfg) if infos is None else infos
     lo, hi = ks
-    if not lo <= infos[0].es.dim <= hi:
+    if not lo <= len(infos[0].eigenvalues) <= hi:
         raise SpectralPreconditionError(
             f"this method needs {lo}x{lo} input" if lo == hi else f"this method needs k >= {lo}")
     _require_generic(infos)
@@ -559,7 +563,7 @@ def _line_sets(checks, frame, d, message, rank_tol):
     ``rank_tol``, covers every line first; the first failing line raises
     ``message`` formatted with its generator ``n`` and index ``i``."""
     owners = [(info, i) for info, idx in checks for i in idx]
-    x = np.array([info.direction(i).coords for info, i in owners]).reshape(-1, len(d)) @ frame
+    x = np.array([info.rows[i] for info, i in owners]).reshape(-1, len(d)) @ frame
     bad = first_nongeneric_coords(x, d, rank_tol)
     if bad is not None:
         info, i = owners[bad]
@@ -668,11 +672,9 @@ def _cross_conditions(infos, cfg):
         raise GenericityViolation(
             "no second generator has a hyperbolic direction to serve as reference")
     d_idx = provider.hyp_indices()[0]
-    paired = [i for pair in base.labeling().pairing for i in pair]
-    order = paired + base.hyp_indices()
     if not base.frame_rcond > cfg.rank_tol:
         raise GenericityViolation("flag spanning vectors are linearly dependent")
-    frame, L = base.frame[:, order], len(paired)
+    frame, L = base.frame[:, base.labeling().order], 2 * len(base.labeling().pairing)
     # (generator, eigendirection indices): pairs, then hyperbolic directions
     checks = []
     for info in infos:
@@ -682,7 +684,7 @@ def _cross_conditions(infos, cfg):
                        if info is not provider or i != d_idx]
     # a minor in the frame bounds the input-space s_min / s_max only up to
     # the frame's conditioning, so the line cut is scaled by it
-    crs = _line_sets(checks, frame, provider.direction(d_idx).coords @ frame,
+    crs = _line_sets(checks, frame, provider.rows[d_idx] @ frame,
                      "generator {n}: eigendirection {i} not generic with the base",
                      cfg.rank_tol / base.frame_rcond)
     columns = dict(zip((1, 2), _columns(crs, L, cfg.cr_tol)))
@@ -721,7 +723,11 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
     that admits a conjugation decides: mapping every generator's
     eigendirections to their partners, it commutes with each generator,
     and the certificate (gamma^{-1} M gamma real within cert_tol) checks
-    that for the whole collection at once.
+    that for the whole collection at once.  The direction rows of every
+    generator sit in one array, the best-conditioned eigenbasis first;
+    each labeling takes its rows and partner indices from it by index,
+    and the certificate reads the pass's in-band matrices.  Only the
+    GenInfo arrays are read: no ProjPoint is built.
     """
     infos = prepare(ms, cfg) if infos is None else infos
     options = [info.sclass.labelings for info in infos]
@@ -732,16 +738,21 @@ def decide_direct(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None):
     # the best-conditioned eigenbasis first: the solve takes it as its base
     anchor = max(range(len(infos)), key=lambda j: infos[j].frame_rcond)
     order = [anchor] + [j for j in range(len(infos)) if j != anchor]
-    rows = [np.array([p.coords for p in infos[j].es.directions]) for j in order]
+    k = len(infos[0].eigenvalues)
+    rows = np.concatenate([infos[j].rows for j in order])
     for combo in itertools.product(*options):
-        parts = [_eigenrows(r, combo[j]) for r, j in zip(rows, order)]
-        partners = np.array([len(r) * n + p for n, (r, ps) in enumerate(parts) for p in ps])
+        # block n: generator order[n]'s rows in its labeling's order; a row's
+        # partner is its pair's other member, or itself when fixed
+        labs = [combo[j] for j in order]
+        idx = [n * k + i for n, lab in enumerate(labs) for i in lab.order]
+        partners = np.array([n * k + (p ^ 1 if p < 2 * len(lab.pairing) else p)
+                             for n, lab in enumerate(labs) for p in range(k)])
         try:
-            conj, mult = conjugation_witness(np.vstack([r for r, _ in parts]), partners, cfg)
+            conj, mult = conjugation_witness(rows[idx], partners, cfg)
         except NoConjugation:
             continue
         gamma = canonical_matrix(realifier(conj, cfg))
-        residual = verify_certificate([info.es.matrix for info in infos], gamma, cfg)
+        residual = verify_certificate([info.matrix for info in infos], gamma, cfg)
         if residual >= cfg.cert_tol:
             raise NumericalDegeneracy(f"certificate residual {residual:.3g} above cert_tol")
         # what the certificate proves, generator by generator
@@ -777,7 +788,7 @@ def decide(ms, cfg: Tolerances = DEFAULT_TOLERANCES, method: str = "auto"):
         return routes[method](None, cfg, infos=infos)
 
     direct = decide_direct(None, cfg, infos=infos)
-    k = infos[0].es.dim
+    k = len(infos[0].eigenvalues)
     notes = []
     for name in ["dim2"] if k == 2 else ["dim3" if k == 3 else "fg", "cross"]:
         try:

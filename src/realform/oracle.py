@@ -239,12 +239,11 @@ def _perturb_eigendirection(ms, g_idx, magnitude, rng, gamma, cfg):
 
 
 def _spectra(ms, cfg):
-    """EigenSystems and SpectralClasses of the matrices of the stack ms
+    """The EigenStack and SpectralClasses of the matrices of the stack ms
     (n, k, k) before the first one ``eigensystems`` refuses, and that
     matrix's error (None when there is none)."""
-    systems, exc = eigensystems(ms, cfg)
-    lams = np.array([es.eigenvalues for es in systems]).reshape(len(systems), ms.shape[-1])
-    return systems, classify_spectra(lams, cfg), exc
+    stack, exc = eigensystems(ms, cfg)
+    return stack, classify_spectra(stack.eigenvalues, cfg), exc
 
 
 def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> GeneratedInstance:
@@ -288,10 +287,10 @@ def generate(spec: InstanceSpec, cfg: Tolerances = DEFAULT_TOLERANCES) -> Genera
             if spec.k == 2:
                 # near-shared fixed points leave the configuration close
                 # to degenerate for the circle search; keep them apart
-                systems, exc = eigensystems(np.array(ms, dtype=complex), cfg)
+                stack, exc = eigensystems(np.array(ms, dtype=complex), cfg)
                 if exc is not None:
                     raise exc
-                dirs = np.array([d.coords for es in systems for d in es.directions])
+                dirs = stack.rows.reshape(-1, spec.k)
                 i, j = upper_pairs(len(dirs))
                 if proj_dists(dirs[i], dirs[j]).min() < min(0.08, 0.6 / len(dirs)):
                     raise _Resample
@@ -324,12 +323,11 @@ _STARTS = 4   # coarse circles the refinement starts from
 def _fixed_points_cp1(ms: np.ndarray, cfg):
     """The fixed points on the extended plane and the spectral kind of
     each matrix of the stack ms (n, 2, 2), as ((p, q), kind) pairs."""
-    systems, spectra, exc = _spectra(ms, cfg)
+    stack, spectra, exc = _spectra(ms, cfg)
     if exc is not None:
         raise exc
-    return [(tuple(complex(np.inf) if abs(b) <= cfg.deg_tol else a / b
-                   for a, b in (d.coords for d in es.directions)), sc.kind)
-            for es, sc in zip(systems, spectra)]
+    return [(tuple(complex(np.inf) if abs(b) <= cfg.deg_tol else a / b for a, b in rows), sc.kind)
+            for rows, sc in zip(stack.rows, spectra)]
 
 
 def _terms(points_kinds):

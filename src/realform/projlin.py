@@ -10,6 +10,7 @@ arrays, never as projective classes.
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ def in_band(a: np.ndarray) -> np.ndarray:
     entry then in [1/2, 1); a stack already inside is returned as it is.
     The question is projective, so the scale changes no answer."""
     top = np.abs(np.ascontiguousarray(a).view(float)).max(axis=(1, 2))
-    if 1 / _BAND <= top.min(initial=1.0) and top.max(initial=1.0) <= _BAND:
+    if 1 / _BAND <= min(top.tolist(), default=1.0) and max(top.tolist(), default=1.0) <= _BAND:
         return a
     e = np.frexp(top)[1]
     shift = np.where((top < 1 / _BAND) | (top > _BAND), -e, 0)[:, None, None]
@@ -71,18 +72,18 @@ def _input_gate(a: np.ndarray, cfg: Tolerances):
 
 
 def check_matrix(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Validate and return a square invertible complex matrix.
+    """Validate a square invertible complex matrix and return it brought
+    ``in_band``.
 
     Accepts anything ``np.asarray`` does, including nested [re, im]
     pairs already converted by the caller.
     """
-    a = np.asarray(m, dtype=complex)
-    _, singular, exc = _input_gate(a[None], cfg)
-    if singular is not None and singular.any():
+    a, singular, exc = _input_gate(np.asarray(m, dtype=complex)[None], cfg)
+    if singular is not None and True in singular.tolist():
         exc = SingularMatrix(_SINGULAR)
     if exc is not None:
         raise exc
-    return a
+    return a[0]
 
 
 class ProjPoint:
@@ -146,6 +147,12 @@ def proj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", r.conj(), r).real / np.einsum("ij,ij->i", b.conj(), b).real)
 
 
+def norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """The 2-norms of x along one axis: ``np.linalg.norm(x, axis=axis)``
+    bit for bit, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
 def modulus(z) -> np.ndarray:
     """Elementwise |z|, bit for bit Python's abs (np.abs may round differently)."""
     return np.hypot(z.real, z.imag)
@@ -160,11 +167,11 @@ def upper_pairs(k: int) -> tuple:
     return pairs
 
 
-@np.errstate(invalid="ignore")   # two zero eigenvalues read 0/0, not close; singular anyway
 def _close_pairs(lam: np.ndarray, sep_tol: float) -> np.ndarray:
     """close[..., p] for each spectrum lam[...] of length k: its p-th pair
     (i, j) of ``upper_pairs(k)`` has |lam_i - lam_j| / max(|lam_i|, |lam_j|)
-    at most sep_tol."""
+    at most sep_tol.  Two zero eigenvalues read 0/0, not close (the matrix
+    is singular anyway); callers ignore that invalid division."""
     i, j = upper_pairs(lam.shape[-1])
     t = lam.T   # pairs index the leading axis, a fast gather for one spectrum
     mag = modulus(t)
@@ -181,7 +188,8 @@ def _repeated(lam: np.ndarray, close: np.ndarray, message: str) -> RepeatedEigen
 
 def require_separated(lam: np.ndarray, sep_tol: float, message: str) -> None:
     """Raise ``_repeated`` for the first pair of lam closer than sep_tol."""
-    close = _close_pairs(lam, sep_tol)
+    with np.errstate(invalid="ignore"):
+        close = _close_pairs(lam, sep_tol)
     if close.any():
         raise _repeated(lam, close, message)
 
@@ -198,9 +206,23 @@ class EigenSystem:
     directions: tuple
     matrix: np.ndarray
 
+    @classmethod
+    def from_rows(cls, eigenvalues, rows, matrix) -> "EigenSystem":
+        """The EigenSystem whose directions are the canonical rows ``rows``."""
+        return cls(eigenvalues, tuple(map(ProjPoint.canonical, rows)), matrix)
+
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+
+class EigenStack(NamedTuple):
+    """The eigendata of a stack of matrices, one array per field: row g
+    of each belongs to matrix g."""
+
+    matrices: np.ndarray     # (n, k, k), each brought ``in_band``
+    eigenvalues: np.ndarray  # (n, k), each row in the (argument, magnitude) order
+    rows: np.ndarray         # (n, k, k): rows[g, j] the canonical direction of eigenvalues[g, j]
 
 
 def eig(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
@@ -215,28 +237,29 @@ def eig(m, cfg: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
         if an eigenvector residual exceeds ``eig_tol``, or an
         eigenvector is not finite or has no entry above ``deg_tol``.
     """
-    systems, exc = eigensystems(np.asarray(m, dtype=complex)[None], cfg)
+    stack, exc = eigensystems(np.asarray(m, dtype=complex)[None], cfg)
     if exc is not None:
         raise exc
-    return systems[0]
+    return EigenSystem.from_rows(stack.eigenvalues[0], stack.rows[0], stack.matrices[0])
 
 
 def eigensystems(a: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES):
     """Eigendecompose a stack a (n, k, k) of matrices in one pass.
 
-    Returns the EigenSystems of the matrices before the first one that
-    fails a gate, and that matrix's error (None when every matrix passes).
-    Each matrix meets the gates in one order: shape and range,
-    finiteness, singularity, eigenvalue separation, eigenvector residual
-    and the checks of ``ProjPoint`` on each direction, which here raise
-    NonDiagonalizable.  One SVD of the stack gates singularity and one
-    ``np.linalg.eig`` decomposes it; the matrices after the first
-    non-finite one are not decomposed.  Each
-    ``EigenSystem.matrix`` is its matrix brought ``in_band``.
+    Returns the EigenStack of the matrices before the first one that
+    fails a gate, and that matrix's error (None when every matrix
+    passes); the EigenStack is None when a is no stack of supported
+    k x k matrices.  Each matrix meets the gates in one order: shape and
+    range, finiteness, singularity, eigenvalue separation, eigenvector
+    residual and the checks of ``ProjPoint`` on each direction, which
+    here raise NonDiagonalizable.  One SVD of the stack gates
+    singularity and one ``np.linalg.eig`` decomposes it; the matrices
+    after the first non-finite one are not decomposed.  No ProjPoint is
+    built here: ``EigenSystem.from_rows`` builds a matrix's on demand.
     """
     a, singular, late = _input_gate(a, cfg)
     if singular is None:   # no stack of k x k matrices
-        return [], late
+        return None, late
     n, k = a.shape[:2]
     lam, vecs = np.linalg.eig(a)
     order = np.lexsort((np.abs(lam), np.angle(lam)), axis=-1)
@@ -245,39 +268,36 @@ def eigensystems(a: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES):
     rows = vecs.transpose(0, 2, 1)[g, order]   # rows[g, j]: eigenvector of lam[g, j]
     vecs = rows.transpose(0, 2, 1)
 
-    close = _close_pairs(lam, cfg.sep_tol)
     # the residual is scale-free, so LAPACK's columns stand in for the points
     scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-    res = (np.linalg.norm(a @ vecs - vecs * lam[:, None, :], axis=1)
-           / (np.linalg.norm(vecs, axis=1) * scale[:, None]))
+    res = norms(a @ vecs - vecs * lam[:, None, :], 1) / (norms(vecs, 1) * scale[:, None])
     # the directions as ProjPoint makes them: largest-magnitude coordinate 1
     mags = np.abs(rows)
     top = mags.max(axis=2)
-    with np.errstate(invalid="ignore"):   # a non-finite direction is refused below
+    with np.errstate(invalid="ignore"):   # 0/0 in the separation test; a non-finite direction
+        close = _close_pairs(lam, cfg.sep_tol)   # is refused below
         coords = rows / rows[g, np.arange(k), mags.argmax(axis=2)][..., None]
     finite = np.isfinite(top)
     bad_dir = ~(finite & (top > cfg.deg_tol))
 
-    bad = np.concatenate((singular[:, None], close, res >= cfg.eig_tol, bad_dir), axis=1)
-    f = int(bad.any(axis=1).argmax()) if bad.any() else n
-    systems = [EigenSystem(eigenvalues=lam[i], matrix=a[i],
-                           directions=tuple(map(ProjPoint.canonical, coords[i])))
-               for i in range(f)]
+    bad = np.concatenate((singular[:, None], close, res >= cfg.eig_tol, bad_dir), axis=1).any(axis=1).tolist()
+    f = bad.index(True) if True in bad else n
+    stack = EigenStack(a[:f], lam[:f], coords[:f])
     if f == n:
-        return systems, late
+        return stack, late
     if singular[f]:
-        return systems, SingularMatrix(_SINGULAR)
+        return stack, SingularMatrix(_SINGULAR)
     if close[f].any():
-        return systems, _repeated(lam[f], close[f],
-                                  "eigenvalues {:.6g} and {:.6g} are projectively equal")
+        return stack, _repeated(lam[f], close[f],
+                                "eigenvalues {:.6g} and {:.6g} are projectively equal")
     j = (res[f] >= cfg.eig_tol).tolist()
     if True in j:
         j = j.index(True)
-        return systems, NonDiagonalizable(
+        return stack, NonDiagonalizable(
             f"eigenvector residual {res[f, j]:.3g} for eigenvalue {lam[f, j]:.6g}")
     j = bad_dir[f].tolist().index(True)
-    return systems, NonDiagonalizable("zero vector does not define a projective point"
-                                      if finite[f, j] else "non-finite coordinates")
+    return stack, NonDiagonalizable("zero vector does not define a projective point"
+                                    if finite[f, j] else "non-finite coordinates")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NoConjugation, NumericalDegeneracy, UnderdeterminedConjugation
-from .projlin import ProjPoint, matrices_proportional, proj_dists
+from .projlin import ProjPoint, matrices_proportional, norms, proj_dists
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,14 @@ def _involution(phi, block, perm):
     swaps it with another (that block absorbs it)."""
     psi = phi * np.conj(phi[perm])
     scale = np.ones(phi.size, dtype=complex)
-    for b in np.unique(block):
+    for b in sorted(set(block.tolist())):
         members = block == b
         other = block[perm[int(members.argmax())]]
         if other < b:
             continue
-        c = psi[members].mean()
-        if np.linalg.norm(psi[members] - c) > 1e-7 * max(np.linalg.norm(psi[members]), 1e-300):
+        vals = psi[members]
+        c = vals.sum() / vals.size
+        if np.linalg.norm(vals - c) > 1e-7 * max(np.linalg.norm(vals), 1e-300):
             raise NoConjugation("solution carries no involution (phi_i conj(phi_P(i)) not one value)")
         if other != b:
             scale[block == other] = 1 / np.conj(c)
@@ -155,9 +156,9 @@ def _check_solution(S: np.ndarray, src, tgt, cfg) -> bool:
     """Does v -> S conj(v) send every direction (rows of src) to its
     target (rows of tgt), within 1e-6 in proj_dist?"""
     img = np.conj(src) @ S.T
-    if not np.isfinite(img).all() or np.abs(img).max(axis=1).min() <= cfg.deg_tol:
+    if not np.isfinite(img).all() or min(np.abs(img).max(axis=1).tolist()) <= cfg.deg_tol:
         return False
-    return bool((proj_dists(img, tgt) <= 1e-6).all())
+    return False not in (proj_dists(img, tgt) <= 1e-6).tolist()
 
 
 def _solve(src, tgt, swapped, pick, cfg):
@@ -168,16 +169,16 @@ def _solve(src, tgt, swapped, pick, cfg):
     when no conjugation qualifies and NumericalDegeneracy when the data
     leave the span of the m data columns of the base."""
     k = src.shape[1]
-    if (proj_dists(src[swapped], tgt[swapped]) < cfg.sep_tol).any():
+    if True in (proj_dists(src[swapped], tgt[swapped]) < cfg.sep_tol).tolist():
         raise NoConjugation("elliptic pair members are projectively equal; nothing can swap them")
-    unit_src = src / np.linalg.norm(src, axis=1, keepdims=True)
-    unit_tgt = tgt / np.linalg.norm(tgt, axis=1, keepdims=True)
+    unit_src = src / norms(src, 1)[:, None]
+    unit_tgt = tgt / norms(tgt, 1)[:, None]
     rest, base, perm, m = pick(unit_src, unit_tgt)
     perm = np.array(perm)
     inv = np.linalg.inv(base)
     if len(rest):
         xy = inv @ np.vstack([unit_src[rest], unit_tgt[rest]]).T
-        xy /= np.linalg.norm(xy, axis=0)
+        xy /= norms(xy, 0)
         x, y = np.conj(xy[:, :len(rest)].T[:, perm]), xy[:, len(rest):].T
         rows = (np.eye(k) - y[:, :, None] * np.conj(y)[:, None, :]) * x[:, None, :]
         _, s, vh = np.linalg.svd(rows.reshape(-1, k), full_matrices=False)

@@ -34,6 +34,13 @@ class Labeling:
     labels: tuple          # HYPERBOLIC / ELLIPTIC per input index
     pairing: tuple         # sorted (i, j) index pairs for elliptic partners
 
+    @property
+    def order(self) -> list:
+        """The input indices, pairs first (each pair's two members in
+        turn), then the hyperbolic ones."""
+        return ([i for pair in self.pairing for i in pair]
+                + [i for i, l in enumerate(self.labels) if l == HYPERBOLIC])
+
 
 @dataclass(frozen=True)
 class SpectralClass:
@@ -122,17 +129,15 @@ def classify_spectra(lams: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES) -> 
     for g, (ok, theta, at_g, nongeneric) in enumerate(zip(
             viable.tolist(), thetas.tolist(), at.tolist(), forbidden.tolist())):
         labelings = []
-        seen = []
-        for c, viable_c in enumerate(ok):
-            t = at_g[c]
-            if not viable_c or any(min(abs(t - s), math.pi - abs(t - s)) < cfg.angle_tol
-                                   for s in seen):
+        for c in range(len(ok)):   # ok[c]: viable, and no labeling's angle within angle_tol
+            if not ok[c]:
                 continue
             lab = _greedy_labeling(theta[c], on_line[g, c].tolist(), err[g, c].tolist(),
                                    cfg.angle_tol)
             if lab is not None:
                 labelings.append(lab)
-                seen.append(t)
+                ok = [v and not min(abs(t - at_g[c]), math.pi - abs(t - at_g[c])) < cfg.angle_tol
+                      for v, t in zip(ok, at_g)]
 
         compatible = bool(labelings)
         kinds = [set(lab.labels) for lab in labelings]

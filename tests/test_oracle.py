@@ -6,7 +6,7 @@ from realform.config import DEFAULT_TOLERANCES
 from realform.decide import decide, verify_certificate
 from realform.errors import InfeasibleSpec, SingularMatrix
 from realform.oracle import InstanceSpec, brute_rform_search, generate
-from realform.projlin import eig
+from realform.projlin import EigenStack, eig
 from realform.spectrum import KIND_HYPERBOLIC, type_transformation
 
 from conftest import no_common_circle_pair
@@ -144,16 +144,22 @@ class TestGenerate:
 
 def _ref_spectra(ms, cfg):
     """One eig and one classification per matrix, up to the first matrix
-    eig refuses: the loop the stacked pass replaced."""
-    systems, spectra = [], []
+    eig refuses: the loop the stacked pass replaced, its eigendata then
+    stacked as ``eigensystems`` returns them."""
+    systems, spectra, exc = [], [], None
     for m in ms:
         try:
             es = eig(m, cfg)
-        except Exception as exc:   # the stacked pass returns the error instead
-            return systems, spectra, exc
+        except Exception as err:   # the stacked pass returns the error instead
+            exc = err
+            break
         systems.append(es)
         spectra.append(type_transformation(es, cfg))
-    return systems, spectra, None
+    k = ms.shape[-1]
+    stack = EigenStack(np.array([es.matrix for es in systems]).reshape(-1, k, k),
+                       np.array([es.eigenvalues for es in systems]).reshape(-1, k),
+                       np.array([[d.coords for d in es.directions] for es in systems]).reshape(-1, k, k))
+    return stack, spectra, exc
 
 
 _ROTATION = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])   # elliptic

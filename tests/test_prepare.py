@@ -3,10 +3,15 @@ what the per-matrix loop gives, eigendata and classes bit for bit, and raise
 what that loop raises, for the first failing matrix in index order.  The
 shape rule comes first: an empty collection, or one of mismatched shapes,
 raises before any matrix is decomposed, in every function that reads a
-collection."""
+collection.  The pass builds no ProjPoint: a generator's EigenSystem is
+built from its rows when a route first reads it, and the direct method
+never does."""
 
+import contextlib
 import importlib
+import io
 import itertools
+import json
 import re
 
 import numpy as np
@@ -14,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realform import cli
 from realform.config import DEFAULT_TOLERANCES
 from realform.decide import decide, decide_direct, prepare, verify_certificate
 from realform.errors import IncompatibleEigenvalues, NoConjugation, RealformError
 from realform.oracle import InstanceSpec, brute_rform_search, generate
+from realform.projlin import EigenSystem, ProjPoint
 from realform.spectrum import KIND_INCOMPATIBLE, classify_eigenvalues
 
 from conftest import random_invertible
@@ -258,3 +265,74 @@ def test_base_order_reads_the_measured_eigenbases(monkeypatch):
              for block in solved[0].reshape(len(infos), 6, 6)]
     assert order == [1, 0, 2, 3]
     assert infos[order[0]].frame_rcond == max(info.frame_rcond for info in infos)
+
+
+def _count_points(monkeypatch):
+    """The ProjPoints built from canonical rows, those built by the
+    constructor, and the rows of every EigenSystem built."""
+    rows, built, systems = [], [], []
+    canonical, from_rows = ProjPoint.canonical.__func__, EigenSystem.from_rows.__func__
+    init = ProjPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProjPoint, "__init__", counting_init)
+    monkeypatch.setattr(ProjPoint, "canonical", classmethod(
+        lambda cls, coords: rows.append(coords) or canonical(cls, coords)))
+    monkeypatch.setattr(EigenSystem, "from_rows", classmethod(
+        lambda cls, lam, r, m: systems.append(r.tobytes()) or from_rows(cls, lam, r, m)))
+    return rows, built, systems
+
+
+_MIXED_K4 = InstanceSpec(k=4, n_generators=4, type_mix={"hyperbolic": 2, "elliptic": 1, "mixed": 1},
+                         seed=11)
+
+
+def test_direct_builds_no_projective_point(monkeypatch):
+    ms = generate(_MIXED_K4).matrices
+    rows, built, systems = _count_points(monkeypatch)
+    verdict, _ = decide(ms, method="direct")
+    assert verdict.answer == "yes"
+    assert rows == built == systems == []
+
+
+def test_cli_classify_builds_no_projective_point(monkeypatch, tmp_path):
+    ms = generate(_MIXED_K4).matrices
+    doc = {"k": 4, "options": {},
+           "matrices": [[[[z.real, z.imag] for z in row] for row in m] for m in ms]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rows, built, systems = _count_points(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["classify", str(path)]) == 0
+    assert len(json.loads(out.getvalue())["classifications"]) == 4
+    assert rows == built == systems == []
+
+
+@pytest.mark.parametrize("spec, method, built", [
+    (_MIXED_K4, "cross", 0),
+    (InstanceSpec(k=4, n_generators=3, type_mix={"hyperbolic": 3}, seed=4), "fg", 3),
+    (InstanceSpec(k=3, n_generators=3, type_mix={"hyperbolic": 1, "mixed": 2}, seed=11), "auto", 3),
+])
+def test_routes_build_each_generators_directions_at_most_once(monkeypatch, spec, method, built):
+    # cross reads the rows alone; the flag routes build an EigenSystem per
+    # generator they read, once, each direction of it once
+    ms = generate(spec).matrices
+    rows, _, systems = _count_points(monkeypatch)
+    verdict, _ = decide(ms, method=method)
+    assert verdict.answer == "yes"
+    assert len(systems) == len(set(systems)) == built
+    assert len(rows) == spec.k * built
+
+
+def test_generator_slices_are_its_eigensystem():
+    # the lazily built EigenSystem holds the generator's slices bit for bit
+    inst = generate(InstanceSpec(k=5, n_generators=3, type_mix={"hyperbolic": 2, "mixed": 1},
+                                 seed=2))
+    for info in prepare(inst.matrices):
+        assert info.es is info.es
+        assert info.es.eigenvalues.tobytes() == info.eigenvalues.tobytes()
+        assert info.es.matrix.tobytes() == info.matrix.tobytes()
+        assert [p.coords.tobytes() for p in info.es.directions] == [r.tobytes() for r in info.rows]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realform.config import DEFAULT_TOLERANCES
+from realform.decide import prepare
 from realform.errors import DegenerateFrame, NonDiagonalizable, RepeatedEigenvalues, SingularMatrix
 from realform.projlin import (
     EigenSystem,
@@ -121,14 +122,22 @@ def reference_eig(m, cfg=DEFAULT_TOLERANCES):
                 raise RepeatedEigenvalues(
                     f"eigenvalues {lam[i]:.6g} and {lam[j]:.6g} are projectively equal")
     scale = max(1.0, float(np.abs(a).max()))
-    dirs = []
+    dirs, refused = [], None
     for j in range(k):
-        p = ProjPoint(vecs[:, j], cfg)
-        v = p.coords
+        try:
+            p = ProjPoint(vecs[:, j], cfg)
+            v = p.coords
+        except ValueError as exc:
+            # a direction ProjPoint refuses is an eigensystem error, raised
+            # once every residual has passed
+            p, v = None, vecs[:, j]
+            refused = refused or NonDiagonalizable(str(exc))
         res = np.linalg.norm(a @ v - lam[j] * v) / (np.linalg.norm(v) * scale)
         if res >= cfg.eig_tol:
             raise NonDiagonalizable(f"eigenvector residual {res:.3g} for eigenvalue {lam[j]:.6g}")
         dirs.append(p)
+    if refused is not None:
+        raise refused
     return EigenSystem(eigenvalues=lam, directions=tuple(dirs), matrix=a)
 
 
@@ -205,6 +214,18 @@ class TestDirectionGate:
         monkeypatch.setattr(np.linalg, "eig", nan_eig)
         with pytest.raises(NonDiagonalizable, match="^non-finite coordinates$"):
             eig(np.diag([2.0, 1.0, -3.0]))
+
+    def test_direction_gate_matches_the_reference(self):
+        # H diag(1, 1.2) H: s_min / s_max = 0.83 passes the singular gate at
+        # deg_tol 0.75, but the eigenvectors (1, +-1)/sqrt(2) top out at 0.707
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        m = h @ np.diag([1.0, 1.2]) @ h
+        cfg = DEFAULT_TOLERANCES.override(deg_tol=0.75)
+        message = "zero vector does not define a projective point"
+        assert _eig_outcome(lambda x: eig(x, cfg), m) == (NonDiagonalizable, message)
+        assert _eig_outcome(lambda x: reference_eig(x, cfg), m) == (NonDiagonalizable, message)
+        with pytest.raises(NonDiagonalizable, match=f"^matrix 0: {message}$"):
+            prepare([m], cfg)
 
     def test_direction_below_deg_tol(self):
         # the unit eigenvectors of the cyclic shift have entries of size 8^-1/2
@@ -305,8 +326,8 @@ def test_singular_at_a_huge_scale_has_no_close_pair_warning():
     # two exact zero eigenvalues read 0/0 in the separation test
     big = 1.7976931348623157e308
     m = np.array([[big * 1j, 1, 1], [-big, 1, 1], [1, 1, 1j]])
-    systems, exc = eigensystems(m[None])
-    assert systems == [] and isinstance(exc, SingularMatrix)
+    stack, exc = eigensystems(m[None])
+    assert len(stack.rows) == 0 and isinstance(exc, SingularMatrix)
 
 
 def test_canonical_matrix_largest_entry_one():
