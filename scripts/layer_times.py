@@ -83,7 +83,7 @@ def sample(tree, ms, k, method, cfg):
     out = {"decide": _timed(d.decide, ms, cfg, method=method),
            "prepare": _timed(d.prepare, ms, cfg),
            "eigensystems": _timed(tree.projlin.eigensystems, tree.projlin.as_stack(ms), cfg)}
-    lams = np.array([info.es.eigenvalues for info in d.prepare(ms, cfg)])
+    lams = np.array([info.eigenvalues for info in d.prepare(ms, cfg)])
     out["classify_spectra"] = _timed(tree.spectrum.classify_spectra, lams, cfg)
     out["decide_direct"] = _timed(d.decide_direct, None, cfg, infos=d.prepare(ms, cfg))
     direct = d.decide_direct(None, cfg, infos=d.prepare(ms, cfg))

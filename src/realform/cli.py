@@ -23,7 +23,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .coords import CrossRatio, cross_ratio_lists, triple_ratio_set
+from .coords import CrossRatio, _triple_minors, cross_ratio_lists
 from .decide import (FORCED_METHODS, decide, flag_set, prepare, spectral_pass,
                      verify_certificate)
 from .errors import (
@@ -40,7 +40,6 @@ from .errors import (
     SharedEigendirections,
     SpectralPreconditionError,
 )
-from .flags import flag_pair_from_eigensystem
 from .oracle import InstanceSpec, generate
 from .projlin import MAX_DIM, MIN_DIM
 from .spectrum import KIND_HYPERBOLIC
@@ -125,7 +124,14 @@ def _load_document(args):
     return k, mats, _tolerances(options, args)
 
 
+_TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
+
+
 def _tolerances(options, args) -> Tolerances:
+    flags = {name: getattr(args, name) for name in _TOLERANCE_NAMES
+             if getattr(args, name, None) is not None}
+    if not flags and not options.get("tolerances"):
+        return DEFAULT_TOLERANCES
     cfg = DEFAULT_TOLERANCES
     try:
         # only a JSON number is converted (type(True) is bool): Tolerances
@@ -135,8 +141,7 @@ def _tolerances(options, args) -> Tolerances:
     except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"bad tolerance override in document: {exc}")
     try:
-        return cfg.override(**{f.name: getattr(args, f.name) for f in fields(Tolerances)
-                               if getattr(args, f.name, None) is not None})
+        return cfg.override(**flags)
     except ValueError as exc:
         raise CliError(f"bad tolerance flag: {exc}")
 
@@ -152,8 +157,8 @@ def _emit(doc, path=None) -> None:
 
 
 def _add_tol_flags(p):
-    for f in fields(Tolerances):
-        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=float, default=None)
+    for name in _TOLERANCE_NAMES:
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=None)
 
 
 def cmd_classify(args) -> int:
@@ -203,28 +208,26 @@ def _coords_doc(infos, cfg):
     if len(hyp) < 2:
         raise GenericityViolation("coordinate dump needs two strictly hyperbolic generators")
     g, h = hyp[:2]
-    pairs = ((i, flag_pair_from_eigensystem(i.es, cfg))
-             for i in infos if i is not g and i is not h)
-    (a, b, c, d), others, crs = flag_set(g, h, pairs, cfg)
-    # (generator, tag, flag) of each line, in the order of the cross-ratio rows
-    lines = [(h.index, "B", b)] + [(info.index, tag, f) for info, *fs in others
-                                   for tag, f in zip(("beta", "beta_prime"), fs)]
+    others = [i for i in infos if i is not g and i is not h]
+    crs, triples = flag_set(g, h, [(i, i.rows) for i in others], cfg)
+    # (generator, tag) of each line, in the order of the cross-ratio rows
+    lines = [(h.index, "B")] + [(info.index, tag) for info in others
+                                for tag in ("beta", "beta_prime")]
     # [[A, B, C, D]] = -1 / [A, B, C, D]
     cross_out = [
         {"generator": owner, "flag": tag, "i": i, "j": j,
          "value": _c2pair(cr.value), "fg_value": _c2pair(CrossRatio(-cr.den, cr.num).value)}
-        for (owner, tag, _), row in zip(lines, cross_ratio_lists(crs))
+        for (owner, tag), row in zip(lines, cross_ratio_lists(crs))
         for cr in row
         for i, j in [cr.provenance]
     ]
+    # the triple ratio rows: (A, B, C), (A, C, D), then (A, f, C) of each other line
     triple_out = [
-        {"generator": owner, "flag": tag, "i": p, "j": q, "l": r, "value": _c2pair(tr.value)}
-        for owner, tag, x, y, z in ([(h.index, "B", a, b, c), (h.index, "D", a, c, d)]
-                                    + [(owner, tag, a, f, c) for owner, tag, f in lines[1:]])
-        for tr in triple_ratio_set(x, y, z, cfg)
-        for p, q, r in [tr.provenance]
+        {"generator": owner, "flag": tag, "i": p, "j": q, "l": r, "value": _c2pair(value)}
+        for (owner, tag), row in zip([(h.index, "B"), (h.index, "D")] + lines[1:], triples.tolist())
+        for value, (p, q, r) in zip(row, _triple_minors(g.rows.shape[0])[0])
     ]
-    return {"k": a.dim, "cross_ratios": cross_out, "triple_ratios": triple_out}
+    return {"k": g.rows.shape[0], "cross_ratios": cross_out, "triple_ratios": triple_out}
 
 
 def cmd_generate(args) -> int:

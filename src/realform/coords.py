@@ -20,7 +20,12 @@ a flag pair (A, C = A reversed), a line with coordinates x in the basis
 of A's vectors has cross ratio i equal to x_i d_{i+1} / (x_{i+1} d_i),
 d being the reference's coordinates; the decision routes take x from a
 generator's eigen-coordinate frame.  Triple ratios are ratios of k x k
-minors of the three flags' leading vectors.
+minors of the three flags' leading vectors; against the same flag pair
+each is +-det(A) times a minor of the middle flag's coordinate rows on a
+window of columns, so ``frame_triple_ratio_sets`` reads every flag's
+triple ratios, and the tests that guard them, from those minors
+(``flags.frame_minors``).  ``triple_ratio_set`` evaluates three arbitrary
+flags, and is the reference.
 """
 
 import functools
@@ -33,13 +38,12 @@ from .errors import DegenerateTriple, GenericityViolation, IndeterminateCrossRat
 from .flags import Flag, LineConfig, _composition_rows, _compositions
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
 from .flags import generic_with_point, quotient_cp1, quotient_cp2  # noqa: F401
-from .projlin import ProjPoint, modulus
+from .projlin import ProjPoint, modulus, norms
 
 
-def _det2(p: ProjPoint, q: ProjPoint) -> complex:
-    a, b = p.coords
-    c, d = q.coords
-    return a * d - b * c
+def _det2(p, q):
+    """2x2 determinants of CP^1 coordinate rows, elementwise over the leading axes."""
+    return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
 
 
 @dataclass(frozen=True)
@@ -95,13 +99,23 @@ def _homogeneous(num, den, provenance) -> CrossRatio:
 
 def cross_ratio(a, b, c, d, provenance=None) -> CrossRatio:
     """[A, B, C, D] for four points of CP^1."""
-    a, b, c, d = _points((a, b, c, d))
+    a, b, c, d = (p.coords for p in _points((a, b, c, d)))
     return _homogeneous(_det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d), provenance)
+
+
+def row_cross_ratios(a, b, c, d) -> CrossRatio:
+    """[A, B, C, D] for points of CP^1 given as coordinate rows,
+    elementwise over the leading axes (which broadcast); a 0/0 ratio
+    raises, as in ``cross_ratio``."""
+    num, den = _det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d)
+    if ((modulus(num) <= 1e-13) & (modulus(den) <= 1e-13)).any():
+        raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
+    return CrossRatio(num=num, den=den)
 
 
 def fg_cross_ratio(a, b, c, d, provenance=None) -> CrossRatio:
     """[[A, B, C, D]], the Fock-Goncharov normalization."""
-    a, b, c, d = _points((a, b, c, d))
+    a, b, c, d = (p.coords for p in _points((a, b, c, d)))
     return _homogeneous(_det2(a, b) * _det2(c, d), _det2(a, d) * _det2(b, c), provenance)
 
 
@@ -267,17 +281,82 @@ def triple_ratio_cp2(fa: np.ndarray, fb: np.ndarray, fc: np.ndarray,
 
 @functools.lru_cache(maxsize=None)
 def _triple_minors(k: int):
-    """The quotients (p, q, r) of ``triple_ratio_set`` in order and, per
+    """The quotients (p, q, r) of ``triple_ratio_set`` in order; per
     quotient, the positions of its numerator and denominator minors
-    Delta(i, j, l) among the compositions of k into three parts below k."""
+    Delta(i, j, l) among the compositions of k into three parts below k;
+    per quotient the position of (p, r, q); and the (3, C) parts of
+    those compositions."""
     quotients = tuple((p, q, k - 3 - p - q) for p in range(k - 2) for q in range(k - 2 - p))
     minors = _compositions((k - 1,) * 3, k)
     where = np.array([[minors.index(m) for m in
                        ((p + 2, q + 1, r), (p, q + 2, r + 1), (p + 1, q, r + 2),
                         (p + 2, q, r + 1), (p + 1, q + 2, r), (p, q + 1, r + 2))]
-                      for p, q, r in quotients], dtype=np.intp)
-    where.flags.writeable = False
-    return quotients, where
+                      for p, q, r in quotients], dtype=np.intp).reshape(-1, 2, 3)
+    swap = np.array([quotients.index((p, r, q)) for p, q, r in quotients], dtype=np.intp)
+    parts = np.array(minors, dtype=np.intp).T
+    for table in (where, swap, parts):
+        table.flags.writeable = False
+    return quotients, where, swap, parts
+
+
+def frame_triple_ratio_sets(a: np.ndarray, flags: np.ndarray, minors: np.ndarray,
+                            cfg: Tolerances = DEFAULT_TOLERANCES, inverted=()):
+    """``triple_ratio_set``(A, B_n, C) for every flag B_n, from its minors
+    in A's frame.
+
+    ``a`` holds A's rows and C is A reversed; flags[n] holds B_n's rows,
+    and minors[n, c] is the minor of B_n's first j rows in A's frame
+    (flags[n] @ inv(a)) on the columns [i, k - l), c indexing the
+    compositions (i, j, l) of k into three parts below k.  Then
+    Delta(i, j, l) is +-det(a) times that minor: the signs and det(a)
+    cancel in each ratio, the genericity cut reads |det(a)| |minor|
+    against the product of the stacked rows' norms, and the
+    ``DegenerateTriple`` test reads the products scaled by the volume of
+    each quotiented sum, as ``triple_ratio_set`` does.  A flag listed in
+    ``inverted`` gives r3(A, C, B_n) instead, whose [p, q, r] is
+    1 / r3(A, B_n, C)[p, r, q], with numerator and denominator swapped.
+
+    Returns the (F, (k-1)(k-2)/2) values, in the quotient order of
+    ``triple_ratio_set``, and per flag the error its set raises, or None.
+    """
+    k = a.shape[0]
+    if k < 3:
+        return np.empty((len(flags), 0), dtype=complex), [None] * len(flags)
+    _, where, swap, (i, j, l) = _triple_minors(k)
+    lead = flags[:, :k - 1]
+    na = norms(a, 1)
+    pa, pc, pb = _prefix_products(na), _prefix_products(na[::-1]), _prefix_products(norms(lead, 2))
+    delta = abs(np.linalg.det(a)) * modulus(minors)
+    cut = (delta > cfg.rank_tol * pa[i] * pb[:, j] * pc[l])[:, where].all(axis=(1, 2, 3))
+    # scaled as in the quotient's orthonormal coordinates: by the volume of the quotiented sum
+    cube = 1.0
+    if k > 3:
+        rows = np.concatenate([np.broadcast_to(a[:k - 1], lead.shape), lead,
+                               np.broadcast_to(a[:0:-1], lead.shape)], axis=1)
+        prefix = rows[:, _composition_rows((k - 1,) * 3, k - 3)]
+        cube = np.linalg.det(prefix @ prefix.conj().swapaxes(-1, -2)).real ** 1.5
+    with np.errstate(all="ignore"):
+        num, den = np.prod(delta[:, where], axis=3).transpose(2, 0, 1)
+        top, bottom = np.prod(minors[:, where], axis=3).transpose(2, 0, 1)
+        values = top / bottom
+        if inverted:
+            inv = list(inverted)
+            values[inv] = (bottom[inv] / top[inv])[:, swap]
+            num[inv], den[inv] = den[inv], num[inv]
+        # den / cube <= 1e-14 max(num / cube, 1)
+        degenerate = (den <= 1e-14 * np.maximum(num, cube)).any(axis=1)
+    errors = [None if c and not d else
+              GenericityViolation("flags are not in generic position for a triple ratio") if not c
+              else DegenerateTriple("triple ratio denominator vanishes")
+              for c, d in zip(cut.tolist(), degenerate.tolist())]
+    return values, errors
+
+
+def _prefix_products(v: np.ndarray) -> np.ndarray:
+    """The products of the first 0, 1, ..., n entries of v along its last axis."""
+    out = np.ones(v.shape[:-1] + (v.shape[-1] + 1,))
+    np.cumprod(v, axis=-1, out=out[..., 1:])
+    return out
 
 
 def triple_ratio_set(a: Flag, b: Flag, c: Flag,
@@ -306,16 +385,16 @@ def triple_ratio_set(a: Flag, b: Flag, c: Flag,
         return []
     if min(a.height, b.height, c.height) < k - 1:
         raise ValueError("flag height too small for the requested quotient")
-    quotients, where = _triple_minors(k)
+    quotients, where, *_ = _triple_minors(k)
     rows = np.vstack([a.vectors[:k - 1], b.vectors[:k - 1], c.vectors[:k - 1]])
     stacked = rows[_composition_rows((k - 1,) * 3, k)]
-    delta, norms = np.linalg.det(stacked)[where], np.prod(np.linalg.norm(stacked, axis=2), axis=1)
-    if not (modulus(delta) > cfg.rank_tol * norms[where]).all():
+    delta, scale = np.linalg.det(stacked)[where], np.prod(np.linalg.norm(stacked, axis=2), axis=1)
+    if not (modulus(delta) > cfg.rank_tol * scale[where]).all():
         raise GenericityViolation("flags are not in generic position for a triple ratio")
     # scaled as in the quotient's orthonormal coordinates: over the volume of the quotiented sum
     prefix = rows[_composition_rows((k - 1,) * 3, k - 3)]
     volume = np.sqrt(np.linalg.det(prefix @ prefix.conj().transpose(0, 2, 1)).real)
-    num, den = np.prod(delta.reshape(-1, 2, 3), axis=2).T / volume ** 3
+    num, den = np.prod(delta, axis=2).T / volume ** 3
     if (modulus(den) <= 1e-14 * np.maximum(modulus(num), 1.0)).any():
         raise DegenerateTriple("triple ratio denominator vanishes")
     return [TripleRatio(value=v, provenance=p) for v, p in zip((num / den).tolist(), quotients)]

@@ -29,6 +29,11 @@ answer is the solve's: at an ill-conditioned eigenbasis rounding can
 carry a ``cross`` defect just past ``cr_tol``.
 Any other disagreement is ``inconclusive``.  ``auto`` solves once and
 hands that solve to each route it tries.
+
+Every route reads the spectral pass's arrays (``GenInfo``): ``dim2``
+its cross ratios from the eigendirection rows, the flag routes every
+flag's genericity and triple ratios from minors in one generator's
+eigen-coordinate frame (``flag_set``).
 """
 
 import functools
@@ -40,23 +45,24 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .coords import (
+    CrossRatio,
+    _triple_minors,
     arg_sum_is_zero,
     conj_pair_defect,
     conj_product_defect,
-    cross_ratio,
     frame_cross_ratio_sets,
+    frame_triple_ratio_sets,
     in_unit_circle,
     is_real,
     is_real_extended,
     is_real_positive,
     product_in_unit_circle,
     ratio_values,
-    triple_ratio_set,
+    row_cross_ratios,
     unit_product_defect,
 )
 from .errors import (
     DegenerateFrame,
-    DegenerateTriple,
     GenericityViolation,
     IncompatibleEigenvalues,
     NoConjugation,
@@ -66,31 +72,31 @@ from .errors import (
     SpectralPreconditionError,
 )
 from .flags import (
+    _compositions,
     first_nongeneric_coords,
-    flag_pair_from_eigensystem,
-    generic_position,
-    make_flag,
-    mirrored_pair_flag,
+    frame_generic,
+    frame_minors,
+    independent,
+    window_table,
 )
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
-from .coords import cross_ratio_set  # noqa: F401
-from .flags import generic_with_point, point_flag  # noqa: F401
+from .coords import cross_ratio, cross_ratio_set, triple_ratio_set  # noqa: F401
+from .flags import (flag_pair_from_eigensystem, generic_position, generic_with_point,  # noqa: F401
+                    make_flag, mirrored_pair_flag, point_flag)
 from .projlin import eig  # noqa: F401
 from .rform import preserves  # noqa: F401
 from .spectrum import type_transformation  # noqa: F401
 from .projlin import (
     MAX_DIM,
     MIN_DIM,
-    EigenSystem,
-    ProjPoint,
     as_stack,
     canonical_matrix,
     check_matrix,
     eigensystems,
-    frame_from_points,
-    homography,
+    frame_basis,
     in_band,
-    proj_dist,
+    modulus,
+    proj_dists,
 )
 from .rform import Multiplicity, conjugation_witness, realifier
 from .spectrum import (
@@ -141,10 +147,11 @@ class GenInfo:
     """One generator of a spectral pass: its slices of the pass's stacked
     arrays (``EigenStack``) and its spectral classification.
 
-    ``es``, the generator's EigenSystem with one ProjPoint per direction,
-    is built from ``rows`` the first time it is read (by ``dim2``, the
-    flag routes or CLI ``coords``) and then kept; ``direct``, ``cross``
-    and CLI ``classify`` read the arrays alone and never build it.
+    Every route reads these arrays alone; no ProjPoint or Flag is built.
+    A flag of the generator is its rows in some order (the eigenvalue
+    order, or pairs mirrored about the middle), and ``frame`` reads any
+    row in the eigen-coordinate frame, where the eigenflag is the unit
+    rows and its reverse the unit rows reversed.
     """
 
     index: int
@@ -169,13 +176,6 @@ class GenInfo:
 
     def hyp_indices(self):
         return [i for i, l in enumerate(self.labeling().labels) if l == HYPERBOLIC]
-
-    def direction(self, i) -> ProjPoint:
-        return self.es.directions[i]
-
-    @functools.cached_property
-    def es(self) -> EigenSystem:
-        return EigenSystem.from_rows(self.eigenvalues, self.rows, self.matrix)
 
     @functools.cached_property
     def frame(self) -> np.ndarray:
@@ -288,90 +288,95 @@ def _run_route(ms, cfg, infos, method, ks, build, direct=None):
 # ---------------------------------------------------------------------------
 # dimension 2
 
-def _pick_reference(base_dirs, other: GenInfo, cfg):
-    """First eigendirection of ``other`` distinct from all base directions."""
-    for d in other.es.directions:
-        if all(proj_dist(d, b) > cfg.sep_tol for b in base_dirs):
-            return d
-    return None
+def _reference(base_rows, other: GenInfo, cfg):
+    """Index of the first eigendirection of ``other`` distinct from both
+    base directions (``proj_dist`` above sep_tol), or None."""
+    dist = proj_dists(np.repeat(other.rows, 2, axis=0), np.tile(base_rows, (2, 1)))
+    ok = (dist.reshape(2, 2) > cfg.sep_tol).all(axis=1).tolist()
+    return ok.index(True) if True in ok else None
 
 
 def _first_valid_pair(cands, cfg):
+    """The first pair (a, b) of ``cands`` and the index of b's reference
+    direction against a, or None."""
     for a, b in itertools.combinations(cands, 2):
-        if _pick_reference(a.es.directions, b, cfg) is not None:
-            return a, b
+        ref = _reference(a.rows, b, cfg)
+        if ref is not None:
+            return a, b, ref
     return None
+
+
+def _values(cr: CrossRatio) -> list:
+    """The values of a one-axis array of cross ratios, as ``ratio_values``."""
+    return ratio_values(cr[None])[0]
 
 
 def _dim2_conditions(infos, cfg):
     """Cross ratios of the fixed points against a hyperbolic base pair,
-    else an elliptic base pair, else the lone hyperbolic-elliptic pair."""
+    else an elliptic base pair, else the lone hyperbolic-elliptic pair.
+
+    Each condition reads one or two cross ratios [base-, b, base+, d] of
+    eigendirection rows; every one is evaluated in one array expression."""
     hyp = [i for i in infos if i.kind == KIND_HYPERBOLIC]
     ell = [i for i in infos if i.kind == KIND_ELLIPTIC]
-    tol = cfg.cr_tol
-    conditions = []
+    quads, checks = [], []   # quads (base, b, d); checks (name, requirement, quad positions)
 
-    def add(name, value, requirement, passed):
-        conditions.append(Condition(name, complex(value), requirement, bool(passed)))
+    def check(name, requirement, *qs):
+        checks.append((name, requirement, range(len(quads), len(quads) + len(qs))))
+        quads.extend(qs)
 
-    hyp_base = _first_valid_pair(hyp, cfg)
-    if hyp_base is not None:
-        h1, h2 = hyp_base
-        h1m, h1p = h1.es.directions
-        ref = _pick_reference((h1m, h1p), h2, cfg)
-        cr = cross_ratio(h1m, h2.direction(0), h1p, h2.direction(1))
-        add(f"[H{h1.index},H{h2.index}]", cr.value, "extended real", is_real_extended(cr, tol))
+    if (pair := _first_valid_pair(hyp, cfg)) is not None:
+        h1, h2, ref = pair
+        check(f"[H{h1.index},H{h2.index}]", "extended real", (h1, h2.rows[0], h2.rows[1]))
         for other in infos:
             if other is h1 or other is h2:
                 continue
-            crm, crp = (cross_ratio(h1m, dpt, h1p, ref) for dpt in other.es.directions)
+            qs = [(h1, row, h2.rows[ref]) for row in other.rows]
             if other.kind == KIND_HYPERBOLIC:
-                for tag, cr in (("-", crm), ("+", crp)):
-                    add(f"[h{h1.index}-,h{other.index}{tag},h{h1.index}+,ref]", cr.value,
-                        "extended real", is_real_extended(cr, tol))
+                for tag, q in zip("-+", qs):
+                    check(f"[h{h1.index}-,h{other.index}{tag},h{h1.index}+,ref]", "extended real", q)
             else:
-                defect = conj_pair_defect(crm, crp)
-                add(f"[h{h1.index}-,e{other.index}±,h{h1.index}+,ref] pair", defect,
-                    "conjugate pair", defect <= tol)
-        return conditions, []
-
-    ell_base = _first_valid_pair(ell, cfg)
-    if ell_base is not None:
-        e1, e2 = ell_base
-        e1m, e1p = e1.es.directions
-        e2m, e2p = e2.es.directions
-        cr = cross_ratio(e1m, e2m, e1p, e2p)
-        add(f"[E{e1.index},E{e2.index}]", cr.value, "positive real", is_real_positive(cr, tol))
+                check(f"[h{h1.index}-,e{other.index}±,h{h1.index}+,ref] pair", "conjugate pair", *qs)
+    elif (pair := _first_valid_pair(ell, cfg)) is not None:
+        e1, e2, _ = pair
+        check(f"[E{e1.index},E{e2.index}]", "positive real", (e1, *e2.rows))
         for other in infos:
             if other is e1 or other is e2:
                 continue
-            om, op = other.es.directions
             if other.kind == KIND_ELLIPTIC:
                 # skip a base whose fixed points other shares: other keeps every circle it keeps
-                for base in (b for b in (e1, e2) if _pick_reference(b.es.directions, other, cfg)):
-                    bm, bp = base.es.directions
-                    cr = cross_ratio(bm, om, bp, op)
-                    add(f"[E{base.index},E{other.index}]", cr.value, "positive real",
-                        is_real_positive(cr, tol))
+                for base in (b for b in (e1, e2) if _reference(b.rows, other, cfg) is not None):
+                    check(f"[E{base.index},E{other.index}]", "positive real", (base, *other.rows))
             else:
-                for tag, dpt in (("-", om), ("+", op)):
-                    c1 = cross_ratio(e1m, dpt, e1p, e2m)
-                    c2 = cross_ratio(e1m, dpt, e1p, e2p)
-                    val = complex(np.inf) if c1.infinite or c2.infinite else c1.value * c2.value
-                    add(f"[e{e1.index}-,h{other.index}{tag},e{e1.index}+,e{e2.index}∓] product",
-                        val, "unit circle", product_in_unit_circle(c1, c2, tol))
-        return conditions, []
-
-    if len(hyp) == 1 and len(ell) == 1:
+                for tag, row in zip("-+", other.rows):
+                    check(f"[e{e1.index}-,h{other.index}{tag},e{e1.index}+,e{e2.index}∓] product",
+                          "unit circle", (e1, row, e2.rows[0]), (e1, row, e2.rows[1]))
+    elif len(hyp) == 1 and len(ell) == 1:
         (h,), (e,) = hyp, ell
-        hm, hp = h.es.directions
-        em, ep = e.es.directions
-        cr = cross_ratio(hm, em, hp, ep)
-        add(f"[h{h.index}-,e{e.index}-,h{h.index}+,e{e.index}+]", cr.value,
-            "unit circle", in_unit_circle(cr, tol))
-        return conditions, []
+        check(f"[h{h.index}-,e{e.index}-,h{h.index}+,e{e.index}+]", "unit circle", (h, *e.rows))
+    else:
+        raise SharedEigendirections("no base pair with distinct eigendirection sets")
 
-    raise SharedEigendirections("no base pair with distinct eigendirection sets")
+    base = np.array([q[0].rows for q in quads])
+    cr = row_cross_ratios(base[:, 0], np.array([q[1] for q in quads]), base[:, 1],
+                          np.array([q[2] for q in quads]))
+    tol, values = cfg.cr_tol, _values(cr)
+    tests = {"extended real": is_real_extended(cr, tol), "positive real": is_real_positive(cr, tol),
+             "unit circle": in_unit_circle(cr, tol)}
+    conditions = []
+    for name, requirement, pos in checks:
+        if len(pos) == 1:
+            value, passed = values[pos[0]], tests[requirement][pos[0]]
+        elif requirement == "conjugate pair":
+            value = conj_pair_defect(cr[pos[0]], cr[pos[1]])
+            passed = value <= tol
+        else:
+            c1, c2 = cr[pos[0]], cr[pos[1]]
+            value = (complex(np.inf) if c1.infinite or c2.infinite
+                     else values[pos[0]] * values[pos[1]])
+            passed = product_in_unit_circle(c1, c2, tol)
+        conditions.append(Condition(name, complex(value), requirement, bool(passed)))
+    return conditions, []
 
 
 def decide_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES, infos=None, direct=None):
@@ -387,7 +392,7 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
     is simultaneously conjugate into PGL(2,R).
     """
     infos = prepare(ms, cfg)
-    if infos[0].es.dim != 2:
+    if len(infos[0].eigenvalues) != 2:
         raise SpectralPreconditionError("condition functions are defined for 2x2 input")
     _require_generic(infos)
     if len(infos) < 2:
@@ -395,20 +400,14 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
     m1, m2 = infos[0], infos[1]
     if m1.kind != KIND_HYPERBOLIC or m2.kind != KIND_HYPERBOLIC:
         raise SpectralPreconditionError("first two generators must be hyperbolic")
-    if _pick_reference(m1.es.directions, m2, cfg) is None:
+    if _reference(m1.rows, m2, cfg) is None:
         raise SharedEigendirections("first two generators share their eigendirection pair")
 
-    m1m, m1p = m1.es.directions
-    m2m, m2p = m2.es.directions
-
-    def crv(b):
-        return cross_ratio(m1m, b, m1p, m2p).value
-
-    z = crv(m2m)
-    values = [z - np.conj(z)]
-    for info in infos[2:]:
-        dm, dp = info.es.directions
-        zm, zp = crv(dm), crv(dp)
+    # [m1-, b, m1+, m2+] for b = m2-, then both directions of every later generator
+    b = np.concatenate([m2.rows[:1]] + [info.rows for info in infos[2:]])
+    z = _values(row_cross_ratios(m1.rows[0], b, m1.rows[1], m2.rows[1]))
+    values = [z[0] - np.conj(z[0])]
+    for info, zm, zp in zip(infos[2:], z[1::2], z[2::2]):
         if info.kind == KIND_HYPERBOLIC:
             values.append(zm - np.conj(zm))
             values.append(zp - np.conj(zp))
@@ -421,41 +420,76 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
 # ---------------------------------------------------------------------------
 # flag coordinate methods (k >= 3)
 
+def _require_independent(info: GenInfo, cfg):
+    """A flag of ``info``'s eigendirections needs them independent, as
+    ``make_flag`` tests them."""
+    if not info.frame_rcond > cfg.rank_tol:
+        raise GenericityViolation("flag spanning vectors are linearly dependent")
+
+
+@functools.lru_cache(maxsize=None)
+def _triple_windows(k: int):
+    """Positions among the compositions of ``window_table((k,) * 4, k)``
+    of the minors that r3(A, B, C) and r3(A, D, C) read: (i, j, l, 0) and
+    (i, 0, l, j) for each composition (i, j, l) of k into parts below k."""
+    index = {c: n for n, c in enumerate(window_table((k,) * 4, k)[0])}
+    three = _compositions((k - 1,) * 3, k)
+    positions = np.array([[index[i, j, l, 0] for i, j, l in three],
+                          [index[i, 0, l, j] for i, j, l in three]])
+    positions.flags.writeable = False
+    return positions
+
+
 def flag_set(g: GenInfo, h: GenInfo, pairs, cfg: Tolerances = DEFAULT_TOLERANCES):
-    """The flags of the Fock-Goncharov coordinates and their cross ratios.
+    """The Fock-Goncharov coordinates of flags against two eigenbasis flag pairs.
 
     (A, C) and (B, D) are the eigenbasis flag pairs of the strictly
-    hyperbolic generators g and h, checked to be in generic position.
-    ``pairs`` yields (generator, (beta, beta')); both flags are checked
-    against (A, C, D) as each pair is yielded, so the first fault in
-    generator order raises.  One evaluation in g's eigen-coordinates then
-    gives the cross ratios of B's line and of every yielded flag's line.
+    hyperbolic generators g and h; ``pairs`` lists (generator, rows of
+    beta), beta' being beta reversed.  Everything is read in g's
+    eigen-coordinate frame, where A and C are unit rows: one stacked
+    minor evaluation per size (``flags.frame_generic``) checks (A, B, C,
+    D) and every (A, beta, C, D) for generic position and gives every
+    triple ratio; the first fault in generator order raises, every flag
+    checked before any coordinate is computed.  One evaluation then gives
+    the cross ratios of B's line and of every beta's line, and one more
+    the triple ratios (``coords.frame_triple_ratio_sets``), in that order.
 
-    Returns ((A, B, C, D), [(generator, beta, beta')], cross ratios), the
-    cross ratios with one row per line in that order.
+    Returns the cross ratios, one row per line (B, then each beta and
+    beta'), and the triple ratio values, one row per set: r3(A, B, C),
+    r3(A, C, D), then r3(A, beta, C) and r3(A, beta', C) of each pair.
     """
-    (a, c), (b, d) = (flag_pair_from_eigensystem(x.es, cfg) for x in (g, h))
-    if not generic_position([a, b, c, d], cfg):
+    for info in (g, h):
+        _require_independent(info, cfg)
+    k = len(g.rows)
+    flags = np.array([h.rows] + [f for _, beta in pairs for f in (beta, beta[::-1])])
+    x, minors, generic = frame_generic(g.rows, g.frame, g.frame_rcond, flags, cfg)
+    generic = generic.tolist()
+    if not generic[0]:
         raise GenericityViolation("base flags are not in generic position")
-    others = []
-    for info, flags in pairs:
-        for f in flags:
-            if not generic_position([a, f, c, d], cfg):
-                raise GenericityViolation(f"generator {info.index}: flags not in generic position")
-        others.append((info, *flags))
-    lines = np.array([f.vectors[0] for f in [b] + [f for _, *fs in others for f in fs]]) @ g.frame
-    return (a, b, c, d), others, frame_cross_ratio_sets(lines, d.vectors[0] @ g.frame)
+    for m, (info, _) in enumerate(pairs):
+        _require_independent(info, cfg)
+        if not (generic[2 * m + 1] and generic[2 * m + 2]):
+            raise GenericityViolation(f"generator {info.index}: flags not in generic position")
+    crs = frame_cross_ratio_sets(x[:, 0], x[0, -1])
+    b_pos, d_pos = _triple_windows(k)
+    triples, errors = frame_triple_ratio_sets(
+        g.rows, np.concatenate([flags[:1], flags[:1, ::-1], flags[1:]]),
+        np.concatenate([minors[:1, b_pos], minors[:1, d_pos], minors[1:, b_pos]]), cfg, inverted=(1,))
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        raise error
+    return crs, triples
 
 
-def _mirrored_flags(info: GenInfo, cfg):
-    """Flag pair for a generator with at most one hyperbolic direction.
+def _mirrored_rows(info: GenInfo):
+    """Rows of the flag of a generator with at most one hyperbolic direction.
 
-    Pairs sit symmetrically about the middle so the reversed flag lists
-    the partners step by step.
+    Pairs sit symmetrically about the middle, (p1, ..., pm, h, pm', ...,
+    p1'), so the reversed flag lists the partners step by step, as
+    ``flags.mirrored_pair_flag`` orders them.
     """
-    pairs = [(info.direction(i), info.direction(j)) for i, j in info.labeling().pairing]
-    beta = mirrored_pair_flag(pairs, [info.direction(i) for i in info.hyp_indices()], cfg)
-    return beta, beta.reversed()
+    pairing = info.labeling().pairing
+    return info.rows[[p for p, _ in pairing] + info.hyp_indices() + [q for _, q in pairing[::-1]]]
 
 
 def _columns(crs, L, tol):
@@ -504,19 +538,16 @@ def _emit(prefix, columns, r):
             for suffix, requirement, values, passed in columns]
 
 
-def _real_triples(a, f, c, name, cfg):
-    return [Condition(f"{name}{tr.provenance}", tr.value, "real",
-                      abs(tr.value.imag) <= cfg.cr_tol * (1 + abs(tr.value.real)))
-            for tr in triple_ratio_set(a, f, c, cfg)]
+def _real_triples(values, name, quotients, cfg):
+    return [Condition(f"{name}{q}", v, "real", abs(v.imag) <= cfg.cr_tol * (1 + abs(v.real)))
+            for v, q in zip(values.tolist(), quotients)]
 
 
-def _conj_triples(a, beta, beta_rev, c, name, cfg):
-    out = []
-    for t1, t2 in zip(triple_ratio_set(a, beta, c, cfg), triple_ratio_set(a, beta_rev, c, cfg)):
-        defect = abs(t1.value - t2.value.conjugate()) / max(abs(t1.value), abs(t2.value), 1e-300)
-        out.append(Condition(f"{name}{t1.provenance}", complex(defect), "conjugate pair",
-                             defect <= cfg.cr_tol))
-    return out
+def _conj_triples(t1, t2, name, quotients, cfg):
+    """t1 against the conjugate of t2, quotient by quotient."""
+    defects = (modulus(t1 - t2.conj()) / np.maximum(np.maximum(modulus(t1), modulus(t2)), 1e-300)).tolist()
+    return [Condition(f"{name}{q}", complex(d), "conjugate pair", d <= cfg.cr_tol)
+            for d, q in zip(defects, quotients)]
 
 
 def _flag_conditions(infos, cfg):
@@ -524,7 +555,7 @@ def _flag_conditions(infos, cfg):
     strictly hyperbolic generators; every other generator's mirrored flag
     holds at most one hyperbolic direction.  Every flag's genericity is
     checked before one cross-ratio evaluation covers every line; the
-    triple ratios follow in condition order."""
+    triple ratios follow (``flag_set``)."""
     hyp = [info for info in infos if info.kind == KIND_HYPERBOLIC]
     if len(hyp) < 2:
         raise GenericityViolation("flag method needs two strictly hyperbolic generators")
@@ -533,24 +564,25 @@ def _flag_conditions(infos, cfg):
             raise GenericityViolation(
                 f"generator {info.index}: flag coordinates handle at most one hyperbolic direction")
     g, h = hyp[:2]
-    (a, b, c, d), others, crs = flag_set(g, h, (
-        (info, flag_pair_from_eigensystem(info.es, cfg) if info.kind == KIND_HYPERBOLIC
-         else _mirrored_flags(info, cfg))
-        for info in infos if info is not g and info is not h), cfg)
+    others = [info for info in infos if info is not g and info is not h]
+    crs, triples = flag_set(g, h, [(info, info.rows if info.kind == KIND_HYPERBOLIC
+                                     else _mirrored_rows(info)) for info in others], cfg)
+    quotients = _triple_minors(len(g.rows))[0]
     hcols, pcols = _columns(crs, 0, cfg.cr_tol)
     conditions = (_emit("cr(A,B,C,D)", hcols, 0)
-                  + _real_triples(a, b, c, "r3(A,B,C)", cfg)
-                  + _real_triples(a, c, d, "r3(A,C,D)", cfg))
-    for m, (info, beta, beta_rev) in enumerate(others):
+                  + _real_triples(triples[0], "r3(A,B,C)", quotients, cfg)
+                  + _real_triples(triples[1], "r3(A,C,D)", quotients, cfg))
+    for m, info in enumerate(others):
         n, r = info.index, 2 * m + 1
+        beta, beta_rev = triples[r + 1], triples[r + 2]
         if info.kind == KIND_HYPERBOLIC:
             conditions += (_emit(f"cr(A,b{n},C,D)", hcols, r)
                            + _emit(f"cr(A,b'{n},C,D)", hcols, r + 1)
-                           + _real_triples(a, beta, c, f"r3(A,b{n},C)", cfg)
-                           + _real_triples(a, beta_rev, c, f"r3(A,b'{n},C)", cfg))
+                           + _real_triples(beta, f"r3(A,b{n},C)", quotients, cfg)
+                           + _real_triples(beta_rev, f"r3(A,b'{n},C)", quotients, cfg))
         else:
             conditions += (_emit(f"cr(A,b{n},C,D) vs b'", pcols, r)
-                           + _conj_triples(a, beta, beta_rev, c, f"r3(A,b{n},C) vs b'", cfg))
+                           + _conj_triples(beta, beta_rev, f"r3(A,b{n},C) vs b'", quotients, cfg))
     return conditions, []
 
 
@@ -576,6 +608,19 @@ def _first_rows(checks):
     return list(itertools.accumulate((len(idx) for _, idx in checks), initial=0))[:-1]
 
 
+@functools.cache
+def _synthetic_target() -> np.ndarray:
+    """Basis of the frame {[i,1,0], [-i,1,0], [0,0,1], [1,1,1]} the synthetic
+    base maps to.  Every 3 of its points span a determinant of modulus at
+    least sqrt(2), above any deg_tol that lets a matrix through ``prepare``
+    (s_min <= deg_tol * s_max refuses every matrix once deg_tol >= 1), so
+    one build serves every tolerance."""
+    # the canonical representatives of the four points, as ``ProjPoint`` scales them
+    basis = frame_basis(np.array([[1, -1j, 0], [1, 1j, 0], [0, 0, 1], [1, 1, 1]]).T)
+    basis.flags.writeable = False
+    return basis
+
+
 def _synthetic_conditions(infos, cfg):
     """Synthetic hyperbolic base at k = 3 built from elliptic eigendata.
 
@@ -583,33 +628,30 @@ def _synthetic_conditions(infos, cfg):
     hyperbolic direction of the first other generator form a projective
     frame; mapping it to {[i,1,0], [-i,1,0], [0,0,1], [1,1,1]} pins the
     candidate real form, and the remaining checks read as if the base
-    consisted of two hyperbolic transformations with standard flags.
+    consisted of two hyperbolic transformations with standard flags:
+    A is the unit rows, so a direction moved by gamma0 is its own
+    A-coordinates.
     With fewer than two strictly hyperbolic generators at k = 3 some
     generator is mixed, and every other generator has a hyperbolic
     direction to offer.
     """
     e1 = next(info for info in infos if info.kind == KIND_MIXED)
     pi, pj = e1.labeling().pairing[0]
-    frame = [e1.direction(pi), e1.direction(pj), e1.direction(e1.hyp_indices()[0])]
-    dst = frame_from_points(
-        [ProjPoint([1j, 1, 0]), ProjPoint([-1j, 1, 0]), ProjPoint([0, 0, 1]),
-         ProjPoint([1, 1, 1])], cfg)
     provider = next(info for info in infos if info is not e1)
     q_idx = provider.hyp_indices()[0]
+    points = np.vstack([e1.rows[[pi, pj, e1.hyp_indices()[0]]], provider.rows[q_idx]])
     try:
-        gamma0 = homography(frame_from_points(frame + [provider.direction(q_idx)], cfg), dst)
+        src = frame_basis(points.T, cfg)
     except DegenerateFrame as exc:
         raise GenericityViolation(
             "no second-generator direction completes a projective frame") from exc
-
-    a = make_flag(np.eye(3, dtype=complex), cfg)
-    c = a.reversed()
+    gamma0 = canonical_matrix(_synthetic_target() @ np.linalg.inv(src))
 
     # (generator, eigendirection indices): hyperbolic directions, or the pair
     checks = []
     for info in infos:
         if info.kind == KIND_HYPERBOLIC:
-            checks += [(info, (i,)) for i in range(info.es.dim)
+            checks += [(info, (i,)) for i in range(len(info.rows))
                        if info is not provider or i != q_idx]
         elif info is not e1:
             checks.append((info, info.labeling().pairing[0]))
@@ -618,21 +660,34 @@ def _synthetic_conditions(infos, cfg):
                      "generator {n}: eigendirection not generic with the synthetic base",
                      cfg.rank_tol)
     hcols, pcols = _columns(crs, 0, cfg.cr_tol)
-    conditions = []
+
+    pairs = [(info, idx) for info, idx in checks if len(idx) == 2]
+    if pairs:
+        # the mirrored flag (p, mid, q) of each pair moved by gamma0, rows scaled to
+        # largest entry 1, then its reverse; A is the unit rows, so these are frame rows
+        betas = np.array([info.rows[[idx[0], info.hyp_indices()[0], idx[1]]]
+                          for info, idx in pairs]) @ gamma0.T
+        betas /= np.abs(betas).max(axis=2, keepdims=True)
+        flags = np.repeat(betas, 2, axis=0)
+        flags[1::2] = betas[:, ::-1]
+        ok = independent(betas, cfg.rank_tol).tolist()
+        triples, errors = frame_triple_ratio_sets(
+            np.eye(3), flags, frame_minors(flags, window_table((2, 2, 2, 0), 3)), cfg)
+    quotients = _triple_minors(3)[0]
+    conditions, m = [], 0
     for (info, idx), r in zip(checks, _first_rows(checks)):
         if len(idx) == 1:
             conditions += _emit(f"cr(A,h{info.index}.{idx[0]},C,D)", hcols, r)
             continue
         conditions += _emit(f"cr(A,b{info.index},C,D) vs b'", pcols, r)
-        p, q, mid = (ProjPoint(gamma0 @ info.direction(i).coords, cfg)
-                     for i in (*idx, info.hyp_indices()[0]))
-        try:
-            beta = mirrored_pair_flag([(p, q)], [mid], cfg)
-            conditions += _conj_triples(a, beta, beta.reversed(), c,
-                                        f"r3(A,b{info.index},C) vs b'", cfg)
-        except (GenericityViolation, DegenerateTriple) as exc:
+        error = (GenericityViolation("flag spanning vectors are linearly dependent") if not ok[m]
+                 else next((e for e in errors[2 * m:2 * m + 2] if e is not None), None))
+        if error is not None:
             raise GenericityViolation(
-                f"generator {info.index}: triple ratios degenerate for the synthetic base: {exc}")
+                f"generator {info.index}: triple ratios degenerate for the synthetic base: {error}")
+        conditions += _conj_triples(triples[2 * m], triples[2 * m + 1],
+                                    f"r3(A,b{info.index},C) vs b'", quotients, cfg)
+        m += 1
     return conditions, ["synthetic hyperbolic base from elliptic eigendata",
                         f"frame generator {e1.index}, fourth point from {provider.index}"]
 

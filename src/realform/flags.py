@@ -10,7 +10,10 @@ coordinates x in the basis of A's vectors (the eigen-coordinate frame
 when A is a generator's eigenflag) carry every CP^1 quotient, as the
 consecutive pairs (x_i, x_{i+1}).  ``first_nongeneric_coords`` tests
 genericity in that frame in closed form; ``quotient_cp1`` and
-``quotient_cp2`` build one quotient of arbitrary flags, by SVD.
+``quotient_cp2`` build one quotient of arbitrary flags, by SVD.  In the
+same frame a flag is its coordinate rows and every direct sum with A's
+and C's parts is a minor of them: ``frame_generic`` checks many flags
+against (A, C, D) from those minors, with ``generic_position``'s answer.
 """
 
 import functools
@@ -21,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GenericityViolation
-from .projlin import EigenSystem, ProjPoint
+from .projlin import EigenSystem, ProjPoint, norms
 
 
 @dataclass(frozen=True)
@@ -83,16 +86,31 @@ def _composition_rows(heights: tuple, k: int) -> np.ndarray:
     return idx
 
 
+def _rank_ok(bound: np.ndarray, stacks, rank_tol: float) -> np.ndarray:
+    """ok[n]: stack n has rank k, read as s_min > rank_tol * s_max.
+
+    ``bound[n]`` is a lower bound of stack n's s_min / s_max; a stack whose
+    bound exceeds 2 * rank_tol passes without an SVD (the factor absorbs
+    the rounding of the LU determinant).  The others, a NaN bound
+    included, go through one batched SVD of ``stacks(rest)``, the stacks
+    at the positions ``rest``.
+    """
+    ok = bound > 2 * rank_tol
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        s = np.linalg.svd(stacks(rest), compute_uv=False)
+        ok[rest] = s[:, -1] > rank_tol * s[:, 0]
+    return ok
+
+
 def generic_position(flags, cfg: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Do all dimension-compatible direct sums of flag parts fill C^k?
 
     For every composition (i_1, ..., i_m) with sum k and i_j at most
     each flag's height, the stacked leading vectors M must have rank k,
     read as s_min > rank_tol * s_max.  Since s_max <= ||M||_F, s_min /
-    s_max >= |det M| / ||M||_F^k: a stack whose bound, read on M scaled
-    to largest entry 1, exceeds 2 * rank_tol passes without an SVD (the
-    factor absorbs the rounding of the LU determinant).  The other
-    stacks, a bound that is NaN included, go through one batched SVD.
+    s_max >= |det M| / ||M||_F^k, read on M scaled to largest entry 1,
+    screens the stacks for ``_rank_ok``.
     """
     flags = list(flags)
     k = flags[0].dim
@@ -100,11 +118,121 @@ def generic_position(flags, cfg: Tolerances = DEFAULT_TOLERANCES) -> bool:
     with np.errstate(all="ignore"):
         m = stacks / np.abs(stacks).max(axis=(1, 2), keepdims=True)
         bound = np.abs(np.linalg.det(m)) / np.linalg.norm(m, axis=(1, 2)) ** k
-    rest = stacks[~(bound > 2 * cfg.rank_tol)]
-    if not len(rest):
-        return True
-    s = np.linalg.svd(rest, compute_uv=False)
-    return bool(np.all(s[:, -1] > cfg.rank_tol * s[:, 0]))
+    return bool(_rank_ok(bound, stacks.__getitem__, cfg.rank_tol).all())
+
+
+def independent(rows: np.ndarray, rank_tol: float) -> np.ndarray:
+    """ok[n]: the k rows rows[n] (each scaled to largest entry 1) are
+    linearly independent, the test of ``make_flag``, screened as in
+    ``generic_position``."""
+    with np.errstate(all="ignore"):
+        bound = np.abs(np.linalg.det(rows)) / norms(rows, (1, 2)) ** rows.shape[-1]
+    return _rank_ok(bound, rows.__getitem__, rank_tol)
+
+
+@functools.lru_cache(maxsize=None)
+def window_table(heights: tuple, k: int):
+    """The compositions (i, j, l, m) of k with parts at most ``heights``,
+    for flags (A, B, C, D) with C = A reversed, in ``_compositions``'
+    order, as a list and as the (4, C) array of their parts; and per
+    minor size w = j + m > 0 the positions of the compositions of that
+    size, their rows of [B; D] (B's first j, then D's first m, D's rows at
+    offset k) and their columns [i, i + w).
+
+    In the frame of A's vectors A's and C's rows are unit rows, so the
+    stack of composition (i, j, l, m) has, up to sign and the factor
+    det(A), the determinant of that minor (1 when w = 0).
+    """
+    comps = _compositions(heights, k)
+    groups = []
+    for w in range(1, k + 1):
+        pos = [n for n, (_, j, _, m) in enumerate(comps) if j + m == w]
+        if pos:
+            rows = [[*range(comps[n][1]), *range(k, k + comps[n][3])] for n in pos]
+            cols = [range(comps[n][0], comps[n][0] + w) for n in pos]
+            groups.append((np.array(pos), np.array(rows), np.array(cols)))
+    parts = np.array(comps, dtype=np.intp).reshape(-1, 4).T
+    for table in [parts, *(t for group in groups for t in group)]:
+        table.flags.writeable = False
+    return comps, parts, groups
+
+
+def frame_minors(z: np.ndarray, table) -> np.ndarray:
+    """minors[n, c]: the minor of composition c of ``window_table``'s
+    ``table`` in the frame rows z[n] = [B_n; D_n], one stacked
+    determinant per minor size above 2 (sizes 1 and 2 in closed form)."""
+    comps, _, groups = table
+    out = np.ones((len(z), len(comps)), dtype=complex)
+    for pos, rows, cols in groups:
+        block = z[:, rows[:, :, None], cols[:, None, :]]
+        w = rows.shape[1]
+        out[:, pos] = (block[..., 0, 0] if w == 1 else
+                       block[..., 0, 0] * block[..., 1, 1] - block[..., 0, 1] * block[..., 1, 0]
+                       if w == 2 else np.linalg.det(block))
+    return out
+
+
+def frame_generic(a: np.ndarray, frame: np.ndarray, rcond: float, flags: np.ndarray,
+                  cfg: Tolerances = DEFAULT_TOLERANCES):
+    """Is (A, B_n, C, D) in generic position, for every flag B_n?
+
+    ``a`` holds A's rows, C is A reversed, ``frame`` = inv(a) and
+    ``rcond`` = s_min / s_max of a, above rank_tol; flags[n] holds B_n's
+    rows and D is B_0 reversed.  Each composition's stack M is read in A's
+    frame (``window_table``): M = M_f a, so s_min / s_max of M is at least
+    rcond times that of M_f.  Up to row order M_f is [[I, 0, 0], [Y1, Y,
+    Y3], [0, 0, I]] with Y the w x w minor, so its inverse is explicit:
+    with S the squared Frobenius norm of [Y1, Y, Y3] (the leading rows of
+    B_n and D it takes) and sigma <= s_min(Y),
+
+        s_min(M_f) >= sigma / sqrt((k - w) sigma^2 + w + S),
+        s_max(M_f) <= sqrt(k - w + S),
+
+    and sigma = |det Y| ((w - 1) / S)^((w - 1) / 2) (Hong and Pan, "A
+    lower bound for the smallest singular value", 1992, with ||Y||_F^2 <=
+    S).  Their ratio times rcond screens M for ``_rank_ok``; a stack it
+    does not clear is screened again by the tighter 1 / (||M_f||_F
+    ||M_f^-1||_F), one batched inverse, and only the stacks left go to
+    the SVD of M in the input space.  The stacks of A's rows alone (w = 0)
+    are a's rows reordered and pass with rcond.
+
+    Returns the frame rows x = flags @ frame, the minors of every
+    composition of ``window_table((k,) * 4, k)`` and the (F,) answers.
+    """
+    n, k = flags.shape[:2]
+    table = window_table((k,) * 4, k)
+    z = np.empty((n, 2 * k, k), dtype=complex)
+    x = z[:, :k] = flags @ frame
+    z[:, k:] = x[0, ::-1]
+    minors = frame_minors(z, table)
+    # squared Frobenius norms of the leading rows of each B_n, and of D
+    sq = np.zeros((n + 1, k + 1))
+    r2 = (x.conj() * x).real
+    np.cumsum(r2.sum(axis=2), axis=1, out=sq[:n, 1:])
+    np.cumsum(r2[0, ::-1].sum(axis=1), out=sq[n, 1:])
+    _, j, _, m = table[1]
+    s, w = sq[:n, j] + sq[n, m], j + m
+    with np.errstate(all="ignore"):
+        sigma = np.abs(minors) * ((w - 1) / s) ** ((w - 1) / 2)
+        bound = rcond * sigma / np.sqrt(((k - w) * sigma ** 2 + w + s) * (k - w + s))
+    bound[:, w == 0] = np.inf
+    bound, c = bound.ravel(), len(w)
+
+    def stacks(rest, a, b, d):   # the stacks of A = a, B_n = b[n], C, D = d at the flat positions rest
+        stacked = np.concatenate([np.broadcast_to(a, b.shape), b, np.broadcast_to(a[::-1], b.shape),
+                                  np.broadcast_to(d, b.shape)], axis=1)
+        return stacked[rest[:, None] // c, _composition_rows((k,) * 4, k)[rest % c]]
+
+    rest = np.flatnonzero(~(bound > 2 * cfg.rank_tol))
+    if rest.size:
+        mf = stacks(rest, np.eye(k), x, x[0, ::-1])
+        try:
+            with np.errstate(all="ignore"):
+                bound[rest] = rcond / (norms(mf, (1, 2)) * norms(np.linalg.inv(mf), (1, 2)))
+        except np.linalg.LinAlgError:   # an exactly singular stack: the SVD decides them all
+            pass
+    ok = _rank_ok(bound, lambda rest: stacks(rest, a, flags, flags[0, ::-1]), cfg.rank_tol)
+    return x, minors, ok.reshape(n, c).all(axis=1)
 
 
 def first_nongeneric_coords(x: np.ndarray, d: np.ndarray,

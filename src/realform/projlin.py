@@ -318,24 +318,28 @@ class ProjFrame:
         return self.basis.shape[0]
 
 
-def frame_from_points(points, cfg: Tolerances = DEFAULT_TOLERANCES) -> ProjFrame:
-    """Build the projective frame through k+1 points.
+def frame_basis(stack: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """The basis of the projective frame through the k+1 columns v_j of
+    ``stack`` (k x (k+1)): solves sum(lambda_j * v_j) = v_{k+1} and returns
+    the columns b_j = lambda_j * v_j.  Raises DegenerateFrame when k of the
+    points lie in a hyperplane, a determinant of k columns at most deg_tol
+    (the first such column left out is named)."""
+    k = stack.shape[0]
+    keep = np.array([[j for j in range(k + 1) if j != drop] for drop in range(k + 1)])
+    flat = (np.abs(np.linalg.det(stack[:, keep].transpose(1, 0, 2))) <= cfg.deg_tol).tolist()
+    if True in flat:
+        raise DegenerateFrame(f"{k} of the points lie in a hyperplane (omitting index {flat.index(True)})")
+    lam = np.linalg.solve(stack[:, :k], stack[:, k])
+    return stack[:, :k] * lam
 
-    Solves sum(lambda_j * v_j) = v_{k+1} and returns basis columns
-    b_j = lambda_j * v_j.
-    """
+
+def frame_from_points(points, cfg: Tolerances = DEFAULT_TOLERANCES) -> ProjFrame:
+    """Build the projective frame through k+1 points (``frame_basis``)."""
     pts = tuple(points)
     k = pts[0].dim
     if len(pts) != k + 1:
         raise ValueError(f"need {k + 1} points for a frame in dimension {k}")
-    stack = np.column_stack([p.coords for p in pts])
-    for drop in range(k + 1):
-        sub = np.delete(stack, drop, axis=1)
-        if abs(np.linalg.det(sub)) <= cfg.deg_tol:
-            raise DegenerateFrame(f"{k} of the points lie in a hyperplane (omitting index {drop})")
-    lam = np.linalg.solve(stack[:, :k], stack[:, k])
-    basis = stack[:, :k] * lam
-    return ProjFrame(points=pts, basis=basis)
+    return ProjFrame(points=pts, basis=frame_basis(np.column_stack([p.coords for p in pts]), cfg))
 
 
 def canonical_matrix(g: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from realform.config import DEFAULT_TOLERANCES
-from realform.projlin import ProjPoint
+from realform.projlin import EigenSystem, ProjPoint
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -22,6 +22,11 @@ def load_script(name):
 @pytest.fixture
 def cfg():
     return DEFAULT_TOLERANCES
+
+
+def eigensystem(info):
+    """The EigenSystem of a prepared generator, one ProjPoint per direction."""
+    return EigenSystem.from_rows(info.eigenvalues, info.rows, info.matrix)
 
 
 def pp(*coords):

@@ -35,6 +35,8 @@ from realform.oracle import InstanceSpec, brute_rform_search, generate
 from realform.projlin import ProjPoint
 from realform.rform import Multiplicity, elliptic_pair, hyperbolic_datum, rform_multiplicity
 
+from conftest import eigensystem
+
 FULL = os.environ.get("REALFORM_ACCEPT_FULL", "") == "1"
 
 N_ROUNDTRIP = 1000 if FULL else 50          # per k in {2, 3, 4, 5}
@@ -329,15 +331,16 @@ def matched_flag_coordinates(ms, cfg=rf.DEFAULT_TOLERANCES, reference=None):
         return [int(np.argmin(np.abs(es.eigenvalues - lam))) for lam in ref_vals]
 
     ref_g, ref_h = (None, None) if reference is None else reference
-    og = ordered(g.es, ref_g)
-    oh = ordered(h.es, ref_h)
-    a = make_flag([g.es.directions[i] for i in og], cfg)
-    b = make_flag([h.es.directions[i] for i in oh], cfg)
+    ges, hes = eigensystem(g), eigensystem(h)
+    og = ordered(ges, ref_g)
+    oh = ordered(hes, ref_h)
+    a = make_flag([ges.directions[i] for i in og], cfg)
+    b = make_flag([hes.directions[i] for i in oh], cfg)
     c, d = a.reversed(), b.reversed()
     crs = [x.value for x in cross_ratio_set(a, ProjPoint(b.vectors[0]), c, ProjPoint(d.vectors[0]))]
     trs = [t.value for t in triple_ratio_set(a, b, c, cfg)]
     trs += [t.value for t in triple_ratio_set(a, c, d, cfg)]
-    return (g.es.eigenvalues[og], h.es.eigenvalues[oh]), np.array(crs + trs)
+    return (ges.eigenvalues[og], hes.eigenvalues[oh]), np.array(crs + trs)
 
 
 class TestCriterion6Invariance:

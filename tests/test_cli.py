@@ -20,7 +20,7 @@ from realform.config import DEFAULT_TOLERANCES, Tolerances
 from realform.oracle import InstanceSpec, generate
 from realform.spectrum import Labeling, SpectralClass
 
-from conftest import unit_circle_collection
+from conftest import eigensystem, unit_circle_collection
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -558,7 +558,7 @@ class TestCoords:
 
         # reference: one quotient_cp1 per (flag, i), each building its own basis
         g, h, other = prepare(inst.matrices)
-        (a, c), (b, d), (beta, beta_rev) = (flags.flag_pair_from_eigensystem(x.es)
+        (a, c), (b, d), (beta, beta_rev) = (flags.flag_pair_from_eigensystem(eigensystem(x))
                                             for x in (g, h, other))
         d1 = ProjPoint(d.vectors[0])
         expected = []

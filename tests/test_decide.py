@@ -39,7 +39,8 @@ from realform.oracle import InstanceSpec, generate
 from realform.projlin import ProjPoint, proj_dist
 from realform.rform import Multiplicity
 
-from conftest import load_script, no_common_circle_pair, random_invertible, unit_circle_collection
+from conftest import (eigensystem, load_script, no_common_circle_pair, random_invertible,
+                      unit_circle_collection)
 
 # the boundary sweeps' recipes, shared with the identity check's boundary section
 _sweeps = load_script("identity_check")
@@ -255,36 +256,38 @@ class TestDim3AndFG:
         dec = importlib.import_module("realform.decide")
         inst = generate(InstanceSpec(k=4, n_generators=3, type_mix={"hyperbolic": 3}, seed=11))
         checks, triples = [], []
+        frame_generic = dec.frame_generic
 
-        def base_only(flags, cfg):   # the base pair passes, the third generator's flags fail
+        def base_only(a, frame, rcond, flags, cfg):   # the base pair passes, the third generator's flags fail
             checks.append(len(flags))
-            return len(checks) == 1
+            x, minors, _ = frame_generic(a, frame, rcond, flags, cfg)
+            return x, minors, np.arange(len(flags)) == 0
 
         def counted(*args, **kwargs):
             triples.append(args)
-            return []
+            raise AssertionError("no triple ratio before every flag is checked")
 
-        monkeypatch.setattr(dec, "generic_position", base_only)
-        monkeypatch.setattr(dec, "triple_ratio_set", counted)
-        # every flag is checked before the first coordinate is computed
+        monkeypatch.setattr(dec, "frame_generic", base_only)
+        monkeypatch.setattr(dec, "frame_triple_ratio_sets", counted)
+        # every flag (B, beta, beta') is checked in one call before the first coordinate is computed
         with pytest.raises(GenericityViolation, match="generator 2: flags not in generic position"):
             decide(inst.matrices, method="fg")
-        assert checks == [4, 4] and triples == []
+        assert checks == [3] and triples == []
 
     def test_fg_nongeneric_base_raises_after_one_check(self, monkeypatch):
         dec = importlib.import_module("realform.decide")
-        original = dec.generic_position
+        original = dec.frame_generic
         calls = []
 
-        def counted(flags, cfg):
+        def counted(a, frame, rcond, flags, cfg):
             calls.append(len(flags))
-            return original(flags, cfg)
+            return original(a, frame, rcond, flags, cfg)
 
-        monkeypatch.setattr(dec, "generic_position", counted)
+        monkeypatch.setattr(dec, "frame_generic", counted)
         # commuting diagonal matrices: the base flags share their coordinate lines
         with pytest.raises(GenericityViolation, match="base flags are not in generic position"):
             decide([np.diag([2.0, 1.0, 3.0]), np.diag([5.0, 7.0, 1.0])], method="fg")
-        assert calls == [4]
+        assert calls == [1]
 
     @pytest.mark.parametrize("n, mix, lines, names", [
         (2, {"elliptic": 2}, 2,
@@ -308,8 +311,17 @@ class TestDim3AndFG:
 
         for name in ("first_nongeneric_coords", "frame_cross_ratio_sets"):
             monkeypatch.setattr(dec, name, counted(name))
+        triples = dec.frame_triple_ratio_sets
+
+        def counted_triples(a, flags, *args, **kwargs):
+            calls.append(("frame_triple_ratio_sets", len(flags)))
+            return triples(a, flags, *args, **kwargs)
+
+        monkeypatch.setattr(dec, "frame_triple_ratio_sets", counted_triples)
         verdict, cert = decide(inst.matrices, method="dim3")
-        assert calls == [("first_nongeneric_coords", lines), ("frame_cross_ratio_sets", lines)]
+        # the pair generator's flag and its reverse: one triple-ratio evaluation
+        assert calls == [("first_nongeneric_coords", lines), ("frame_cross_ratio_sets", lines),
+                         ("frame_triple_ratio_sets", 2)]
         assert verdict.answer == "yes" and verdict.method == METHOD_DIM3
         assert [c.name for c in cert.conditions] == names
         assert any("synthetic" in d for d in cert.diagnostics)
@@ -457,6 +469,19 @@ class TestEigenCoordinateFrame:
         assert verdicts[0].answer == inst.answer and verdicts[0].method == METHOD_CROSS
         assert calls == []
 
+    @pytest.mark.parametrize("k, seed", [(4, 1), (6, 2), (8, 3)])
+    def test_flag_routes_make_no_svd(self, monkeypatch, k, seed):
+        # the frame screen clears every stack of eigenbasis flags: no flag's
+        # independence, genericity or triple ratio takes an SVD
+        dec = importlib.import_module("realform.decide")
+        inst = generate(InstanceSpec(k=k, n_generators=4, type_mix={"hyperbolic": 4}, seed=seed))
+        verdicts = []
+        calls = self.svd_calls_inside(
+            monkeypatch, dec, "_flag_conditions",
+            lambda: verdicts.append(decide(inst.matrices, method="fg")[0]))
+        assert verdicts[0].answer == inst.answer and verdicts[0].method == METHOD_FG
+        assert calls == []
+
     def test_triple_ratio_set_makes_no_svd(self, monkeypatch):
         coords = importlib.import_module("realform.coords")
         rng = np.random.default_rng(8)
@@ -470,7 +495,7 @@ class TestEigenCoordinateFrame:
     def test_frame_is_the_inverse_eigenflag(self):
         inst = generate(InstanceSpec(k=5, n_generators=2, type_mix={"hyperbolic": 2}, seed=3))
         info = prepare(inst.matrices)[0]
-        flag, _ = flag_pair_from_eigensystem(info.es)
+        flag, _ = flag_pair_from_eigensystem(eigensystem(info))
         assert info.frame is info.frame   # computed once
         assert np.allclose(flag.vectors @ info.frame, np.eye(5), atol=1e-12)
         s = np.linalg.svd(flag.vectors, compute_uv=False)

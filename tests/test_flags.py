@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realform.config import DEFAULT_TOLERANCES
-from realform.coords import config_cross_ratio, triple_ratio_cp2, triple_ratio_set
-from realform.errors import GenericityViolation
+from realform.coords import (config_cross_ratio, frame_triple_ratio_sets, triple_ratio_cp2,
+                             triple_ratio_set)
+from realform.decide import _triple_windows
+from realform.errors import DegenerateTriple, GenericityViolation
 from realform.flags import (
     Flag,
     _composition_rows,
     _compositions,
     first_nongeneric_coords,
     flag_pair_from_eigensystem,
+    frame_generic,
     generic_position,
     generic_with_point,
     make_flag,
@@ -419,3 +422,139 @@ class TestQuotientCP2:
             a, c = standard_pair(k)
             b = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
             assert len(triple_ratio_set(a, b, c)) == (k - 1) * (k - 2) // 2
+
+
+def frame_kernel(a, flags, cfg=DEFAULT_TOLERANCES):
+    """The frame-minor kernel as the flag routes call it: (A, B_n, C, D)
+    genericity of every flag B_n (C = A reversed, D = B_0 reversed), and
+    the triple ratios r3(A, B_0, C), r3(A, C, D), r3(A, B_n, C) for n >= 1,
+    each as its values or its (error type, message)."""
+    k = a.shape[0]
+    s = np.linalg.svd(a, compute_uv=False)
+    x, minors, generic = frame_generic(a, np.linalg.inv(a), s[-1] / s[0], flags, cfg)
+    b_pos, d_pos = _triple_windows(k)
+    values, errors = frame_triple_ratio_sets(
+        a, np.concatenate([flags[:1], flags[:1, ::-1], flags[1:]]),
+        np.concatenate([minors[:1, b_pos], minors[:1, d_pos], minors[1:, b_pos]]), cfg, inverted=(1,))
+    return generic.tolist(), [v if e is None else (type(e), str(e)) for v, e in zip(values, errors)]
+
+
+def reference_kernel(a, flags, cfg=DEFAULT_TOLERANCES):
+    """The same answers from ``generic_position`` and ``triple_ratio_set``
+    on the flags themselves."""
+    a, b = Flag(vectors=a), Flag(vectors=flags[0])
+    c, d = a.reversed(), b.reversed()
+    generic = [generic_position([a, Flag(vectors=f), c, d], cfg) for f in flags]
+    triples = []
+    for x, y, z in [(a, b, c), (a, c, d)] + [(a, Flag(vectors=f), c) for f in flags[1:]]:
+        try:
+            triples.append(np.array([t.value for t in triple_ratio_set(x, y, z, cfg)]))
+        except (GenericityViolation, DegenerateTriple) as exc:
+            triples.append((type(exc), str(exc)))
+    return generic, triples
+
+
+def assert_kernel_matches(a, flags, cfg=DEFAULT_TOLERANCES, rtol=1e-9, atol=0.0):
+    """The kernel's genericity answers and errors are the references';
+    its values agree within rtol of the largest value of the set, plus
+    atol (a set of ratios whose minors vanish is rounding noise in both)."""
+    generic, triples = frame_kernel(a, flags, cfg)
+    ref_generic, ref_triples = reference_kernel(a, flags, cfg)
+    assert generic == ref_generic
+    for got, want in zip(triples, ref_triples):
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert not isinstance(got, tuple)
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max() + atol
+    return generic, triples
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def rows(rng, k, n=1):
+    return np.array([random_flag(rng, k, k).vectors for _ in range(n)])
+
+
+class TestFrameKernel:
+    """``flags.frame_generic`` and ``coords.frame_triple_ratio_sets`` read
+    every flag in A's eigen-coordinate frame; ``generic_position`` and
+    ``triple_ratio_set`` stay the references."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.integers(1, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_flags_match_reference(self, seed, k, n, ill):
+        rng = np.random.default_rng(seed)
+        a = rows(rng, k)[0]
+        if ill:   # an ill-conditioned frame: two rows of A nearly parallel
+            a[1] = a[0] + 1e-4 * complex_normal(rng, k)
+            a /= np.abs(a).max(axis=1, keepdims=True)
+        generic, triples = assert_kernel_matches(a, rows(rng, k, n))
+        assert all(generic)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_each_composition_made_deficient(self, rng, k):
+        # the flag's last row a composition uses rebuilt from the stack's other rows
+        a, flags = rows(rng, k)[0], rows(rng, k, 2)
+        stack = {"A": a, "C": a[::-1], "D": flags[0, ::-1]}
+        for i, j, l, m in _compositions((k,) * 4, k):
+            if not j or (i, l) == (0, 0) and j == k:
+                continue
+            f = flags[1].copy()
+            others = np.vstack([stack["A"][:i], f[:j - 1], stack["C"][:l], stack["D"][:m]])
+            f[j - 1] = complex_normal(rng, k - 1) @ others
+            f[j - 1] /= np.abs(f[j - 1]).max()
+            generic, _ = assert_kernel_matches(a, np.array([flags[0], f]))
+            assert generic == [True, False]
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-9, 1e-11])
+    def test_near_the_cut(self, rng, k, eps):
+        # one row close to the span of its stack: the screen leaves it to the SVD,
+        # whose answer must be generic_position's; the values are as
+        # ill-conditioned as the stack (the relative tolerance is loosened by 1/eps)
+        a, flags = rows(rng, k)[0], rows(rng, k, 2)
+        f = flags[1]
+        f[k - 2] = complex_normal(rng, 2) @ np.vstack([a[:1], f[:1]]) + eps * complex_normal(rng, k)
+        f[k - 2] /= np.abs(f[k - 2]).max()
+        assert_kernel_matches(a, flags, rtol=1e-12 / eps)
+
+    def test_shared_line_fails_the_base(self):
+        # commuting diagonal matrices: the base flags share their coordinate lines
+        a = np.eye(3, dtype=complex)
+        generic, _ = assert_kernel_matches(a, np.eye(3, dtype=complex)[[1, 0, 2]][None])
+        assert generic == [False]
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("which", ["numerator", "denominator", "D"])
+    def test_degenerate_triples(self, rng, k, which):
+        # a vanishing minor fails the genericity cut; below a tiny rank_tol a
+        # vanishing denominator raises DegenerateTriple, as in triple_ratio_set
+        a, flags = rows(rng, k)[0], rows(rng, k, 2)
+        if which == "numerator":     # Delta(k - 1, 1, 0) of r3(A, b, C) vanishes
+            flags[1, 0] = complex_normal(rng, k - 1) @ a[:k - 1]
+        elif which == "denominator":  # Delta(k - 2, 2, 0) of r3(A, b, C) vanishes
+            flags[1, 1] = complex_normal(rng, k - 1) @ np.vstack([a[:k - 2], flags[1, :1]])
+        else:                        # D's first line in A_{k-1}: a vanishing minor of r3(A, C, D)
+            flags[0, k - 1] = complex_normal(rng, k - 1) @ a[:k - 1]
+        flags /= np.abs(flags).max(axis=2, keepdims=True)
+        n = 1 if which == "D" else 2
+        _, triples = assert_kernel_matches(a, flags)
+        assert triples[n] == (GenericityViolation, "flags are not in generic position for a triple ratio")
+        _, triples = assert_kernel_matches(a, flags, DEFAULT_TOLERANCES.override(rank_tol=1e-40),
+                                           atol=1e-12)
+        if which != "numerator":
+            assert triples[n] == (DegenerateTriple, "triple ratio denominator vanishes")
+
+    def test_inverted_set_is_r3_acd(self, rng):
+        # r3(A, C, D)[p, q, r] = 1 / r3(A, D, C)[p, r, q]
+        for k in range(3, 9):
+            a, flags = rows(rng, k)[0], rows(rng, k, 1)
+            _, (abc, acd) = frame_kernel(a, flags)
+            adc = np.array([t.value for t in triple_ratio_set(
+                Flag(vectors=a), Flag(vectors=flags[0, ::-1]), Flag(vectors=a[::-1]))])
+            quotients = [(p, q, k - 3 - p - q) for p in range(k - 2) for q in range(k - 2 - p)]
+            swapped = adc[[quotients.index((p, r, q)) for p, q, r in quotients]]
+            assert np.abs(acd * swapped - 1).max() < 1e-9

@@ -3,9 +3,8 @@ what the per-matrix loop gives, eigendata and classes bit for bit, and raise
 what that loop raises, for the first failing matrix in index order.  The
 shape rule comes first: an empty collection, or one of mismatched shapes,
 raises before any matrix is decomposed, in every function that reads a
-collection.  The pass builds no ProjPoint: a generator's EigenSystem is
-built from its rows when a route first reads it, and the direct method
-never does."""
+collection.  No ProjPoint is built: the pass and every route read the
+stacked arrays alone."""
 
 import contextlib
 import importlib
@@ -23,11 +22,12 @@ from realform import cli
 from realform.config import DEFAULT_TOLERANCES
 from realform.decide import decide, decide_direct, prepare, verify_certificate
 from realform.errors import IncompatibleEigenvalues, NoConjugation, RealformError
+from realform.flags import Flag
 from realform.oracle import InstanceSpec, brute_rform_search, generate
-from realform.projlin import EigenSystem, ProjPoint
+from realform.projlin import EigenSystem, ProjPoint, eig
 from realform.spectrum import KIND_INCOMPATIBLE, classify_eigenvalues
 
-from conftest import random_invertible
+from conftest import eigensystem, random_invertible
 from test_projlin import reference_eig
 
 
@@ -71,7 +71,7 @@ def _outcome(fn, ms):
 
 
 def _prepare_pairs(ms):
-    return [(info.es, info.sclass) for info in prepare(ms)]
+    return [(eigensystem(info), info.sclass) for info in prepare(ms)]
 
 
 def _spectrum(kind, k, rng):
@@ -261,7 +261,7 @@ def test_base_order_reads_the_measured_eigenbases(monkeypatch):
     assert calls == []
     # the generator whose eigendirections fill each block of k rows
     order = [next(info.index for info in infos
-                  if sorted(map(tuple, block)) == sorted(tuple(p.coords) for p in info.es.directions))
+                  if sorted(map(tuple, block)) == sorted(map(tuple, info.rows)))
              for block in solved[0].reshape(len(infos), 6, 6)]
     assert order == [1, 0, 2, 3]
     assert infos[order[0]].frame_rcond == max(info.frame_rcond for info in infos)
@@ -269,16 +269,22 @@ def test_base_order_reads_the_measured_eigenbases(monkeypatch):
 
 def _count_points(monkeypatch):
     """The ProjPoints built from canonical rows, those built by the
-    constructor, and the rows of every EigenSystem built."""
+    constructor (Flags counted with them), and the rows of every
+    EigenSystem built."""
     rows, built, systems = [], [], []
     canonical, from_rows = ProjPoint.canonical.__func__, EigenSystem.from_rows.__func__
-    init = ProjPoint.__init__
+    init, flag_init = ProjPoint.__init__, Flag.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counting_flag_init(self, *args, **kwargs):
+        built.append(args)
+        flag_init(self, *args, **kwargs)
+
     monkeypatch.setattr(ProjPoint, "__init__", counting_init)
+    monkeypatch.setattr(Flag, "__init__", counting_flag_init)
     monkeypatch.setattr(ProjPoint, "canonical", classmethod(
         lambda cls, coords: rows.append(coords) or canonical(cls, coords)))
     monkeypatch.setattr(EigenSystem, "from_rows", classmethod(
@@ -311,28 +317,58 @@ def test_cli_classify_builds_no_projective_point(monkeypatch, tmp_path):
     assert rows == built == systems == []
 
 
-@pytest.mark.parametrize("spec, method, built", [
-    (_MIXED_K4, "cross", 0),
-    (InstanceSpec(k=4, n_generators=3, type_mix={"hyperbolic": 3}, seed=4), "fg", 3),
-    (InstanceSpec(k=3, n_generators=3, type_mix={"hyperbolic": 1, "mixed": 2}, seed=11), "auto", 3),
-])
-def test_routes_build_each_generators_directions_at_most_once(monkeypatch, spec, method, built):
-    # cross reads the rows alone; the flag routes build an EigenSystem per
-    # generator they read, once, each direction of it once
+_POINT_FREE_OPS = {
+    "cross": (_MIXED_K4, "cross"),
+    "fg": (InstanceSpec(k=4, n_generators=3, type_mix={"hyperbolic": 3}, seed=4), "fg"),
+    "fg-mirrored": (InstanceSpec(k=5, n_generators=4, type_mix={"hyperbolic": 2, "mixed": 2},
+                                 seed=1), "fg"),
+    "dim3": (InstanceSpec(k=3, n_generators=3, type_mix={"hyperbolic": 2, "elliptic": 1},
+                          seed=9), "dim3"),
+    "dim3-synthetic": (InstanceSpec(k=3, n_generators=3, type_mix={"hyperbolic": 1, "mixed": 2},
+                                    seed=11), "auto"),
+    "dim2": (InstanceSpec(k=2, n_generators=4, type_mix={"hyperbolic": 2, "elliptic": 2},
+                          seed=3), "dim2"),
+    "dim2-elliptic": (InstanceSpec(k=2, n_generators=3, type_mix={"hyperbolic": 1, "elliptic": 2},
+                                   seed=3), "dim2"),
+}
+
+
+@pytest.mark.parametrize("op", _POINT_FREE_OPS)
+def test_routes_build_no_projective_point(monkeypatch, op):
+    # every route reads the pass's arrays alone: no ProjPoint, Flag or EigenSystem
+    spec, method = _POINT_FREE_OPS[op]
     ms = generate(spec).matrices
-    rows, _, systems = _count_points(monkeypatch)
-    verdict, _ = decide(ms, method=method)
-    assert verdict.answer == "yes"
-    assert len(systems) == len(set(systems)) == built
-    assert len(rows) == spec.k * built
+    rows, built, systems = _count_points(monkeypatch)
+    verdict, cert = decide(ms, method=method)
+    assert verdict.answer == "yes" and cert.conditions
+    assert verdict.method == {"cross": "DimKCrossOnly", "fg": "DimKFG", "dim3": "Dim3FG",
+                              "auto": "Dim3FG", "dim2": "Dim2Lemmas"}[method]
+    assert rows == built == systems == []
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_cli_coords_builds_no_projective_point(monkeypatch, tmp_path, k):
+    spec = InstanceSpec(k=k, n_generators=3, type_mix={"hyperbolic": 3}, seed=2)
+    doc = {"k": k, "options": {}, "matrices": [[[[z.real, z.imag] for z in row] for row in m]
+                                               for m in generate(spec).matrices]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rows, built, systems = _count_points(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["coords", str(path)]) == 0
+    # r3(A,B,C), r3(A,C,D) and both flags of the third generator, (k-1)(k-2)/2 quotients each
+    doc = json.loads(out.getvalue())
+    assert len(doc["cross_ratios"]) == 3 * (k - 1)
+    assert len(doc["triple_ratios"]) == 4 * (k - 1) * (k - 2) // 2
+    assert rows == built == systems == []
 
 
 def test_generator_slices_are_its_eigensystem():
-    # the lazily built EigenSystem holds the generator's slices bit for bit
+    # the slices of the stacked pass are what ``eig`` gives one matrix, bit for bit
     inst = generate(InstanceSpec(k=5, n_generators=3, type_mix={"hyperbolic": 2, "mixed": 1},
                                  seed=2))
-    for info in prepare(inst.matrices):
-        assert info.es is info.es
-        assert info.es.eigenvalues.tobytes() == info.eigenvalues.tobytes()
-        assert info.es.matrix.tobytes() == info.matrix.tobytes()
-        assert [p.coords.tobytes() for p in info.es.directions] == [r.tobytes() for r in info.rows]
+    for info, m in zip(prepare(inst.matrices), inst.matrices):
+        es = eig(m)
+        assert es.eigenvalues.tobytes() == info.eigenvalues.tobytes()
+        assert es.matrix.tobytes() == info.matrix.tobytes()
+        assert [p.coords.tobytes() for p in es.directions] == [r.tobytes() for r in info.rows]

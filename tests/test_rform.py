@@ -21,7 +21,7 @@ from realform.rform import (
     rform_multiplicity,
 )
 
-from conftest import pp, random_invertible
+from conftest import eigensystem, pp, random_invertible
 
 
 def _constraint_rows(src, tgt) -> np.ndarray:
@@ -401,10 +401,10 @@ def oracle_data(rng, k):
     anchor = max(infos, key=lambda info: info.frame_rcond)
     data = []
     for info in [anchor] + [info for info in infos if info is not anchor]:
-        lab = info.labeling()
+        lab, directions = info.labeling(), eigensystem(info).directions
         for i, j in lab.pairing:
-            data += elliptic_pair(info.direction(i), info.direction(j))
-        data += [hyperbolic_datum(info.direction(i)) for i in info.hyp_indices()]
+            data += elliptic_pair(directions[i], directions[j])
+        data += [hyperbolic_datum(directions[i]) for i in info.hyp_indices()]
     return data
 
 
