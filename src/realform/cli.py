@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .coords import CrossRatio, _triple_minors, cross_ratio_lists
-from .decide import (FORCED_METHODS, decide, flag_set, prepare, spectral_pass,
+from .decide import (FORCED_METHODS, decide, flag_base, flag_set, prepare, spectral_pass,
                      verify_certificate)
 from .errors import (
     DegenerateFrame,
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .oracle import InstanceSpec, generate
 from .projlin import MAX_DIM, MIN_DIM
-from .spectrum import KIND_HYPERBOLIC
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -204,11 +203,7 @@ def cmd_coords(args) -> int:
 
 
 def _coords_doc(infos, cfg):
-    hyp = [i for i in infos if i.kind == KIND_HYPERBOLIC]
-    if len(hyp) < 2:
-        raise GenericityViolation("coordinate dump needs two strictly hyperbolic generators")
-    g, h = hyp[:2]
-    others = [i for i in infos if i is not g and i is not h]
+    g, h, others = flag_base(infos, "coordinate dump")
     crs, triples = flag_set(g, h, [(i, i.rows) for i in others], cfg)
     # (generator, tag) of each line, in the order of the cross-ratio rows
     lines = [(h.index, "B")] + [(info.index, tag) for info in others

@@ -76,7 +76,6 @@ from .flags import (
     first_nongeneric_coords,
     frame_generic,
     frame_minors,
-    independent,
     window_table,
 )
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
@@ -151,7 +150,8 @@ class GenInfo:
     A flag of the generator is its rows in some order (the eigenvalue
     order, or pairs mirrored about the middle), and ``frame`` reads any
     row in the eigen-coordinate frame, where the eigenflag is the unit
-    rows and its reverse the unit rows reversed.
+    rows and its reverse the unit rows reversed.  Every flag route reads
+    the independence of the eigendirections from ``frame_rcond`` alone.
     """
 
     index: int
@@ -422,9 +422,22 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
 
 def _require_independent(info: GenInfo, cfg):
     """A flag of ``info``'s eigendirections needs them independent, as
-    ``make_flag`` tests them."""
+    ``make_flag`` tests them.  Every flag route reads that from
+    ``frame_rcond``, which the spectral pass measured."""
     if not info.frame_rcond > cfg.rank_tol:
         raise GenericityViolation("flag spanning vectors are linearly dependent")
+
+
+def flag_base(infos, what: str):
+    """The base of the flag coordinates: the first two strictly hyperbolic
+    generators g and h, whose eigenbasis flags are (A, C) and (B, D), and
+    every other generator in index order, as (g, h, others).  Fewer than
+    two raise GenericityViolation naming ``what``."""
+    hyp = [info for info in infos if info.kind == KIND_HYPERBOLIC]
+    if len(hyp) < 2:
+        raise GenericityViolation(f"{what} needs two strictly hyperbolic generators")
+    g, h = hyp[:2]
+    return g, h, [info for info in infos if info is not g and info is not h]
 
 
 @functools.lru_cache(maxsize=None)
@@ -556,15 +569,11 @@ def _flag_conditions(infos, cfg):
     holds at most one hyperbolic direction.  Every flag's genericity is
     checked before one cross-ratio evaluation covers every line; the
     triple ratios follow (``flag_set``)."""
-    hyp = [info for info in infos if info.kind == KIND_HYPERBOLIC]
-    if len(hyp) < 2:
-        raise GenericityViolation("flag method needs two strictly hyperbolic generators")
-    for info in infos:
+    g, h, others = flag_base(infos, "flag method")
+    for info in others:
         if info.kind != KIND_HYPERBOLIC and len(info.hyp_indices()) > 1:
             raise GenericityViolation(
                 f"generator {info.index}: flag coordinates handle at most one hyperbolic direction")
-    g, h = hyp[:2]
-    others = [info for info in infos if info is not g and info is not h]
     crs, triples = flag_set(g, h, [(info, info.rows if info.kind == KIND_HYPERBOLIC
                                      else _mirrored_rows(info)) for info in others], cfg)
     quotients = _triple_minors(len(g.rows))[0]
@@ -633,7 +642,9 @@ def _synthetic_conditions(infos, cfg):
     A-coordinates.
     With fewer than two strictly hyperbolic generators at k = 3 some
     generator is mixed, and every other generator has a hyperbolic
-    direction to offer.
+    direction to offer.  A pair generator's mirrored flag needs its
+    eigendirections independent, read from its ``frame_rcond`` as every
+    flag route reads it.
     """
     e1 = next(info for info in infos if info.kind == KIND_MIXED)
     pi, pj = e1.labeling().pairing[0]
@@ -670,7 +681,6 @@ def _synthetic_conditions(infos, cfg):
         betas /= np.abs(betas).max(axis=2, keepdims=True)
         flags = np.repeat(betas, 2, axis=0)
         flags[1::2] = betas[:, ::-1]
-        ok = independent(betas, cfg.rank_tol).tolist()
         triples, errors = frame_triple_ratio_sets(
             np.eye(3), flags, frame_minors(flags, window_table((2, 2, 2, 0), 3)), cfg)
     quotients = _triple_minors(3)[0]
@@ -680,7 +690,8 @@ def _synthetic_conditions(infos, cfg):
             conditions += _emit(f"cr(A,h{info.index}.{idx[0]},C,D)", hcols, r)
             continue
         conditions += _emit(f"cr(A,b{info.index},C,D) vs b'", pcols, r)
-        error = (GenericityViolation("flag spanning vectors are linearly dependent") if not ok[m]
+        error = (GenericityViolation("flag spanning vectors are linearly dependent")
+                 if not info.frame_rcond > cfg.rank_tol
                  else next((e for e in errors[2 * m:2 * m + 2] if e is not None), None))
         if error is not None:
             raise GenericityViolation(
@@ -727,8 +738,7 @@ def _cross_conditions(infos, cfg):
         raise GenericityViolation(
             "no second generator has a hyperbolic direction to serve as reference")
     d_idx = provider.hyp_indices()[0]
-    if not base.frame_rcond > cfg.rank_tol:
-        raise GenericityViolation("flag spanning vectors are linearly dependent")
+    _require_independent(base, cfg)
     frame, L = base.frame[:, base.labeling().order], 2 * len(base.labeling().pairing)
     # (generator, eigendirection indices): pairs, then hyperbolic directions
     checks = []

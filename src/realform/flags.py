@@ -121,15 +121,6 @@ def generic_position(flags, cfg: Tolerances = DEFAULT_TOLERANCES) -> bool:
     return bool(_rank_ok(bound, stacks.__getitem__, cfg.rank_tol).all())
 
 
-def independent(rows: np.ndarray, rank_tol: float) -> np.ndarray:
-    """ok[n]: the k rows rows[n] (each scaled to largest entry 1) are
-    linearly independent, the test of ``make_flag``, screened as in
-    ``generic_position``."""
-    with np.errstate(all="ignore"):
-        bound = np.abs(np.linalg.det(rows)) / norms(rows, (1, 2)) ** rows.shape[-1]
-    return _rank_ok(bound, rows.__getitem__, rank_tol)
-
-
 @functools.lru_cache(maxsize=None)
 def window_table(heights: tuple, k: int):
     """The compositions (i, j, l, m) of k with parts at most ``heights``,

@@ -16,6 +16,7 @@ from realform.coords import (
     is_real,
     is_real_extended,
     is_real_positive,
+    row_cross_ratios,
     triple_ratio,
     triple_ratio_cp2,
     triple_ratio_set,
@@ -75,6 +76,14 @@ class TestCrossRatio:
     def test_indeterminate(self):
         with pytest.raises(IndeterminateCrossRatio):
             cross_ratio(aff(1), aff(1), aff(0), aff(1))
+
+    def test_rows_indeterminate(self):
+        # the second of two quadruples is [x, x, 0, x]: 0/0, and the whole evaluation raises
+        a = np.array([[1, 0], [1, 1]], dtype=complex)
+        c = np.array([[0, 1], [0, 1]], dtype=complex)
+        d = np.array([[1, 1], [1, 1]], dtype=complex)
+        with pytest.raises(IndeterminateCrossRatio, match="^0/0 cross ratio: too many coincident points$"):
+            row_cross_ratios(a, a, c, d)
 
     def test_fg_normalization(self):
         for x in (0.7, 2.5, -1.25, 1 + 2j):

@@ -175,6 +175,17 @@ class TestConditionFunctions:
         with pytest.raises(SpectralPreconditionError):
             condition_functions_pgl2(inst.matrices)
 
+    @pytest.mark.parametrize("ms, error, message", [
+        (generate(InstanceSpec(k=3, n_generators=2, type_mix={"hyperbolic": 2}, seed=1)).matrices,
+         SpectralPreconditionError, "condition functions are defined for 2x2 input"),
+        ([np.diag([2.0, 1.0])], SpectralPreconditionError, "need at least two generators"),
+        ([np.diag([2.0, 1.0]), np.diag([3.0, -1.0])], SharedEigendirections,
+         "first two generators share their eigendirection pair"),
+    ], ids=["3x3", "one-generator", "shared-pair"])
+    def test_preconditions(self, ms, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            condition_functions_pgl2(ms)
+
 
 class TestDim3AndFG:
     def test_construction_yes(self):
@@ -512,6 +523,79 @@ class TestEigenCoordinateFrame:
         with pytest.raises(GenericityViolation,
                            match="generator 1: eigendirection 7 not generic with the base"):
             decide(ms, method="cross")
+
+
+def _moved(ms, rng):
+    """ms conjugated by one random complex Gamma."""
+    g = rng.normal(size=ms[0].shape) + 1j * rng.normal(size=ms[0].shape)
+    gi = np.linalg.inv(g)
+    return [g @ m @ gi for m in ms]
+
+
+def _real_with_eigenbasis(v, values):
+    return (v @ np.diag(values) @ np.linalg.inv(v)).real
+
+
+def _one_ill_conditioned_eigenbasis():
+    """A k = 4 Yes instance: two oracle hyperbolic generators and a third
+    whose eigenvector columns 0 and 1 are 1e-3 apart, so its frame_rcond
+    (1.5e-4) alone is far below the others' (0.2)."""
+    rng = np.random.default_rng(1)
+    inst = generate(InstanceSpec(k=4, n_generators=2, type_mix={"hyperbolic": 2}, seed=1,
+                                 scramble="none"))
+    v = rng.normal(size=(4, 4))
+    v[:, 1] = v[:, 0] + 1e-3 * rng.normal(size=4)
+    return _moved([*inst.matrices, _real_with_eigenbasis(v, [3.0, 2.0, -1.0, 0.5])], rng)
+
+
+def _synthetic_base_with_ill_conditioned_pair():
+    """A k = 3 Yes instance of two mixed generators, the second's hyperbolic
+    eigendirection 1e-4 from the real plane of its elliptic pair."""
+    rng = np.random.default_rng(0)
+    lam = 1.5 * np.exp(0.9j)
+    a, b, n, c, d = rng.normal(size=(5, 3))
+    e = _real_with_eigenbasis(np.column_stack([c + 1j * d, c - 1j * d, rng.normal(size=3)]),
+                              [lam, np.conj(lam), 2.0])
+    m = _real_with_eigenbasis(np.column_stack([a + 1j * b, a - 1j * b, a + 1e-4 * n]),
+                              [lam, np.conj(lam), 0.7])
+    return _moved([e, m], rng)
+
+
+class TestIndependenceFromFrameRcond:
+    """Every flag route reads a generator's eigenbasis independence from
+    the spectral pass's ``frame_rcond``: the cut sits at that number."""
+
+    @pytest.mark.parametrize("method, case", [("fg", "base"), ("fg", "pair"), ("cross", "base")])
+    def test_cut_sits_at_frame_rcond(self, method, case):
+        # base: generator 0's eigenbasis is the worst, fg's g and cross's base;
+        # pair: only generator 2's fails, and fg meets it in its flag loop
+        ms = (generate(InstanceSpec(k=4, n_generators=3, type_mix={"hyperbolic": 3}, seed=0)).matrices
+              if case == "base" else _one_ill_conditioned_eigenbasis())
+        rcond = [info.frame_rcond for info in prepare(ms)]
+        bad = 0 if case == "base" else 2
+        assert rcond[bad] == min(rcond)
+        with pytest.raises(GenericityViolation, match="^flag spanning vectors are linearly dependent$"):
+            decide(ms, DEFAULT_TOLERANCES.override(rank_tol=1.01 * rcond[bad]), method=method)
+        # just below the cut every eigenbasis passes: a later check may still refuse
+        try:
+            decide(ms, DEFAULT_TOLERANCES.override(rank_tol=0.99 * rcond[bad]), method=method)
+        except GenericityViolation as exc:
+            assert "linearly dependent" not in str(exc)
+        verdict, _ = decide(ms, method=method)
+        assert verdict.answer == "yes"
+
+    def test_synthetic_base_pair_generator(self):
+        ms = _synthetic_base_with_ill_conditioned_pair()
+        infos = prepare(ms)
+        assert [info.kind for info in infos] == ["mixed", "mixed"]
+        assert 1e-4 < infos[1].frame_rcond < 1e-3 < infos[0].frame_rcond
+        with pytest.raises(GenericityViolation, match=(
+                "^generator 1: triple ratios degenerate for the synthetic base: "
+                "flag spanning vectors are linearly dependent$")):
+            decide(ms, DEFAULT_TOLERANCES.override(rank_tol=1e-3), method="dim3")
+        verdict, cert = decide(ms, method="dim3")
+        assert verdict.answer == "yes" and verdict.method == METHOD_DIM3
+        assert "synthetic hyperbolic base from elliptic eigendata" in cert.diagnostics
 
 
 class TestDirect:
@@ -1026,3 +1110,32 @@ def test_metamorphic_relations_never_swap_yes_and_no(k, data, no, seed):
         for name, relation in RELATIONS.items():
             after = _answer(relation(ms, rng), method)
             assert {before, after} != {"yes", "no"}, (method, name, before, after)
+
+
+def _small_rank_tol_yes(k, seed):
+    """An oracle Yes instance of three generators, one of them elliptic at
+    k = 2 and mixed above."""
+    return generate(InstanceSpec(k, 3, {"hyperbolic": 2, "elliptic" if k == 2 else "mixed": 1},
+                                 seed=seed))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="wrong definite No at rank_tol <= 1e-13: rform's null-space cut counts "
+                   "eigenvector rounding as rank (at k = 2, 3, 4, 6 and 8, seeds 0-5, on 1, 10 and "
+                   "30 of the 30 instances at 1e-13, 1e-14 and 1e-16)")
+@pytest.mark.parametrize("rank_tol, k, seed", [(1e-13, 8, 0), (1e-14, 6, 0), (1e-16, 2, 0)])
+def test_direct_yes_at_small_rank_tol(rank_tol, k, seed):
+    ms = _small_rank_tol_yes(k, seed).matrices
+    verdict, _ = decide(ms, DEFAULT_TOLERANCES.override(rank_tol=rank_tol), method="direct")
+    assert verdict.answer == "yes"
+
+
+@pytest.mark.parametrize("rank_tol", [1e-13, 1e-14, 1e-16])
+def test_auto_gives_no_wrong_answer_at_small_rank_tol(rank_tol):
+    # auto reads direct's No against the coordinate routes, which pass: inconclusive
+    cfg = DEFAULT_TOLERANCES.override(rank_tol=rank_tol)
+    for k in (2, 3, 4, 6, 8):
+        for seed in range(6):
+            inst = _small_rank_tol_yes(k, seed)
+            assert inst.answer == "yes"
+            assert decide(inst.matrices, cfg)[0].answer != "no", (k, seed)

@@ -85,6 +85,12 @@ class TestEig:
         with pytest.raises(RepeatedEigenvalues):
             eig(np.eye(2))
 
+    def test_non_square(self):
+        m = np.ones((2, 3))
+        assert eigensystems(m[None])[0] is None
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            eig(m)
+
     def test_deterministic_order(self):
         m = np.array([[0, -2.0], [2.0, 0]])  # eigenvalues +-2i
         es1, es2 = eig(m), eig(m.copy())
