@@ -156,11 +156,6 @@ def in_unit_circle(cr: CrossRatio, tol: float):
     return _equal_moduli(np.abs(cr.num), np.abs(cr.den), tol)
 
 
-def conj_pair_defect(cr1: CrossRatio, cr2: CrossRatio):
-    """Relative defect of cr1 == conj(cr2)."""
-    return _relative_defect(cr1.num * np.conj(cr2.den), cr1.den * np.conj(cr2.num))
-
-
 def unit_product_defect(cr1: CrossRatio, cr2: CrossRatio):
     """Relative defect of cr1 * conj(cr2) == 1."""
     return _relative_defect(cr1.num * np.conj(cr2.num), cr1.den * np.conj(cr2.den))
@@ -172,7 +167,8 @@ def product_in_unit_circle(cr1: CrossRatio, cr2: CrossRatio, tol: float):
 
 
 def conj_product_defect(cr: CrossRatio, factors):
-    """Relative defect of cr == conj(prod(factors))."""
+    """Relative defect of cr == conj(prod(factors)); with one factor f,
+    the conjugate-pair defect of cr == conj(f)."""
     num = functools.reduce(np.multiply, [f.num for f in factors])
     den = functools.reduce(np.multiply, [f.den for f in factors])
     return _relative_defect(cr.num * np.conj(den), cr.den * np.conj(num))

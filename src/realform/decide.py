@@ -48,7 +48,6 @@ from .coords import (
     CrossRatio,
     _triple_minors,
     arg_sum_is_zero,
-    conj_pair_defect,
     conj_product_defect,
     frame_cross_ratio_sets,
     frame_triple_ratio_sets,
@@ -368,7 +367,7 @@ def _dim2_conditions(infos, cfg):
         if len(pos) == 1:
             value, passed = values[pos[0]], tests[requirement][pos[0]]
         elif requirement == "conjugate pair":
-            value = conj_pair_defect(cr[pos[0]], cr[pos[1]])
+            value = conj_product_defect(cr[pos[0]], [cr[pos[1]]])
             passed = value <= tol
         else:
             c1, c2 = cr[pos[0]], cr[pos[1]]
@@ -520,7 +519,7 @@ def _columns(crs, L, tol):
     K, n = crs.num.shape[1], max(L - 3, 0)
     values, real = list(zip(*ratio_values(crs))), is_real(crs, tol).T.tolist()
     b, p = crs[:-1], crs[1:]
-    conj = conj_pair_defect(b, p)
+    conj = conj_product_defect(b, [p])
     hyp = [(f"[{j}]", "real", values[j], real[j]) for j in range(L, K)]
     # a pair column holds its defects until the return reads them
     pair = [(f"[{j}]", "conjugate pair", conj[:, j]) for j in range(L, K)]
@@ -642,7 +641,8 @@ def _synthetic_conditions(infos, cfg):
     A-coordinates.
     With fewer than two strictly hyperbolic generators at k = 3 some
     generator is mixed, and every other generator has a hyperbolic
-    direction to offer.  A pair generator's mirrored flag needs its
+    direction to offer.  A pair generator's flag is its mirrored flag
+    (``_mirrored_rows``), as ``fg`` builds it; it needs the
     eigendirections independent, read from its ``frame_rcond`` as every
     flag route reads it.
     """
@@ -676,8 +676,7 @@ def _synthetic_conditions(infos, cfg):
     if pairs:
         # the mirrored flag (p, mid, q) of each pair moved by gamma0, rows scaled to
         # largest entry 1, then its reverse; A is the unit rows, so these are frame rows
-        betas = np.array([info.rows[[idx[0], info.hyp_indices()[0], idx[1]]]
-                          for info, idx in pairs]) @ gamma0.T
+        betas = np.array([_mirrored_rows(info) for info, _ in pairs]) @ gamma0.T
         betas /= np.abs(betas).max(axis=2, keepdims=True)
         flags = np.repeat(betas, 2, axis=0)
         flags[1::2] = betas[:, ::-1]

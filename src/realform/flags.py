@@ -151,15 +151,11 @@ def window_table(heights: tuple, k: int):
 def frame_minors(z: np.ndarray, table) -> np.ndarray:
     """minors[n, c]: the minor of composition c of ``window_table``'s
     ``table`` in the frame rows z[n] = [B_n; D_n], one stacked
-    determinant per minor size above 2 (sizes 1 and 2 in closed form)."""
+    determinant per minor size."""
     comps, _, groups = table
     out = np.ones((len(z), len(comps)), dtype=complex)
     for pos, rows, cols in groups:
-        block = z[:, rows[:, :, None], cols[:, None, :]]
-        w = rows.shape[1]
-        out[:, pos] = (block[..., 0, 0] if w == 1 else
-                       block[..., 0, 0] * block[..., 1, 1] - block[..., 0, 1] * block[..., 1, 0]
-                       if w == 2 else np.linalg.det(block))
+        out[:, pos] = np.linalg.det(z[:, rows[:, :, None], cols[:, None, :]])
     return out
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasibleSpec, NonDiagonalizable, RepeatedEigenvalues
-from .projlin import MAX_DIM, MIN_DIM, as_stack, eig, eigensystems, modulus, proj_dists, upper_pairs
-from .spectrum import KIND_ELLIPTIC, KIND_HYPERBOLIC, classify_spectra, type_transformation
+from .projlin import MAX_DIM, MIN_DIM, as_stack, eigensystems, modulus, proj_dists, upper_pairs
+from .spectrum import KIND_ELLIPTIC, KIND_HYPERBOLIC, classify_spectra
 
 SCRAMBLE_NONE = "none"
 SCRAMBLE_GAMMA = "random_gamma"
@@ -168,13 +168,14 @@ def _perturbation_delta(m, rng, gamma, cfg):
     of the preserved projective real form (i times a form-tangent
     vector), a targeted break of its on-form condition; an elliptic pair
     member gets a generic orthogonal direction (the caller probes the
-    phase).  Returns (eigensystem, eigenvector matrix, offset, label).
+    phase).  The eigendata are the stacked pass's (``_spectra``).
+    Returns (eigenvalues, eigenvector matrix, offset, label).
     """
-    es = eig(m, cfg)
-    sc = type_transformation(es, cfg)
-    k = es.dim
-    vecs = np.column_stack([d.coords for d in es.directions])
-    v = vecs[:, 0]
+    stack, spectra, exc = _spectra(np.asarray(m, dtype=complex)[None], cfg)
+    if exc is not None:
+        raise exc
+    lam, vecs = stack.eigenvalues[0], np.column_stack(stack.rows[0])
+    k, v = len(lam), vecs[:, 0]
 
     def perp(u):
         w = u - v * (np.vdot(v, u) / np.vdot(v, v))
@@ -182,7 +183,7 @@ def _perturbation_delta(m, rng, gamma, cfg):
         return None if n < cfg.rank_tol * np.linalg.norm(u) else w / n
 
     delta = None
-    label = sc.labels[0]
+    label = spectra[0].labels[0]
     if label == "hyperbolic":
         # v = gamma x with x real; gamma (real w) spans the form's
         # tangent directions at v, and i rotates tangent to normal
@@ -201,13 +202,13 @@ def _perturbation_delta(m, rng, gamma, cfg):
             delta = perp(rng.normal(size=k) + 1j * rng.normal(size=k))
             if delta is not None:
                 break
-    return es, vecs, delta, label
+    return lam, vecs, delta, label
 
 
-def _apply_perturbation(es, vecs, delta, magnitude):
+def _apply_perturbation(lam, vecs, delta, magnitude):
     out = vecs.copy()
     out[:, 0] = vecs[:, 0] + magnitude * np.linalg.norm(vecs[:, 0]) * delta
-    return out @ np.diag(es.eigenvalues) @ np.linalg.inv(out)
+    return out @ np.diag(lam) @ np.linalg.inv(out)
 
 
 def _perturb_eigendirection(ms, g_idx, magnitude, rng, gamma, cfg):
@@ -220,16 +221,15 @@ def _perturb_eigendirection(ms, g_idx, magnitude, rng, gamma, cfg):
     incompatible one is kept; the achieved defect is returned so the
     caller can resample degenerate geometry.
     """
-    es, vecs, delta, label = _perturbation_delta(ms[g_idx], rng, gamma, cfg)
-    k = es.dim
-    if k != 2:
+    lam, vecs, delta, label = _perturbation_delta(ms[g_idx], rng, gamma, cfg)
+    if len(lam) != 2:
         out = list(ms)
-        out[g_idx] = _apply_perturbation(es, vecs, delta, magnitude)
+        out[g_idx] = _apply_perturbation(lam, vecs, delta, magnitude)
         return out, None
     best, best_defect = None, -1.0
     for j in range(4):
         cand = list(ms)
-        cand[g_idx] = _apply_perturbation(es, vecs, delta * np.exp(1j * np.pi * j / 4), magnitude)
+        cand[g_idx] = _apply_perturbation(lam, vecs, delta * np.exp(1j * np.pi * j / 4), magnitude)
         # a phase whose search falls to the best defect so far cannot be
         # kept, so its search stops there
         defect = brute_rform_search(cand, grid=40, refine=3, cfg=cfg, stop_at=best_defect)

@@ -16,7 +16,6 @@ import pytest
 
 import realform as rf
 from realform.coords import (
-    conj_pair_defect,
     conj_product_defect,
     cross_ratio,
     cross_ratio_set,

@@ -354,6 +354,19 @@ def test_boolean_k_is_not_an_integer(run_cli, tmp_path):
     assert (res.returncode, res.stderr) == (2, "error: 'k' must be an integer\n")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"matrices": DIAG}, "input document needs fields 'k' and 'matrices'"),
+    ({"k": 2}, "input document needs fields 'k' and 'matrices'"),
+    ({"k": 2, "matrices": DIAG, "options": {"tolerances": {"bogus_tol": 1e-3}}},
+     "bad tolerance override in document: unknown tolerance names: ['bogus_tol']"),
+], ids=["no-k", "no-matrices", "unknown-tolerance"])
+def test_document_error_names_the_fault(run_cli, tmp_path, doc, message):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    res = run_cli("decide", str(f))
+    assert (res.returncode, res.stderr) == (2, f"error: {message}\n")
+
+
 def test_malformed_document_exit2_in_a_fresh_process(tmp_path):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps({"k": 2, "matrices": [[[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
@@ -643,6 +656,12 @@ class TestGenerateVerify:
         res = run_cli("generate", "--k", str(k), "--generators", str(n), *extra, "-o", str(out))
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_malformed_perturb_exit2(self, run_cli, tmp_path):
+        out = tmp_path / "g.json"
+        res = run_cli("generate", "--k", "2", "--generators", "2", "--perturb", "0:x", "-o", str(out))
+        assert (res.returncode, res.stderr) == (2, "error: --perturb takes GENERATOR:MAGNITUDE\n")
         assert not out.exists()
 
     def test_inconclusive_exit6(self, run_cli, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from realform.coords import (
     CrossRatio,
-    conj_pair_defect,
+    conj_product_defect,
     cross_ratio,
     config_cross_ratio,
     cross_ratio_lists,
@@ -580,8 +580,10 @@ class TestTripleRatio:
 
 
 def test_conj_pair_defect_symmetry():
+    # the conjugate-pair defect is the one-factor product defect
     cr1 = cross_ratio(INF, aff(2 + 1j), aff(0), aff(1))
     cr2 = cross_ratio(INF, aff(2 - 1j), aff(0), aff(1))
-    assert conj_pair_defect(cr1, cr2) < 1e-12
+    assert conj_product_defect(cr1, [cr2]) < 1e-12
+    assert conj_product_defect(cr2, [cr1]) < 1e-12
     cr3 = cross_ratio(INF, aff(2 + 1.1j), aff(0), aff(1))
-    assert conj_pair_defect(cr3, cr2) > 1e-3
+    assert conj_product_defect(cr3, [cr2]) > 1e-3

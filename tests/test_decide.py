@@ -854,6 +854,10 @@ class TestDispatch:
         with pytest.raises(ValueError):
             decide([np.diag([2.0, 1.0])], method="bogus")
 
+    def test_dimension_above_the_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^matrix 0: dimension 9 outside supported range \[2, 8\]$"):
+            decide([np.diag(np.arange(1.0, 10.0))] * 2)
+
 
 class TestMiddleDirectionPerturbation:
     def test_triple_ratio_catches_interior_eigendirection(self):
@@ -1007,6 +1011,15 @@ def test_two_hyperbolic_yes_at_condition_1e3(method):
                          ids=["hyperbolic-elliptic", "mixed"])
 def test_k6_yes_at_condition_1e3(seed, mix, method):
     verdict, _ = decide(conditioned_yes(6, seed, mix=mix), method=method)
+    assert verdict.answer == "yes"
+
+
+@pytest.mark.xfail(strict=True, reason="wrong definite No at cond(Gamma) = 1e4: direct answers No, "
+                   "and auto answers it through cross at k = 3 and 6, through direct at k = 8")
+@pytest.mark.parametrize("method", ["auto", "direct"])
+@pytest.mark.parametrize("k,seed", [(3, 9), (6, 4), (6, 5), (8, 4), (8, 5)])
+def test_yes_at_condition_1e4(k, seed, method):
+    verdict, _ = decide(conditioned_yes(k, seed, exponent=4), method=method)
     assert verdict.answer == "yes"
 
 

@@ -56,6 +56,7 @@ class TestInstanceSpec:
         ({"hyperbolic": 1.0, "elliptic": 1}, None, "type mix must map"),
         ({"hyperbolic": "2"}, None, "type mix must map"),
         ({"hyperbolic": 2}, (0.5, 0.05), "perturbation index not an integer in range"),
+        ({"hyperbolic": 3, "elliptic": -1}, None, "^negative type counts$"),
     ])
     def test_unrealizable_spec_rejected(self, mix, perturbation, match):
         with pytest.raises(InfeasibleSpec, match=match):
@@ -559,11 +560,11 @@ class TestStopAt:
 def _ref_probe(ms, g_idx, magnitude, rng, gamma, cfg):
     """The phase probe before the stop: all four full searches, the first
     phase with the largest defect kept."""
-    es, vecs, delta, _ = oracle._perturbation_delta(ms[g_idx], rng, gamma, cfg)
+    lam, vecs, delta, _ = oracle._perturbation_delta(ms[g_idx], rng, gamma, cfg)
     cands, defects = [], []
     for j in range(4):
         cand = list(ms)
-        cand[g_idx] = oracle._apply_perturbation(es, vecs, delta * np.exp(1j * np.pi * j / 4),
+        cand[g_idx] = oracle._apply_perturbation(lam, vecs, delta * np.exp(1j * np.pi * j / 4),
                                                  magnitude)
         cands.append(cand)
         defects.append(brute_rform_search(cand, grid=40, refine=3, cfg=cfg))
