@@ -26,16 +26,21 @@ window of columns, so ``frame_triple_ratio_sets`` reads every flag's
 triple ratios, and the tests that guard them, from those minors
 (``flags.frame_minors``).  ``triple_ratio_set`` evaluates three arbitrary
 flags, and is the reference.
+
+Flags are their rows arrays, as in ``flags``.  One quotient's cross
+ratio is ``cross_ratio(*quotient_cp1(a, b1, c, d1, i, j), provenance=(i, j))``;
+``fg_cross_ratio`` keeps its own formula, the reference for the
+Fock-Goncharov normalization.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateTriple, GenericityViolation, IndeterminateCrossRatio
-from .flags import Flag, LineConfig, _composition_rows, _compositions
+from .flags import _composition_rows, _compositions
 # not used here, but kept importable: perfbench/spans.py wraps them by module global
 from .flags import generic_with_point, quotient_cp1, quotient_cp2  # noqa: F401
 from .projlin import ProjPoint, modulus, norms
@@ -90,23 +95,17 @@ def _points(points):
     return [p if isinstance(p, ProjPoint) else ProjPoint(p) for p in points]
 
 
-def _homogeneous(num, den, provenance) -> CrossRatio:
-    # the 0/0 floor of frame_cross_ratio_sets
-    if abs(num) <= 1e-13 and abs(den) <= 1e-13:
-        raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
-    return CrossRatio(num=num, den=den, provenance=provenance)
-
-
 def cross_ratio(a, b, c, d, provenance=None) -> CrossRatio:
-    """[A, B, C, D] for four points of CP^1."""
-    a, b, c, d = (p.coords for p in _points((a, b, c, d)))
-    return _homogeneous(_det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d), provenance)
+    """[A, B, C, D] for four points of CP^1: ``row_cross_ratios`` of
+    their coordinates."""
+    cr = row_cross_ratios(*(p.coords for p in _points((a, b, c, d))))
+    return replace(cr, provenance=provenance)
 
 
 def row_cross_ratios(a, b, c, d) -> CrossRatio:
     """[A, B, C, D] for points of CP^1 given as coordinate rows,
     elementwise over the leading axes (which broadcast); a 0/0 ratio
-    raises, as in ``cross_ratio``."""
+    raises."""
     num, den = _det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d)
     if ((modulus(num) <= 1e-13) & (modulus(den) <= 1e-13)).any():
         raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
@@ -114,13 +113,14 @@ def row_cross_ratios(a, b, c, d) -> CrossRatio:
 
 
 def fg_cross_ratio(a, b, c, d, provenance=None) -> CrossRatio:
-    """[[A, B, C, D]], the Fock-Goncharov normalization."""
+    """[[A, B, C, D]], the Fock-Goncharov normalization, by its own
+    formula: the reference the closed forms' -1 / [A, B, C, D] is checked
+    against.  A 0/0 ratio raises, as in ``cross_ratio``."""
     a, b, c, d = (p.coords for p in _points((a, b, c, d)))
-    return _homogeneous(_det2(a, b) * _det2(c, d), _det2(a, d) * _det2(b, c), provenance)
-
-
-def config_cross_ratio(cfgn: LineConfig) -> CrossRatio:
-    return cross_ratio(cfgn.a, cfgn.b, cfgn.c, cfgn.d, provenance=cfgn.provenance)
+    num, den = _det2(a, b) * _det2(c, d), _det2(a, d) * _det2(b, c)
+    if abs(num) <= 1e-13 and abs(den) <= 1e-13:
+        raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
+    return CrossRatio(num=num, den=den, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +154,6 @@ def _relative_defect(lhs, rhs):
 
 def in_unit_circle(cr: CrossRatio, tol: float):
     return _equal_moduli(np.abs(cr.num), np.abs(cr.den), tol)
-
-
-def unit_product_defect(cr1: CrossRatio, cr2: CrossRatio):
-    """Relative defect of cr1 * conj(cr2) == 1."""
-    return _relative_defect(cr1.num * np.conj(cr2.num), cr1.den * np.conj(cr2.den))
 
 
 def product_in_unit_circle(cr1: CrossRatio, cr2: CrossRatio, tol: float):
@@ -228,7 +223,7 @@ def cross_ratio_lists(crs: CrossRatio) -> list:
             for nums, dens in zip(crs.num.tolist(), crs.den.tolist())]
 
 
-def cross_ratio_set(a: Flag, b1, c: Flag, d1):
+def cross_ratio_set(a: np.ndarray, b1, c: np.ndarray, d1):
     """The k-1 cross ratios of the line b1: entry i comes from the quotient
     of C^k by A_i + C_{k-2-i}, in ``frame_cross_ratio_sets``'s closed form.
 
@@ -236,9 +231,9 @@ def cross_ratio_set(a: Flag, b1, c: Flag, d1):
     the flags and d1 is the caller's to check
     (``flags.first_nongeneric_coords``).
     """
-    if not np.array_equal(c.vectors, a.vectors[::-1]):
+    if not np.array_equal(c, a[::-1]):
         raise ValueError("cross ratio sets need C = A reversed")
-    x = np.array([p.coords for p in _points([b1, d1])]) @ np.linalg.inv(a.vectors)
+    x = np.array([p.coords for p in _points([b1, d1])]) @ np.linalg.inv(a)
     return cross_ratio_lists(frame_cross_ratio_sets(x[:1], x[1]))[0]
 
 
@@ -355,7 +350,7 @@ def _prefix_products(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def triple_ratio_set(a: Flag, b: Flag, c: Flag,
+def triple_ratio_set(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                      cfg: Tolerances = DEFAULT_TOLERANCES):
     """One triple ratio per quotient, (k-1)(k-2)/2 in total.
 
@@ -376,13 +371,13 @@ def triple_ratio_set(a: Flag, b: Flag, c: Flag,
     in the quotient's orthonormal coordinates, where a denominator below
     1e-14 * max(|numerator|, 1) vanishes.
     """
-    k = a.dim
+    k = a.shape[1]
     if k < 3:
         return []
-    if min(a.height, b.height, c.height) < k - 1:
+    if min(len(a), len(b), len(c)) < k - 1:
         raise ValueError("flag height too small for the requested quotient")
     quotients, where, *_ = _triple_minors(k)
-    rows = np.vstack([a.vectors[:k - 1], b.vectors[:k - 1], c.vectors[:k - 1]])
+    rows = np.vstack([a[:k - 1], b[:k - 1], c[:k - 1]])
     stacked = rows[_composition_rows((k - 1,) * 3, k)]
     delta, scale = np.linalg.det(stacked)[where], np.prod(np.linalg.norm(stacked, axis=2), axis=1)
     if not (modulus(delta) > cfg.rank_tol * scale[where]).all():

@@ -58,7 +58,6 @@ from .coords import (
     product_in_unit_circle,
     ratio_values,
     row_cross_ratios,
-    unit_product_defect,
 )
 from .errors import (
     DegenerateFrame,
@@ -145,7 +144,8 @@ class GenInfo:
     """One generator of a spectral pass: its slices of the pass's stacked
     arrays (``EigenStack``) and its spectral classification.
 
-    Every route reads these arrays alone; no ProjPoint or Flag is built.
+    Every route reads these arrays alone; no ProjPoint is built and no
+    ``make_flag`` called.
     A flag of the generator is its rows in some order (the eigenvalue
     order, or pairs mirrored about the middle), and ``frame`` reads any
     row in the eigen-coordinate frame, where the eigenflag is the unit
@@ -529,7 +529,7 @@ def _columns(crs, L, tol):
         hyp = ([(f"[{j}]", "unit circle", values[j], unit[j]) for j in range(0, min(L, K), 2)] + hyp
                + [(f" argsum[{j},{j+1},{j+2}]", "0 mod 2pi", zeros, ok)
                   for j, ok in zip(range(0, n, 2), sums.T.tolist())])
-        product = unit_product_defect(b, p)
+        product = conj_product_defect(b, [CrossRatio(p.den, p.num)])   # b conj(p) == 1: b == conj(1/p)
         # column j - 1 ties ratio j of line r to ratios j - 1, j, j + 1 of its partner
         triple = conj_product_defect(b[:, 1:-1], [p[:, :-2], p[:, 1:-1], p[:, 2:]])
         # even j ties the partners of one pair, odd j below L - 2 one pair to the next

@@ -1,9 +1,11 @@
 """Flags of nested subspaces, genericity predicates, and quotients.
 
-A flag is an ordered spanning list; the j-th subspace is the span of
-the first j vectors.  Flag pairs use the reversed ordering.  Quotients
-by direct sums of flag parts produce the CP^1 and CP^2 configurations
-whose cross ratios and triple ratios are the coordinates of interest.
+A flag is its (height, k) array of spanning rows, as ``make_flag``
+returns it: the j-th subspace is the span of the first j rows, and a
+flag pair is a flag f and its reverse f[::-1].  Quotients by direct sums
+of flag parts produce the CP^1 and CP^2 configurations whose cross
+ratios and triple ratios are the coordinates of interest:
+``quotient_cp1`` returns its four points of CP^1 as a tuple.
 
 Against a flag pair (A, C = A reversed) a line needs no quotient: its
 coordinates x in the basis of A's vectors (the eigen-coordinate frame
@@ -18,7 +20,6 @@ against (A, C, D) from those minors, with ``generic_position``'s answer.
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,45 +28,27 @@ from .errors import GenericityViolation
 from .projlin import EigenSystem, ProjPoint, norms
 
 
-@dataclass(frozen=True)
-class Flag:
-    """Ordered independent spanning vectors; rows of ``vectors``."""
-
-    vectors: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def reversed(self) -> "Flag":
-        return Flag(vectors=self.vectors[::-1].copy())
-
-
-def make_flag(vectors, cfg: Tolerances = DEFAULT_TOLERANCES) -> Flag:
-    """Rows from the vectors, each scaled to largest-magnitude coordinate 1."""
+def make_flag(vectors, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """The flag's (height, k) rows: the vectors, each scaled to
+    largest-magnitude coordinate 1."""
     m = np.array([v.coords if isinstance(v, ProjPoint) else np.asarray(v, dtype=complex).ravel()
                   for v in vectors])
     m = m / np.abs(m).max(axis=1, keepdims=True)
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] <= cfg.rank_tol * s[0]:
         raise GenericityViolation("flag spanning vectors are linearly dependent")
-    return Flag(vectors=m)
+    return m
 
 
-def point_flag(p, cfg: Tolerances = DEFAULT_TOLERANCES) -> Flag:
+def point_flag(p, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Height-1 flag through a single projective point."""
     return make_flag([p], cfg)
 
 
-def flag_pair_from_eigensystem(es: EigenSystem,
-                               cfg: Tolerances = DEFAULT_TOLERANCES) -> tuple[Flag, Flag]:
+def flag_pair_from_eigensystem(es: EigenSystem, cfg: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """The flag of an eigenbasis in eigenvalue order, and its reverse."""
     f = make_flag(es.directions, cfg)
-    return f, f.reversed()
+    return f, f[::-1]
 
 
 def _compositions(heights, k):
@@ -113,8 +96,8 @@ def generic_position(flags, cfg: Tolerances = DEFAULT_TOLERANCES) -> bool:
     screens the stacks for ``_rank_ok``.
     """
     flags = list(flags)
-    k = flags[0].dim
-    stacks = np.vstack([f.vectors for f in flags])[_composition_rows(tuple(f.height for f in flags), k)]
+    k = flags[0].shape[1]
+    stacks = np.vstack(flags)[_composition_rows(tuple(len(f) for f in flags), k)]
     with np.errstate(all="ignore"):
         m = stacks / np.abs(stacks).max(axis=(1, 2), keepdims=True)
         bound = np.abs(np.linalg.det(m)) / np.linalg.norm(m, axis=(1, 2)) ** k
@@ -244,7 +227,7 @@ def first_nongeneric_coords(x: np.ndarray, d: np.ndarray,
     return int(bad[0]) if bad.size else None
 
 
-def generic_with_point(a: Flag, v, c: Flag, d,
+def generic_with_point(a: np.ndarray, v, c: np.ndarray, d,
                        cfg: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Genericity of (A, span v, C, span d) with the lines as 1-flags."""
     return generic_position([a, point_flag(v, cfg), c, point_flag(d, cfg)], cfg)
@@ -268,48 +251,30 @@ def _project(basis: np.ndarray, v: np.ndarray, cfg, what: str) -> np.ndarray:
     return img
 
 
-@dataclass(frozen=True)
-class LineConfig:
-    """Four labelled points of CP^1 coming from a quotient."""
-
-    a: ProjPoint
-    b: ProjPoint
-    c: ProjPoint
-    d: ProjPoint
-    provenance: tuple | None = None
-
-    @property
-    def points(self):
-        return (self.a, self.b, self.c, self.d)
-
-
-def quotient_cp1(a: Flag, b1, c: Flag, d1, i: int, j: int,
-                 cfg: Tolerances = DEFAULT_TOLERANCES) -> LineConfig:
+def quotient_cp1(a: np.ndarray, b1, c: np.ndarray, d1, i: int, j: int,
+                 cfg: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """Project to C^k / (A_i + C_j), a projective line.
 
-    Images: the next step of A, the line b1, the next step of C, the
-    line d1.  Requires i + j = k - 2.
+    Returns the four images as ProjPoints: the next step of A, the line
+    b1, the next step of C, the line d1.  Requires i + j = k - 2.
     """
-    k = a.dim
+    k = a.shape[1]
     if i + j != k - 2 or i < 0 or j < 0:
         raise ValueError("need i + j = k - 2 with i, j >= 0")
-    if i + 1 > a.height or j + 1 > c.height:
+    if i + 1 > len(a) or j + 1 > len(c):
         raise ValueError("flag heights too small for the requested quotient")
     b1 = b1 if isinstance(b1, ProjPoint) else ProjPoint(b1)
     d1 = d1 if isinstance(d1, ProjPoint) else ProjPoint(d1)
-    rows = np.vstack([a.vectors[:i], c.vectors[:j]]) if i + j else np.zeros((0, k), dtype=complex)
+    rows = np.vstack([a[:i], c[:j]]) if i + j else np.zeros((0, k), dtype=complex)
     basis = _complement_basis(rows, k, cfg)
-    pa = _project(basis, a.vectors[i], cfg, "next A step")
-    pc = _project(basis, c.vectors[j], cfg, "next C step")
+    pa = _project(basis, a[i], cfg, "next A step")
+    pc = _project(basis, c[j], cfg, "next C step")
     pb = _project(basis, b1.coords, cfg, "B line")
     pd = _project(basis, d1.coords, cfg, "D line")
-    return LineConfig(
-        a=ProjPoint(pa, cfg), b=ProjPoint(pb, cfg), c=ProjPoint(pc, cfg), d=ProjPoint(pd, cfg),
-        provenance=(i, j),
-    )
+    return ProjPoint(pa, cfg), ProjPoint(pb, cfg), ProjPoint(pc, cfg), ProjPoint(pd, cfg)
 
 
-def quotient_cp2(a: Flag, b: Flag, c: Flag, i: int, j: int, l: int,
+def quotient_cp2(a: np.ndarray, b: np.ndarray, c: np.ndarray, i: int, j: int, l: int,
                  cfg: Tolerances = DEFAULT_TOLERANCES):
     """Project to C^k / (A_i + C_j + B_l), a projective plane.
 
@@ -317,18 +282,18 @@ def quotient_cp2(a: Flag, b: Flag, c: Flag, i: int, j: int, l: int,
     coordinates: each flag advances by one and two steps over the
     quotiented sum.  Requires i + j + l = k - 3.
     """
-    k = a.dim
+    k = a.shape[1]
     if i + j + l != k - 3 or min(i, j, l) < 0:
         raise ValueError("need i + j + l = k - 3 with i, j, l >= 0")
     for f, n in ((a, i), (c, j), (b, l)):
-        if n + 2 > f.height:
+        if n + 2 > len(f):
             raise ValueError("flag height too small for the requested quotient")
-    rows = np.vstack([a.vectors[:i], c.vectors[:j], b.vectors[:l]])
+    rows = np.vstack([a[:i], c[:j], b[:l]])
     basis = _complement_basis(rows, k, cfg)
 
-    def two_step(f: Flag, n: int, name: str) -> np.ndarray:
-        u1 = _project(basis, f.vectors[n], cfg, f"{name} line")
-        u2 = basis.conj().T @ f.vectors[n + 1]
+    def two_step(f: np.ndarray, n: int, name: str) -> np.ndarray:
+        u1 = _project(basis, f[n], cfg, f"{name} line")
+        u2 = basis.conj().T @ f[n + 1]
         m = np.vstack([u1, u2])
         s = np.linalg.svd(m, compute_uv=False)
         if s[-1] <= cfg.rank_tol * s[0]:
@@ -338,7 +303,7 @@ def quotient_cp2(a: Flag, b: Flag, c: Flag, i: int, j: int, l: int,
     return two_step(a, i, "A"), two_step(b, l, "B"), two_step(c, j, "C")
 
 
-def mirrored_pair_flag(pairs, hyps, cfg: Tolerances = DEFAULT_TOLERANCES) -> Flag:
+def mirrored_pair_flag(pairs, hyps, cfg: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Flag placing pair partners symmetrically about the middle.
 
     Order (p1, p2, ..., pm, h..., pm', ..., p2', p1'), so the reversed

@@ -86,9 +86,12 @@ def classify_eigenvalues(lams, cfg: Tolerances = DEFAULT_TOLERANCES) -> Spectral
     """Classify a spectrum: admissible lines, labels, pairing, genericity;
     the one-spectrum case of :func:`classify_spectra`.
 
-    Raises RepeatedEigenvalues when two inputs are projectively equal.
+    Raises ValueError when an input is non-finite or zero, and
+    RepeatedEigenvalues when two inputs are projectively equal.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
+    if not (np.isfinite(lams).all() and lams.all()):
+        raise ValueError("eigenvalues must be finite and nonzero")
     require_separated(lams, cfg.sep_tol, "eigenvalues {:.6g}, {:.6g} coincide")
     return classify_spectra(lams[None], cfg)[0]
 

@@ -16,6 +16,7 @@ import pytest
 
 import realform as rf
 from realform.coords import (
+    CrossRatio,
     conj_product_defect,
     cross_ratio,
     cross_ratio_set,
@@ -25,7 +26,6 @@ from realform.coords import (
     is_real_extended,
     triple_ratio_cp2,
     triple_ratio_set,
-    unit_product_defect,
 )
 from realform.decide import prepare
 from realform.errors import GenericityViolation, SharedEigendirections, SpectralPreconditionError
@@ -126,13 +126,14 @@ class TestCriterion1Goldens:
         with criterion("1e", "4d elliptic-pair examples pass/fail the stated conditions"):
             eye = np.eye(4, dtype=complex)
             a = make_flag(list(eye))
-            c = a.reversed()
+            c = a[::-1]
             d = ProjPoint([1.0, 1.0, 1.0, 1.0])
 
             def conditions(z, w):
                 crs_b = cross_ratio_set(a, ProjPoint(z), c, d)
                 crs_p = cross_ratio_set(a, ProjPoint(w), c, d)
-                cond1 = max(unit_product_defect(crs_b[j], crs_p[j]) for j in (0, 2))
+                cond1 = max(conj_product_defect(crs_b[j], [CrossRatio(crs_p[j].den, crs_p[j].num)])
+                            for j in (0, 2))
                 cond2 = conj_product_defect(crs_b[1], [crs_p[0], crs_p[1], crs_p[2]])
                 return cond1, cond2
 
@@ -335,8 +336,8 @@ def matched_flag_coordinates(ms, cfg=rf.DEFAULT_TOLERANCES, reference=None):
     oh = ordered(hes, ref_h)
     a = make_flag([ges.directions[i] for i in og], cfg)
     b = make_flag([hes.directions[i] for i in oh], cfg)
-    c, d = a.reversed(), b.reversed()
-    crs = [x.value for x in cross_ratio_set(a, ProjPoint(b.vectors[0]), c, ProjPoint(d.vectors[0]))]
+    c, d = a[::-1], b[::-1]
+    crs = [x.value for x in cross_ratio_set(a, ProjPoint(b[0]), c, ProjPoint(d[0]))]
     trs = [t.value for t in triple_ratio_set(a, b, c, cfg)]
     trs += [t.value for t in triple_ratio_set(a, c, d, cfg)]
     return (ges.eigenvalues[og], hes.eigenvalues[oh]), np.array(crs + trs)
@@ -377,7 +378,7 @@ class TestCriterion7Counts:
             rng = np.random.default_rng(770)
             for k in range(3, 9):
                 a = make_flag(list(np.eye(k, dtype=complex)))
-                c = a.reversed()
+                c = a[::-1]
                 b1 = ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k))
                 crs = cross_ratio_set(a, b1, c, ProjPoint(np.ones(k)))
                 assert len(crs) == k - 1

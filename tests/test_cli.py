@@ -498,6 +498,34 @@ class TestCoords:
             tr_by_flag.setdefault((row["generator"], row["flag"]), []).append(row)
         assert {len(v) for v in tr_by_flag.values()} == {3}
 
+    def test_k2_cross_ratios_match_the_quotient(self, run_cli, tmp_path):
+        from realform import flags
+        from realform.coords import cross_ratio, fg_cross_ratio
+        from realform.decide import prepare
+        from realform.projlin import ProjPoint
+
+        path = tmp_path / "g.json"
+        assert run_cli("generate", "--k", "2", "--generators", "3", "--hyperbolic", "3",
+                       "--seed", "4", "-o", str(path)).returncode == 0
+        res = run_cli("coords", str(path))
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        assert doc["triple_ratios"] == []
+        assert [(row["flag"], row["i"], row["j"]) for row in doc["cross_ratios"]] == \
+            [("B", 0, 0), ("beta", 0, 0), ("beta_prime", 0, 0)]
+        # reference: at k = 2 the one quotient, by A_0 + C_0, is C^2 itself
+        pairs = np.array(json.loads(path.read_text())["matrices"])
+        g, h, other = prepare(list(pairs[..., 0] + 1j * pairs[..., 1]))
+        (a, c), (b, d), (beta, beta_rev) = (flags.flag_pair_from_eigensystem(eigensystem(x))
+                                            for x in (g, h, other))
+        assert [row["generator"] for row in doc["cross_ratios"]] == [h.index, other.index, other.index]
+        d1 = ProjPoint(d[0])
+        for row, line in zip(doc["cross_ratios"], (b[0], beta[0], beta_rev[0])):
+            config = flags.quotient_cp1(a, ProjPoint(line), c, d1, 0, 0)
+            for key, ref in (("value", cross_ratio(*config, provenance=(0, 0))),
+                             ("fg_value", fg_cross_ratio(*config))):
+                assert abs(complex(*row[key]) - ref.value) <= 1e-9 * abs(ref.value)
+
     def test_without_two_hyperbolic_generators_exit4(self, run_cli, tmp_path):
         run_cli("generate", "--k", "4", "--generators", "2", "--elliptic", "2",
                 "--seed", "1", "-o", str(tmp_path / "g.json"))
@@ -546,7 +574,7 @@ class TestCoords:
 
     def test_cross_ratios_need_no_complement_bases(self, tmp_path, monkeypatch, capsys):
         from realform import flags
-        from realform.coords import config_cross_ratio, fg_cross_ratio
+        from realform.coords import cross_ratio, fg_cross_ratio
         from realform.decide import prepare
         from realform.oracle import InstanceSpec, generate
         from realform.projlin import ProjPoint
@@ -573,16 +601,16 @@ class TestCoords:
         g, h, other = prepare(inst.matrices)
         (a, c), (b, d), (beta, beta_rev) = (flags.flag_pair_from_eigensystem(eigensystem(x))
                                             for x in (g, h, other))
-        d1 = ProjPoint(d.vectors[0])
+        d1 = ProjPoint(d[0])
         expected = []
         for f, owner, tag in ((b, h.index, "B"), (beta, other.index, "beta"),
                               (beta_rev, other.index, "beta_prime")):
             for i in range(k - 1):
-                config = flags.quotient_cp1(a, ProjPoint(f.vectors[0]), c, d1, i, k - 2 - i)
+                config = flags.quotient_cp1(a, ProjPoint(f[0]), c, d1, i, k - 2 - i)
                 expected.append({
                     "generator": owner, "flag": tag, "i": i, "j": k - 2 - i,
-                    "value": config_cross_ratio(config).value,
-                    "fg_value": fg_cross_ratio(*config.points).value,
+                    "value": cross_ratio(*config, provenance=(i, k - 2 - i)).value,
+                    "fg_value": fg_cross_ratio(*config).value,
                 })
         assert len(doc["cross_ratios"]) == 3 * (k - 1)
         for row, ref in zip(doc["cross_ratios"], expected):

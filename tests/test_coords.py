@@ -7,7 +7,6 @@ from realform.coords import (
     CrossRatio,
     conj_product_defect,
     cross_ratio,
-    config_cross_ratio,
     cross_ratio_lists,
     cross_ratio_set,
     fg_cross_ratio,
@@ -28,7 +27,6 @@ from realform.errors import (
     RealformError,
 )
 from realform.flags import (
-    Flag,
     first_nongeneric_coords,
     generic_position,
     generic_with_point,
@@ -183,19 +181,19 @@ class TestRealnessGeometry:
 class TestCrossRatioSet:
     def test_successive_ratios(self):
         a = make_flag(list(np.eye(3, dtype=complex)))
-        c = a.reversed()
+        c = a[::-1]
         crs = cross_ratio_set(a, pp(2, 4, 8), c, pp(1, 1, 1))
         assert [round(abs(cr.value), 12) for cr in crs] == [0.5, 0.5]
 
     def test_reference_line_gives_ones(self):
         a = make_flag(list(np.eye(3, dtype=complex)))
-        c = a.reversed()
+        c = a[::-1]
         crs = cross_ratio_set(a, pp(1, 1, 1), c, pp(1, 1, 1))
         assert all(abs(cr.value - 1) < 1e-12 for cr in crs)
 
     def test_real_line_gives_reals(self, rng):
         a = make_flag(list(np.eye(4, dtype=complex)))
-        c = a.reversed()
+        c = a[::-1]
         b1 = ProjPoint(rng.uniform(0.5, 2, size=4))
         crs = cross_ratio_set(a, b1, c, pp(1, 1, 1, 1))
         assert all(is_real(cr, 1e-9) for cr in crs)
@@ -203,14 +201,14 @@ class TestCrossRatioSet:
     def test_genericity_gate(self):
         # cross_ratio_set leaves genericity to its callers, which gate on this
         a = make_flag(list(np.eye(3, dtype=complex)))
-        c = a.reversed()
+        c = a[::-1]
         assert first_nongeneric_coords(np.array([[1, 0, 1]]), np.ones(3)) == 0
         assert not generic_with_point(a, pp(1, 0, 1), c, pp(1, 1, 1))
 
     def test_count(self, rng):
         for k in range(3, 9):
             a = make_flag(list(np.eye(k, dtype=complex)))
-            c = a.reversed()
+            c = a[::-1]
             b1 = ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k))
             crs = cross_ratio_set(a, b1, c, ProjPoint(np.ones(k)))
             assert len(crs) == k - 1
@@ -220,14 +218,14 @@ class TestCrossRatioSets:
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_shared_bases_match_per_line_quotients(self, rng, k):
         a = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-        c = a.reversed()
+        c = a[::-1]
         d1 = ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k))
         lines = [ProjPoint(rng.normal(size=k) + 1j * rng.normal(size=k)) for _ in range(4)]
         got = frame_coords_cross_ratios(a, lines, d1)
         assert len(got) == len(lines)
         for line, crs in zip(lines, got):
-            expect = [config_cross_ratio(quotient_cp1(a, line, c, d1, i, k - 2 - i))
-                      for i in range(k - 1)]
+            expect = [cross_ratio(*quotient_cp1(a, line, c, d1, i, k - 2 - i),
+                                  provenance=(i, k - 2 - i)) for i in range(k - 1)]
             assert [cr.provenance for cr in crs] == [cr.provenance for cr in expect]
             assert close([cr.value for cr in crs], [cr.value for cr in expect])
             single = cross_ratio_set(a, line, c, d1)
@@ -235,7 +233,7 @@ class TestCrossRatioSets:
 
     def test_one_nongeneric_line_fails_the_set(self):
         a = make_flag(list(np.eye(3, dtype=complex)))
-        c = a.reversed()
+        c = a[::-1]
         assert first_nongeneric_coords(np.array([[1, 2, 1], [1, 0, 1]]), np.ones(3)) == 1
         assert [generic_with_point(a, v, c, pp(1, 1, 1)) for v in (pp(1, 2, 1), pp(1, 0, 1))] == \
             [True, False]
@@ -269,13 +267,13 @@ def first_raise(fn):
 
 def per_line_cross_ratios(a, lines, c, d1, cfg=DEFAULT_TOLERANCES):
     """One quotient_cp1 per (line, i): [([A,B,C,D], [[A,B,C,D]], provenance)] per line."""
-    k = a.dim
+    k = a.shape[1]
     out = []
     for line in lines:
         row = []
         for i in range(k - 1):
             config = quotient_cp1(a, line, c, d1, i, k - 2 - i, cfg)
-            cr, fg = config_cross_ratio(config), fg_cross_ratio(*config.points)
+            cr, fg = cross_ratio(*config, provenance=(i, k - 2 - i)), fg_cross_ratio(*config)
             row.append((cr.value, fg.value, cr.provenance))
         out.append(row)
     return out
@@ -284,7 +282,7 @@ def per_line_cross_ratios(a, lines, c, d1, cfg=DEFAULT_TOLERANCES):
 def frame_coords_cross_ratios(a, lines, d1):
     """frame_cross_ratio_sets on the lines' and d1's coordinates in A's basis,
     one list of CrossRatios per line."""
-    frame = np.linalg.inv(a.vectors)
+    frame = np.linalg.inv(a)
     return cross_ratio_lists(
         frame_cross_ratio_sets(np.array([v.coords for v in lines]) @ frame, d1.coords @ frame))
 
@@ -293,7 +291,7 @@ def closed_form_cross_ratios(a, lines, d1):
     """frame_cross_ratio_sets and cross_ratio_set in the layout of per_line_cross_ratios;
     [[A,B,C,D]] = -1 / [A,B,C,D]."""
     sets = frame_coords_cross_ratios(a, lines, d1)
-    again = [cross_ratio_set(a, line, a.reversed(), d1) for line in lines]
+    again = [cross_ratio_set(a, line, a[::-1], d1) for line in lines]
     assert all(close([cr.value for cr in crs], [cr.value for cr in other])
                for crs, other in zip(sets, again))
     return [[(cr.value, CrossRatio(-cr.den, cr.num).value, cr.provenance) for cr in crs]
@@ -302,13 +300,13 @@ def closed_form_cross_ratios(a, lines, d1):
 
 def nongeneric_line(a, lines, d1):
     """first_nongeneric_coords on the lines' and d1's coordinates in A's basis."""
-    frame = np.linalg.inv(a.vectors)
+    frame = np.linalg.inv(a)
     return first_nongeneric_coords(np.array([v.coords for v in lines]) @ frame, d1.coords @ frame)
 
 
 def per_quotient_triple_ratios(a, b, c):
     """One quotient_cp2 per (p, q, r), in triple_ratio_set's order."""
-    k = a.dim
+    k = a.shape[1]
     return [triple_ratio_cp2(*quotient_cp2(a, b, c, p, k - 3 - p - q, q),
                              provenance=(p, q, k - 3 - p - q))
             for p in range(k - 2) for q in range(k - 2 - p)]
@@ -342,7 +340,7 @@ class TestBatchedKernels:
         if setup is None:
             return
         _, a, _, _, d1, lines = setup
-        c = a.reversed()
+        c = a[::-1]
         bad = nongeneric_line(a, lines, d1)
         generic = [generic_with_point(a, v, c, d1) for v in lines]
         assert bad == (generic.index(False) if False in generic else None)
@@ -374,9 +372,9 @@ class TestBatchedKernels:
     @settings(max_examples=30, deadline=None)
     def test_line_in_quotiented_subspace(self, seed, k):
         rng, a, _, _, d1, lines = random_setup(seed, k, 3)
-        c = a.reversed()
+        c = a[::-1]
         i, n = int(rng.integers(k - 1)), int(rng.integers(3))
-        rows = np.vstack([a.vectors[:i], c.vectors[:k - 2 - i]])
+        rows = np.vstack([a[:i], c[:k - 2 - i]])
         lines[n] = ProjPoint(complex_normal(rng, k - 2) @ rows)
         expected = (GenericityViolation, "B line lies in the quotiented subspace")
         assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
@@ -388,31 +386,31 @@ class TestBatchedKernels:
     def test_step_or_reference_in_quotiented_subspace(self, seed, k, which):
         rng, a, _, _, d1, lines = random_setup(seed, k, 2)
         if which in "AC":   # a step of A in the span of others: A is no basis, so no frame
-            rows = a.vectors.copy()
+            rows = a.copy()
             rows[k - 2] = complex_normal(rng, k - 2) @ rows[:k - 2]
-            a = Flag(vectors=rows if which == "A" else rows[::-1].copy())
+            a = rows if which == "A" else rows[::-1].copy()
             message = "next A step" if which == "A" else "next C step"
             with pytest.raises(GenericityViolation, match="linearly dependent"):
-                make_flag(a.vectors)
+                make_flag(a)
         else:
             i = int(rng.integers(k - 1))
-            rows = np.vstack([a.vectors[:i], a.vectors[i + 2:]])
+            rows = np.vstack([a[:i], a[i + 2:]])
             d1 = ProjPoint(complex_normal(rng, k - 2) @ rows)
             message = "D line"
             assert nongeneric_line(a, lines, d1) == 0
         expected = (GenericityViolation, f"{message} lies in the quotiented subspace")
-        got = first_raise(lambda: per_line_cross_ratios(a, lines, a.reversed(), d1))
+        got = first_raise(lambda: per_line_cross_ratios(a, lines, a[::-1], d1))
         assert got == expected or (which == "C" and got[0] is GenericityViolation)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=30, deadline=None)
     def test_improper_images(self, seed, k):
         rng, a, _, _, d1, lines = random_setup(seed, k, 2)
-        rows = a.vectors.copy()
+        rows = a.copy()
         rows[k - 2, 0] = np.nan
-        a = Flag(vectors=rows)
+        a = rows
         # a quotient's SVD or its image of A's step is non-finite; so is the frame
-        assert issubclass(first_raise(lambda: per_line_cross_ratios(a, lines, a.reversed(), d1))[0],
+        assert issubclass(first_raise(lambda: per_line_cross_ratios(a, lines, a[::-1], d1))[0],
                           ValueError)
         assert nongeneric_line(a, lines, d1) == 0
 
@@ -421,25 +419,25 @@ class TestBatchedKernels:
     def test_degenerate_quotient(self, seed, k):
         rng, a, _, _, d1, lines = random_setup(seed, k, 2)
         t, u = sorted(rng.choice(k - 2, size=2, replace=False))
-        rows = a.vectors[::-1].copy()
+        rows = a[::-1].copy()
         rows[u] = (1 + 2j) * rows[t]
-        c = Flag(vectors=rows)
-        a = c.reversed()
+        c = rows
+        a = c[::-1]
         expected = (GenericityViolation, "quotient subspace is degenerate")
         assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
         with pytest.raises(GenericityViolation, match="linearly dependent"):
-            make_flag(a.vectors)
+            make_flag(a)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=30, deadline=None)
     def test_indeterminate_cross_ratio(self, seed, k):
         rng, a, _, _, _, lines = random_setup(seed, k, 2)
-        c = a.reversed()
+        c = a[::-1]
         i = int(rng.integers(k - 1))
-        rows = np.vstack([a.vectors[:i], c.vectors[:k - 2 - i], np.zeros((1, k))])
+        rows = np.vstack([a[:i], c[:k - 2 - i], np.zeros((1, k))])
         # B and d1 both project to the next A step in quotient i
-        lines[1] = ProjPoint(a.vectors[i] + complex_normal(rng, k - 1) @ rows)
-        d1 = ProjPoint(a.vectors[i] + complex_normal(rng, k - 1) @ rows)
+        lines[1] = ProjPoint(a[i] + complex_normal(rng, k - 1) @ rows)
+        d1 = ProjPoint(a[i] + complex_normal(rng, k - 1) @ rows)
         expected = (IndeterminateCrossRatio, "0/0 cross ratio: too many coincident points")
         assert first_raise(lambda: per_line_cross_ratios(a, lines, c, d1)) == expected
         assert first_raise(lambda: closed_form_cross_ratios(a, lines, d1)) == expected
@@ -450,7 +448,7 @@ class TestBatchedKernels:
     def test_degenerate_triple(self, seed, k):
         rng, a, b, _, _, _ = random_setup(seed, k, 0)
         # C's line lies in A's plane in the quotient by A_{k-3}: Delta(k-1, 0, 1) = 0
-        c = make_flag([complex_normal(rng, k - 1) @ a.vectors[:k - 1], *complex_normal(rng, k - 1, k)])
+        c = make_flag([complex_normal(rng, k - 1) @ a[:k - 1], *complex_normal(rng, k - 1, k)])
         expected = (DegenerateTriple, "triple ratio denominator vanishes")
         assert first_raise(lambda: per_quotient_triple_ratios(a, b, c)) == expected
         # the vanishing minor fails the genericity test before the denominator is formed
@@ -460,7 +458,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_degenerate_triple_below_rank_tol(self, k):
         rng, a, b, _, _, _ = random_setup(k, k, 0)
-        c = make_flag([complex_normal(rng, k - 1) @ a.vectors[:k - 1], *complex_normal(rng, k - 1, k)])
+        c = make_flag([complex_normal(rng, k - 1) @ a[:k - 1], *complex_normal(rng, k - 1, k)])
         cfg = DEFAULT_TOLERANCES.override(rank_tol=1e-40)
         with pytest.raises(DegenerateTriple, match="triple ratio denominator vanishes"):
             triple_ratio_set(a, b, c, cfg)
@@ -470,9 +468,9 @@ class TestBatchedKernels:
     def test_collapsed_plane(self, seed, k):
         rng, a, b, c, _, _ = random_setup(seed, k, 0)
         # B's plane collapses in the first quotient, by C_{k-3}
-        rows = b.vectors.copy()
-        rows[1] = rows[0] + complex_normal(rng, k - 3) @ c.vectors[:k - 3]
-        b = Flag(vectors=rows)
+        rows = b.copy()
+        rows[1] = rows[0] + complex_normal(rng, k - 3) @ c[:k - 3]
+        b = rows
         expected = (GenericityViolation, "B plane collapses in the quotient")
         assert first_raise(lambda: per_quotient_triple_ratios(a, b, c)) == expected
         assert first_raise(lambda: triple_ratio_set(a, b, c))[0] is GenericityViolation
@@ -489,7 +487,7 @@ class TestBatchedKernels:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         frame_coords_cross_ratios(a, lines, d1)
-        cross_ratio_set(a, lines[0], a.reversed(), d1)
+        cross_ratio_set(a, lines[0], a[::-1], d1)
         triple_ratio_set(a, b, c)
         assert calls == []   # no complement basis is built
 
@@ -553,28 +551,28 @@ class TestTripleRatio:
         rng = np.random.default_rng(seed)
         k = 4
         a = make_flag(list(np.eye(k, dtype=complex)))
-        c = a.reversed()
+        c = a[::-1]
         b = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
         base = [t.value for t in triple_ratio_set(a, b, c)]
         g = random_invertible(rng, k)
-        moved = [make_flag([g @ v for v in f.vectors]) for f in (a, b, c)]
+        moved = [make_flag([g @ v for v in f]) for f in (a, b, c)]
         new = [t.value for t in triple_ratio_set(*moved)]
         assert np.allclose(new, base, rtol=1e-7, atol=1e-9)
 
     def test_set_counts(self, rng):
         for k in (3, 4, 5):
             a = make_flag(list(np.eye(k, dtype=complex)))
-            c = a.reversed()
+            c = a[::-1]
             b = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
             n = len(triple_ratio_set(a, b, c))
             assert n == (k - 1) * (k - 2) // 2
 
     def test_k3_set_is_direct_value(self, rng):
         a = make_flag(list(np.eye(3, dtype=complex)))
-        c = a.reversed()
+        c = a[::-1]
         b = make_flag(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         s = triple_ratio_set(a, b, c)
-        direct = triple_ratio_cp2(a.vectors[:2], b.vectors[:2], c.vectors[:2])
+        direct = triple_ratio_cp2(a[:2], b[:2], c[:2])
         assert len(s) == 1
         assert abs(s[0].value - direct.value) < 1e-10
 

@@ -508,8 +508,8 @@ class TestEigenCoordinateFrame:
         info = prepare(inst.matrices)[0]
         flag, _ = flag_pair_from_eigensystem(eigensystem(info))
         assert info.frame is info.frame   # computed once
-        assert np.allclose(flag.vectors @ info.frame, np.eye(5), atol=1e-12)
-        s = np.linalg.svd(flag.vectors, compute_uv=False)
+        assert np.allclose(flag @ info.frame, np.eye(5), atol=1e-12)
+        s = np.linalg.svd(flag, compute_uv=False)
         assert info.frame_rcond == pytest.approx(s[-1] / s[0], rel=1e-12)
 
     def test_line_cut_scales_with_frame_conditioning(self):

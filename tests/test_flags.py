@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realform.config import DEFAULT_TOLERANCES
-from realform.coords import (config_cross_ratio, frame_triple_ratio_sets, triple_ratio_cp2,
-                             triple_ratio_set)
+from realform.coords import cross_ratio, frame_triple_ratio_sets, triple_ratio_cp2, triple_ratio_set
 from realform.decide import _triple_windows
 from realform.errors import DegenerateTriple, GenericityViolation
 from realform.flags import (
-    Flag,
     _composition_rows,
     _compositions,
     first_nongeneric_coords,
@@ -35,16 +33,16 @@ EYE4 = np.eye(4, dtype=complex)
 
 def standard_pair(k):
     a = make_flag(list(np.eye(k, dtype=complex)))
-    return a, a.reversed()
+    return a, a[::-1]
 
 
 def naive_generic_position(flags, rank_tol=DEFAULT_TOLERANCES.rank_tol):
     """Reference: every composition of k from all index tuples, one SVD each."""
-    k = flags[0].dim
-    for combo in itertools.product(*(range(f.height + 1) for f in flags)):
+    k = flags[0].shape[1]
+    for combo in itertools.product(*(range(len(f) + 1) for f in flags)):
         if sum(combo) != k:
             continue
-        rows = np.vstack([f.vectors[:n] for f, n in zip(flags, combo) if n > 0])
+        rows = np.vstack([f[:n] for f, n in zip(flags, combo) if n > 0])
         s = np.linalg.svd(rows, compute_uv=False)
         if not s[-1] > rank_tol * s[0]:
             return False
@@ -59,14 +57,14 @@ class TestFlagConstruction:
     def test_pair_from_eigensystem(self):
         es = eig(np.diag([1.0, 2.0, 4.0]))
         flag, reverse = flag_pair_from_eigensystem(es)
-        assert np.allclose(flag.vectors, np.eye(3))
-        assert np.allclose(reverse.vectors, np.eye(3)[::-1])
+        assert np.allclose(flag, np.eye(3))
+        assert np.allclose(reverse, np.eye(3)[::-1])
 
     def test_worked_matrix_flags(self):
         es = eig(np.array([[3j - 1, 3j - 3], [-3j - 3, -3j - 1]]))
         flag, _ = flag_pair_from_eigensystem(es)
-        assert abs(flag.vectors[0][0] / flag.vectors[0][1] + 1) < 1e-9  # [-1, 1]
-        assert abs(flag.vectors[1][0] / flag.vectors[1][1] + 1j) < 1e-9  # [-i, 1]
+        assert abs(flag[0][0] / flag[0][1] + 1) < 1e-9  # [-1, 1]
+        assert abs(flag[1][0] / flag[1][1] + 1j) < 1e-9  # [-i, 1]
 
     def test_dependent_vectors_rejected(self):
         with pytest.raises(GenericityViolation):
@@ -75,9 +73,9 @@ class TestFlagConstruction:
     def test_mirrored_flag_reverse_lists_partners(self):
         pairs = [(pp(1j, 1, 0, 0), pp(-1j, 1, 0, 0)), (pp(0, 0, 1j, 1), pp(0, 0, -1j, 1))]
         f = mirrored_pair_flag(pairs, [])
-        rev = f.reversed()
+        rev = f[::-1]
         # step j of the reverse spans the partners of step j of the flag
-        assert np.allclose(np.abs(rev.vectors[0]), np.abs(f.vectors[0]))
+        assert np.allclose(np.abs(rev[0]), np.abs(f[0]))
 
 
 class TestGenericPosition:
@@ -101,20 +99,20 @@ class TestGenericPosition:
         import itertools
         for order in itertools.permutations(range(3)):
             beta = make_flag([dirs[i] for i in order])
-            assert not generic_position([a, beta, c, beta.reversed()])
+            assert not generic_position([a, beta, c, beta[::-1]])
         # other direction: a 4-tuple in generic position whose line fails
         # the per-direction condition (it lies in the span of the base
         # reference and a base line)
         beta = make_flag([[1, 1, -1], [1, -2 + 1j, 1.5], [2.5, -1, 2 + 1j]])
-        assert generic_position([a, beta, c, beta.reversed()])
-        assert not generic_with_point(a, ProjPoint(beta.vectors[0]), c, d)
+        assert generic_position([a, beta, c, beta[::-1]])
+        assert not generic_with_point(a, ProjPoint(beta[0]), c, d)
 
     def test_invariance_under_basis_change(self, rng):
         a, c = standard_pair(3)
         beta = make_flag([[1, 2, 1], [1, -1, 2], [3, 1, 1]])
         assert generic_position([a, beta, c])
         g = random_invertible(rng, 3)
-        moved = [make_flag([g @ v for v in f.vectors]) for f in (a, beta, c)]
+        moved = [make_flag([g @ v for v in f]) for f in (a, beta, c)]
         assert generic_position(moved)
 
 
@@ -157,19 +155,19 @@ class TestBatchedGenericPosition:
         for combo in _compositions(heights, k):
             flags = [random_flag(rng, k, h) for h in heights]
             last = max(j for j, n in enumerate(combo) if n)
-            others = np.vstack([f.vectors[:n] for j, (f, n) in enumerate(zip(flags, combo))
-                                if n and j != last] + [flags[last].vectors[:combo[last] - 1]])
-            vectors = flags[last].vectors.copy()
+            others = np.vstack([f[:n] for j, (f, n) in enumerate(zip(flags, combo))
+                                if n and j != last] + [flags[last][:combo[last] - 1]])
+            vectors = flags[last].copy()
             vectors[combo[last] - 1] = rng.normal(size=k - 1) @ others
-            flags[last] = Flag(vectors=vectors)
+            flags[last] = vectors
             assert naive_generic_position(flags) is False
             assert generic_position(flags) is False
 
 
 def batched_generic_position(flags, rank_tol=DEFAULT_TOLERANCES.rank_tol):
     """Reference: the unscreened test, one batched SVD over every composition."""
-    idx = _composition_rows(tuple(f.height for f in flags), flags[0].dim)
-    s = np.linalg.svd(np.vstack([f.vectors for f in flags])[idx], compute_uv=False)
+    idx = _composition_rows(tuple(len(f) for f in flags), flags[0].shape[1])
+    s = np.linalg.svd(np.vstack(flags)[idx], compute_uv=False)
     return bool(np.all(s[:, -1] > rank_tol * s[:, 0]))
 
 
@@ -210,7 +208,7 @@ class TestDeterminantScreen:
         if nan:
             r = rows[rng.integers(m)]
             r[rng.integers(len(r)), rng.integers(k)] = np.nan
-        flags = [Flag(vectors=r) for r in rows]
+        flags = rows
         got = outcome(generic_position, flags)
         assert got == outcome(batched_generic_position, flags)
         if not nan:
@@ -225,7 +223,7 @@ class TestDeterminantScreen:
         u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
         s = np.ones(k)
         s[-1] = DEFAULT_TOLERANCES.rank_tol * factor
-        flag = Flag(vectors=u * s)
+        flag = u * s
         assert generic_position([flag]) is (factor > 1) is naive_generic_position([flag])
 
     def test_generic_flags_need_no_svd(self, rng, monkeypatch):
@@ -241,10 +239,10 @@ class TestDeterminantScreen:
         assert calls == []
         # a rank-deficient composition still reaches the SVD and fails it
         flags = configs[0]
-        vectors = flags[3].vectors.copy()
-        vectors[1] = rng.normal(size=6) @ np.vstack([flags[0].vectors[:3], flags[2].vectors[:2],
-                                                     flags[3].vectors[:1]])
-        flags[3] = Flag(vectors=vectors)
+        vectors = flags[3].copy()
+        vectors[1] = rng.normal(size=6) @ np.vstack([flags[0][:3], flags[2][:2],
+                                                     flags[3][:1]])
+        flags[3] = vectors
         assert generic_position(flags) is False
         assert calls and all(shape[1:] == (8, 8) for shape in calls)
         monkeypatch.undo()
@@ -253,7 +251,7 @@ class TestDeterminantScreen:
 
 def frame_coordinates(a, points):
     """Coordinates of points in the basis of A's vectors, one row each."""
-    return np.array([p.coords for p in points]) @ np.linalg.inv(a.vectors)
+    return np.array([p.coords for p in points]) @ np.linalg.inv(a)
 
 
 class TestFirstNongenericLine:
@@ -285,7 +283,7 @@ class TestFirstNongenericLine:
     @pytest.mark.parametrize("which", ["line coordinate", "reference coordinate", "consecutive minor"])
     def test_exact_zeros_fail_both_tests(self, rng, k, which):
         a = random_flag(rng, k, k)
-        c = a.reversed()
+        c = a[::-1]
         y = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
         dy = rng.normal(size=k) + 1j * rng.normal(size=k)
         i = int(rng.integers(k - 1))
@@ -295,7 +293,7 @@ class TestFirstNongenericLine:
             dy[i] = 0
         else:   # x_i d_{i+1} - x_{i+1} d_i = 0
             y[1, i + 1] = y[1, i] * dy[i + 1] / dy[i]
-        lines, d = [ProjPoint(v @ a.vectors) for v in y], ProjPoint(dy @ a.vectors)
+        lines, d = [ProjPoint(v @ a) for v in y], ProjPoint(dy @ a)
         first = 0 if which == "reference coordinate" else 1
         assert first_nongeneric_coords(frame_coordinates(a, lines), frame_coordinates(a, [d])[0]) == first
         assert [generic_with_point(a, v, c, d) for v in lines] == [first == 1 and n != 1 for n in range(3)]
@@ -316,7 +314,7 @@ class TestFirstNongenericLine:
         except GenericityViolation:
             return
         lines, d = [ProjPoint(v) for v in vecs[k + 1:]], ProjPoint(vecs[k])
-        c = a.reversed()
+        c = a[::-1]
         got = first_nongeneric_coords(frame_coordinates(a, lines), frame_coordinates(a, [d])[0])
         flags = [generic_with_point(a, v, c, d) for v in lines]
         assert got == (flags.index(False) if False in flags else None)
@@ -343,15 +341,15 @@ class TestQuotientCP1:
         a, c = standard_pair(3)
         b1, d1 = pp(2, 3, 5), pp(1, 1, 1)
         cfg0 = quotient_cp1(a, b1, c, d1, 0, 1)
-        assert abs(config_cross_ratio(cfg0).value - 2 / 3) < 1e-12
+        assert abs(cross_ratio(*cfg0, provenance=(0, 1)).value - 2 / 3) < 1e-12
         cfg1 = quotient_cp1(a, b1, c, d1, 1, 0)
-        assert abs(config_cross_ratio(cfg1).value - 3 / 5) < 1e-12
+        assert abs(cross_ratio(*cfg1, provenance=(1, 0)).value - 3 / 5) < 1e-12
 
     def test_coincident_lines_allowed(self):
         a, c = standard_pair(3)
         d1 = pp(1, 1, 1)
         cfg0 = quotient_cp1(a, d1, c, d1, 0, 1)
-        assert abs(config_cross_ratio(cfg0).value - 1) < 1e-12
+        assert abs(cross_ratio(*cfg0, provenance=(0, 1)).value - 1) < 1e-12
 
     def test_degenerate_line_raises(self):
         a, c = standard_pair(3)
@@ -365,13 +363,13 @@ class TestQuotientCP1:
         a, c = standard_pair(3)
         b1 = ProjPoint(rng.normal(size=3) + 1j * rng.normal(size=3))
         d1 = pp(1, 1, 1)
-        base = config_cross_ratio(quotient_cp1(a, b1, c, d1, 1, 0)).value
+        base = cross_ratio(*quotient_cp1(a, b1, c, d1, 1, 0), provenance=(1, 0)).value
         g = random_invertible(rng, 3)
-        am = make_flag([g @ v for v in a.vectors])
-        cm = make_flag([g @ v for v in c.vectors])
-        moved = config_cross_ratio(
-            quotient_cp1(am, ProjPoint(g @ b1.coords), cm, ProjPoint(g @ d1.coords), 1, 0)
-        ).value
+        am = make_flag([g @ v for v in a])
+        cm = make_flag([g @ v for v in c])
+        moved = cross_ratio(
+            *quotient_cp1(am, ProjPoint(g @ b1.coords), cm, ProjPoint(g @ d1.coords), 1, 0),
+            provenance=(1, 0)).value
         assert abs(moved - base) < 1e-7 * (1 + abs(base))
 
     def test_inverse_mapping(self, rng):
@@ -379,7 +377,8 @@ class TestQuotientCP1:
         a, c = standard_pair(4)
         b1 = ProjPoint(rng.normal(size=4) + 1j * rng.normal(size=4))
         d1 = pp(1, 1, 1, 1)
-        ratios = [config_cross_ratio(quotient_cp1(a, b1, c, d1, i, 2 - i)).value for i in range(3)]
+        ratios = [cross_ratio(*quotient_cp1(a, b1, c, d1, i, 2 - i), provenance=(i, 2 - i)).value
+                  for i in range(3)]
         rebuilt = np.ones(4, dtype=complex)
         for i in range(2, -1, -1):
             rebuilt[i] = ratios[i] * rebuilt[i + 1]
@@ -393,7 +392,7 @@ class TestQuotientCP2:
         b = make_flag([[1, 2, 1], [1, -1, 2], [3, 1, 1]])
         qa, qb, qc = quotient_cp2(a, b, c, 0, 0, 0)
         t_quot = triple_ratio_cp2(qa, qb, qc)
-        t_direct = triple_ratio_cp2(a.vectors[:2], b.vectors[:2], c.vectors[:2])
+        t_direct = triple_ratio_cp2(a[:2], b[:2], c[:2])
         assert abs(t_quot.value - t_direct.value) < 1e-10
 
     def test_drop_coordinate_k4(self, rng):
@@ -402,10 +401,10 @@ class TestQuotientCP2:
         rows = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = make_flag(rows)
         qa, qb, qc = quotient_cp2(a, b, c, 1, 0, 0)
-        dropped = make_flag([v[1:] for v in b.vectors[:3]])
+        dropped = make_flag([v[1:] for v in b[:3]])
         expect = triple_ratio_cp2(
             np.stack([np.eye(3)[0], np.eye(3)[1]]).astype(complex),
-            dropped.vectors[:2],
+            dropped[:2],
             np.stack([np.eye(3)[2], np.eye(3)[1]]).astype(complex),
         )
         got = triple_ratio_cp2(qa, qb, qc)
@@ -442,11 +441,11 @@ def frame_kernel(a, flags, cfg=DEFAULT_TOLERANCES):
 def reference_kernel(a, flags, cfg=DEFAULT_TOLERANCES):
     """The same answers from ``generic_position`` and ``triple_ratio_set``
     on the flags themselves."""
-    a, b = Flag(vectors=a), Flag(vectors=flags[0])
-    c, d = a.reversed(), b.reversed()
-    generic = [generic_position([a, Flag(vectors=f), c, d], cfg) for f in flags]
+    b = flags[0]
+    c, d = a[::-1], b[::-1]
+    generic = [generic_position([a, f, c, d], cfg) for f in flags]
     triples = []
-    for x, y, z in [(a, b, c), (a, c, d)] + [(a, Flag(vectors=f), c) for f in flags[1:]]:
+    for x, y, z in [(a, b, c), (a, c, d)] + [(a, f, c) for f in flags[1:]]:
         try:
             triples.append(np.array([t.value for t in triple_ratio_set(x, y, z, cfg)]))
         except (GenericityViolation, DegenerateTriple) as exc:
@@ -475,7 +474,7 @@ def complex_normal(rng, *shape):
 
 
 def rows(rng, k, n=1):
-    return np.array([random_flag(rng, k, k).vectors for _ in range(n)])
+    return np.array([random_flag(rng, k, k) for _ in range(n)])
 
 
 class TestFrameKernel:
@@ -553,8 +552,7 @@ class TestFrameKernel:
         for k in range(3, 9):
             a, flags = rows(rng, k)[0], rows(rng, k, 1)
             _, (abc, acd) = frame_kernel(a, flags)
-            adc = np.array([t.value for t in triple_ratio_set(
-                Flag(vectors=a), Flag(vectors=flags[0, ::-1]), Flag(vectors=a[::-1]))])
+            adc = np.array([t.value for t in triple_ratio_set(a, flags[0, ::-1], a[::-1])])
             quotients = [(p, q, k - 3 - p - q) for p in range(k - 2) for q in range(k - 2 - p)]
             swapped = adc[[quotients.index((p, r, q)) for p, q, r in quotients]]
             assert np.abs(acd * swapped - 1).max() < 1e-9

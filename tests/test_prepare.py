@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realform import cli
+from realform import cli, flags
 from realform.config import DEFAULT_TOLERANCES
 from realform.decide import decide, decide_direct, prepare, verify_certificate
 from realform.errors import IncompatibleEigenvalues, NoConjugation, RealformError
-from realform.flags import Flag
 from realform.oracle import InstanceSpec, brute_rform_search, generate
 from realform.projlin import EigenSystem, ProjPoint, eig
 from realform.spectrum import KIND_INCOMPATIBLE, classify_eigenvalues
@@ -269,22 +268,23 @@ def test_base_order_reads_the_measured_eigenbases(monkeypatch):
 
 def _count_points(monkeypatch):
     """The ProjPoints built from canonical rows, those built by the
-    constructor (Flags counted with them), and the rows of every
-    EigenSystem built."""
+    constructor (``make_flag`` calls counted with them), and the rows of
+    every EigenSystem built."""
     rows, built, systems = [], [], []
     canonical, from_rows = ProjPoint.canonical.__func__, EigenSystem.from_rows.__func__
-    init, flag_init = ProjPoint.__init__, Flag.__init__
+    init, make_flag = ProjPoint.__init__, flags.make_flag
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    def counting_flag_init(self, *args, **kwargs):
+    def counting_make_flag(*args, **kwargs):
         built.append(args)
-        flag_init(self, *args, **kwargs)
+        return make_flag(*args, **kwargs)
 
     monkeypatch.setattr(ProjPoint, "__init__", counting_init)
-    monkeypatch.setattr(Flag, "__init__", counting_flag_init)
+    for module in (flags, importlib.import_module("realform.decide")):
+        monkeypatch.setattr(module, "make_flag", counting_make_flag)
     monkeypatch.setattr(ProjPoint, "canonical", classmethod(
         lambda cls, coords: rows.append(coords) or canonical(cls, coords)))
     monkeypatch.setattr(EigenSystem, "from_rows", classmethod(
@@ -335,7 +335,7 @@ _POINT_FREE_OPS = {
 
 @pytest.mark.parametrize("op", _POINT_FREE_OPS)
 def test_routes_build_no_projective_point(monkeypatch, op):
-    # every route reads the pass's arrays alone: no ProjPoint, Flag or EigenSystem
+    # every route reads the pass's arrays alone: no ProjPoint, flag or EigenSystem
     spec, method = _POINT_FREE_OPS[op]
     ms = generate(spec).matrices
     rows, built, systems = _count_points(monkeypatch)

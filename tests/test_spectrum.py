@@ -59,6 +59,14 @@ def test_repeated_raises():
         classify_eigenvalues([1.0, 1.0 + 1e-9])
 
 
+@pytest.mark.parametrize("lams", [[0, 1], [np.inf, 1], [np.nan, 1]])
+def test_non_finite_or_zero_raises(lams):
+    # refused before the separation test and the reflection errors, which
+    # would divide by the zero modulus or subtract infinities
+    with pytest.raises(ValueError, match="eigenvalues must be finite and nonzero"):
+        classify_eigenvalues(lams)
+
+
 def test_mixed_kind():
     sc = classify_eigenvalues([2, 3, 1 + 1j, 1 - 1j])
     assert sc.kind == KIND_MIXED and sc.generic
