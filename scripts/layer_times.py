@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the layers of a decide in two source trees, interleaved.
 
-    python3 scripts/layer_times.py BEFORE_SRC AFTER_SRC --workload direct_allk [--limit N]
+    python3 scripts/layer_times.py BEFORE_SRC AFTER_SRC --workload direct_allk [--limit N] [--k K ...]
 
 BEFORE_SRC and AFTER_SRC are ``src/realform`` package directories (of
 two checkouts, say).  Both are loaded into this process under distinct
@@ -18,7 +18,9 @@ too, so drift of the machine's speed reaches both alike.
 
 The instance sets come from ``perfbench.workloads``, read-only, as in
 ``identity_check.py``; the before tree's oracle realizes them, so both
-trees see the same matrices.  Prints one markdown row per layer: the
+trees see the same matrices.  ``--k``, repeatable, keeps the instances
+of those k (after ``--limit``), so a layer's cost at one size shows
+apart from the mix.  Prints one markdown row per layer: the
 median and p90 of its calls in ms in each tree and the after/before
 ratio of each.  A tree against itself reads ratios near 1.
 """
@@ -119,6 +121,8 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--limit", type=int, default=None,
                    help="use only this many instances, evenly spaced over the design")
+    p.add_argument("--k", type=int, action="append", dest="ks", metavar="K",
+                   help="keep only instances of this k (repeatable)")
     p.add_argument("--rounds", type=int, default=3, help="passes over the instance set")
     args = p.parse_args(argv)
 
@@ -128,7 +132,10 @@ def main(argv=None):
     oracle = trees["before"].oracle
     instances = [(spec.k, [np.asarray(m, dtype=complex) for m in oracle.generate(
         oracle.InstanceSpec(**dataclasses.asdict(spec))).matrices])
-        for spec in workloads.specs(workload, args.seed, args.limit)]
+        for spec in workloads.specs(workload, args.seed, args.limit)
+        if args.ks is None or spec.k in args.ks]
+    if not instances:
+        p.error(f"{args.workload} has no instance of k in {args.ks}")
     times = {side: {layer: [] for layer in LAYERS} for side in trees}
     for tree in trees.values():   # warm caches and first-call paths, untimed
         sample(tree, instances[0][1], instances[0][0], workload.method, tree.decide.DEFAULT_TOLERANCES)
@@ -140,7 +147,8 @@ def main(argv=None):
                 for layer, s in sample(tree, ms, k, workload.method,
                                        tree.decide.DEFAULT_TOLERANCES).items():
                     times[side][layer].append(s)
-    print(f"{args.workload}, seed {args.seed}: {len(instances)} instances, "
+    ks = "" if args.ks is None else f" of k in {sorted(set(args.ks))}"
+    print(f"{args.workload}, seed {args.seed}: {len(instances)} instances{ks}, "
           f"{args.rounds} interleaved rounds, ms per call\n")
     print("\n".join(table(times)))
     return 0

@@ -154,7 +154,11 @@ def norms(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def modulus(z) -> np.ndarray:
-    """Elementwise |z|, bit for bit Python's abs (np.abs may round differently)."""
+    """Elementwise |z|, bit for bit Python's abs (np.abs may round differently).
+
+    For every value that reaches a record or decides a cut the record
+    shows; a distance that only screens, with room for rounding in its
+    bound, may take complex np.abs instead."""
     return np.hypot(z.real, z.imag)
 
 

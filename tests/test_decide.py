@@ -12,6 +12,7 @@ from realform.decide import (
     METHOD_DIM3,
     METHOD_DIRECT,
     METHOD_FG,
+    FORCED_METHODS,
     INCONCLUSIVE,
     Verdict,
     _cross_conditions,
@@ -1152,3 +1153,37 @@ def test_auto_gives_no_wrong_answer_at_small_rank_tol(rank_tol):
             inst = _small_rank_tol_yes(k, seed)
             assert inst.answer == "yes"
             assert decide(inst.matrices, cfg)[0].answer != "no", (k, seed)
+
+
+def quaternionic_collection(k, seed, n=3):
+    """n members [[A, -conj B], [B, conj A]] (A, B complex k/2 x k/2),
+    scrambled by one random complex Gamma: an antilinear S with
+    S conj(S) = -I commutes with each, a quaternionic structure, so no
+    change of basis makes them projectively real, though every spectrum
+    is closed under conjugation."""
+    rng = np.random.default_rng([k, seed])
+    h = k // 2
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    g = random_invertible(rng, k)
+    gi = np.linalg.inv(g)
+    return [g @ np.block([[a, -b.conj()], [b, a.conj()]]) @ gi
+            for a, b in ((cnormal(h, h), cnormal(h, h)) for _ in range(n))]
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_quaternionic_collections_never_get_a_yes(k):
+    for seed in range(4):
+        ms = quaternionic_collection(k, seed)
+        # each spectrum pairs about a line, so only the solve can tell them from a Yes
+        assert all(info.sclass.compatible for info in prepare(ms))
+        answers = {}
+        for method in FORCED_METHODS:
+            try:
+                answers[method] = decide(ms, method=method)[0].answer
+            except RealformError:   # a refusal
+                continue
+        assert set(answers.values()) == {"no"}, (k, seed, answers)
+        assert {"auto", "direct"} <= answers.keys(), (k, seed, answers)

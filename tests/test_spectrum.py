@@ -18,6 +18,7 @@ from realform.spectrum import (
     Labeling,
     SpectralClass,
     classify_eigenvalues,
+    classify_spectra,
     type_transformation,
 )
 
@@ -65,6 +66,19 @@ def test_non_finite_or_zero_raises(lams):
     # would divide by the zero modulus or subtract infinities
     with pytest.raises(ValueError, match="eigenvalues must be finite and nonzero"):
         classify_eigenvalues(lams)
+
+
+@pytest.mark.parametrize("lams", [[], [[1, 2], [3, 4]], 2.0])
+def test_not_one_spectrum_raises(lams):
+    # neither an empty spectrum nor a matrix passed by mistake is flattened and classified
+    with pytest.raises(ValueError, match="eigenvalues must be a nonempty 1-D sequence"):
+        classify_eigenvalues(lams)
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_empty_stack(k):
+    # the spectral pass may hand over a stack with no row, and must get no class back
+    assert classify_spectra(np.empty((0, k), dtype=complex)) == []
 
 
 def test_mixed_kind():
@@ -205,12 +219,16 @@ def _outcome(fn, lams):
 TOL = DEFAULT_TOLERANCES.angle_tol
 
 
+SPOILS = ("none", "tol_below", "tol_above", "negate", "repeat", "random")
+
+
 @st.composite
-def spectra(draw):
-    """Spectra organized by a line at angle theta (pairs reflected about it),
-    optionally spoiled: a partner off its reflection by angle_tol * (1 +- 1e-3),
-    a -lam partner (a second line), a repeated value, or a random entry."""
-    k = draw(st.integers(2, 8))
+def spectra(draw, k=None, spoils=SPOILS):
+    """Spectra of k values (2 to 8 if None) organized by a line at angle
+    theta (pairs reflected about it), optionally spoiled: a partner off its
+    reflection by angle_tol * (1 +- 1e-3), a -lam partner (a second line),
+    a repeated value, or a random entry."""
+    k = draw(st.integers(2, 8)) if k is None else k
     theta = draw(st.one_of(st.floats(0, math.pi), st.sampled_from([0.0, math.pi]),
                            st.floats(-1e-9, 1e-9), st.floats(math.pi - 1e-9, math.pi + 1e-9)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -221,7 +239,7 @@ def spectra(draw):
         lam = rng.uniform(0.3, 3) * np.exp(1j * (theta + rng.uniform(0.05, math.pi - 0.05)))
         lams += [lam, line ** 2 * np.conj(lam)]
     lams += list(rng.uniform(0.3, 3, k - 2 * n_pairs) * rng.choice([-1, 1], k - 2 * n_pairs) * line)
-    spoil = draw(st.sampled_from(["none", "tol_below", "tol_above", "negate", "repeat", "random"]))
+    spoil = draw(st.sampled_from(spoils))
     if spoil in ("tol_below", "tol_above") and n_pairs:
         # radial, so no other line reflects the pair more closely
         factor = 1 - 1e-3 if spoil == "tol_below" else 1 + 1e-3
@@ -239,6 +257,26 @@ def spectra(draw):
 @settings(max_examples=400, deadline=None)
 def test_matches_reference_loop(lams):
     assert _outcome(classify_eigenvalues, lams) == _outcome(reference_classify, lams)
+
+
+@st.composite
+def stacks(draw):
+    """n = 2-6 spectra of one k, each from ``spectra`` without the repeated
+    value, which ``classify_spectra`` leaves to its caller."""
+    k = draw(st.integers(2, 8))
+    rows = draw(st.lists(spectra(k, [s for s in SPOILS if s != "repeat"]), min_size=2, max_size=6))
+    return np.array(rows)
+
+
+@given(stacks())
+@settings(max_examples=200, deadline=None)
+def test_stack_matches_reference_loop_row_by_row(stack):
+    # one stacked pass classifies every row as the loop classifies it alone,
+    # so no row's candidates, screen or labeling reach another's
+    classes = classify_spectra(stack)
+    assert len(classes) == len(stack)
+    for row, sc in zip(stack, classes):
+        assert _outcome(lambda _: sc, row) == _outcome(reference_classify, row)
 
 
 @pytest.mark.parametrize("lams", [
