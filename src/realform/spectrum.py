@@ -153,9 +153,9 @@ def classify_spectra(lams: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES) -> 
     # (pi / 4) * tol / sqrt(1 - tol) of the line; 2 * tol bounds both, with
     # room for rounding (past tol = 0.79 it passes every pair).  So the
     # arguments near the line and twice the close pairs with their half-sum
-    # near it must number at least k.
+    # near it must number at least k (a pair with a NaN gap counts as close).
     loose = 2 * tol + 1e-12
-    close = (np.abs(mag[:, :, None] - mag[:, None, :]) <= loose * top).reshape(n, k * k).take(flat, axis=1)
+    close = ~(np.abs(mag[:, :, None] - mag[:, None, :]) > loose * top).reshape(n, k * k).take(flat, axis=1)
     viable = np.matmul(d <= loose, (close * weight)[:, :, None])[:, :, 0] >= k
     # each spectrum's first viable candidate, and whether a labeling there
     # leaves no other viable one undeduped
