@@ -23,7 +23,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .coords import CrossRatio, _triple_minors, cross_ratio_lists
+from .coords import CrossRatio, _triple_minors, ratio_values
 from .decide import (FORCED_METHODS, decide, flag_base, flag_set, prepare, spectral_pass,
                      verify_certificate)
 from .errors import (
@@ -209,20 +209,19 @@ def _coords_doc(infos, cfg):
     lines = [(h.index, "B")] + [(info.index, tag) for info in others
                                 for tag in ("beta", "beta_prime")]
     # [[A, B, C, D]] = -1 / [A, B, C, D]
+    k, fg_values = g.rows.shape[0], ratio_values(CrossRatio(-crs.den, crs.num))
     cross_out = [
-        {"generator": owner, "flag": tag, "i": i, "j": j,
-         "value": _c2pair(cr.value), "fg_value": _c2pair(CrossRatio(-cr.den, cr.num).value)}
-        for (owner, tag), row in zip(lines, cross_ratio_lists(crs))
-        for cr in row
-        for i, j in [cr.provenance]
+        {"generator": owner, "flag": tag, "i": i, "j": k - 2 - i, "value": _c2pair(z), "fg_value": _c2pair(fz)}
+        for (owner, tag), row, fg_row in zip(lines, ratio_values(crs), fg_values)
+        for i, (z, fz) in enumerate(zip(row, fg_row))
     ]
     # the triple ratio rows: (A, B, C), (A, C, D), then (A, f, C) of each other line
     triple_out = [
         {"generator": owner, "flag": tag, "i": p, "j": q, "l": r, "value": _c2pair(value)}
         for (owner, tag), row in zip([(h.index, "B"), (h.index, "D")] + lines[1:], triples.tolist())
-        for value, (p, q, r) in zip(row, _triple_minors(g.rows.shape[0])[0])
+        for value, (p, q, r) in zip(row, _triple_minors(k)[0])
     ]
-    return {"k": g.rows.shape[0], "cross_ratios": cross_out, "triple_ratios": triple_out}
+    return {"k": k, "cross_ratios": cross_out, "triple_ratios": triple_out}
 
 
 def cmd_generate(args) -> int:

@@ -215,14 +215,6 @@ def frame_cross_ratio_sets(x: np.ndarray, d: np.ndarray) -> CrossRatio:
     return CrossRatio(num=num, den=den)
 
 
-def cross_ratio_lists(crs: CrossRatio) -> list:
-    """The rows of ``frame_cross_ratio_sets``' result as lists of scalar
-    CrossRatios, entry i with provenance (i, k-2-i)."""
-    return [[CrossRatio(num=n, den=e, provenance=(i, len(nums) - 1 - i))
-             for i, (n, e) in enumerate(zip(nums, dens))]
-            for nums, dens in zip(crs.num.tolist(), crs.den.tolist())]
-
-
 def cross_ratio_set(a: np.ndarray, b1, c: np.ndarray, d1):
     """The k-1 cross ratios of the line b1: entry i comes from the quotient
     of C^k by A_i + C_{k-2-i}, in ``frame_cross_ratio_sets``'s closed form.
@@ -234,7 +226,9 @@ def cross_ratio_set(a: np.ndarray, b1, c: np.ndarray, d1):
     if not np.array_equal(c, a[::-1]):
         raise ValueError("cross ratio sets need C = A reversed")
     x = np.array([p.coords for p in _points([b1, d1])]) @ np.linalg.inv(a)
-    return cross_ratio_lists(frame_cross_ratio_sets(x[:1], x[1]))[0]
+    crs = frame_cross_ratio_sets(x[:1], x[1])
+    return [CrossRatio(num=n, den=e, provenance=(i, x.shape[1] - 2 - i))
+            for i, (n, e) in enumerate(zip(crs.num[0].tolist(), crs.den[0].tolist()))]
 
 
 def triple_ratio(va, fa, vb, fb, vc, fc, provenance=None) -> TripleRatio:

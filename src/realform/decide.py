@@ -305,11 +305,6 @@ def _first_valid_pair(cands, cfg):
     return None
 
 
-def _values(cr: CrossRatio) -> list:
-    """The values of a one-axis array of cross ratios, as ``ratio_values``."""
-    return ratio_values(cr[None])[0]
-
-
 def _dim2_conditions(infos, cfg):
     """Cross ratios of the fixed points against a hyperbolic base pair,
     else an elliptic base pair, else the lone hyperbolic-elliptic pair.
@@ -359,7 +354,7 @@ def _dim2_conditions(infos, cfg):
     base = np.array([q[0].rows for q in quads])
     cr = row_cross_ratios(base[:, 0], np.array([q[1] for q in quads]), base[:, 1],
                           np.array([q[2] for q in quads]))
-    tol, values = cfg.cr_tol, _values(cr)
+    tol, values = cfg.cr_tol, ratio_values(cr[None])[0]
     tests = {"extended real": is_real_extended(cr, tol), "positive real": is_real_positive(cr, tol),
              "unit circle": in_unit_circle(cr, tol)}
     conditions = []
@@ -404,7 +399,7 @@ def condition_functions_pgl2(ms, cfg: Tolerances = DEFAULT_TOLERANCES):
 
     # [m1-, b, m1+, m2+] for b = m2-, then both directions of every later generator
     b = np.concatenate([m2.rows[:1]] + [info.rows for info in infos[2:]])
-    z = _values(row_cross_ratios(m1.rows[0], b, m1.rows[1], m2.rows[1]))
+    z = ratio_values(row_cross_ratios(m1.rows[0], b, m1.rows[1], m2.rows[1])[None])[0]
     values = [z[0] - np.conj(z[0])]
     for info, zm, zp in zip(infos[2:], z[1::2], z[2::2]):
         if info.kind == KIND_HYPERBOLIC:
@@ -616,17 +611,14 @@ def _first_rows(checks):
     return list(itertools.accumulate((len(idx) for _, idx in checks), initial=0))[:-1]
 
 
-@functools.cache
-def _synthetic_target() -> np.ndarray:
-    """Basis of the frame {[i,1,0], [-i,1,0], [0,0,1], [1,1,1]} the synthetic
-    base maps to.  Every 3 of its points span a determinant of modulus at
-    least sqrt(2), above any deg_tol that lets a matrix through ``prepare``
-    (s_min <= deg_tol * s_max refuses every matrix once deg_tol >= 1), so
-    one build serves every tolerance."""
-    # the canonical representatives of the four points, as ``ProjPoint`` scales them
-    basis = frame_basis(np.array([[1, -1j, 0], [1, 1j, 0], [0, 0, 1], [1, 1, 1]]).T)
-    basis.flags.writeable = False
-    return basis
+# The basis of the frame {[i,1,0], [-i,1,0], [0,0,1], [1,1,1]} the synthetic
+# base maps to, as ``frame_basis`` returns it for the points' canonical
+# representatives (Fortran order, signs of zero included).  Every 3 of its
+# points span a determinant of modulus at least sqrt(2), above any deg_tol
+# that lets a matrix through ``prepare``, so one basis serves every tolerance.
+_SYNTHETIC_TARGET = np.array([[0.5 + 0.5j, 0.5 - 0.5j, 0], [0.5 - 0.5j, 0.5 + 0.5j, 0], [0, 0, 1]],
+                             order="F")
+_SYNTHETIC_TARGET.flags.writeable = False
 
 
 def _synthetic_conditions(infos, cfg):
@@ -656,7 +648,7 @@ def _synthetic_conditions(infos, cfg):
     except DegenerateFrame as exc:
         raise GenericityViolation(
             "no second-generator direction completes a projective frame") from exc
-    gamma0 = canonical_matrix(_synthetic_target() @ np.linalg.inv(src))
+    gamma0 = canonical_matrix(_SYNTHETIC_TARGET @ np.linalg.inv(src))
 
     # (generator, eigendirection indices): hyperbolic directions, or the pair
     checks = []

@@ -16,6 +16,9 @@ genericity in that frame in closed form; ``quotient_cp1`` and
 same frame a flag is its coordinate rows and every direct sum with A's
 and C's parts is a minor of them: ``frame_generic`` checks many flags
 against (A, C, D) from those minors, with ``generic_position``'s answer.
+``generic_position`` is the definition itself, one SVD per direct sum;
+``frame_generic`` alone screens, and sends to the SVD only the direct
+sums its bounds do not clear.
 """
 
 import functools
@@ -69,39 +72,17 @@ def _composition_rows(heights: tuple, k: int) -> np.ndarray:
     return idx
 
 
-def _rank_ok(bound: np.ndarray, stacks, rank_tol: float) -> np.ndarray:
-    """ok[n]: stack n has rank k, read as s_min > rank_tol * s_max.
-
-    ``bound[n]`` is a lower bound of stack n's s_min / s_max; a stack whose
-    bound exceeds 2 * rank_tol passes without an SVD (the factor absorbs
-    the rounding of the LU determinant).  The others, a NaN bound
-    included, go through one batched SVD of ``stacks(rest)``, the stacks
-    at the positions ``rest``.
-    """
-    ok = bound > 2 * rank_tol
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        s = np.linalg.svd(stacks(rest), compute_uv=False)
-        ok[rest] = s[:, -1] > rank_tol * s[:, 0]
-    return ok
-
-
 def generic_position(flags, cfg: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Do all dimension-compatible direct sums of flag parts fill C^k?
 
     For every composition (i_1, ..., i_m) with sum k and i_j at most
     each flag's height, the stacked leading vectors M must have rank k,
-    read as s_min > rank_tol * s_max.  Since s_max <= ||M||_F, s_min /
-    s_max >= |det M| / ||M||_F^k, read on M scaled to largest entry 1,
-    screens the stacks for ``_rank_ok``.
+    read as s_min > rank_tol * s_max: one batched SVD of every stack.
     """
     flags = list(flags)
-    k = flags[0].shape[1]
-    stacks = np.vstack(flags)[_composition_rows(tuple(len(f) for f in flags), k)]
-    with np.errstate(all="ignore"):
-        m = stacks / np.abs(stacks).max(axis=(1, 2), keepdims=True)
-        bound = np.abs(np.linalg.det(m)) / np.linalg.norm(m, axis=(1, 2)) ** k
-    return bool(_rank_ok(bound, stacks.__getitem__, cfg.rank_tol).all())
+    stacks = np.vstack(flags)[_composition_rows(tuple(len(f) for f in flags), flags[0].shape[1])]
+    s = np.linalg.svd(stacks, compute_uv=False)
+    return bool((s[:, -1] > cfg.rank_tol * s[:, 0]).all())
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,10 +141,12 @@ def frame_generic(a: np.ndarray, frame: np.ndarray, rcond: float, flags: np.ndar
 
     and sigma = |det Y| ((w - 1) / S)^((w - 1) / 2) (Hong and Pan, "A
     lower bound for the smallest singular value", 1992, with ||Y||_F^2 <=
-    S).  Their ratio times rcond screens M for ``_rank_ok``; a stack it
-    does not clear is screened again by the tighter 1 / (||M_f||_F
-    ||M_f^-1||_F), one batched inverse, and only the stacks left go to
-    the SVD of M in the input space.  The stacks of A's rows alone (w = 0)
+    S).  Their ratio times rcond is a lower bound of s_min / s_max of M,
+    and M passes when it exceeds 2 * rank_tol; a stack it does not clear
+    is screened again by the tighter 1 / (||M_f||_F ||M_f^-1||_F), one
+    batched inverse, and only the stacks left, a NaN bound included, go
+    to one batched SVD of M in the input space, ``generic_position``'s
+    cut s_min > rank_tol * s_max.  The stacks of A's rows alone (w = 0)
     are a's rows reordered and pass with rcond.
 
     Returns the frame rows x = flags @ frame, the minors of every
@@ -193,15 +176,20 @@ def frame_generic(a: np.ndarray, frame: np.ndarray, rcond: float, flags: np.ndar
                                   np.broadcast_to(d, b.shape)], axis=1)
         return stacked[rest[:, None] // c, _composition_rows((k,) * 4, k)[rest % c]]
 
-    rest = np.flatnonzero(~(bound > 2 * cfg.rank_tol))
+    cut = 2 * cfg.rank_tol   # the factor absorbs the rounding of the determinants and inverses
+    ok = bound > cut
+    rest = np.flatnonzero(~ok)
     if rest.size:
         mf = stacks(rest, np.eye(k), x, x[0, ::-1])
         try:
             with np.errstate(all="ignore"):
-                bound[rest] = rcond / (norms(mf, (1, 2)) * norms(np.linalg.inv(mf), (1, 2)))
+                ok[rest] = rcond / (norms(mf, (1, 2)) * norms(np.linalg.inv(mf), (1, 2))) > cut
         except np.linalg.LinAlgError:   # an exactly singular stack: the SVD decides them all
             pass
-    ok = _rank_ok(bound, lambda rest: stacks(rest, a, flags, flags[0, ::-1]), cfg.rank_tol)
+        rest = rest[~ok[rest]]
+    if rest.size:   # a NaN bound included
+        s = np.linalg.svd(stacks(rest, a, flags, flags[0, ::-1]), compute_uv=False)
+        ok[rest] = s[:, -1] > cfg.rank_tol * s[:, 0]
     return x, minors, ok.reshape(n, c).all(axis=1)
 
 

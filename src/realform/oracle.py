@@ -125,17 +125,11 @@ def _real_matrix_with_spectrum(rng, k, n_pairs, n_reals):
     angles = _sample_angles(rng, n_pairs)
     radii = [float(rng.uniform(0.5, 2.5)) for _ in range(n_pairs)]
     reals = _sample_real_eigenvalues(rng, n_reals)
-    blocks = []
-    for r, th in zip(radii, angles):
-        blocks.append(r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]))
     d = np.zeros((k, k))
-    pos = 0
-    for b in blocks:
-        d[pos:pos + 2, pos:pos + 2] = b
-        pos += 2
-    for lam in reals:
-        d[pos, pos] = lam
-        pos += 1
+    for p, (r, th) in enumerate(zip(radii, angles)):
+        d[2 * p:2 * p + 2, 2 * p:2 * p + 2] = r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    diag = 2 * n_pairs + np.arange(n_reals)
+    d[diag, diag] = reals
     while True:
         v = rng.normal(size=(k, k))
         if np.linalg.cond(v) < _MAX_COND:

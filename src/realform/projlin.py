@@ -190,14 +190,6 @@ def _repeated(lam: np.ndarray, close: np.ndarray, message: str) -> RepeatedEigen
     return RepeatedEigenvalues(message.format(lam[i[n]], lam[j[n]]))
 
 
-def require_separated(lam: np.ndarray, sep_tol: float, message: str) -> None:
-    """Raise ``_repeated`` for the first pair of lam closer than sep_tol."""
-    with np.errstate(invalid="ignore"):
-        close = _close_pairs(lam, sep_tol)
-    if close.any():
-        raise _repeated(lam, close, message)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues and matched eigendirections of one transformation.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .projlin import EigenSystem, modulus, require_separated, upper_pairs
+from .projlin import EigenSystem, _close_pairs, _repeated, modulus, upper_pairs
 
 HYPERBOLIC = "hyperbolic"
 ELLIPTIC = "elliptic"
@@ -114,7 +114,8 @@ def classify_eigenvalues(lams, cfg: Tolerances = DEFAULT_TOLERANCES) -> Spectral
         raise ValueError(f"eigenvalues must be a nonempty 1-D sequence, got shape {lams.shape}")
     if not (np.isfinite(lams).all() and lams.all()):
         raise ValueError("eigenvalues must be finite and nonzero")
-    require_separated(lams, cfg.sep_tol, "eigenvalues {:.6g}, {:.6g} coincide")
+    if (close := _close_pairs(lams, cfg.sep_tol)).any():
+        raise _repeated(lams, close, "eigenvalues {:.6g}, {:.6g} coincide")
     return classify_spectra(lams[None], cfg)[0]
 
 
@@ -130,8 +131,7 @@ def classify_spectra(lams: np.ndarray, cfg: Tolerances = DEFAULT_TOLERANCES) -> 
     condition with room for rounding, so it drops only candidates whose
     labeling would fail.
     """
-    n, k = lams.shape
-    tol = cfg.angle_tol
+    (n, k), tol = lams.shape, cfg.angle_tol
     a, b, flat, weight, upper = _sources(k)
     # candidates: the arguments and the pairwise half-sums of arguments, mod pi
     args = np.arctan2(lams.imag, lams.real)

@@ -359,7 +359,11 @@ def test_boolean_k_is_not_an_integer(run_cli, tmp_path):
     ({"k": 2}, "input document needs fields 'k' and 'matrices'"),
     ({"k": 2, "matrices": DIAG, "options": {"tolerances": {"bogus_tol": 1e-3}}},
      "bad tolerance override in document: unknown tolerance names: ['bogus_tol']"),
-], ids=["no-k", "no-matrices", "unknown-tolerance"])
+    # Python's json reads the literals NaN, Infinity and -Infinity as floats
+    *[({"k": 2, "matrices": [[[[x, 0], [1, 0]], [[0, 0], [1, 0]]]]}, "non-finite number in input")
+      for x in (float("nan"), float("inf"), -float("inf"))],
+], ids=["no-k", "no-matrices", "unknown-tolerance", "nan-entry", "infinity-entry",
+        "minus-infinity-entry"])
 def test_document_error_names_the_fault(run_cli, tmp_path, doc, message):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
@@ -684,6 +688,14 @@ class TestGenerateVerify:
         res = run_cli("generate", "--k", str(k), "--generators", str(n), *extra, "-o", str(out))
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_retry_cap_exit2(self, run_cli, tmp_path):
+        # at k = 2 twenty hyperbolic generators never pass the fixed-point separation gate
+        out = tmp_path / "g.json"
+        res = run_cli("generate", "--k", "2", "--generators", "20", "-o", str(out))
+        assert (res.returncode, res.stderr) == (
+            2, "error: could not realize the requested mix after many attempts\n")
         assert not out.exists()
 
     def test_malformed_perturb_exit2(self, run_cli, tmp_path):

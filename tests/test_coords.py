@@ -7,7 +7,6 @@ from realform.coords import (
     CrossRatio,
     conj_product_defect,
     cross_ratio,
-    cross_ratio_lists,
     cross_ratio_set,
     fg_cross_ratio,
     frame_cross_ratio_sets,
@@ -283,8 +282,10 @@ def frame_coords_cross_ratios(a, lines, d1):
     """frame_cross_ratio_sets on the lines' and d1's coordinates in A's basis,
     one list of CrossRatios per line."""
     frame = np.linalg.inv(a)
-    return cross_ratio_lists(
-        frame_cross_ratio_sets(np.array([v.coords for v in lines]) @ frame, d1.coords @ frame))
+    crs = frame_cross_ratio_sets(np.array([v.coords for v in lines]) @ frame, d1.coords @ frame)
+    return [[CrossRatio(num=n, den=e, provenance=(i, len(nums) - 1 - i))
+             for i, (n, e) in enumerate(zip(nums, dens))]
+            for nums, dens in zip(crs.num.tolist(), crs.den.tolist())]
 
 
 def closed_form_cross_ratios(a, lines, d1):

@@ -34,6 +34,13 @@ class TestInstanceSpec:
         with pytest.raises(InfeasibleSpec):
             InstanceSpec(k=k, n_generators=n, type_mix={"hyperbolic": n}).validate()
 
+    def test_retry_cap(self):
+        # at k = 2 the fixed-point separation gate fails on every draw of twenty generators
+        spec = InstanceSpec(k=2, n_generators=20, type_mix={"hyperbolic": 20}, seed=0)
+        with pytest.raises(InfeasibleSpec,
+                           match="^could not realize the requested mix after many attempts$"):
+            generate(spec)
+
     def test_negative_seed(self):
         with pytest.raises(InfeasibleSpec, match="seed"):
             generate(InstanceSpec(k=3, n_generators=2, type_mix={"hyperbolic": 2}, seed=-1))
