@@ -155,11 +155,6 @@ def _emit(doc, path=None) -> None:
             fh.write(text)
 
 
-def _add_tol_flags(p):
-    for name in _TOLERANCE_NAMES:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=None)
-
-
 def cmd_classify(args) -> int:
     k, mats, cfg = _load_document(args)
     infos, exc = spectral_pass(mats, cfg)
@@ -276,21 +271,20 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="realform",
                                      description="Simultaneous conjugacy into PGL(k,R)")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the input document and the tolerance flags of every command that reads one
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("input")
+    for name in _TOLERANCE_NAMES:
+        document.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=None)
 
-    p = sub.add_parser("classify", help="spectral classification of each matrix")
-    p.add_argument("input")
-    _add_tol_flags(p)
+    p = sub.add_parser("classify", parents=[document], help="spectral classification of each matrix")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("decide", help="decide conjugacy; exit 0 yes, 1 no, 6 inconclusive")
-    p.add_argument("input")
+    p = sub.add_parser("decide", parents=[document], help="decide conjugacy; exit 0 yes, 1 no, 6 inconclusive")
     p.add_argument("--method", choices=list(FORCED_METHODS), default="auto")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("coords", help="dump cross/triple ratio coordinates")
-    p.add_argument("input")
-    _add_tol_flags(p)
+    p = sub.add_parser("coords", parents=[document], help="dump cross/triple ratio coordinates")
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("generate", help="generate an instance with known answer")
@@ -305,10 +299,8 @@ def build_parser():
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", help="check a realifier against the collection")
-    p.add_argument("input")
+    p = sub.add_parser("verify", parents=[document], help="check a realifier against the collection")
     p.add_argument("--gamma", required=True)
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

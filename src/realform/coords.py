@@ -102,20 +102,26 @@ def cross_ratio(a, b, c, d, provenance=None) -> CrossRatio:
     return replace(cr, provenance=provenance)
 
 
-def row_cross_ratios(a, b, c, d) -> CrossRatio:
-    """[A, B, C, D] for points of CP^1 given as coordinate rows,
-    elementwise over the leading axes (which broadcast); a 0/0 ratio
-    raises."""
-    num, den = _det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d)
+def _ratio(num, den) -> CrossRatio:
+    """The CrossRatio num / den, elementwise; a 0/0 ratio raises: both
+    num and den of modulus at most 1e-13 in some element."""
     if ((modulus(num) <= 1e-13) & (modulus(den) <= 1e-13)).any():
         raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
     return CrossRatio(num=num, den=den)
 
 
+def row_cross_ratios(a, b, c, d) -> CrossRatio:
+    """[A, B, C, D] for points of CP^1 given as coordinate rows,
+    elementwise over the leading axes (which broadcast); a 0/0 ratio
+    raises (``_ratio``)."""
+    return _ratio(_det2(a, d) * _det2(c, b), _det2(a, b) * _det2(c, d))
+
+
 def fg_cross_ratio(a, b, c, d, provenance=None) -> CrossRatio:
     """[[A, B, C, D]], the Fock-Goncharov normalization, by its own
     formula: the reference the closed forms' -1 / [A, B, C, D] is checked
-    against.  A 0/0 ratio raises, as in ``cross_ratio``."""
+    against.  A 0/0 ratio raises by the rule of ``_ratio``, written out
+    here for one scalar pair."""
     a, b, c, d = (p.coords for p in _points((a, b, c, d)))
     num, den = _det2(a, b) * _det2(c, d), _det2(a, d) * _det2(b, c)
     if abs(num) <= 1e-13 and abs(den) <= 1e-13:
@@ -148,10 +154,6 @@ def _equal_moduli(n, d, tol: float):
     return np.abs(n - d) <= tol * _max(n, d, 1e-300)
 
 
-def _relative_defect(lhs, rhs):
-    return np.abs(lhs - rhs) / _max(np.abs(lhs), np.abs(rhs), 1e-300)
-
-
 def in_unit_circle(cr: CrossRatio, tol: float):
     return _equal_moduli(np.abs(cr.num), np.abs(cr.den), tol)
 
@@ -166,7 +168,8 @@ def conj_product_defect(cr: CrossRatio, factors):
     the conjugate-pair defect of cr == conj(f)."""
     num = functools.reduce(np.multiply, [f.num for f in factors])
     den = functools.reduce(np.multiply, [f.den for f in factors])
-    return _relative_defect(cr.num * np.conj(den), cr.den * np.conj(num))
+    lhs, rhs = cr.num * np.conj(den), cr.den * np.conj(num)
+    return np.abs(lhs - rhs) / _max(np.abs(lhs), np.abs(rhs), 1e-300)
 
 
 def arg_sum_is_zero(crs, weights, tol: float):
@@ -206,13 +209,10 @@ def frame_cross_ratio_sets(x: np.ndarray, d: np.ndarray) -> CrossRatio:
     C map to [1, 0] and [0, 1], the line x[n] to (x_i, x_{i+1}) and the
     reference to (d_i, d_{i+1}).  The ratio is x_i d_{i+1} / (x_{i+1} d_i),
     with both pairs scaled canonically.  Returned as one CrossRatio whose
-    num and den have a row per line; a 0/0 ratio raises.
+    num and den have a row per line; a 0/0 ratio raises (``_ratio``).
     """
     (x0, x1), (d0, d1) = _canonical_pairs(x), _canonical_pairs(d)
-    num, den = x0 * d1, x1 * d0
-    if ((modulus(num) <= 1e-13) & (modulus(den) <= 1e-13)).any():
-        raise IndeterminateCrossRatio("0/0 cross ratio: too many coincident points")
-    return CrossRatio(num=num, den=den)
+    return _ratio(x0 * d1, x1 * d0)
 
 
 def cross_ratio_set(a: np.ndarray, b1, c: np.ndarray, d1):

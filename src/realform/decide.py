@@ -594,21 +594,18 @@ def _line_sets(checks, frame, d, message, rank_tol):
     (generator, eigendirection indices) in condition order, one row per
     direction in that order, against a flag pair (A, C = A reversed) and a
     reference with A-coordinates ``d``; a direction's A-coordinates are it
-    times ``frame``.  One closed-form genericity check, at the cut
-    ``rank_tol``, covers every line first; the first failing line raises
-    ``message`` formatted with its generator ``n`` and index ``i``."""
+    times ``frame``.  Returns the sets and the row of each check's first
+    direction.  One closed-form genericity check, at the cut ``rank_tol``,
+    covers every line first; the first failing line raises ``message``
+    formatted with its generator ``n`` and index ``i``."""
     owners = [(info, i) for info, idx in checks for i in idx]
     x = np.array([info.rows[i] for info, i in owners]).reshape(-1, len(d)) @ frame
     bad = first_nongeneric_coords(x, d, rank_tol)
     if bad is not None:
         info, i = owners[bad]
         raise GenericityViolation(message.format(n=info.index, i=i))
-    return frame_cross_ratio_sets(x, d)
-
-
-def _first_rows(checks):
-    """The row of each check's first direction in ``_line_sets``' result."""
-    return list(itertools.accumulate((len(idx) for _, idx in checks), initial=0))[:-1]
+    firsts = itertools.accumulate((len(idx) for _, idx in checks), initial=0)
+    return frame_cross_ratio_sets(x, d), list(firsts)[:-1]
 
 
 # The basis of the frame {[i,1,0], [-i,1,0], [0,0,1], [1,1,1]} the synthetic
@@ -659,9 +656,9 @@ def _synthetic_conditions(infos, cfg):
         elif info is not e1:
             checks.append((info, info.labeling().pairing[0]))
     # the identity flag's coordinates of a direction moved by gamma0
-    crs = _line_sets(checks, gamma0.T, np.ones(3, dtype=complex),
-                     "generator {n}: eigendirection not generic with the synthetic base",
-                     cfg.rank_tol)
+    crs, firsts = _line_sets(checks, gamma0.T, np.ones(3, dtype=complex),
+                             "generator {n}: eigendirection not generic with the synthetic base",
+                             cfg.rank_tol)
     hcols, pcols = _columns(crs, 0, cfg.cr_tol)
 
     pairs = [(info, idx) for info, idx in checks if len(idx) == 2]
@@ -676,7 +673,7 @@ def _synthetic_conditions(infos, cfg):
             np.eye(3), flags, frame_minors(flags, window_table((2, 2, 2, 0), 3)), cfg)
     quotients = _triple_minors(3)[0]
     conditions, m = [], 0
-    for (info, idx), r in zip(checks, _first_rows(checks)):
+    for (info, idx), r in zip(checks, firsts):
         if len(idx) == 1:
             conditions += _emit(f"cr(A,h{info.index}.{idx[0]},C,D)", hcols, r)
             continue
@@ -740,12 +737,12 @@ def _cross_conditions(infos, cfg):
                        if info is not provider or i != d_idx]
     # a minor in the frame bounds the input-space s_min / s_max only up to
     # the frame's conditioning, so the line cut is scaled by it
-    crs = _line_sets(checks, frame, provider.rows[d_idx] @ frame,
-                     "generator {n}: eigendirection {i} not generic with the base",
-                     cfg.rank_tol / base.frame_rcond)
+    crs, firsts = _line_sets(checks, frame, provider.rows[d_idx] @ frame,
+                             "generator {n}: eigendirection {i} not generic with the base",
+                             cfg.rank_tol / base.frame_rcond)
     columns = dict(zip((1, 2), _columns(crs, L, cfg.cr_tol)))
     conditions = []
-    for (info, idx), r in zip(checks, _first_rows(checks)):
+    for (info, idx), r in zip(checks, firsts):
         prefix = f"cr(A,{'h' if len(idx) == 1 else 'e'}{info.index}.{'/'.join(map(str, idx))},C,d)"
         conditions += _emit(prefix, columns[len(idx)], r)
     return conditions, [f"base generator {base.index}, reference direction from {provider.index}"]

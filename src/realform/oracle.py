@@ -148,7 +148,7 @@ def _generator(rng, k, gtype):
     return _real_matrix_with_spectrum(rng, k, n_pairs, k - 2 * n_pairs)
 
 
-def _random_gamma(rng, k, max_cond=_MAX_COND):
+def _random_gamma(rng, k, max_cond):
     while True:
         g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         if np.linalg.cond(g) < max_cond:
@@ -163,7 +163,7 @@ def _perturbation_delta(m, rng, gamma, cfg):
     vector), a targeted break of its on-form condition; an elliptic pair
     member gets a generic orthogonal direction (the caller probes the
     phase).  The eigendata are the stacked pass's (``_spectra``).
-    Returns (eigenvalues, eigenvector matrix, offset, label).
+    Returns (eigenvalues, eigenvector matrix, offset).
     """
     stack, spectra, exc = _spectra(np.asarray(m, dtype=complex)[None], cfg)
     if exc is not None:
@@ -177,8 +177,7 @@ def _perturbation_delta(m, rng, gamma, cfg):
         return None if n < cfg.rank_tol * np.linalg.norm(u) else w / n
 
     delta = None
-    label = spectra[0].labels[0]
-    if label == "hyperbolic":
+    if spectra[0].labels[0] == "hyperbolic":
         # v = gamma x with x real; gamma (real w) spans the form's
         # tangent directions at v, and i rotates tangent to normal
         x = np.linalg.solve(gamma, v)
@@ -196,7 +195,7 @@ def _perturbation_delta(m, rng, gamma, cfg):
             delta = perp(rng.normal(size=k) + 1j * rng.normal(size=k))
             if delta is not None:
                 break
-    return lam, vecs, delta, label
+    return lam, vecs, delta
 
 
 def _apply_perturbation(lam, vecs, delta, magnitude):
@@ -215,7 +214,7 @@ def _perturb_eigendirection(ms, g_idx, magnitude, rng, gamma, cfg):
     incompatible one is kept; the achieved defect is returned so the
     caller can resample degenerate geometry.
     """
-    lam, vecs, delta, label = _perturbation_delta(ms[g_idx], rng, gamma, cfg)
+    lam, vecs, delta = _perturbation_delta(ms[g_idx], rng, gamma, cfg)
     if len(lam) != 2:
         out = list(ms)
         out[g_idx] = _apply_perturbation(lam, vecs, delta, magnitude)

@@ -347,7 +347,7 @@ class TestCriterion6Invariance:
     def test_6_conjugation_invariance(self):
         with criterion("6", f"coordinates and verdicts invariant under {N_INVARIANCE_GAMMAS} conjugations"):
             rng = np.random.default_rng(660)
-            from realform.oracle import _random_gamma
+            from realform.oracle import _MAX_COND, _random_gamma
 
             for _ in range(N_INVARIANCE_INSTANCES):
                 k = int(rng.choice([3, 4]))
@@ -358,7 +358,7 @@ class TestCriterion6Invariance:
                 ref, coords0 = matched_flag_coordinates(inst.matrices)
                 verdict0, _ = rf.decide(inst.matrices)
                 for _ in range(N_INVARIANCE_GAMMAS):
-                    gm = _random_gamma(rng, k)
+                    gm = _random_gamma(rng, k, _MAX_COND)
                     gi = np.linalg.inv(gm)
                     moved = [gm @ m @ gi for m in inst.matrices]
                     _, coords1 = matched_flag_coordinates(moved, reference=ref)

@@ -424,8 +424,9 @@ class TestRepeatedMain:
         finally:
             cli.build_parser.cache_clear()
         assert codes == [0, 0, 4, 0]
-        # one top-level parser, and its five subcommand parsers, for all four calls
-        assert made.count("realform") == 1 and len(made) == 6
+        # one top-level parser, the shared parent of the four document
+        # commands, and the five subcommand parsers, for all four calls
+        assert made.count("realform") == 1 and len(made) == 7
 
     def test_later_calls_match_a_fresh_process(self, run_cli, no_file, golden_file, tmp_path):
         assert run_cli("decide", str(no_file), "--sep-tol", "0.99").returncode == 3

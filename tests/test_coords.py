@@ -82,6 +82,10 @@ class TestCrossRatio:
         with pytest.raises(IndeterminateCrossRatio, match="^0/0 cross ratio: too many coincident points$"):
             row_cross_ratios(a, a, c, d)
 
+    def test_fg_indeterminate(self):
+        with pytest.raises(IndeterminateCrossRatio, match="^0/0 cross ratio: too many coincident points$"):
+            fg_cross_ratio(aff(1), aff(1), aff(0), aff(1))
+
     def test_fg_normalization(self):
         for x in (0.7, 2.5, -1.25, 1 + 2j):
             assert abs(fg_cross_ratio(INF, aff(-1), aff(0), aff(x)).value - x) < 1e-12

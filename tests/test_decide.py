@@ -972,6 +972,18 @@ def test_perturbation_sweep_has_no_contradiction(k):
                 assert {answer, direct} != {"yes", "no"}, (k, eps, seed, method)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="wrong definite Yes at eps = 1e-7 (truth No): direct "
+                   "certifies residuals 7.3e-9 to 1.3e-8 below cert_tol 1e-7, and auto answers "
+                   "through dim3 at k = 3, whose conditions pass at cr_tol 1e-7; mended by "
+                   "ROADMAP item 3's three-way rule")
+@pytest.mark.parametrize("method,k,seed", [("direct", 3, 2), ("direct", 3, 5), ("direct", 6, 6),
+                                           ("direct", 8, 5), ("auto", 3, 2), ("auto", 3, 5)])
+def test_no_yes_at_perturbation_1e7(method, k, seed):
+    verdict, _ = decide(perturbed(k, seed, 1e-7), method=method)
+    assert verdict.answer in ("no", "inconclusive")
+
+
 @pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4, 6, 8) for seed in range(10)])
 @pytest.mark.parametrize("method", ["direct", "auto"])
 def test_yes_at_condition_1e3(k, seed, method):

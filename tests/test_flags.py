@@ -326,6 +326,16 @@ class TestQuotientCP1:
         with pytest.raises(GenericityViolation):
             quotient_cp1(a, pp(0, 0, 1), c, pp(1, 1, 1), 0, 1)
 
+    @pytest.mark.parametrize("i, j, height, message", [
+        (1, 1, 3, "need i \\+ j = k - 2 with i, j >= 0"),
+        (2, -1, 3, "need i \\+ j = k - 2 with i, j >= 0"),
+        (1, 0, 1, "flag heights too small for the requested quotient"),
+    ], ids=["sum", "negative", "short"])
+    def test_bad_quotient_raises(self, i, j, height, message):
+        a, c = standard_pair(3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quotient_cp1(a[:height], pp(2, 3, 5), c, pp(1, 1, 1), i, j)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_equivariance(self, seed):
@@ -386,11 +396,27 @@ class TestQuotientCP2:
         with pytest.raises(GenericityViolation):
             quotient_cp2(a, bad, c, 1, 0, 0)  # line of bad lies inside A_1
 
+    @pytest.mark.parametrize("ijl, height, message", [
+        ((1, 1, 0), 4, "need i \\+ j \\+ l = k - 3 with i, j, l >= 0"),
+        ((2, -1, 0), 4, "need i \\+ j \\+ l = k - 3 with i, j, l >= 0"),
+        ((1, 0, 0), 2, "flag height too small for the requested quotient"),
+    ], ids=["sum", "negative", "short"])
+    def test_bad_quotient_raises(self, ijl, height, message):
+        a, c = standard_pair(4)
+        b = make_flag([[1, 2, 1, 3], [1, -1, 2, 1], [3, 1, 1, 2], [1, 1, 1, 1]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quotient_cp2(a[:height], b, c, *ijl)
+
     def test_counts(self, rng):
         for k in (3, 4, 5):
             a, c = standard_pair(k)
             b = make_flag(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
             assert len(triple_ratio_set(a, b, c)) == (k - 1) * (k - 2) // 2
+
+    def test_short_flags_raise(self):
+        a, c = standard_pair(4)
+        with pytest.raises(ValueError, match="^flag height too small for the requested quotient$"):
+            triple_ratio_set(a, a[:2], c)
 
 
 def frame_kernel(a, flags, cfg=DEFAULT_TOLERANCES):

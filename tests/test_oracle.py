@@ -567,7 +567,7 @@ class TestStopAt:
 def _ref_probe(ms, g_idx, magnitude, rng, gamma, cfg):
     """The phase probe before the stop: all four full searches, the first
     phase with the largest defect kept."""
-    lam, vecs, delta, _ = oracle._perturbation_delta(ms[g_idx], rng, gamma, cfg)
+    lam, vecs, delta = oracle._perturbation_delta(ms[g_idx], rng, gamma, cfg)
     cands, defects = [], []
     for j in range(4):
         cand = list(ms)

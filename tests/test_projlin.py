@@ -41,6 +41,13 @@ class TestProjPoint:
         with pytest.raises(ValueError):
             pp(np.nan, 1)
 
+    def test_one_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="^projective points need at least 2 coordinates$"):
+            pp(1)
+
+    def test_repr_shows_the_canonical_representative(self):
+        assert repr(pp(2, 2j)) == "ProjPoint([1.+0.j 0.+1.j])"
+
 
 class TestProjEq:
     def test_scalar_multiple(self):
@@ -48,6 +55,9 @@ class TestProjEq:
 
     def test_distinct_points(self):
         assert not proj_eq(pp(1, 0), pp(0, 1), 1e-6)
+
+    def test_different_dimensions(self):
+        assert not proj_eq(pp(1, 0), pp(1, 0, 0), 1.0)
 
     def test_complex_scale(self):
         # oracle: (1+i) * [1, 1-i] = [1+i, 2]
@@ -260,6 +270,10 @@ class TestFrames:
         with pytest.raises(DegenerateFrame):
             frame_from_points([pp(1, 0), pp(2, 0), pp(1, 1)])
 
+    def test_wrong_point_count(self):
+        with pytest.raises(ValueError, match="^need 3 points for a frame in dimension 2$"):
+            frame_from_points([pp(1, 0), pp(0, 1)])
+
     def test_sum_is_last_point(self, rng):
         for _ in range(20):
             pts = [ProjPoint(rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(4)]
@@ -308,6 +322,16 @@ class TestHomography:
         b = homography(g, h)
         c = homography(f, h)
         assert matrices_proportional(c, b @ a, 1e-8)
+
+    def test_dimension_mismatch(self):
+        src = frame_from_points([pp(1, 0), pp(0, 1), pp(1, 1)])
+        dst = frame_from_points([pp(1, 0, 0), pp(0, 1, 0), pp(0, 0, 1), pp(1, 1, 1)])
+        with pytest.raises(ValueError, match="^frames live in different dimensions$"):
+            homography(src, dst)
+
+    def test_nothing_is_proportional_to_zero(self):
+        assert not matrices_proportional(np.zeros((2, 2)), np.eye(2), 1.0)
+        assert not matrices_proportional(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
 
 
 def test_check_matrix_rejects_singular():
